@@ -9,13 +9,16 @@ happen in a deterministic order, so repeated runs are bitwise identical.
 
 Scope is deliberately narrow: float64 only, no broadcasting (elementwise
 operands must match shapes exactly), matmul on rank-2 operands, softmax on
-the last axis of rank-1 or rank-2 values.  Every node's value is checked
-to be finite at creation, so a NaN or overflow fails loudly at the op that
-produced it instead of surfacing later as a corrupted update.
+the last axis of rank-1 to rank-3 values, and ``time_mean`` to average a
+(batch, T, classes) stack over its time axis.  Every node's value is
+checked to be finite at creation, so a NaN or overflow fails loudly at the
+op that produced it instead of surfacing later as a corrupted update.
 
 ``stop_gradient`` blocks all flow along an edge; ``custom_grad`` attaches
 a caller-supplied elementwise pseudo-derivative, which is how the spike
-nonlinearity gets a usable backward rule.
+nonlinearity gets a usable backward rule.  Callers may also build a node
+directly from a value, its parents and a backward rule; ``etcsnn.snn``
+does so for its fused multi-step layers.
 """
 
 from __future__ import annotations
@@ -39,6 +42,7 @@ __all__ = [
     "matmul",
     "sum_all",
     "mean_all",
+    "time_mean",
     "log",
     "exp",
     "temp_softmax",
@@ -226,6 +230,18 @@ def mean_all(a: Tensor) -> Tensor:
     return Tensor(a.data.mean(), "mean", (a,), rule)
 
 
+def time_mean(a: Tensor) -> Tensor:
+    """Average a (batch, T, classes) stack over T, giving (batch, classes)."""
+    if a.data.ndim != 3 or a.shape[1] < 1:
+        raise ShapeMismatchError(f"time-mean: needs (batch, T>=1, classes), got {a.shape}")
+    c = 1.0 / a.shape[1]
+
+    def rule(g):
+        a.grad += (c * g)[:, None, :]
+
+    return Tensor(a.data.sum(axis=1) * c, "time-mean", (a,), rule)
+
+
 def log(a: Tensor) -> Tensor:
     with np.errstate(divide="ignore", invalid="ignore"):
         value = np.log(a.data)
@@ -249,8 +265,8 @@ def exp(a: Tensor) -> Tensor:
 def _check_softmax_operand(a: Tensor, tau: float, op: str) -> None:
     if not tau > 0:
         raise ValueError(f"{op}: tau must be positive, got {tau}")
-    if a.data.ndim not in (1, 2):
-        raise ShapeMismatchError(f"{op}: needs rank-1 or rank-2 input, got {a.shape}")
+    if a.data.ndim not in (1, 2, 3):
+        raise ShapeMismatchError(f"{op}: needs rank-1 to rank-3 input, got {a.shape}")
 
 
 def temp_softmax(a: Tensor, tau: float = 1.0) -> Tensor:

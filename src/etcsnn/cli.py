@@ -16,6 +16,7 @@ from pathlib import Path
 
 from .data import DataError
 from .losses import gradcheck_suite
+from .snn import gradcheck_lif
 from .train import (
     CheckpointError,
     ConfigError,
@@ -27,7 +28,6 @@ from .train import (
     eval_per_timestep,
     load_checkpoint,
     load_dataset,
-    save_checkpoint,  # noqa: F401  (re-exported convenience for scripts)
     train,
 )
 
@@ -194,6 +194,7 @@ def _cmd_eval(args) -> int:
 
 def _cmd_gradcheck(args) -> int:
     report = gradcheck_suite(seed=args.seed, cases=args.cases)
+    lif = gradcheck_lif(seed=args.seed, cases=args.cases)
     print(f"cases={report.cases}")
     print(f"ce_mean max_rel_err={report.ce_max_rel_err:.3e} tol={report.tol:.0e}")
     print(
@@ -203,7 +204,8 @@ def _cmd_gradcheck(args) -> int:
         f"consistency fd_max_rel_err={report.etc_fd_max_rel_err:.3e} "
         f"fd_tol={report.fd_tol:.0e}"
     )
-    if not report.passed:
+    print(f"lif max_rel_err={lif.max_rel_err:.3e} tol={lif.tol:.0e}")
+    if not (report.passed and lif.passed):
         print("error: gradient check failed", file=sys.stderr)
         return 2
     print("PASS")
@@ -216,7 +218,10 @@ def _cmd_dump_dist(args) -> int:
     samples = data.test if args.samples is None else data.test[: args.samples]
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    dump_distributions(ckpt, samples, out)
+    try:
+        dump_distributions(ckpt, samples, out)
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from None
     print(f"wrote {out} ({len(samples)} samples)")
     return 0
 
@@ -273,7 +278,7 @@ def _build_parser() -> _Parser:
     add_config_flags(p)
     p.set_defaults(fn=_cmd_eval)
 
-    p = sub.add_parser("gradcheck", help="run both gradient oracles")
+    p = sub.add_parser("gradcheck", help="run the loss and LIF gradient oracles")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--cases", type=int, default=100)
     p.set_defaults(fn=_cmd_gradcheck)

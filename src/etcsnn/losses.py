@@ -1,14 +1,15 @@
 """Training objectives, their diagnostics, and gradient oracles.
 
-Two objectives matter here.  ``ce_mean_loss`` is ordinary cross-entropy on
-the softmax of the time-averaged output potential -- supervising only the
+Both objectives are a few tape ops over one (batch, T, classes) tensor of
+output potentials.  ``ce_mean_loss`` is ordinary cross-entropy on the
+softmax of the time-averaged output potential -- supervising only the
 average leaves the individual timesteps free to disagree.  ``etc_loss``
 closes that gap: each timestep's tempered distribution is trained against
-stop-gradient copies of every *other* timestep's, averaged over ordered
-pairs, so all steps are pulled toward a common prediction without any
-extra labels.  ``etc_kl_metric`` is the matching read-only diagnostic
-(mean pairwise KL); it differs from ``etc_loss`` by exactly the mean
-entropy of the frozen targets.
+frozen copies of every *other* timestep's, averaged over ordered pairs, so
+all steps are pulled toward a common prediction without any extra labels.
+``etc_kl_metric`` is the matching read-only diagnostic (mean pairwise KL);
+it differs from ``etc_loss`` by exactly the mean entropy of the frozen
+targets.
 
 ``gradcheck_ce`` / ``gradcheck_etc`` compare the tape's gradients against
 closed forms (and central finite differences): for the mean-CE loss the
@@ -33,10 +34,9 @@ from .autodiff import (
     log_softmax,
     mul,
     scale,
-    stop_gradient,
-    sub,
     sum_all,
     temp_softmax,
+    time_mean,
 )
 
 __all__ = [
@@ -58,45 +58,38 @@ __all__ = [
 
 @dataclass
 class TimestepOutputs:
-    """Output-layer potentials per timestep: a length-T list of (batch, C) tensors."""
+    """Output-layer potentials at every timestep: one (batch, T, classes) tensor."""
 
-    v_seq: list[Tensor]
+    v: Tensor
 
     def __post_init__(self):
-        if not self.v_seq:
+        if self.v.data.ndim != 3:
+            raise ValueError(f"outputs must be (batch, T, classes), got {self.v.shape}")
+        if self.v.shape[1] < 1:
             raise ValueError("need at least one timestep of outputs")
-        first = self.v_seq[0]
-        if first.data.ndim != 2:
-            raise ValueError(f"per-step outputs must be (batch, classes), got {first.shape}")
-        if first.shape[1] < 2:
+        if self.v.shape[2] < 2:
             raise ValueError("need at least 2 classes")
-        for v in self.v_seq[1:]:
-            if v.shape != first.shape:
-                raise ValueError(f"inconsistent step shapes {first.shape} vs {v.shape}")
 
     @property
     def steps(self) -> int:
-        return len(self.v_seq)
+        return self.v.shape[1]
 
     @property
     def batch(self) -> int:
-        return self.v_seq[0].shape[0]
+        return self.v.shape[0]
 
     @property
     def classes(self) -> int:
-        return self.v_seq[0].shape[1]
+        return self.v.shape[2]
 
     def values(self) -> np.ndarray:
-        """Raw potentials stacked as (batch, T, classes)."""
-        return np.stack([v.data for v in self.v_seq], axis=1)
+        """Raw potentials, (batch, T, classes)."""
+        return self.v.data
 
     @classmethod
     def from_values(cls, values) -> "TimestepOutputs":
-        """Wrap a (batch, T, classes) array as fresh leaf tensors."""
-        arr = np.asarray(values, dtype=np.float64)
-        if arr.ndim != 3:
-            raise ValueError(f"expected (batch, T, classes), got {arr.shape}")
-        return cls([Tensor(arr[:, t, :]) for t in range(arr.shape[1])])
+        """Wrap a (batch, T, classes) array as a fresh leaf tensor."""
+        return cls(Tensor(values))
 
 
 @dataclass(frozen=True)
@@ -130,17 +123,13 @@ def ce_mean_loss(outputs: TimestepOutputs, labels) -> Tensor:
     """
     labels = np.asarray(labels, dtype=np.float64)
     _validate_one_hot(labels, outputs)
-    acc = outputs.v_seq[0]
-    for v in outputs.v_seq[1:]:
-        acc = add(acc, v)
-    o_mean = scale(acc, 1.0 / outputs.steps)
-    picked = mul(Tensor(labels), log_softmax(o_mean, 1.0))
+    picked = mul(Tensor(labels), log_softmax(time_mean(outputs.v), 1.0))
     return scale(sum_all(picked), -1.0 / outputs.batch)
 
 
-def per_timestep_probs(outputs: TimestepOutputs, tau: float) -> list[Tensor]:
-    """Tempered softmax of each timestep's potentials (one tensor per step)."""
-    return [temp_softmax(v, tau) for v in outputs.v_seq]
+def per_timestep_probs(outputs: TimestepOutputs, tau: float) -> Tensor:
+    """Tempered softmax of each timestep's potentials, (batch, T, classes)."""
+    return temp_softmax(outputs.v, tau)
 
 
 def etc_loss(outputs: TimestepOutputs, cfg: EtcConfig) -> Tensor:
@@ -148,22 +137,16 @@ def etc_loss(outputs: TimestepOutputs, cfg: EtcConfig) -> Tensor:
 
     For every ordered pair (t, m != t), the cross-entropy of step t's
     tempered distribution under step m's, with step m's probabilities
-    frozen by stop_gradient -- gradients flow only through the
-    log-probability factor.  The sum over m != t of frozen targets is
-    computed once as (total - own), which is algebraically identical to
-    the pairwise double sum.
+    frozen -- they enter the tape as a constant leaf, so gradients flow
+    only through the log-probability factor.  The sum over m != t of
+    frozen targets is computed once as (total - own), which is
+    algebraically identical to the pairwise double sum.
     """
     if outputs.steps < 2:
         raise ValueError("consistency loss needs at least 2 timesteps")
-    frozen = [stop_gradient(temp_softmax(v, cfg.tau)) for v in outputs.v_seq]
-    total_frozen = frozen[0]
-    for p in frozen[1:]:
-        total_frozen = add(total_frozen, p)
-    total = None
-    for t, v in enumerate(outputs.v_seq):
-        others = sub(total_frozen, frozen[t])
-        term = sum_all(mul(others, log_softmax(v, cfg.tau)))
-        total = term if total is None else add(total, term)
+    p = _softmax_np(outputs.v.data / cfg.tau)
+    others = Tensor(p.sum(axis=1, keepdims=True) - p)
+    total = sum_all(mul(others, log_softmax(outputs.v, cfg.tau)))
     pairs = outputs.batch * outputs.steps * (outputs.steps - 1)
     return scale(total, -1.0 / pairs)
 
@@ -253,7 +236,7 @@ def gradcheck_ce(outputs: TimestepOutputs, labels, tol: float = 1e-10) -> GradCh
     loss.backward()
     p_mean = _softmax_np(outputs.values().mean(axis=1))
     expected = (p_mean - labels) / (outputs.steps * outputs.batch)
-    err = max(_norm_rel_err(v.grad, expected) for v in outputs.v_seq)
+    err = max(_norm_rel_err(outputs.v.grad[:, t], expected) for t in range(outputs.steps))
     return GradCheckReport(max_rel_err=err, tol=tol, passed=err < tol)
 
 
@@ -281,7 +264,7 @@ def gradcheck_etc(
     # sum_{m != t}(P_t - P_m) == T * P_t - sum_m P_m
     expected = coeff * (outputs.steps * p - p.sum(axis=1, keepdims=True))
     err = max(
-        _norm_rel_err(v.grad, expected[:, t, :]) for t, v in enumerate(outputs.v_seq)
+        _norm_rel_err(outputs.v.grad[:, t], expected[:, t]) for t in range(outputs.steps)
     )
     if not with_fd:
         return GradCheckReport(max_rel_err=err, tol=tol, passed=err < tol)
@@ -293,7 +276,8 @@ def gradcheck_etc(
         logp = _log_softmax_np(vals / cfg.tau)
         return -weight * float((frozen_others * logp).sum()) / denom
 
-    auto = np.stack([v.grad for v in outputs.v_seq], axis=1)
+    auto = outputs.v.grad
+    values = values.copy()  # the probes below perturb it in place
     fd = np.zeros_like(values)
     flat_vals = values.ravel()
     flat_fd = fd.ravel()

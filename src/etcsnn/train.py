@@ -607,12 +607,9 @@ def _batch_loss(
 ) -> tuple[Tensor, float, float]:
     """Total loss tensor plus (ce, etc) scalar components for logging."""
     if cfg.loss_mode == "per_timestep_ce":
-        y = Tensor(labels_1h)
-        acc = None
-        for v in outputs.v_seq:
-            term = sum_all(mul(y, log_softmax(v, 1.0)))
-            acc = term if acc is None else add(acc, term)
-        total = scale(acc, -1.0 / (outputs.batch * outputs.steps))
+        y = Tensor(np.repeat(labels_1h[:, None, :], outputs.steps, axis=1))
+        picked = sum_all(mul(y, log_softmax(outputs.v, 1.0)))
+        total = scale(picked, -1.0 / (outputs.batch * outputs.steps))
         return total, total.item(), 0.0
     ce = ce_mean_loss(outputs, labels_1h)
     if (
@@ -843,7 +840,9 @@ def consistency_report(
     for t in range(cfg.timesteps):
         weights = [Tensor(p) for p in ckpt.params]
         outs = lif_unroll(spec, weights, x)
-        step_loss = sum_all(mul(Tensor(coeff), outs.v_seq[t]))
+        step_coeff = np.zeros_like(outs.values())
+        step_coeff[:, t] = coeff
+        step_loss = sum_all(mul(Tensor(step_coeff), outs.v))
         grad_map = step_loss.backward()
         g = grad_map.get(weights[-1], np.zeros_like(ckpt.params[-1]))
         grads.append(g.ravel())

@@ -132,6 +132,26 @@ def test_softmax_shift_invariance(row, c, tau):
     assert np.max(np.abs(base.data - shifted.data)) <= 1e-12
 
 
+def test_rank3_softmax_matches_per_step_rows():
+    rng = np.random.default_rng(3)
+    z = rng.normal(size=(2, 4, 5)) * 3
+    stacked = ad.log_softmax(leaf(z), tau=1.5)
+    for t in range(4):
+        assert np.array_equal(stacked.data[:, t], ad.log_softmax(leaf(z[:, t]), tau=1.5).data)
+    with pytest.raises(ad.ShapeMismatchError, match="rank"):
+        ad.temp_softmax(leaf(np.zeros((1, 2, 3, 4))))
+
+
+def test_time_mean_example_and_shape_policing():
+    x = leaf([[[1.0, 2.0], [3.0, 6.0]]])  # batch 1, T=2, 2 classes
+    out = ad.time_mean(x)
+    np.testing.assert_array_equal(out.data, [[2.0, 4.0]])
+    ad.sum_all(out).backward()
+    np.testing.assert_array_equal(x.grad, np.full((1, 2, 2), 0.5))
+    with pytest.raises(ad.ShapeMismatchError, match="time-mean"):
+        ad.time_mean(leaf([[1.0, 2.0]]))
+
+
 def test_log_softmax_matches_log_of_softmax():
     rng = np.random.default_rng(1)
     z = rng.normal(size=(4, 5)) * 3
@@ -194,7 +214,13 @@ def test_finite_differences_every_smooth_op():
         _fd_check(lambda x: ad.sum_all(ad.mul(ad.exp(x), const)), v)
         _fd_check(lambda x: ad.sum_all(ad.mul(ad.temp_softmax(x, tau), const)), v)
         _fd_check(lambda x: ad.sum_all(ad.mul(ad.log_softmax(x, tau), const)), v)
-        cases += 10
+        # rank-3 (batch, T, classes) stacks: softmax on the last axis, time mean
+        v3 = rng.normal(size=(n, 3, m))
+        const3 = ad.Tensor(rng.normal(size=(n, 3, m)))
+        _fd_check(lambda x: ad.sum_all(ad.mul(ad.temp_softmax(x, tau), const3)), v3)
+        _fd_check(lambda x: ad.sum_all(ad.mul(ad.log_softmax(x, tau), const3)), v3)
+        _fd_check(lambda x: ad.sum_all(ad.mul(ad.time_mean(x), const)), v3)
+        cases += 13
     assert cases >= 100
 
 

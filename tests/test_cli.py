@@ -203,6 +203,7 @@ def test_gradcheck_passes_and_prints_errors(capsys):
     assert "ce_mean max_rel_err=" in out
     assert "consistency max_rel_err=" in out
     assert "fd_max_rel_err=" in out
+    assert "lif max_rel_err=" in out and "tol=1e-12" in out
     assert "PASS" in out
 
 
@@ -219,6 +220,17 @@ def test_dump_dist_writes_csv(trained_run, tmp_path, capsys):
     lines = out.read_text().splitlines()
     assert lines[0].startswith("sample_id,label,t,argmax,")
     assert len(lines) == 1 + 2 * 4  # header + (T rows + mean row) per sample
+
+
+@pytest.mark.parametrize("command", ["dump-dist", "eval", "consistency"])
+def test_analysis_dim_mismatch_is_one_error_line(trained_run, tmp_path, capsys, command):
+    argv = [command, "--ckpt", str(trained_run / "ckpt_final.bin"), "--set", "data.dim=12"]
+    if command == "dump-dist":
+        argv += ["--out", str(tmp_path / "dist.csv")]
+    code = run_cli(argv)
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and len(err.splitlines()) == 1
 
 
 def test_consistency_prints_report(trained_run, capsys):

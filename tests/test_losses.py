@@ -81,11 +81,11 @@ def test_ce_rejects_bad_labels():
 
 def test_timestep_outputs_validation():
     with pytest.raises(ValueError):
-        TimestepOutputs([])
+        TimestepOutputs(ad.Tensor(np.zeros((2, 0, 3))))  # no timesteps
     with pytest.raises(ValueError):
-        TimestepOutputs([ad.Tensor(np.zeros((2, 1)))])  # single class
+        TimestepOutputs(ad.Tensor(np.zeros((2, 3, 1))))  # single class
     with pytest.raises(ValueError):
-        TimestepOutputs([ad.Tensor(np.zeros((2, 3))), ad.Tensor(np.zeros((2, 4)))])
+        TimestepOutputs(ad.Tensor(np.zeros((2, 3))))  # not (batch, T, classes)
 
 
 # -- per_timestep_probs -------------------------------------------------------
@@ -94,15 +94,16 @@ def test_timestep_outputs_validation():
 def test_per_timestep_probs_rows_sum_to_one():
     rng = np.random.default_rng(4)
     outs = outputs_from(rng.normal(size=(3, 4, 5)) * 10)
-    for p in per_timestep_probs(outs, tau=4.0):
-        np.testing.assert_allclose(p.data.sum(axis=1), np.ones(3), atol=1e-9)
+    p = per_timestep_probs(outs, tau=4.0)
+    assert p.shape == (3, 4, 5)
+    np.testing.assert_allclose(p.data.sum(axis=-1), np.ones((3, 4)), atol=1e-9)
 
 
 def test_per_timestep_probs_temperature_example():
     outs = outputs_from(np.array([4.0, 0.0]).reshape(1, 1, 2))
-    p = per_timestep_probs(outs, tau=4.0)[0]
+    p = per_timestep_probs(outs, tau=4.0)
     np.testing.assert_allclose(
-        p.data, [[math.e / (math.e + 1.0), 1.0 / (math.e + 1.0)]], atol=1e-15
+        p.data[:, 0], [[math.e / (math.e + 1.0), 1.0 / (math.e + 1.0)]], atol=1e-15
     )
 
 
@@ -145,8 +146,7 @@ def test_etc_gradient_blocked_through_targets():
     outs = outputs_from(np.tile(np.array([1.0, -1.0, 0.5]), (2, 3, 1)))
     loss = etc_loss(outs, EtcConfig(tau=2.0, lam=1.0))
     loss.backward()
-    for v in outs.v_seq:
-        np.testing.assert_allclose(v.grad, np.zeros_like(v.grad), atol=1e-16)
+    np.testing.assert_allclose(outs.v.grad, np.zeros_like(outs.v.grad), atol=1e-16)
 
 
 @settings(max_examples=40, deadline=None)
@@ -267,8 +267,7 @@ def test_gradcheck_ce_zero_logit_example():
     labels = onehot([0], 2)
     report = gradcheck_ce(outs, labels)
     assert report.passed
-    for v in outs.v_seq:
-        np.testing.assert_allclose(v.grad, [[-0.25, 0.25]], atol=1e-15)
+    np.testing.assert_allclose(outs.v.grad, [[[-0.25, 0.25], [-0.25, 0.25]]], atol=1e-15)
 
 
 def test_gradcheck_ce_random_instances():
@@ -287,7 +286,7 @@ def test_ce_gradient_matches_fd():
 
     from oracles import fd_gradient
 
-    auto = np.stack([v.grad for v in outs.v_seq], axis=1)
+    auto = outs.v.grad
     fd = fd_gradient(
         lambda arr: ce_mean_loss(TimestepOutputs.from_values(arr), labels).item(),
         values.copy(),
@@ -300,8 +299,7 @@ def test_gradcheck_etc_identical_steps_give_zero_gradient():
     # closed form (also zero) degenerates -- assert absolutely instead
     outs = outputs_from(np.tile(np.array([0.4, -1.0]), (2, 3, 1)))
     gradcheck_etc(outs, EtcConfig(tau=4.0, lam=1.0), with_fd=False)
-    for v in outs.v_seq:
-        np.testing.assert_allclose(v.grad, np.zeros_like(v.grad), atol=1e-15)
+    np.testing.assert_allclose(outs.v.grad, np.zeros_like(outs.v.grad), atol=1e-15)
 
 
 def test_gradcheck_etc_random_instances():
@@ -321,8 +319,7 @@ def test_etc_gradient_scales_linearly_with_lambda():
     ad.scale(etc_loss(outs1, EtcConfig(tau=4.0, lam=1.0)), 1.0 * 16.0).backward()
     outs2 = outputs_from(values)
     ad.scale(etc_loss(outs2, EtcConfig(tau=4.0, lam=2.0)), 2.0 * 16.0).backward()
-    for v1, v2 in zip(outs1.v_seq, outs2.v_seq):
-        assert np.array_equal(2.0 * v1.grad, v2.grad)
+    assert np.array_equal(2.0 * outs1.v.grad, outs2.v.grad)
 
 
 def test_gradcheck_suite_passes():

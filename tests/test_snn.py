@@ -1,4 +1,5 @@
-"""LIF dynamics: spike/surrogate exactness, step traces, unroll behavior."""
+"""LIF dynamics: spike/surrogate exactness, step traces, unroll behavior,
+and the fused multi-step layers against the per-op reference."""
 
 import numpy as np
 import pytest
@@ -10,10 +11,12 @@ from etcsnn.snn import (
     LifParams,
     LifState,
     NetworkSpec,
+    gradcheck_lif,
     init_weights,
     initial_state,
     lif_step,
     lif_unroll,
+    lif_unroll_reference,
     spike_fn,
     surrogate_factor,
 )
@@ -51,6 +54,16 @@ def test_surrogate_matches_closed_form_exactly():
     dist = np.abs(v - P.v_th)
     want = np.where(dist > 1.0 / a, 0.0, a - a * a * dist)
     assert np.array_equal(got, want)
+    # bit for bit, also at the band edges, for infinities and NaN
+    edges = P.v_th + np.array([1.0, -1.0]) / a
+    odd = np.concatenate([
+        edges, np.nextafter(edges, 10.0), np.nextafter(edges, -10.0),
+        [P.v_th, np.inf, -np.inf, np.nan, 1e308, -1e308],
+    ])
+    dist = np.abs(odd - P.v_th)
+    with np.errstate(over="ignore", invalid="ignore"):
+        want_odd = np.where(dist > 1.0 / a, 0.0, a - a * a * dist)
+    assert np.array_equal(surrogate_factor(odd, P).view(np.int64), want_odd.view(np.int64))
     # and through the graph machinery, not just the helper
     x = ad.Tensor(v)
     ad.sum_all(spike_fn(x, P)).backward()
@@ -144,8 +157,8 @@ def test_unroll_hand_trace_identity_weights():
     weights = [ad.Tensor(eye), ad.Tensor(eye)]
     inputs = np.ones((1, 2, 2))
     outs = lif_unroll(spec, weights, inputs)
-    np.testing.assert_array_equal(outs.v_seq[0].data, [[0.5, 0.5]])
-    np.testing.assert_array_equal(outs.v_seq[1].data, [[0.75, 0.75]])
+    np.testing.assert_array_equal(outs.values()[:, 0], [[0.5, 0.5]])
+    np.testing.assert_array_equal(outs.values()[:, 1], [[0.75, 0.75]])
 
     # independent scalar re-execution of the recurrence
     v_h = 0.0
@@ -155,7 +168,7 @@ def test_unroll_hand_trace_identity_weights():
         s = 1.0 if v_h >= 0.5 else 0.0
         v_h = v_h * (1.0 - s)
         v_o = 0.5 * v_o + 0.5 * s
-        assert outs.v_seq[t].data[0, 0] == v_o
+        assert outs.values()[0, t, 0] == v_o
 
 
 def test_unroll_silent_hidden_layer_gives_zero_logits():
@@ -163,16 +176,14 @@ def test_unroll_silent_hidden_layer_gives_zero_logits():
     weights = [ad.Tensor(np.eye(2) * 0.1), ad.Tensor(np.eye(2))]
     inputs = np.full((3, 4, 2), 0.2)  # charged potential never reaches 0.5
     outs = lif_unroll(spec, weights, inputs)
-    for v in outs.v_seq:
-        np.testing.assert_array_equal(v.data, np.zeros((3, 2)))
+    np.testing.assert_array_equal(outs.values(), np.zeros((3, 4, 2)))
 
 
 def test_unroll_zero_weights_give_zero_logits():
     spec = _spec(sizes=(3, 5, 2), steps=3)
     weights = [ad.Tensor(np.zeros((3, 5))), ad.Tensor(np.zeros((5, 2)))]
     outs = lif_unroll(spec, weights, np.random.default_rng(0).normal(size=(2, 3, 3)))
-    for v in outs.v_seq:
-        np.testing.assert_array_equal(v.data, np.zeros((2, 2)))
+    np.testing.assert_array_equal(outs.values(), np.zeros((2, 3, 2)))
 
 
 def test_gradients_vanish_outside_surrogate_support():
@@ -183,12 +194,21 @@ def test_gradients_vanish_outside_surrogate_support():
     w2 = ad.Tensor(rng.normal(size=(4, 2)))
     inputs = -np.ones((2, 3, 3))  # negative currents keep v < 0 < v_th - 1/a
     outs = lif_unroll(spec, [w1, w2], inputs)
-    acc = outs.v_seq[0]
-    for v in outs.v_seq[1:]:
-        acc = ad.add(acc, v)
-    ad.sum_all(acc).backward()
+    ad.sum_all(outs.v).backward()
     assert np.array_equal(w1.grad, np.zeros((3, 4)))
     assert np.array_equal(w2.grad, np.zeros((4, 2)))
+
+
+def _per_step(x):
+    return [ad.Tensor(x[:, t]) for t in range(x.shape[1])]
+
+
+def _reference_mean(spec, weights, x, spike=None):
+    outs = lif_unroll_reference(spec, weights, _per_step(x), spike=spike)
+    acc = outs[0]
+    for v in outs[1:]:
+        acc = ad.add(acc, v)
+    return ad.mean_all(acc)
 
 
 def test_identity_spike_hook_makes_network_linear():
@@ -199,8 +219,8 @@ def test_identity_spike_hook_makes_network_linear():
     x2 = rng.normal(size=(2, 3, 3))
 
     def run(x):
-        outs = lif_unroll(spec, weights, x, spike=lambda v: v)
-        return outs.values()
+        outs = lif_unroll_reference(spec, weights, _per_step(x), spike=lambda v: v)
+        return np.stack([v.data for v in outs], axis=1)
 
     np.testing.assert_allclose(run(x1) + run(x2), run(x1 + x2), rtol=1e-12, atol=1e-12)
 
@@ -212,21 +232,13 @@ def test_identity_spike_hook_gradients_match_fd():
     inputs = rng.normal(size=(1, 2, 2))
 
     weights = [ad.Tensor(w) for w in w_vals]
-    outs = lif_unroll(spec, weights, inputs, spike=lambda v: v)
-    acc = outs.v_seq[0]
-    for v in outs.v_seq[1:]:
-        acc = ad.add(acc, v)
-    ad.mean_all(acc).backward()
+    _reference_mean(spec, weights, inputs, spike=lambda v: v).backward()
 
     for i in range(2):
         def f(wv, i=i):
             trial = [ad.Tensor(w) for w in w_vals]
             trial[i] = ad.Tensor(wv)
-            out = lif_unroll(spec, trial, inputs, spike=lambda v: v)
-            a = out.v_seq[0]
-            for v in out.v_seq[1:]:
-                a = ad.add(a, v)
-            return ad.mean_all(a).item()
+            return _reference_mean(spec, trial, inputs, spike=lambda v: v).item()
 
         fd = fd_gradient(f, w_vals[i].copy(), h=1e-6)
         assert norm_rel_err(weights[i].grad, fd) < 1e-6
@@ -253,8 +265,6 @@ def test_network_spec_validation():
     with pytest.raises(ValueError):
         NetworkSpec(layer_sizes=(4, 3, 2), timesteps=0)
     with pytest.raises(ValueError):
-        NetworkSpec(layer_sizes=(4, 3, 2), timesteps=2, output_mode="spiking")
-    with pytest.raises(ValueError):
         LifParams(tau_m=0.5)
     with pytest.raises(ValueError):
         LifParams(surrogate_a=0.0)
@@ -269,3 +279,46 @@ def test_unroll_shape_policing():
         lif_unroll(spec, weights, np.zeros((1, 2, 7)))
     with pytest.raises(ad.ShapeMismatchError, match="weight"):
         lif_unroll(spec, [weights[0], ad.Tensor(np.zeros((5, 2)))], np.zeros((1, 2, 3)))
+
+
+# -- fused layers vs the per-op reference ----------------------------------------
+
+
+def test_gradcheck_lif_matches_reference():
+    report = gradcheck_lif(seed=0, cases=60)
+    assert report.passed, report
+    assert report.max_rel_err <= 1e-12
+    assert report.band_fraction > 0.3  # most gradients pass through the surrogate
+
+
+@pytest.mark.parametrize("v_reset", [0.0, 0.2])
+def test_fused_values_bitwise_equal_reference(v_reset):
+    """Same arithmetic per step, so the forward agrees exactly, spikes included."""
+    spec = _spec(sizes=(16, 12, 12, 4), steps=10, lif=LifParams(v_reset=v_reset))
+    rng = np.random.default_rng(17)
+    weights = init_weights(spec, seed=3)
+    x = rng.uniform(0.0, 1.5, size=(8, 10, 16))
+    fused = lif_unroll(spec, weights, x).values()
+    ref = lif_unroll_reference(spec, weights, _per_step(x))
+    assert np.array_equal(fused, np.stack([v.data for v in ref], axis=1))
+
+
+def test_unroll_builds_one_node_per_layer():
+    spec = _spec(sizes=(3, 4, 5, 2), steps=6)
+    weights = init_weights(spec, seed=0)
+    outs = lif_unroll(spec, weights, np.ones((2, 6, 3)))
+    assert outs.v.op == "lif-integrator"
+    hidden = outs.v.parents[0]
+    assert hidden.op == "lif-layer" and hidden.parents[0].op == "lif-layer"
+    assert hidden.parents[0].parents == (weights[0],)  # array inputs are no node
+
+
+@pytest.mark.parametrize("scale_of", ["inputs", "weights"])
+def test_unroll_overflowing_potential_raises(scale_of):
+    """An overflowed membrane potential still yields 0/1 spikes; the fused
+    node must catch it instead of passing finite spikes upward."""
+    spec = _spec(sizes=(3, 4, 2), steps=3)
+    w = np.full((3, 4), 1e308 if scale_of == "weights" else 1.0)
+    x = np.full((2, 3, 3), 1e308 if scale_of == "inputs" else 1.0)
+    with pytest.raises(ad.NonFiniteError, match="membrane"):
+        lif_unroll(spec, [ad.Tensor(w), ad.Tensor(np.ones((4, 2)))], x)

@@ -13,7 +13,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from etcsnn.data import SynthSpec, save_synth_dataset, synth_generate
+from etcsnn import train as train_module
+from etcsnn.autodiff import Tensor
+from etcsnn.data import Sample, SynthSpec, save_synth_dataset, synth_generate
 from etcsnn.train import (
     Checkpoint,
     CheckpointMagicError,
@@ -232,6 +234,25 @@ def test_per_timestep_ce_mode_trains(tmp_path):
     result = train(cfg, tmp_path / "run")
     assert all(np.isfinite(rec.loss_total) for rec in result.records)
     assert all(rec.loss_etc == 0.0 for rec in result.records)
+
+
+def test_overflowing_potential_is_a_training_error(tmp_path, monkeypatch):
+    """Inputs of 1e308 through all-positive weights overflow the first
+    layer's charged potential while its spikes stay 0/1; the run must stop
+    with the epoch and batch named instead of training on."""
+    spec = SynthSpec(classes=2, input_dim=8, timesteps=3, samples_per_class=5)
+    tr, te = synth_generate(spec)
+    huge = [Sample(np.full((3, 8), 1e308), s.label) for s in tr]
+    path = tmp_path / "huge.bin"
+    save_synth_dataset(path, spec, huge, te)
+    monkeypatch.setattr(
+        train_module, "init_weights",
+        lambda net, seed: [Tensor(np.ones((a, b))) for a, b in
+                           zip(net.layer_sizes, net.layer_sizes[1:])],
+    )
+    cfg = build_run_config(tiny(**{"data.kind": "file", "data.file": str(path)}))
+    with pytest.raises(TrainingError, match=r"epoch 0, batch 0: .*membrane"):
+        train(cfg, tmp_path / "run")
 
 
 def test_mid_checkpoints_written_at_interval(tmp_path):
