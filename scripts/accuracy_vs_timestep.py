@@ -42,8 +42,8 @@ def main() -> int:
             budgets = [int(p) for p in args.timesteps.split(",")]
         else:
             budgets = list(range(1, ckpt.config.timesteps + 1))
-        for k in budgets:
-            acc = eval_per_timestep(ckpt, data.test, k)
+        # one forward per checkpoint scores every budget
+        for k, acc in eval_per_timestep(ckpt, data.test, budgets).items():
             lines.append(f"{path},{k},{acc!r}")
             print(f"{path:<40} {k:>6} {acc:>9.4f}")
     out = Path(args.out)

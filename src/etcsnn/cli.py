@@ -1,8 +1,9 @@
 """Command-line surface: dataset synthesis, training, evaluation, gradient
 checking, and analysis dumps, all driven by flat ``key=value`` configs.
 
-Exit codes: 0 success, 1 usage error (bad flags, bad config, missing input
-files), 2 runtime error (training blow-up, corrupt artifacts, failed checks).
+Exit codes: 0 success, 1 usage error (bad flags, bad config, missing or
+unreadable inputs), 2 runtime error (training blow-up, corrupt artifacts,
+failed checks).
 Every error is printed to stderr as a single line starting with ``error:``.
 """
 
@@ -28,6 +29,7 @@ from .train import (
     eval_per_timestep,
     load_checkpoint,
     load_dataset,
+    parse_config_lines,
     train,
 )
 
@@ -66,16 +68,10 @@ def _read_config_file(path: str) -> dict[str, str]:
     p = Path(path)
     if not p.is_file():
         raise _UsageError(f"config not found: {path}")
-    mapping: dict[str, str] = {}
-    for ln, line in enumerate(p.read_text().splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        key, sep, value = stripped.partition("=")
-        if not sep:
-            raise ConfigError(f"{path} line {ln}: expected key=value, got {line!r}")
-        mapping[key.strip()] = value.strip()
-    return mapping
+    try:
+        return parse_config_lines(p.read_text())
+    except ConfigError as exc:
+        raise ConfigError(f"{path} {exc}") from None
 
 
 def _gather_mapping(args) -> dict[str, str]:
@@ -182,12 +178,10 @@ def _cmd_eval(args) -> int:
             raise _UsageError(f"cannot parse --timesteps {args.timesteps!r}") from None
     else:
         ks = list(ckpt.config.eval_timesteps)
-    accuracy = {}
-    for k in ks:
-        try:
-            accuracy[str(k)] = eval_per_timestep(ckpt, data.test, k)
-        except ValueError as exc:
-            raise _UsageError(str(exc)) from None
+    try:
+        accuracy = eval_per_timestep(ckpt, data.test, ks)
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from None
     print(json.dumps({"checkpoint": args.ckpt, "accuracy": accuracy}))
     return 0
 
@@ -304,7 +298,7 @@ def run_cli(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.fn(args)
-    except (_UsageError, ConfigError) as exc:
+    except (_UsageError, ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (DataError, CheckpointError, TrainingError) as exc:

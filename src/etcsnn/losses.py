@@ -7,8 +7,8 @@ average leaves the individual timesteps free to disagree.  ``etc_loss``
 closes that gap: each timestep's tempered distribution is trained against
 frozen copies of every *other* timestep's, averaged over ordered pairs, so
 all steps are pulled toward a common prediction without any extra labels.
-``etc_kl_metric`` is the matching read-only diagnostic (mean pairwise KL);
-it differs from ``etc_loss`` by exactly the mean entropy of the frozen
+``kl_metric_values`` is the matching read-only diagnostic (mean pairwise
+KL); it differs from ``etc_loss`` by exactly the mean entropy of the frozen
 targets.
 
 ``gradcheck_ce`` / ``gradcheck_etc`` compare the tape's gradients against
@@ -28,26 +28,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import (
-    Tensor,
-    add,
-    log_softmax,
-    mul,
-    scale,
-    sum_all,
-    temp_softmax,
-    time_mean,
-)
+from .autodiff import Tensor, log_softmax, mul, scale, sum_all, time_mean
 
 __all__ = [
     "TimestepOutputs",
     "EtcConfig",
     "ce_mean_loss",
-    "per_timestep_probs",
     "etc_loss",
-    "etc_kl_metric",
     "kl_metric_values",
-    "combined_loss",
     "GradCheckReport",
     "gradcheck_ce",
     "gradcheck_etc",
@@ -127,11 +115,6 @@ def ce_mean_loss(outputs: TimestepOutputs, labels) -> Tensor:
     return scale(sum_all(picked), -1.0 / outputs.batch)
 
 
-def per_timestep_probs(outputs: TimestepOutputs, tau: float) -> Tensor:
-    """Tempered softmax of each timestep's potentials, (batch, T, classes)."""
-    return temp_softmax(outputs.v, tau)
-
-
 def etc_loss(outputs: TimestepOutputs, cfg: EtcConfig) -> Tensor:
     """Pairwise temporal-consistency loss, averaged over pairs and batch.
 
@@ -155,8 +138,14 @@ def kl_metric_values(values: np.ndarray, tau: float) -> float:
     """Mean pairwise KL(P_m || P_t) over ordered pairs, timesteps, and batch.
 
     Pure-value diagnostic (no gradients); ``values`` is (batch, T, classes)
-    of raw potentials.  Clamped at zero so rounding near identical
-    distributions cannot report a negative divergence.
+    of raw potentials.  The diagonal terms of the pairwise sum cancel, so
+
+        sum_{t, m != t} P_m (log P_m - log P_t)
+            = T * sum_m P_m log P_m - (sum_m P_m)(sum_t log P_t)
+
+    summed over batch and classes, which costs O(T) instead of O(T^2).
+    Clamped at zero so rounding near identical distributions cannot report
+    a negative divergence.
     """
     if not tau > 0:
         raise ValueError(f"tau must be > 0, got {tau}")
@@ -170,30 +159,8 @@ def kl_metric_values(values: np.ndarray, tau: float) -> float:
     z = z - z.max(axis=-1, keepdims=True)
     logp = z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
     p = np.exp(logp)
-    total = 0.0
-    for t in range(steps):
-        for m in range(steps):
-            if m == t:
-                continue
-            total += float(np.sum(p[:, m, :] * (logp[:, m, :] - logp[:, t, :])))
-    return max(total / (batch * steps * (steps - 1)), 0.0)
-
-
-def etc_kl_metric(outputs: TimestepOutputs, tau: float) -> float:
-    """``kl_metric_values`` applied to an output bundle."""
-    return kl_metric_values(outputs.values(), tau)
-
-
-def combined_loss(outputs: TimestepOutputs, labels, cfg: EtcConfig) -> Tensor:
-    """ce_mean_loss + lam * tau^2 * etc_loss.
-
-    With a single timestep or lam == 0 the consistency term is skipped
-    entirely, so the result is ce_mean_loss bit-for-bit.
-    """
-    ce = ce_mean_loss(outputs, labels)
-    if cfg.lam == 0.0 or outputs.steps == 1:
-        return ce
-    return add(ce, scale(etc_loss(outputs, cfg), cfg.lam * cfg.tau**2))
+    total = steps * np.sum(p * logp) - np.sum(p.sum(axis=1) * logp.sum(axis=1))
+    return max(float(total) / (batch * steps * (steps - 1)), 0.0)
 
 
 # -- gradient oracles ---------------------------------------------------------

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -55,6 +55,7 @@ __all__ = [
     "config_to_items",
     "config_to_text",
     "build_run_config",
+    "parse_config_lines",
     "run_config_from_text",
     "load_dataset",
     "train",
@@ -317,8 +318,8 @@ def build_run_config(mapping: dict[str, str]) -> RunConfig:
     )
 
 
-def run_config_from_text(text: str) -> RunConfig:
-    """Parse ``key=value`` lines (blank lines and # comments allowed)."""
+def parse_config_lines(text: str) -> dict[str, str]:
+    """``key=value`` lines (blank lines and # comments allowed) as a mapping."""
     mapping = {}
     for ln, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
@@ -328,7 +329,11 @@ def run_config_from_text(text: str) -> RunConfig:
         if not sep:
             raise ConfigError(f"line {ln}: expected key=value, got {line!r}")
         mapping[key.strip()] = value.strip()
-    return build_run_config(mapping)
+    return mapping
+
+
+def run_config_from_text(text: str) -> RunConfig:
+    return build_run_config(parse_config_lines(text))
 
 
 # -- dataset loading ---------------------------------------------------------------
@@ -623,41 +628,22 @@ def _batch_loss(
     return total, ce.item(), etc.item()
 
 
-def _forward_values(
-    spec: NetworkSpec,
-    params: list[np.ndarray],
-    inputs: np.ndarray,
-    batch_size: int,
-) -> np.ndarray:
-    """Output potentials (N, T, C) for a whole split, batched."""
-    chunks = []
-    for b0 in range(0, inputs.shape[0], batch_size):
-        weights = [Tensor(p) for p in params]
-        outs = lif_unroll(spec, weights, inputs[b0 : b0 + batch_size])
-        chunks.append(outs.values())
-    return np.concatenate(chunks, axis=0)
-
-
-def _prefix_accuracy(values: np.ndarray, labels: np.ndarray, k: int) -> float:
-    """Accuracy of argmax of the mean of the first k potentials."""
-    mean_k = values[:, :k, :].sum(axis=1) / k
-    pred = np.argmax(mean_k, axis=1)  # ties -> lowest class index
-    return float(np.mean(pred == labels))
-
-
-def _evaluate_epoch(
-    cfg: RunConfig,
-    values: np.ndarray,
-    labels: np.ndarray,
-) -> tuple[float, dict[str, float], float, float]:
-    acc_full = _prefix_accuracy(values, labels, cfg.timesteps)
-    per_eval = {
-        str(k): _prefix_accuracy(values, labels, k) for k in cfg.eval_timesteps
-    }
-    kl = kl_metric_values(values, cfg.etc.tau) if cfg.timesteps >= 2 else 0.0
-    preds = np.argmax(values, axis=2)
-    flip = float(np.mean((preds != preds[:, :1]).any(axis=1)))
-    return acc_full, per_eval, kl, flip
+def _log_history(path: Path, header: str, start_epoch: int) -> list[str]:
+    """Header and epoch records a run resumed at ``start_epoch`` keeps of
+    the log at ``path``; refuses a log this run cannot continue."""
+    if not path.exists():
+        return [header]
+    lines = path.read_text().splitlines(keepends=True)
+    if (
+        lines[:1] != [header]
+        or len(lines) <= start_epoch
+        or not lines[start_epoch].endswith("\n")
+    ):
+        raise TrainingError(
+            f"{path} does not start with this config's first {start_epoch} "
+            "epoch records; resume into the run's own directory or a fresh one"
+        )
+    return lines[: 1 + start_epoch]
 
 
 def train(cfg: RunConfig, out_dir, resume_from=None) -> TrainResult:
@@ -666,12 +652,9 @@ def train(cfg: RunConfig, out_dir, resume_from=None) -> TrainResult:
     out_dir.mkdir(parents=True, exist_ok=True)
     data = load_dataset(cfg)
     x_train, y_train = _stack(data.train)
-    x_test, y_test = _stack(data.test)
-    if y_train.max(initial=0) >= data.classes or y_test.max(initial=0) >= data.classes:
-        raise TrainingError(
-            f"label {max(y_train.max(initial=0), y_test.max(initial=0))} out of "
-            f"range for {data.classes} classes"
-        )
+    top_label = max((s.label for s in data.train + data.test), default=0)
+    if top_label >= data.classes:
+        raise TrainingError(f"label {top_label} out of range for {data.classes} classes")
     labels_1h = _one_hot(y_train, data.classes)
     spec = _network_spec(cfg, data.input_dim, data.classes)
     if x_train.shape[1:] != (cfg.timesteps, data.input_dim):
@@ -680,6 +663,8 @@ def train(cfg: RunConfig, out_dir, resume_from=None) -> TrainResult:
             f"{(cfg.timesteps, data.input_dim)}"
         )
     config_text = config_to_text(cfg)
+    metrics_path = out_dir / "metrics.jsonl"
+    history = [config_header_line(cfg) + "\n"]
 
     if resume_from is not None:
         ck = load_checkpoint(resume_from)
@@ -691,6 +676,7 @@ def train(cfg: RunConfig, out_dir, resume_from=None) -> TrainResult:
         params = ck.params
         opt = ck.opt
         start_epoch = ck.epoch
+        history = _log_history(metrics_path, history[0], start_epoch)
     else:
         params = [w.data for w in init_weights(spec, cfg.seed)]
         opt = OptimState.fresh(
@@ -705,10 +691,9 @@ def train(cfg: RunConfig, out_dir, resume_from=None) -> TrainResult:
 
     names = [f"w{i}" for i in range(len(params))]
     n_train = x_train.shape[0]
-    metrics_path = out_dir / "metrics.jsonl"
     records: list[EpochMetrics] = []
     with open(metrics_path, "w") as log:
-        log.write(config_header_line(cfg) + "\n")
+        log.writelines(history)
         for epoch in range(start_epoch, cfg.epochs):
             lr_now = cosine_lr(epoch, cfg.epochs, cfg.lr_base)
             order = np.random.default_rng(
@@ -734,11 +719,15 @@ def train(cfg: RunConfig, out_dir, resume_from=None) -> TrainResult:
                 ce_sum += ce_val * len(sel)
                 etc_sum += etc_val * len(sel)
                 total_sum += total.item() * len(sel)
+            done = epoch + 1
+            ckpt = Checkpoint(cfg, config_text, done, params, opt)
             try:
-                values = _forward_values(spec, params, x_test, cfg.batch_size)
+                values, labels = _ckpt_forward(ckpt, data.test, cfg.timesteps)
             except (NonFiniteError, ValueError) as exc:
                 raise TrainingError(f"epoch {epoch}, evaluation: {exc}") from exc
-            acc_full, per_eval, kl, flip = _evaluate_epoch(cfg, values, y_test)
+            acc_full = _prefix_accuracy(values, labels, cfg.timesteps)
+            per_eval = _budget_accuracies(values, labels, cfg.eval_timesteps)
+            kl, flip = _consistency_metrics(values, cfg.etc.tau)
             rec = EpochMetrics(
                 epoch=epoch,
                 lr=lr_now,
@@ -752,10 +741,8 @@ def train(cfg: RunConfig, out_dir, resume_from=None) -> TrainResult:
             )
             log.write(rec.json_line() + "\n")
             records.append(rec)
-            done = epoch + 1
             if cfg.save_interval and done % cfg.save_interval == 0 and done < cfg.epochs:
-                mid = Checkpoint(cfg, config_text, done, params, opt)
-                save_checkpoint(mid, out_dir / f"ckpt_epoch{done:04d}.bin")
+                save_checkpoint(ckpt, out_dir / f"ckpt_epoch{done:04d}.bin")
 
     final = Checkpoint(cfg, config_text, cfg.epochs, params, opt)
     ckpt_path = out_dir / "ckpt_final.bin"
@@ -767,36 +754,69 @@ def train(cfg: RunConfig, out_dir, resume_from=None) -> TrainResult:
 
 
 # -- evaluation / analysis ops ---------------------------------------------------------
+# Every evaluation is one batched forward over a prefix of the input slices.
+# The network is causal, so its first k potentials are those of a k-step run.
 
 
-def _ckpt_network_spec(ckpt: Checkpoint, timesteps: int) -> NetworkSpec:
-    cfg = ckpt.config
-    return NetworkSpec(
-        layer_sizes=(
-            ckpt.params[0].shape[0],
-            *cfg.hidden_sizes,
-            ckpt.params[-1].shape[-1],
-        ),
-        timesteps=timesteps,
-        lif=cfg.lif,
-    )
+def _forward_values(
+    spec: NetworkSpec,
+    params: list[np.ndarray],
+    inputs: np.ndarray,
+    batch_size: int,
+) -> np.ndarray:
+    """Output potentials (N, T, C) for a whole split, batched."""
+    chunks = []
+    for b0 in range(0, inputs.shape[0], batch_size):
+        weights = [Tensor(p) for p in params]
+        outs = lif_unroll(spec, weights, inputs[b0 : b0 + batch_size])
+        chunks.append(outs.values())
+    return np.concatenate(chunks, axis=0)
 
 
-def eval_per_timestep(ckpt: Checkpoint, samples: list[Sample], eval_t: int) -> float:
-    """Accuracy using only the first ``eval_t`` input slices (resimulated)."""
-    trained_t = ckpt.config.timesteps
-    if not 1 <= eval_t <= trained_t:
-        raise ValueError(f"eval_t {eval_t} outside [1, {trained_t}]")
+def _ckpt_forward(
+    ckpt: Checkpoint, samples: list[Sample], steps: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Output potentials (N, steps, C) over the first ``steps`` input slices
+    of ``samples``, and the samples' labels."""
     inputs, labels = _stack(samples)
-    if inputs.shape[1] < eval_t:
-        raise ValueError(
-            f"samples provide {inputs.shape[1]} timesteps, eval_t is {eval_t}"
-        )
-    spec = _ckpt_network_spec(ckpt, eval_t)
-    values = _forward_values(
-        spec, ckpt.params, inputs[:, :eval_t], ckpt.config.batch_size
-    )
-    return _prefix_accuracy(values, labels, eval_t)
+    if inputs.shape[1] < steps:
+        raise ValueError(f"samples provide {inputs.shape[1]} timesteps, eval_t is {steps}")
+    dims = ckpt.params[0].shape[0], ckpt.params[-1].shape[-1]
+    spec = replace(_network_spec(ckpt.config, *dims), timesteps=steps)
+    values = _forward_values(spec, ckpt.params, inputs[:, :steps], ckpt.config.batch_size)
+    return values, labels
+
+
+def _prefix_accuracy(values: np.ndarray, labels: np.ndarray, k: int) -> float:
+    """Accuracy of argmax of the mean of the first k potentials."""
+    mean_k = values[:, :k, :].sum(axis=1) / k
+    pred = np.argmax(mean_k, axis=1)  # ties -> lowest class index
+    return float(np.mean(pred == labels))
+
+
+def _budget_accuracies(values: np.ndarray, labels: np.ndarray, budgets) -> dict[str, float]:
+    return {str(k): _prefix_accuracy(values, labels, k) for k in budgets}
+
+
+def _consistency_metrics(values: np.ndarray, tau: float) -> tuple[float, float]:
+    """Mean pairwise KL (0 for a single step) and argmax flip rate: the
+    share of samples whose per-step prediction ever leaves its first one."""
+    kl = kl_metric_values(values, tau) if values.shape[1] >= 2 else 0.0
+    preds = np.argmax(values, axis=2)
+    return kl, float(np.mean((preds != preds[:, :1]).any(axis=1)))
+
+
+def eval_per_timestep(
+    ckpt: Checkpoint, samples: list[Sample], budgets
+) -> dict[str, float]:
+    """Accuracy at each budget ``k`` from the first ``k`` input slices only,
+    keyed ``str(k)``; one forward over the first ``max(budgets)`` slices."""
+    trained_t = ckpt.config.timesteps
+    for k in budgets:
+        if not 1 <= k <= trained_t:
+            raise ValueError(f"eval_t {k} outside [1, {trained_t}]")
+    values, labels = _ckpt_forward(ckpt, samples, max(budgets))
+    return _budget_accuracies(values, labels, budgets)
 
 
 @dataclass(frozen=True)
@@ -815,59 +835,57 @@ class ConsistencyReport:
         }
 
 
-def consistency_report(
-    ckpt: Checkpoint, samples: list[Sample], grad_batch: int = 64
-) -> ConsistencyReport:
+_GRAD_BATCH = 64  # samples in the gradient-direction probe
+
+
+def _output_weight_grads(
+    ckpt: Checkpoint, samples: list[Sample], coeff: np.ndarray
+) -> np.ndarray:
+    """Gradients (T, hidden, classes) of ``sum(coeff * v_t)``, with ``v_t``
+    the step-t output potentials of ``samples``, by the output weights.
+
+    The output layer leak-integrates ``s_t @ W_out``, so ``v_t = trace_t @
+    W_out`` with ``trace`` the last hidden layer's spikes integrated by the
+    same rule: a forward with an identity readout, whose zero column keeps
+    two outputs when that layer has one unit."""
+    hidden = ckpt.params[-1].shape[0]
+    probe = replace(ckpt, params=[*ckpt.params[:-1], np.eye(hidden, hidden + 1)])
+    trace, _ = _ckpt_forward(probe, samples, ckpt.config.timesteps)
+    return np.einsum("nth,nc->thc", trace[..., :hidden], coeff)
+
+
+def consistency_report(ckpt: Checkpoint, samples: list[Sample]) -> ConsistencyReport:
     """Temporal-consistency metrics plus the per-timestep gradient-direction
     probe: cosine similarity between the output-weight gradients contributed
-    by each timestep's share of the mean-potential CE loss."""
+    by each timestep's share of the mean-potential CE loss, over the first
+    ``_GRAD_BATCH`` samples."""
     cfg = ckpt.config
     if cfg.timesteps < 2:
         raise ValueError("consistency metrics need at least 2 timesteps")
-    inputs, labels = _stack(samples)
-    spec = _ckpt_network_spec(ckpt, cfg.timesteps)
-    values = _forward_values(spec, ckpt.params, inputs, cfg.batch_size)
-    kl = kl_metric_values(values, cfg.etc.tau)
-    preds = np.argmax(values, axis=2)
-    flip = float(np.mean((preds != preds[:, :1]).any(axis=1)))
+    values, labels = _ckpt_forward(ckpt, samples, cfg.timesteps)
+    kl, flip = _consistency_metrics(values, cfg.etc.tau)
 
-    n = min(grad_batch, inputs.shape[0])
-    classes = ckpt.params[-1].shape[-1]
-    x, y = inputs[:n], _one_hot(labels[:n], classes)
-    mean_v = values[:n].mean(axis=1)
-    coeff = (_softmax_np(mean_v) - y) / (n * cfg.timesteps)
-    grads = []
-    for t in range(cfg.timesteps):
-        weights = [Tensor(p) for p in ckpt.params]
-        outs = lif_unroll(spec, weights, x)
-        step_coeff = np.zeros_like(outs.values())
-        step_coeff[:, t] = coeff
-        step_loss = sum_all(mul(Tensor(step_coeff), outs.v))
-        grad_map = step_loss.backward()
-        g = grad_map.get(weights[-1], np.zeros_like(ckpt.params[-1]))
-        grads.append(g.ravel())
-    cosines = []
-    for a in range(len(grads)):
-        for b in range(a + 1, len(grads)):
-            na, nb = np.linalg.norm(grads[a]), np.linalg.norm(grads[b])
-            if na == 0.0 or nb == 0.0:
-                cosines.append(0.0)
-            else:
-                cosines.append(float(np.dot(grads[a], grads[b]) / (na * nb)))
+    n = min(_GRAD_BATCH, len(samples))
+    y = _one_hot(labels[:n], values.shape[2])
+    coeff = (_softmax_np(values[:n].mean(axis=1)) - y) / (n * cfg.timesteps)
+    grads = _output_weight_grads(ckpt, samples[:n], coeff).reshape(cfg.timesteps, -1)
+    gram = grads @ grads.T
+    norms = np.sqrt(np.diag(gram))
+    denom = np.outer(norms, norms)
+    cosines = np.divide(gram, denom, out=np.zeros_like(gram), where=denom > 0)
+    pairs = np.triu_indices(cfg.timesteps, k=1)
     return ConsistencyReport(
         mean_pairwise_kl=kl,
         argmax_flip_rate=flip,
-        grad_cosine_mean=float(np.mean(cosines)),
-        samples=inputs.shape[0],
+        grad_cosine_mean=float(np.mean(np.clip(cosines[pairs], -1.0, 1.0))),
+        samples=len(samples),
     )
 
 
 def dump_distributions(ckpt: Checkpoint, samples: list[Sample], out_path) -> None:
     """Per-timestep temperature-1 softmax rows per sample, plus a mean row."""
     cfg = ckpt.config
-    inputs, labels = _stack(samples)
-    spec = _ckpt_network_spec(ckpt, cfg.timesteps)
-    values = _forward_values(spec, ckpt.params, inputs, cfg.batch_size)
+    values, labels = _ckpt_forward(ckpt, samples, cfg.timesteps)
     probs = _softmax_np(values)  # (N, T, C)
     mean_probs = _softmax_np(values.mean(axis=1))
     classes = values.shape[2]

@@ -184,6 +184,42 @@ def test_eval_rejects_out_of_range_timestep(trained_run, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+def test_missing_input_dir_is_one_error_line(tmp_path, capsys):
+    code = run_cli([
+        "train", "--set", "data.kind=events",
+        "--set", f"data.events_dir={tmp_path / 'missing'}", "--out", str(tmp_path / "x"),
+    ])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "missing" in err and len(err.splitlines()) == 1
+
+
+def test_config_file_bad_line_names_path_and_line(tmp_path, capsys):
+    path = tmp_path / "bad.cfg"
+    path.write_text("train.epochs=0\nnot a key value line\n")
+    code = run_cli(["train", "--config", str(path)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path} line 2: expected key=value")
+
+
+def test_resume_keeps_history_or_refuses(tmp_path, tiny_cfg, capsys):
+    run = tmp_path / "run"
+    argv = ["train", "--config", str(tiny_cfg), "--set", "train.save_interval=1"]
+    assert run_cli(argv + ["--out", str(run)]) == 0
+    log = (run / "metrics.jsonl").read_bytes()
+    resume = ["--resume", str(run / "ckpt_epoch0001.bin")]
+    assert run_cli(argv + ["--out", str(run)] + resume) == 0
+    assert (run / "metrics.jsonl").read_bytes() == log
+    capsys.readouterr()
+    other = tmp_path / "other"
+    assert run_cli(["train", "--config", str(tiny_cfg), "--out", str(other)]) == 0
+    capsys.readouterr()
+    assert run_cli(argv + ["--out", str(other)] + resume) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+
+
 def test_resume_missing_checkpoint_exits_1(tiny_cfg, tmp_path, capsys):
     code = run_cli([
         "train", "--config", str(tiny_cfg), "--out", str(tmp_path / "x"),

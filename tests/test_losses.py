@@ -13,15 +13,13 @@ from etcsnn.losses import (
     EtcConfig,
     TimestepOutputs,
     ce_mean_loss,
-    combined_loss,
-    etc_kl_metric,
     etc_loss,
     gradcheck_ce,
     gradcheck_etc,
     gradcheck_suite,
     kl_metric_values,
-    per_timestep_probs,
 )
+from etcsnn.train import RunConfig, _batch_loss
 from oracles import (
     ce_mean_reference,
     etc_loss_reference,
@@ -88,20 +86,20 @@ def test_timestep_outputs_validation():
         TimestepOutputs(ad.Tensor(np.zeros((2, 3))))  # not (batch, T, classes)
 
 
-# -- per_timestep_probs -------------------------------------------------------
+# -- per-timestep tempered probabilities ---------------------------------------
 
 
 def test_per_timestep_probs_rows_sum_to_one():
     rng = np.random.default_rng(4)
     outs = outputs_from(rng.normal(size=(3, 4, 5)) * 10)
-    p = per_timestep_probs(outs, tau=4.0)
+    p = ad.temp_softmax(outs.v, tau=4.0)
     assert p.shape == (3, 4, 5)
     np.testing.assert_allclose(p.data.sum(axis=-1), np.ones((3, 4)), atol=1e-9)
 
 
 def test_per_timestep_probs_temperature_example():
     outs = outputs_from(np.array([4.0, 0.0]).reshape(1, 1, 2))
-    p = per_timestep_probs(outs, tau=4.0)
+    p = ad.temp_softmax(outs.v, tau=4.0)
     np.testing.assert_allclose(
         p.data[:, 0], [[math.e / (math.e + 1.0), 1.0 / (math.e + 1.0)]], atol=1e-15
     )
@@ -170,7 +168,7 @@ def test_etc_timestep_permutation_invariance(values, perm):
     assert abs(base - permuted) < 1e-12
 
 
-# -- etc_kl_metric ------------------------------------------------------------
+# -- kl_metric_values ---------------------------------------------------------
 
 
 def test_kl_metric_example():
@@ -219,36 +217,36 @@ def test_etc_loss_equals_kl_plus_mean_entropy():
         assert loss >= mean_entropy_reference(values, tau) - 1e-12
 
 
-# -- combined_loss ------------------------------------------------------------
+# -- the training objective (train._batch_loss) --------------------------------
 
 
-def test_combined_loss_recomposes():
+def test_batch_loss_recomposes():
     rng = np.random.default_rng(12)
     values, labels = random_loss_instance(rng)
     cfg = EtcConfig(tau=4.0, lam=1.0)
-    outs = outputs_from(values)
-    total = combined_loss(outs, labels, cfg).item()
+    total, ce_val, etc_val = _batch_loss(outputs_from(values), labels, RunConfig(etc=cfg))
     ce = ce_mean_loss(outputs_from(values), labels).item()
     etc = etc_loss(outputs_from(values), cfg).item()
-    assert abs(total - (ce + cfg.lam * cfg.tau**2 * etc)) < 1e-12
+    assert (ce_val, etc_val) == (ce, etc)
+    assert abs(total.item() - (ce + cfg.lam * cfg.tau**2 * etc)) < 1e-12
 
 
-def test_combined_loss_lambda_zero_is_ce_bitwise():
+def test_batch_loss_lambda_zero_is_ce_bitwise():
     rng = np.random.default_rng(14)
     values, labels = random_loss_instance(rng)
-    cfg = EtcConfig(tau=4.0, lam=0.0)
-    total = combined_loss(outputs_from(values), labels, cfg).item()
+    cfg = RunConfig(etc=EtcConfig(tau=4.0, lam=0.0))
+    total, _, etc_val = _batch_loss(outputs_from(values), labels, cfg)
     ce = ce_mean_loss(outputs_from(values), labels).item()
-    assert total == ce
+    assert total.item() == ce and etc_val == 0.0
 
 
-def test_combined_loss_single_step_is_ce_bitwise():
+def test_batch_loss_single_step_is_ce_bitwise():
     rng = np.random.default_rng(16)
     values = rng.normal(size=(3, 1, 4))
     labels = onehot([0, 1, 2], 4)
-    total = combined_loss(outputs_from(values), labels, EtcConfig()).item()
+    total, _, etc_val = _batch_loss(outputs_from(values), labels, RunConfig())
     ce = ce_mean_loss(outputs_from(values), labels).item()
-    assert total == ce
+    assert total.item() == ce and etc_val == 0.0
 
 
 def test_etc_config_validation():

@@ -14,8 +14,10 @@ import numpy as np
 import pytest
 
 from etcsnn import train as train_module
-from etcsnn.autodiff import Tensor
+from etcsnn.autodiff import Tensor, mul, sum_all
 from etcsnn.data import Sample, SynthSpec, save_synth_dataset, synth_generate
+from etcsnn.optim import OptimState
+from etcsnn.snn import NetworkSpec, lif_unroll
 from etcsnn.train import (
     Checkpoint,
     CheckpointMagicError,
@@ -37,7 +39,8 @@ from etcsnn.train import (
     save_checkpoint,
     train,
 )
-from etcsnn.train import _prefix_accuracy
+from etcsnn.train import _output_weight_grads, _prefix_accuracy
+from oracles import norm_rel_err
 
 
 def tiny(**overrides) -> dict:
@@ -277,6 +280,40 @@ def test_resume_reproduces_uninterrupted_run(tmp_path):
     assert resumed_lines == full_tail
 
 
+def test_resume_into_own_directory_keeps_history(tmp_path):
+    """Resuming a run in its own directory keeps the epoch records before
+    the checkpoint and rewrites the rest: the log ends up byte-identical to
+    an uninterrupted run's."""
+    cfg = build_run_config(tiny(**{"train.epochs": "5", "train.save_interval": "2"}))
+    full = train(cfg, tmp_path / "full")
+    run = tmp_path / "run"
+    train(cfg, run)
+    log = run / "metrics.jsonl"
+    # an interruption during epoch 3: its record and everything after are lost
+    log.write_text("".join(log.read_text().splitlines(keepends=True)[:4]))
+    resumed = train(cfg, run, resume_from=run / "ckpt_epoch0002.bin")
+    assert log.read_bytes() == full.metrics_path.read_bytes()
+    assert resumed.ckpt_path.read_bytes() == full.ckpt_path.read_bytes()
+
+
+def test_resume_refuses_a_log_it_cannot_continue(tmp_path):
+    cfg = build_run_config(tiny(**{"train.epochs": "4", "train.save_interval": "2"}))
+    train(cfg, tmp_path / "full")
+    ckpt = tmp_path / "full" / "ckpt_epoch0002.bin"
+    other = tmp_path / "other"
+    train(build_run_config(tiny(**{"train.epochs": "1"})), other)
+    before = (other / "metrics.jsonl").read_bytes()
+    with pytest.raises(TrainingError, match="epoch records"):
+        train(cfg, other, resume_from=ckpt)
+    assert (other / "metrics.jsonl").read_bytes() == before
+    short = tmp_path / "short"
+    short.mkdir()
+    header = (tmp_path / "full" / "metrics.jsonl").read_text().splitlines()[0]
+    (short / "metrics.jsonl").write_text(header + "\n")  # no epoch records
+    with pytest.raises(TrainingError, match="epoch records"):
+        train(cfg, short, resume_from=ckpt)
+
+
 def test_resume_rejects_different_config(tmp_path):
     cfg = build_run_config(tiny(**{"train.epochs": "4", "train.save_interval": "2"}))
     train(cfg, tmp_path / "full")
@@ -393,28 +430,157 @@ def test_eval_per_timestep_range_errors(trained):
     data = load_dataset(trained.checkpoint.config)
     ck = trained.checkpoint
     with pytest.raises(ValueError, match="eval_t"):
-        eval_per_timestep(ck, data.test, 0)
+        eval_per_timestep(ck, data.test, [0])
     with pytest.raises(ValueError, match="eval_t"):
-        eval_per_timestep(ck, data.test, 4)
+        eval_per_timestep(ck, data.test, [1, 4])
+    short = [Sample(s.input_seq[:2], s.label) for s in data.test]
+    with pytest.raises(ValueError, match="eval_t is 3"):
+        eval_per_timestep(ck, short, [3])
 
 
 def test_eval_truncation_ignores_later_slices(trained):
     """Accuracy at eval_t=1 must depend only on the first input slice."""
     data = load_dataset(trained.checkpoint.config)
     ck = trained.checkpoint
-    base = eval_per_timestep(ck, data.test, 1)
+    base = eval_per_timestep(ck, data.test, [1])
     mangled = []
     for s in data.test:
         seq = s.input_seq.copy()
         seq[1:] = 1e6  # absurd values in every later slice
         mangled.append(type(s)(input_seq=seq, label=s.label))
-    assert eval_per_timestep(ck, mangled, 1) == base
+    assert eval_per_timestep(ck, mangled, [1]) == base
 
 
 def test_eval_matches_logged_full_T(trained):
     data = load_dataset(trained.checkpoint.config)
-    acc = eval_per_timestep(trained.checkpoint, data.test, 3)
+    acc = eval_per_timestep(trained.checkpoint, data.test, [3])["3"]
     assert acc == trained.records[-1].test_acc_full_T
+
+
+def test_eval_matches_logged_budgets(trained):
+    data = load_dataset(trained.checkpoint.config)
+    accs = eval_per_timestep(trained.checkpoint, data.test, [1, 2, 3])
+    assert accs == trained.records[-1].test_acc_per_eval_T
+
+
+def _ckpt_spec(ckpt, steps):
+    p = ckpt.params
+    sizes = (p[0].shape[0], *ckpt.config.hidden_sizes, p[-1].shape[-1])
+    return NetworkSpec(sizes, timesteps=steps, lif=ckpt.config.lif)
+
+
+def resimulated_accuracy(ckpt, samples, k):
+    """Reference truncated evaluation: a k-step network run on the first k
+    input slices, batched as the checkpoint's config says."""
+    inputs = np.stack([s.input_seq[:k] for s in samples])
+    labels = np.array([s.label for s in samples])
+    spec, size = _ckpt_spec(ckpt, k), ckpt.config.batch_size
+    values = np.concatenate([
+        lif_unroll(spec, [Tensor(p) for p in ckpt.params], inputs[b0 : b0 + size]).values()
+        for b0 in range(0, len(samples), size)
+    ])
+    pred = np.argmax(values.sum(axis=1) / k, axis=1)
+    return float(np.mean(pred == labels))
+
+
+@pytest.mark.parametrize("hidden,steps", [("8", 3), ("8,5", 6)])
+def test_single_forward_eval_equals_resimulation(tmp_path, hidden, steps):
+    cfg = build_run_config(tiny(**{
+        "network.hidden_sizes": hidden, "network.timesteps": steps,
+        "data.samples_per_class": "40", "train.epochs": "2",
+    }))
+    ck = train(cfg, tmp_path / "run").checkpoint
+    test = load_dataset(cfg).test
+    budgets = list(range(1, steps + 1))
+    together = eval_per_timestep(ck, test, budgets)
+    for k in budgets:
+        want = resimulated_accuracy(ck, test, k)
+        assert together[str(k)] == want
+        assert eval_per_timestep(ck, test, [k]) == {str(k): want}
+
+
+# -- the closed-form gradient-direction probe ---------------------------------------
+
+
+def tape_output_weight_grads(ckpt, samples, coeff):
+    """Reference probe: one tape backward per step t of sum(coeff * v_t),
+    reading the output-weight gradient."""
+    steps = ckpt.config.timesteps
+    inputs = np.stack([s.input_seq for s in samples])
+    grads = []
+    for t in range(steps):
+        weights = [Tensor(p) for p in ckpt.params]
+        outs = lif_unroll(_ckpt_spec(ckpt, steps), weights, inputs)
+        step_coeff = np.zeros_like(outs.values())
+        step_coeff[:, t] = coeff
+        grad_map = sum_all(mul(Tensor(step_coeff), outs.v)).backward()
+        grads.append(grad_map.get(weights[-1], np.zeros_like(ckpt.params[-1])))
+    return np.stack(grads)
+
+
+def _checkpoint(cfg, params):
+    return Checkpoint(cfg, config_to_text(cfg), 0, params, OptimState.fresh(params))
+
+
+def _probe_case(hidden: str, scale_last_hidden: float = 1.0):
+    """Checkpoint, 12 samples and a random coefficient; positive-mean inputs
+    and weights keep every hidden layer firing some of the time."""
+    cfg = build_run_config(tiny(**{"network.hidden_sizes": hidden, "network.timesteps": 5}))
+    rng = np.random.default_rng(len(hidden))
+    sizes = (8, *cfg.hidden_sizes, 2)
+    params = [
+        rng.normal(0.5, 1.0, size=(a, b)) / np.sqrt(a) for a, b in zip(sizes, sizes[1:])
+    ]
+    params[-2] = params[-2] * scale_last_hidden
+    samples = [Sample(rng.uniform(0.0, 2.0, size=(5, 8)), i % 2) for i in range(12)]
+    return _checkpoint(cfg, params), samples, rng.normal(size=(12, 2))
+
+
+@pytest.mark.parametrize("hidden", ["8", "6,1", "1"])
+def test_closed_form_probe_matches_tape(hidden):
+    ck, samples, coeff = _probe_case(hidden)
+    got = _output_weight_grads(ck, samples, coeff)
+    want = tape_output_weight_grads(ck, samples, coeff)
+    assert got.shape == want.shape == (5, ck.config.hidden_sizes[-1], 2)
+    assert np.any(want != 0.0)  # the last hidden layer spikes
+    assert norm_rel_err(got, want) <= 1e-12
+
+
+def test_closed_form_probe_zero_gradient():
+    ck, samples, coeff = _probe_case("8", scale_last_hidden=0.0)  # a silent layer
+    assert not np.any(_output_weight_grads(ck, samples, coeff))
+    assert not np.any(tape_output_weight_grads(ck, samples, coeff))
+    assert consistency_report(ck, samples).grad_cosine_mean == 0.0
+
+
+def test_parallel_step_gradients_give_cosine_one():
+    """One sample through a one-unit layer: every step's gradient is a
+    multiple of the same coefficient row, so each cosine is 1 (up to the
+    rounding the report clips)."""
+    ck, samples, _ = _probe_case("1")
+    assert consistency_report(ck, samples[:1]).grad_cosine_mean == 1.0
+
+
+def test_consistency_cosine_matches_tape_probe(trained):
+    """grad_cosine_mean equals the pairwise cosines of the tape gradients."""
+    ck = trained.checkpoint
+    samples = load_dataset(ck.config).test
+    steps = ck.config.timesteps
+    values = lif_unroll(
+        _ckpt_spec(ck, steps), [Tensor(p) for p in ck.params],
+        np.stack([s.input_seq for s in samples]),
+    ).values()
+    y = np.eye(2)[[s.label for s in samples]]
+    p = np.exp(values.mean(axis=1))
+    coeff = (p / p.sum(axis=1, keepdims=True) - y) / (len(samples) * steps)
+    grads = tape_output_weight_grads(ck, samples, coeff).reshape(steps, -1)
+    cosines = []
+    for a in range(steps):
+        for b in range(a + 1, steps):
+            na, nb = np.linalg.norm(grads[a]), np.linalg.norm(grads[b])
+            cosines.append(0.0 if na == 0 or nb == 0 else grads[a] @ grads[b] / (na * nb))
+    got = consistency_report(ck, samples).grad_cosine_mean
+    assert abs(got - np.mean(cosines)) <= 1e-12
 
 
 def test_prefix_accuracy_ties_break_to_lowest_class():
