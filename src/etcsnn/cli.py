@@ -2,8 +2,8 @@
 checking, and analysis dumps, all driven by flat ``key=value`` configs.
 
 Exit codes: 0 success, 1 usage error (bad flags, bad config, missing or
-unreadable inputs), 2 runtime error (training blow-up, corrupt artifacts,
-failed checks).
+unreadable inputs, a dataset that does not fit the checkpoint), 2 runtime
+error (training blow-up, corrupt artifacts, failed checks).
 Every error is printed to stderr as a single line starting with ``error:``.
 """
 
@@ -15,7 +15,7 @@ import sys
 import time
 from pathlib import Path
 
-from .data import DataError
+from .data import DataError, save_synth_dataset, synth_generate
 from .losses import gradcheck_suite
 from .snn import gradcheck_lif
 from .train import (
@@ -30,6 +30,7 @@ from .train import (
     load_checkpoint,
     load_dataset,
     parse_config_lines,
+    synth_spec,
     train,
 )
 
@@ -129,17 +130,7 @@ def _cmd_synth(args) -> int:
         mapping = file_map
     cfg = build_run_config(mapping)
 
-    from .data import SynthSpec, save_synth_dataset, synth_generate
-
-    spec = SynthSpec(
-        classes=cfg.data.classes,
-        input_dim=cfg.data.dim,
-        timesteps=cfg.timesteps,
-        drift_strength=cfg.data.drift_strength,
-        noise_sigma=cfg.data.noise_sigma,
-        samples_per_class=cfg.data.samples_per_class,
-        seed=cfg.data.seed,
-    )
+    spec = synth_spec(cfg)
     train_split, test_split = synth_generate(spec)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -178,10 +169,7 @@ def _cmd_eval(args) -> int:
             raise _UsageError(f"cannot parse --timesteps {args.timesteps!r}") from None
     else:
         ks = list(ckpt.config.eval_timesteps)
-    try:
-        accuracy = eval_per_timestep(ckpt, data.test, ks)
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from None
+    accuracy = eval_per_timestep(ckpt, data.test, ks)
     print(json.dumps({"checkpoint": args.ckpt, "accuracy": accuracy}))
     return 0
 
@@ -209,13 +197,10 @@ def _cmd_gradcheck(args) -> int:
 def _cmd_dump_dist(args) -> int:
     ckpt = _load_checkpoint_arg(args.ckpt)
     data = _eval_dataset(ckpt, args)
-    samples = data.test if args.samples is None else data.test[: args.samples]
+    samples = data.test[: args.samples]
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    try:
-        dump_distributions(ckpt, samples, out)
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from None
+    dump_distributions(ckpt, samples, out)
     print(f"wrote {out} ({len(samples)} samples)")
     return 0
 
@@ -223,12 +208,8 @@ def _cmd_dump_dist(args) -> int:
 def _cmd_consistency(args) -> int:
     ckpt = _load_checkpoint_arg(args.ckpt)
     data = _eval_dataset(ckpt, args)
-    samples = data.test if args.samples is None else data.test[: args.samples]
-    try:
-        report = consistency_report(ckpt, samples)
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from None
-    print(json.dumps(report.to_dict()))
+    samples = data.test[: args.samples]
+    print(json.dumps(consistency_report(ckpt, samples).to_dict()))
     return 0
 
 
@@ -298,7 +279,8 @@ def run_cli(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.fn(args)
-    except (_UsageError, ConfigError, OSError) as exc:
+    # ValueError: a config, a dataset or a budget that does not fit the run
+    except (_UsageError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (DataError, CheckpointError, TrainingError) as exc:

@@ -1,5 +1,10 @@
-"""Dataset plumbing: drifting synthetic generator, IDX ingestion with
-constant-current coding, and event-stream CSV binning.
+"""Dataset plumbing: drifting synthetic generator and its binary dump, IDX
+ingestion, and event-stream CSV binning.
+
+One format runs from every loader to the forward: a ``Split`` holds a
+split's input currents as one (N, T, dim) float64 array and its labels as
+one (N,) int64 array, checked once when it is built.  ``load_idx`` returns
+static pixels; the trainer repeats them over the time axis.
 
 The synthetic task is the desk-scale stand-in for neuromorphic data: every
 class has a fixed unit-norm base pattern, and timestep t blends that pattern
@@ -18,8 +23,7 @@ from pathlib import Path
 import numpy as np
 
 __all__ = [
-    "Sample",
-    "StaticSample",
+    "Split",
     "SynthSpec",
     "EventRecord",
     "DataError",
@@ -33,7 +37,6 @@ __all__ = [
     "save_synth_dataset",
     "load_synth_dataset",
     "load_idx",
-    "constant_code",
     "parse_event_csv",
     "bin_events",
     "load_event_dir",
@@ -68,29 +71,34 @@ class DatasetDumpError(DataError):
     pass
 
 
-@dataclass
-class Sample:
-    """One temporal sample: input currents of shape (T, input_dim)."""
+@dataclass(frozen=True, eq=False)
+class Split:
+    """One dataset split: input currents ``inputs`` (N, T, dim) and labels
+    ``labels`` (N,), checked once for the whole split."""
 
-    input_seq: np.ndarray
-    label: int
+    inputs: np.ndarray
+    labels: np.ndarray
 
     def __post_init__(self):
-        self.input_seq = np.asarray(self.input_seq, dtype=np.float64)
-        if self.input_seq.ndim != 2:
-            raise ValueError(f"input_seq must be (T, dim), got {self.input_seq.shape}")
-        if not np.all(np.isfinite(self.input_seq)):
-            raise ValueError("non-finite values in input_seq")
-        if self.label < 0:
-            raise ValueError(f"negative label {self.label}")
+        inputs = np.asarray(self.inputs, dtype=np.float64)
+        labels = np.asarray(self.labels, dtype=np.int64)
+        if inputs.ndim != 3:
+            raise ValueError(f"inputs must be (N, T, dim), got {inputs.shape}")
+        if labels.shape != inputs.shape[:1]:
+            raise ValueError(f"{labels.shape} labels for {inputs.shape[0]} samples")
+        # min/max propagate NaN and reach any infinity without a full-size mask
+        if inputs.size and not np.isfinite([inputs.min(), inputs.max()]).all():
+            raise ValueError("non-finite values in inputs")
+        if labels.size and labels.min() < 0:
+            raise ValueError(f"negative label {labels.min()}")
+        object.__setattr__(self, "inputs", inputs)
+        object.__setattr__(self, "labels", labels)
 
+    def __len__(self) -> int:
+        return self.labels.shape[0]
 
-@dataclass
-class StaticSample:
-    """A single untimed vector, e.g. one flattened IDX image in [0, 1]."""
-
-    values: np.ndarray
-    label: int
+    def __getitem__(self, index: slice) -> Split:
+        return Split(self.inputs[index], self.labels[index])
 
 
 # -- synthetic drifting task ---------------------------------------------------
@@ -140,7 +148,7 @@ def _nuisance_directions(spec: SynthSpec) -> np.ndarray:
     return u / np.linalg.norm(u, axis=1, keepdims=True)
 
 
-def synth_generate(spec: SynthSpec) -> tuple[list[Sample], list[Sample]]:
+def synth_generate(spec: SynthSpec) -> tuple[Split, Split]:
     """Generate the drifting-class dataset, 80/20 train/test split.
 
     Sample ``idx`` has label ``idx % classes``; every 5th index goes to the
@@ -154,25 +162,23 @@ def synth_generate(spec: SynthSpec) -> tuple[list[Sample], list[Sample]]:
     fixed network sees is different at every step — time-varying junk that
     shared weights cannot subtract per-step.
     """
-    bases = _class_bases(spec)
-    u = _nuisance_directions(spec)
-    total = spec.classes * spec.samples_per_class
-    train: list[Sample] = []
-    test: list[Sample] = []
-    for idx in range(total):
-        label = idx % spec.classes
-        rng = np.random.default_rng([spec.seed, _STREAM_NOISE, idx])
-        noise = rng.normal(size=(spec.timesteps, spec.input_dim))
-        seq = np.empty((spec.timesteps, spec.input_dim))
-        for t in range(spec.timesteps):
-            if spec.timesteps == 1:
-                w = 0.0
-            else:
-                w = spec.drift_strength * t / (spec.timesteps - 1)
-            seq[t] = (1.0 - w) * bases[label] + w * u[t] + spec.noise_sigma * noise[t]
-        sample = Sample(input_seq=seq, label=label)
-        (test if idx % 5 == 4 else train).append(sample)
-    return train, test
+    steps = spec.timesteps
+    w = spec.drift_strength * np.arange(steps) / max(steps - 1, 1)
+    # the noise-free (classes, T, dim) blend, shared by every sample of a class
+    clean = (1.0 - w)[None, :, None] * _class_bases(spec)[:, None, :] + (
+        w[:, None] * _nuisance_directions(spec)
+    )
+    indices = np.arange(spec.classes * spec.samples_per_class)
+    splits = []
+    for members in (indices[indices % 5 != 4], indices[indices % 5 == 4]):
+        inputs = np.empty((members.size, steps, spec.input_dim))
+        labels = members % spec.classes
+        for row, idx in enumerate(members.tolist()):
+            rng = np.random.default_rng([spec.seed, _STREAM_NOISE, idx])
+            noise = rng.normal(size=(steps, spec.input_dim))
+            inputs[row] = clean[labels[row]] + spec.noise_sigma * noise
+        splits.append(Split(inputs, labels))
+    return splits[0], splits[1]
 
 
 # -- synthetic dataset dump ----------------------------------------------------
@@ -208,28 +214,33 @@ def _spec_from_text(text: str) -> SynthSpec:
     return SynthSpec(**fields)
 
 
-def save_synth_dataset(
-    path, spec: SynthSpec, train: list[Sample], test: list[Sample]
-) -> None:
-    """Binary dump: magic, spec echo, counts, then label + f8-LE rows."""
+def _record_dtype(spec: SynthSpec) -> np.dtype:
+    """One dumped sample: its label, then its (T, dim) currents, little-endian."""
+    return np.dtype([("label", "<u8"), ("x", "<f8", (spec.timesteps, spec.input_dim))])
+
+
+def save_synth_dataset(path, spec: SynthSpec, train: Split, test: Split) -> None:
+    """Binary dump: magic, spec echo, counts, then one record per sample."""
     text = _spec_text(spec).encode()
     with open(path, "wb") as fh:
         fh.write(_DUMP_MAGIC)
         fh.write(struct.pack("<Q", len(text)))
         fh.write(text)
         fh.write(struct.pack("<QQ", len(train), len(test)))
-        for sample in list(train) + list(test):
-            fh.write(struct.pack("<Q", sample.label))
-            fh.write(sample.input_seq.astype("<f8").tobytes())
+        for split in (train, test):
+            records = np.empty(len(split), dtype=_record_dtype(spec))
+            records["label"] = split.labels
+            records["x"] = split.inputs
+            fh.write(records)
 
 
-def load_synth_dataset(path) -> tuple[SynthSpec, list[Sample], list[Sample]]:
-    blob = Path(path).read_bytes()
+def load_synth_dataset(path) -> tuple[SynthSpec, Split, Split]:
+    blob = memoryview(Path(path).read_bytes())  # slices share the file's bytes
     if blob[:8] != _DUMP_MAGIC:
         raise DatasetDumpError(f"bad magic in {path}: not a dataset dump")
     off = 8
 
-    def take(n: int) -> bytes:
+    def take(n: int) -> memoryview:
         nonlocal off
         if off + n > len(blob):
             raise DatasetDumpError(f"truncated dataset dump {path}")
@@ -238,24 +249,15 @@ def load_synth_dataset(path) -> tuple[SynthSpec, list[Sample], list[Sample]]:
         return chunk
 
     (text_len,) = struct.unpack("<Q", take(8))
-    spec = _spec_from_text(take(text_len).decode())
+    spec = _spec_from_text(bytes(take(text_len)).decode())
     n_train, n_test = struct.unpack("<QQ", take(16))
-    row_bytes = spec.timesteps * spec.input_dim * 8
-
-    def read_samples(n: int) -> list[Sample]:
-        out = []
-        for _ in range(n):
-            (label,) = struct.unpack("<Q", take(8))
-            seq = np.frombuffer(take(row_bytes), dtype="<f8").reshape(
-                spec.timesteps, spec.input_dim
-            )
-            out.append(Sample(input_seq=seq.copy(), label=int(label)))
-        return out
-
-    train = read_samples(n_train)
-    test = read_samples(n_test)
+    dtype = _record_dtype(spec)
+    records = np.frombuffer(take((n_train + n_test) * dtype.itemsize), dtype=dtype)
     if off != len(blob):
         raise DatasetDumpError(f"trailing bytes in dataset dump {path}")
+    train, test = (
+        Split(part["x"], part["label"]) for part in (records[:n_train], records[n_train:])
+    )
     return spec, train, test
 
 
@@ -265,8 +267,9 @@ _IDX_IMAGE_MAGIC = 0x00000803
 _IDX_LABEL_MAGIC = 0x00000801
 
 
-def load_idx(images_path, labels_path) -> list[StaticSample]:
-    """Standard big-endian IDX pair -> flattened [0,1] vectors with labels."""
+def load_idx(images_path, labels_path) -> tuple[np.ndarray, np.ndarray]:
+    """Standard big-endian IDX pair -> flattened [0,1] pixels (N, rows*cols)
+    and labels (N,)."""
     img_blob = Path(images_path).read_bytes()
     if len(img_blob) < 16:
         raise IdxTruncatedError(f"{images_path}: too short for an IDX image header")
@@ -300,18 +303,8 @@ def load_idx(images_path, labels_path) -> list[StaticSample]:
 
     pixels = np.frombuffer(img_blob, dtype=np.uint8, offset=16)
     pixels = pixels.reshape(n_images, rows * cols).astype(np.float64) / 255.0
-    labels = np.frombuffer(lbl_blob, dtype=np.uint8, offset=8)
-    return [
-        StaticSample(values=pixels[i], label=int(labels[i])) for i in range(n_images)
-    ]
-
-
-def constant_code(static: StaticSample, timesteps: int) -> Sample:
-    """Direct coding: the same vector as input current at every timestep."""
-    if timesteps < 1:
-        raise ValueError(f"timesteps must be >= 1, got {timesteps}")
-    seq = np.tile(np.asarray(static.values, dtype=np.float64), (timesteps, 1))
-    return Sample(input_seq=seq, label=static.label)
+    labels = np.frombuffer(lbl_blob, dtype=np.uint8, offset=8).astype(np.int64)
+    return pixels, labels
 
 
 # -- event streams ---------------------------------------------------------------
@@ -393,24 +386,24 @@ def bin_events(
     return counts.reshape(timesteps, 2 * height * width)
 
 
-def load_event_dir(
-    dir_path, width: int, height: int, timesteps: int
-) -> tuple[list[Sample], list[Sample]]:
+def load_event_dir(dir_path, width: int, height: int, timesteps: int) -> tuple[Split, Split]:
     """One subdirectory per class (sorted name order = label order), CSV files
     inside; every 5th file of a class (sorted) lands in the test split."""
     root = Path(dir_path)
     class_dirs = sorted(p for p in root.iterdir() if p.is_dir())
     if not class_dirs:
         raise EventFormatError(f"{dir_path}: no class subdirectories")
-    train: list[Sample] = []
-    test: list[Sample] = []
+    members: tuple[list, list] = ([], [])  # (label, file) of the train and test split
     for label, cdir in enumerate(class_dirs):
         files = sorted(cdir.glob("*.csv"))
         if not files:
             raise EventFormatError(f"{cdir}: class directory has no .csv files")
         for fidx, fpath in enumerate(files):
-            events = parse_event_csv(fpath)
-            seq = bin_events(events, width, height, timesteps)
-            sample = Sample(input_seq=seq, label=label)
-            (test if fidx % 5 == 4 else train).append(sample)
-    return train, test
+            members[fidx % 5 == 4].append((label, fpath))
+    splits = []
+    for part in members:
+        inputs = np.empty((len(part), timesteps, 2 * height * width))
+        for row, (_, fpath) in enumerate(part):
+            inputs[row] = bin_events(parse_event_csv(fpath), width, height, timesteps)
+        splits.append(Split(inputs, [label for label, _ in part]))
+    return splits[0], splits[1]

@@ -2,6 +2,10 @@
 metrics, binary checkpoints, truncated-T evaluation, consistency reports,
 and per-timestep output-distribution dumps.
 
+A dataset is a pair of ``data.Split``s; training indexes its batches out of
+them, and every evaluation is one batched forward over a split through
+``_ckpt_forward``, the one place a split is checked against a checkpoint.
+
 Determinism contract: every random draw comes from a generator seeded by
 ``(train.seed, stream, index)``, so the complete RNG state of a run is the
 pair (seed, epochs completed) and checkpoint resume is exact by construction.
@@ -10,6 +14,7 @@ pair (seed, epochs completed) and checkpoint resume is exact by construction.
 from __future__ import annotations
 
 import json
+import os
 import struct
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -18,9 +23,8 @@ import numpy as np
 
 from .autodiff import NonFiniteError, Tensor, add, mul, log_softmax, scale, sum_all
 from .data import (
-    Sample,
+    Split,
     SynthSpec,
-    constant_code,
     load_event_dir,
     load_idx,
     load_synth_dataset,
@@ -57,6 +61,7 @@ __all__ = [
     "build_run_config",
     "parse_config_lines",
     "run_config_from_text",
+    "synth_spec",
     "load_dataset",
     "train",
     "eval_per_timestep",
@@ -341,26 +346,31 @@ def run_config_from_text(text: str) -> RunConfig:
 
 @dataclass
 class LoadedData:
-    train: list[Sample]
-    test: list[Sample]
+    train: Split
+    test: Split
     input_dim: int
     classes: int
+
+
+def synth_spec(cfg: RunConfig) -> SynthSpec:
+    """The synthetic task the ``data.*`` keys and the run's T describe."""
+    d = cfg.data
+    return SynthSpec(
+        classes=d.classes,
+        input_dim=d.dim,
+        timesteps=cfg.timesteps,
+        drift_strength=d.drift_strength,
+        noise_sigma=d.noise_sigma,
+        samples_per_class=d.samples_per_class,
+        seed=d.seed,
+    )
 
 
 def load_dataset(cfg: RunConfig) -> LoadedData:
     """Materialize the configured dataset, already encoded to T timesteps."""
     d = cfg.data
     if d.kind == "synth":
-        spec = SynthSpec(
-            classes=d.classes,
-            input_dim=d.dim,
-            timesteps=cfg.timesteps,
-            drift_strength=d.drift_strength,
-            noise_sigma=d.noise_sigma,
-            samples_per_class=d.samples_per_class,
-            seed=d.seed,
-        )
-        train, test = synth_generate(spec)
+        train, test = synth_generate(synth_spec(cfg))
         return LoadedData(train, test, d.dim, d.classes)
     if d.kind == "file":
         spec, train, test = load_synth_dataset(d.file)
@@ -371,27 +381,40 @@ def load_dataset(cfg: RunConfig) -> LoadedData:
             )
         return LoadedData(train, test, spec.input_dim, spec.classes)
     if d.kind == "idx":
-        train_static = load_idx(d.images, d.labels)
+        pixels, labels = load_idx(d.images, d.labels)
         if d.test_images:
-            test_static = load_idx(d.test_images, d.test_labels)
+            parts = [(pixels, labels), load_idx(d.test_images, d.test_labels)]
         else:
-            test_static = [s for i, s in enumerate(train_static) if i % 5 == 4]
-            train_static = [s for i, s in enumerate(train_static) if i % 5 != 4]
-        classes = 1 + max(s.label for s in train_static + test_static)
-        train = [constant_code(s, cfg.timesteps) for s in train_static]
-        test = [constant_code(s, cfg.timesteps) for s in test_static]
-        return LoadedData(train, test, len(train_static[0].values), max(classes, 2))
-    if d.kind == "events":
+            held = np.arange(labels.size) % 5 == 4
+            parts = [(pixels[~held], labels[~held]), (pixels[held], labels[held])]
+        # constant coding: the same pixels as input current at every step
+        train, test = (
+            Split(np.repeat(x[:, None, :], cfg.timesteps, axis=1), y) for x, y in parts
+        )
+        input_dim = pixels.shape[1]
+    elif d.kind == "events":
         train, test = load_event_dir(d.events_dir, d.width, d.height, cfg.timesteps)
-        classes = 1 + max(s.label for s in train + test)
-        return LoadedData(train, test, 2 * d.width * d.height, max(classes, 2))
-    raise ConfigError(f"config key data.kind: unsupported kind {d.kind!r}")
+        input_dim = 2 * d.width * d.height
+    else:
+        raise ConfigError(f"config key data.kind: unsupported kind {d.kind!r}")
+    # the labels name the classes: the largest one plus one, at least 2
+    classes = max(2, *(int(s.labels.max(initial=0)) + 1 for s in (train, test)))
+    return LoadedData(train, test, input_dim, classes)
 
 
-def _stack(samples: list[Sample]) -> tuple[np.ndarray, np.ndarray]:
-    inputs = np.stack([s.input_seq for s in samples])
-    labels = np.array([s.label for s in samples], dtype=np.int64)
-    return inputs, labels
+def _check_split(split: Split, input_dim: int, classes: int, steps: int) -> None:
+    """Raise ValueError unless ``split`` fits a network with these input and
+    output sizes run over its first ``steps`` slices."""
+    _, provided, dim = split.inputs.shape
+    if not len(split):
+        raise ValueError("the split holds no samples")
+    if provided < steps:
+        raise ValueError(f"samples provide {provided} timesteps, eval_t is {steps}")
+    if dim != input_dim:
+        raise ValueError(f"samples have input dim {dim}, the network takes {input_dim}")
+    top = int(split.labels.max())
+    if top >= classes:
+        raise ValueError(f"label {top} out of range for {classes} classes")
 
 
 def _one_hot(labels: np.ndarray, classes: int) -> np.ndarray:
@@ -490,26 +513,30 @@ def _write_tensor(fh, name: str, arr: np.ndarray) -> None:
 
 
 def save_checkpoint(ckpt: Checkpoint, path) -> None:
-    with open(path, "wb") as fh:
-        fh.write(_CKPT_MAGIC)
-        fh.write(struct.pack("<I", _CKPT_VERSION))
-        text = ckpt.config_text.encode()
-        fh.write(struct.pack("<Q", len(text)))
-        fh.write(text)
-        fh.write(struct.pack("<QQ", ckpt.epoch, ckpt.epoch))  # epoch + rng cursor
-        fh.write(struct.pack("<I", len(ckpt.params)))
-        for i, p in enumerate(ckpt.params):
-            _write_tensor(fh, f"w{i}", p)
-        opt = ckpt.opt
-        fh.write(struct.pack("<Q", opt.step))
-        fh.write(
-            struct.pack(
-                "<5d", opt.lr_base, opt.weight_decay, opt.beta1, opt.beta2, opt.eps
-            )
-        )
-        for i, (m, v) in enumerate(zip(opt.m, opt.v)):
-            _write_tensor(fh, f"m{i}", m)
-            _write_tensor(fh, f"v{i}", v)
+    """Write ``ckpt`` to a temporary file beside ``path``, then rename it
+    over ``path``: a crash mid-write leaves any earlier file untouched."""
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(_CKPT_MAGIC)
+            fh.write(struct.pack("<I", _CKPT_VERSION))
+            text = ckpt.config_text.encode()
+            fh.write(struct.pack("<Q", len(text)))
+            fh.write(text)
+            fh.write(struct.pack("<QQ", ckpt.epoch, ckpt.epoch))  # epoch + rng cursor
+            fh.write(struct.pack("<I", len(ckpt.params)))
+            for i, p in enumerate(ckpt.params):
+                _write_tensor(fh, f"w{i}", p)
+            opt = ckpt.opt
+            hyper = opt.lr_base, opt.weight_decay, opt.beta1, opt.beta2, opt.eps
+            fh.write(struct.pack("<Q5d", opt.step, *hyper))
+            for i, (m, v) in enumerate(zip(opt.m, opt.v)):
+                _write_tensor(fh, f"m{i}", m)
+                _write_tensor(fh, f"v{i}", v)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def load_checkpoint(path) -> Checkpoint:
@@ -647,21 +674,19 @@ def _log_history(path: Path, header: str, start_epoch: int) -> list[str]:
 
 
 def train(cfg: RunConfig, out_dir, resume_from=None) -> TrainResult:
-    """Run (or resume) a full training job, writing metrics + checkpoints."""
+    """Run (or resume) a full training job, writing metrics + checkpoints.
+    ``out_dir`` is made only once the dataset has loaded and fits the network;
+    only a resume may continue the ``metrics.jsonl`` a directory holds."""
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     data = load_dataset(cfg)
-    x_train, y_train = _stack(data.train)
-    top_label = max((s.label for s in data.train + data.test), default=0)
-    if top_label >= data.classes:
-        raise TrainingError(f"label {top_label} out of range for {data.classes} classes")
-    labels_1h = _one_hot(y_train, data.classes)
+    for split in (data.train, data.test):
+        try:
+            _check_split(split, data.input_dim, data.classes, cfg.timesteps)
+        except ValueError as exc:
+            raise TrainingError(f"dataset: {exc}") from exc
+    x_train = data.train.inputs
+    labels_1h = _one_hot(data.train.labels, data.classes)
     spec = _network_spec(cfg, data.input_dim, data.classes)
-    if x_train.shape[1:] != (cfg.timesteps, data.input_dim):
-        raise TrainingError(
-            f"dataset samples have shape {x_train.shape[1:]}, network wants "
-            f"{(cfg.timesteps, data.input_dim)}"
-        )
     config_text = config_to_text(cfg)
     metrics_path = out_dir / "metrics.jsonl"
     history = [config_header_line(cfg) + "\n"]
@@ -677,6 +702,10 @@ def train(cfg: RunConfig, out_dir, resume_from=None) -> TrainResult:
         opt = ck.opt
         start_epoch = ck.epoch
         history = _log_history(metrics_path, history[0], start_epoch)
+    elif metrics_path.exists():
+        raise TrainingError(
+            f"{metrics_path} already holds a run; resume it or train into a fresh directory"
+        )
     else:
         params = [w.data for w in init_weights(spec, cfg.seed)]
         opt = OptimState.fresh(
@@ -688,6 +717,7 @@ def train(cfg: RunConfig, out_dir, resume_from=None) -> TrainResult:
             eps=cfg.eps,
         )
         start_epoch = 0
+    out_dir.mkdir(parents=True, exist_ok=True)
 
     names = [f"w{i}" for i in range(len(params))]
     n_train = x_train.shape[0]
@@ -722,11 +752,11 @@ def train(cfg: RunConfig, out_dir, resume_from=None) -> TrainResult:
             done = epoch + 1
             ckpt = Checkpoint(cfg, config_text, done, params, opt)
             try:
-                values, labels = _ckpt_forward(ckpt, data.test, cfg.timesteps)
+                values = _ckpt_forward(ckpt, data.test, cfg.timesteps)
             except (NonFiniteError, ValueError) as exc:
                 raise TrainingError(f"epoch {epoch}, evaluation: {exc}") from exc
-            acc_full = _prefix_accuracy(values, labels, cfg.timesteps)
-            per_eval = _budget_accuracies(values, labels, cfg.eval_timesteps)
+            acc_full = _prefix_accuracy(values, data.test.labels, cfg.timesteps)
+            per_eval = _budget_accuracies(values, data.test.labels, cfg.eval_timesteps)
             kl, flip = _consistency_metrics(values, cfg.etc.tau)
             rec = EpochMetrics(
                 epoch=epoch,
@@ -774,17 +804,16 @@ def _forward_values(
 
 
 def _ckpt_forward(
-    ckpt: Checkpoint, samples: list[Sample], steps: int
-) -> tuple[np.ndarray, np.ndarray]:
+    ckpt: Checkpoint, split: Split, steps: int, readout: np.ndarray | None = None
+) -> np.ndarray:
     """Output potentials (N, steps, C) over the first ``steps`` input slices
-    of ``samples``, and the samples' labels."""
-    inputs, labels = _stack(samples)
-    if inputs.shape[1] < steps:
-        raise ValueError(f"samples provide {inputs.shape[1]} timesteps, eval_t is {steps}")
+    of ``split``, with the output weights replaced by ``readout`` if given.
+    The one place a split is checked against a checkpoint (ValueError)."""
     dims = ckpt.params[0].shape[0], ckpt.params[-1].shape[-1]
-    spec = replace(_network_spec(ckpt.config, *dims), timesteps=steps)
-    values = _forward_values(spec, ckpt.params, inputs[:, :steps], ckpt.config.batch_size)
-    return values, labels
+    _check_split(split, *dims, steps)
+    params = ckpt.params if readout is None else [*ckpt.params[:-1], readout]
+    spec = replace(_network_spec(ckpt.config, dims[0], params[-1].shape[-1]), timesteps=steps)
+    return _forward_values(spec, params, split.inputs[:, :steps], ckpt.config.batch_size)
 
 
 def _prefix_accuracy(values: np.ndarray, labels: np.ndarray, k: int) -> float:
@@ -806,17 +835,15 @@ def _consistency_metrics(values: np.ndarray, tau: float) -> tuple[float, float]:
     return kl, float(np.mean((preds != preds[:, :1]).any(axis=1)))
 
 
-def eval_per_timestep(
-    ckpt: Checkpoint, samples: list[Sample], budgets
-) -> dict[str, float]:
+def eval_per_timestep(ckpt: Checkpoint, split: Split, budgets) -> dict[str, float]:
     """Accuracy at each budget ``k`` from the first ``k`` input slices only,
     keyed ``str(k)``; one forward over the first ``max(budgets)`` slices."""
     trained_t = ckpt.config.timesteps
     for k in budgets:
         if not 1 <= k <= trained_t:
             raise ValueError(f"eval_t {k} outside [1, {trained_t}]")
-    values, labels = _ckpt_forward(ckpt, samples, max(budgets))
-    return _budget_accuracies(values, labels, budgets)
+    values = _ckpt_forward(ckpt, split, max(budgets))
+    return _budget_accuracies(values, split.labels, budgets)
 
 
 @dataclass(frozen=True)
@@ -838,23 +865,20 @@ class ConsistencyReport:
 _GRAD_BATCH = 64  # samples in the gradient-direction probe
 
 
-def _output_weight_grads(
-    ckpt: Checkpoint, samples: list[Sample], coeff: np.ndarray
-) -> np.ndarray:
+def _output_weight_grads(ckpt: Checkpoint, split: Split, coeff: np.ndarray) -> np.ndarray:
     """Gradients (T, hidden, classes) of ``sum(coeff * v_t)``, with ``v_t``
-    the step-t output potentials of ``samples``, by the output weights.
+    the step-t output potentials of ``split``, by the output weights.
 
     The output layer leak-integrates ``s_t @ W_out``, so ``v_t = trace_t @
     W_out`` with ``trace`` the last hidden layer's spikes integrated by the
     same rule: a forward with an identity readout, whose zero column keeps
     two outputs when that layer has one unit."""
     hidden = ckpt.params[-1].shape[0]
-    probe = replace(ckpt, params=[*ckpt.params[:-1], np.eye(hidden, hidden + 1)])
-    trace, _ = _ckpt_forward(probe, samples, ckpt.config.timesteps)
+    trace = _ckpt_forward(ckpt, split, ckpt.config.timesteps, np.eye(hidden, hidden + 1))
     return np.einsum("nth,nc->thc", trace[..., :hidden], coeff)
 
 
-def consistency_report(ckpt: Checkpoint, samples: list[Sample]) -> ConsistencyReport:
+def consistency_report(ckpt: Checkpoint, split: Split) -> ConsistencyReport:
     """Temporal-consistency metrics plus the per-timestep gradient-direction
     probe: cosine similarity between the output-weight gradients contributed
     by each timestep's share of the mean-potential CE loss, over the first
@@ -862,13 +886,13 @@ def consistency_report(ckpt: Checkpoint, samples: list[Sample]) -> ConsistencyRe
     cfg = ckpt.config
     if cfg.timesteps < 2:
         raise ValueError("consistency metrics need at least 2 timesteps")
-    values, labels = _ckpt_forward(ckpt, samples, cfg.timesteps)
+    values = _ckpt_forward(ckpt, split, cfg.timesteps)
     kl, flip = _consistency_metrics(values, cfg.etc.tau)
 
-    n = min(_GRAD_BATCH, len(samples))
-    y = _one_hot(labels[:n], values.shape[2])
+    n = min(_GRAD_BATCH, len(split))
+    y = _one_hot(split.labels[:n], values.shape[2])
     coeff = (_softmax_np(values[:n].mean(axis=1)) - y) / (n * cfg.timesteps)
-    grads = _output_weight_grads(ckpt, samples[:n], coeff).reshape(cfg.timesteps, -1)
+    grads = _output_weight_grads(ckpt, split[:n], coeff).reshape(cfg.timesteps, -1)
     gram = grads @ grads.T
     norms = np.sqrt(np.diag(gram))
     denom = np.outer(norms, norms)
@@ -878,28 +902,19 @@ def consistency_report(ckpt: Checkpoint, samples: list[Sample]) -> ConsistencyRe
         mean_pairwise_kl=kl,
         argmax_flip_rate=flip,
         grad_cosine_mean=float(np.mean(np.clip(cosines[pairs], -1.0, 1.0))),
-        samples=len(samples),
+        samples=len(split),
     )
 
 
-def dump_distributions(ckpt: Checkpoint, samples: list[Sample], out_path) -> None:
+def dump_distributions(ckpt: Checkpoint, split: Split, out_path) -> None:
     """Per-timestep temperature-1 softmax rows per sample, plus a mean row."""
-    cfg = ckpt.config
-    values, labels = _ckpt_forward(ckpt, samples, cfg.timesteps)
+    values = _ckpt_forward(ckpt, split, ckpt.config.timesteps)
     probs = _softmax_np(values)  # (N, T, C)
     mean_probs = _softmax_np(values.mean(axis=1))
-    classes = values.shape[2]
-    header = "sample_id,label,t,argmax," + ",".join(f"p_{c}" for c in range(classes))
-    lines = [header]
-    for i in range(values.shape[0]):
-        for t in range(cfg.timesteps):
-            row = probs[i, t]
-            lines.append(
-                f"{i},{labels[i]},{t + 1},{int(np.argmax(row))},"
-                + ",".join(repr(float(p)) for p in row)
-            )
-        lines.append(
-            f"{i},{labels[i]},mean,{int(np.argmax(mean_probs[i]))},"
-            + ",".join(repr(float(p)) for p in mean_probs[i])
-        )
+    lines = ["sample_id,label,t,argmax," + ",".join(f"p_{c}" for c in range(values.shape[2]))]
+    rows = zip(split.labels.tolist(), probs.tolist(), mean_probs.tolist())
+    for i, (label, steps, mean) in enumerate(rows):
+        for t, row in [*enumerate(steps, start=1), ("mean", mean)]:
+            # index of the first maximum, as np.argmax: ties go to the lowest class
+            lines.append(f"{i},{label},{t},{row.index(max(row))}," + ",".join(map(repr, row)))
     Path(out_path).write_text("\n".join(lines) + "\n")

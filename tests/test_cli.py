@@ -6,6 +6,7 @@ drives the installed console script end to end as a smoke check.
 """
 
 import json
+import struct
 import subprocess
 import sys
 
@@ -97,6 +98,20 @@ def test_corrupt_checkpoint_exits_2(tmp_path, capsys):
     code = run_cli(["eval", "--ckpt", str(bad)])
     assert code == 2
     assert capsys.readouterr().err.startswith("error:")
+
+
+def test_dump_with_a_nan_is_one_error_line(tmp_path, capsys):
+    dump = tmp_path / "d.bin"
+    assert run_cli(["synth", "--out", str(dump), "--spec", "samples_per_class=5"]) == 0
+    blob = bytearray(dump.read_bytes())
+    blob[-8:] = struct.pack("<d", float("nan"))  # last value of the last test sample
+    dump.write_bytes(bytes(blob))
+    capsys.readouterr()
+    code = run_cli(["train", "--data", str(dump), "--out", str(tmp_path / "run")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: non-finite") and len(err.splitlines()) == 1
+    assert not (tmp_path / "run").exists()
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
@@ -220,6 +235,19 @@ def test_resume_keeps_history_or_refuses(tmp_path, tiny_cfg, capsys):
     assert err.startswith("error:") and len(err.splitlines()) == 1
 
 
+def test_train_refuses_to_overwrite_a_run(tmp_path, tiny_cfg, capsys):
+    run = tmp_path / "run"
+    argv = ["train", "--config", str(tiny_cfg), "--out", str(run)]
+    assert run_cli(argv) == 0
+    before = {p.name: p.read_bytes() for p in run.iterdir()}
+    capsys.readouterr()
+    assert run_cli(argv + ["--set", "train.epochs=0"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "already holds a run" in err
+    assert len(err.splitlines()) == 1
+    assert {p.name: p.read_bytes() for p in run.iterdir()} == before
+
+
 def test_resume_missing_checkpoint_exits_1(tiny_cfg, tmp_path, capsys):
     code = run_cli([
         "train", "--config", str(tiny_cfg), "--out", str(tmp_path / "x"),
@@ -267,6 +295,23 @@ def test_analysis_dim_mismatch_is_one_error_line(trained_run, tmp_path, capsys, 
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("command", ["dump-dist", "eval", "consistency"])
+def test_analysis_label_out_of_range_is_one_error_line(
+    trained_run, tmp_path, capsys, command
+):
+    """A dataset with more classes than the checkpoint's output layer."""
+    out = tmp_path / "dist.csv"
+    argv = [command, "--ckpt", str(trained_run / "ckpt_final.bin"), "--set", "data.classes=6"]
+    if command == "dump-dist":
+        argv += ["--out", str(out)]
+    code = run_cli(argv)
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "out of range for 2 classes" in err
+    assert len(err.splitlines()) == 1
+    assert not out.exists()
 
 
 def test_consistency_prints_report(trained_run, capsys):

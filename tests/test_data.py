@@ -1,5 +1,7 @@
-"""Synthetic generator, IDX loading, constant coding, event binning."""
+"""Synthetic generator, dataset splits, IDX loading, constant coding, event
+binning."""
 
+import hashlib
 import struct
 
 import numpy as np
@@ -12,11 +14,9 @@ from etcsnn.data import (
     IdxCountMismatchError,
     IdxMagicError,
     IdxTruncatedError,
-    Sample,
-    StaticSample,
+    Split,
     SynthSpec,
     bin_events,
-    constant_code,
     load_event_dir,
     load_idx,
     load_synth_dataset,
@@ -24,6 +24,9 @@ from etcsnn.data import (
     save_synth_dataset,
     synth_generate,
 )
+from etcsnn.cli import run_cli
+from etcsnn.data import _STREAM_NOISE, _class_bases, _nuisance_directions
+from etcsnn.train import ConfigError, build_run_config, load_dataset
 
 SMALL = SynthSpec(classes=3, input_dim=8, timesteps=4, samples_per_class=10, seed=7)
 
@@ -31,16 +34,21 @@ SMALL = SynthSpec(classes=3, input_dim=8, timesteps=4, samples_per_class=10, see
 # -- synthetic generator --------------------------------------------------------
 
 
+def samples(*splits):
+    """(input sequence, label) of every sample of ``splits``, in order."""
+    return [(x, int(y)) for s in splits for x, y in zip(s.inputs, s.labels)]
+
+
 def test_degenerate_spec_gives_identical_slices_and_samples():
     train, test = synth_generate(SMALL)  # drift 0, sigma 0
     by_class = {}
-    for s in train + test:
+    for seq, label in samples(train, test):
         for t in range(1, SMALL.timesteps):
-            assert np.array_equal(s.input_seq[t], s.input_seq[0])
-        if s.label in by_class:
-            assert np.array_equal(s.input_seq, by_class[s.label])
+            assert np.array_equal(seq[t], seq[0])
+        if label in by_class:
+            assert np.array_equal(seq, by_class[label])
         else:
-            by_class[s.label] = s.input_seq
+            by_class[label] = seq
     # distinct classes get distinct patterns
     assert not np.array_equal(by_class[0], by_class[1])
 
@@ -49,9 +57,9 @@ def test_zero_drift_noise_is_independent_per_slice():
     spec = SynthSpec(classes=2, input_dim=8, timesteps=3, noise_sigma=0.5,
                      samples_per_class=5, seed=1)
     train, _ = synth_generate(spec)
-    s = train[0]
-    assert not np.array_equal(s.input_seq[0], s.input_seq[1])
-    assert not np.array_equal(s.input_seq[1], s.input_seq[2])
+    seq = train.inputs[0]
+    assert not np.array_equal(seq[0], seq[1])
+    assert not np.array_equal(seq[1], seq[2])
 
 
 def test_same_seed_twice_is_byte_identical():
@@ -59,40 +67,41 @@ def test_same_seed_twice_is_byte_identical():
                      noise_sigma=0.3, samples_per_class=6, seed=11)
     a_train, a_test = synth_generate(spec)
     b_train, b_test = synth_generate(spec)
-    for a, b in zip(a_train + a_test, b_train + b_test):
-        assert a.label == b.label
-        assert a.input_seq.tobytes() == b.input_seq.tobytes()
+    for a, b in ((a_train, b_train), (a_test, b_test)):
+        assert a.labels.tobytes() == b.labels.tobytes()
+        assert a.inputs.tobytes() == b.inputs.tobytes()
 
 
 def test_different_seed_differs():
     a, _ = synth_generate(SMALL)
     b, _ = synth_generate(SynthSpec(classes=3, input_dim=8, timesteps=4,
                                     samples_per_class=10, seed=8))
-    assert not np.array_equal(a[0].input_seq, b[0].input_seq)
+    assert not np.array_equal(a.inputs[0], b.inputs[0])
 
 
 def test_default_split_is_2000_500_and_balanced():
     train, test = synth_generate(SynthSpec())
     assert len(train) == 2000 and len(test) == 500
     for split, per_class in ((train, 500), (test, 125)):
-        counts = np.bincount([s.label for s in split], minlength=4)
+        counts = np.bincount(split.labels, minlength=4)
         assert (counts == per_class).all()
 
 
 def test_shapes_match_spec():
     train, test = synth_generate(SMALL)
-    for s in train + test:
-        assert s.input_seq.shape == (SMALL.timesteps, SMALL.input_dim)
-        assert 0 <= s.label < SMALL.classes
+    for split in (train, test):
+        assert split.inputs.shape[1:] == (SMALL.timesteps, SMALL.input_dim)
+        assert split.inputs.dtype == np.float64 and split.labels.dtype == np.int64
+        assert ((0 <= split.labels) & (split.labels < SMALL.classes)).all()
 
 
 def test_full_drift_makes_last_slice_class_independent():
     spec = SynthSpec(classes=3, input_dim=8, timesteps=4, drift_strength=1.0,
                      samples_per_class=5, seed=3)
     train, _ = synth_generate(spec)
-    last = [s.input_seq[-1] for s in train[:3]]  # one per class
+    last = train.inputs[:3, -1]  # one per class
     assert np.array_equal(last[0], last[1]) and np.array_equal(last[1], last[2])
-    firsts = [s.input_seq[0] for s in train[:3]]
+    firsts = train.inputs[:3, 0]
     assert not np.array_equal(firsts[0], firsts[1])
 
 
@@ -101,14 +110,57 @@ def test_noisy_set_still_nearest_mean_separable():
                      samples_per_class=25, seed=5)
     train, test = synth_generate(spec)
     means = np.stack([
-        np.mean([s.input_seq.mean(axis=0) for s in train if s.label == c], axis=0)
+        np.mean([seq.mean(axis=0) for seq, label in samples(train) if label == c], axis=0)
         for c in range(spec.classes)
     ])
     hits = sum(
-        int(np.argmin(((s.input_seq.mean(axis=0) - means) ** 2).sum(axis=1)) == s.label)
-        for s in test
+        int(np.argmin(((seq.mean(axis=0) - means) ** 2).sum(axis=1)) == label)
+        for seq, label in samples(test)
     )
     assert hits == len(test)
+
+
+def reference_sample(spec, idx):
+    """Sample ``idx`` built one timestep at a time from the formula."""
+    bases = _class_bases(spec)
+    u = _nuisance_directions(spec)
+    noise = np.random.default_rng([spec.seed, _STREAM_NOISE, idx]).normal(
+        size=(spec.timesteps, spec.input_dim)
+    )
+    seq = np.empty((spec.timesteps, spec.input_dim))
+    for t in range(spec.timesteps):
+        w = 0.0 if spec.timesteps == 1 else spec.drift_strength * t / (spec.timesteps - 1)
+        seq[t] = (1.0 - w) * bases[idx % spec.classes] + w * u[t] + spec.noise_sigma * noise[t]
+    return seq
+
+
+@pytest.mark.parametrize("timesteps", [1, 4, 10])
+@pytest.mark.parametrize("drift", [0.0, 1.0, 4.0])
+def test_generator_matches_per_step_formula_bitwise(timesteps, drift):
+    spec = SynthSpec(classes=3, input_dim=8, timesteps=timesteps, drift_strength=drift,
+                     noise_sigma=0.3, samples_per_class=4, seed=2)
+    train, test = synth_generate(spec)
+    got = samples(train, test)
+    order = [i for i in range(12) if i % 5 != 4] + [i for i in range(12) if i % 5 == 4]
+    assert [label for _, label in got] == [i % 3 for i in order]
+    for (seq, _), idx in zip(got, order):
+        assert seq.tobytes() == reference_sample(spec, idx).tobytes()
+
+
+# The sha256 of an ``etcsnn synth`` dump, pinned from the generator that built
+# one sample and one timestep at a time: any change to the bytes fails here.
+GOLDEN_SPEC = ("classes=3", "dim=6", "timesteps=4", "drift_strength=1.5",
+               "noise_sigma=0.25", "samples_per_class=5", "seed=2")
+GOLDEN_SHA256 = "da371f6f1634d7eb05adf0caa630556a9a72c2d9c360856711a3cadd4daf9ac3"
+
+
+def test_synth_dump_matches_golden_hash(tmp_path):
+    out = tmp_path / "golden.bin"
+    argv = ["synth", "--out", str(out)]
+    for item in GOLDEN_SPEC:
+        argv += ["--spec", item]
+    assert run_cli(argv) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_SHA256
 
 
 def test_spec_validation():
@@ -122,6 +174,40 @@ def test_spec_validation():
         SynthSpec(timesteps=0)
 
 
+# -- splits ------------------------------------------------------------------------
+
+
+def test_split_converts_and_slices():
+    split = Split([[[1, 2]], [[3, 4]], [[5, 6]]], np.array([0, 2, 1], dtype=np.uint8))
+    assert split.inputs.dtype == np.float64 and split.labels.dtype == np.int64
+    assert len(split) == 3
+    head = split[:2]
+    assert isinstance(head, Split) and len(head) == 2
+    assert head.inputs.tolist() == [[[1.0, 2.0]], [[3.0, 4.0]]]
+    assert head.labels.tolist() == [0, 2]
+    assert len(Split(np.full((2, 3, 4), 1e308), [0, 1])) == 2  # huge is still finite
+    assert len(split[:0]) == 0
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_split_rejects_non_finite_inputs(bad):
+    inputs = np.zeros((3, 2, 4))
+    inputs[1, 1, 2] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        Split(inputs, [0, 1, 0])
+
+
+def test_split_rejects_bad_shapes_and_labels():
+    with pytest.raises(ValueError, match="N, T, dim"):
+        Split(np.zeros((2, 4)), [0, 1])
+    with pytest.raises(ValueError, match="labels for 2 samples"):
+        Split(np.zeros((2, 3, 4)), [0, 1, 1])
+    with pytest.raises(ValueError, match="labels for 2 samples"):
+        Split(np.zeros((2, 3, 4)), [[0, 1]])
+    with pytest.raises(ValueError, match="negative label -1"):
+        Split(np.zeros((2, 3, 4)), [0, -1])
+
+
 # -- dataset dump ----------------------------------------------------------------
 
 
@@ -133,9 +219,9 @@ def test_dump_round_trip_and_stability(tmp_path):
     save_synth_dataset(p1, spec, train, test)
     spec2, train2, test2 = load_synth_dataset(p1)
     assert spec2 == spec
-    for a, b in zip(train + test, train2 + test2):
-        assert a.label == b.label
-        assert a.input_seq.tobytes() == b.input_seq.tobytes()
+    for a, b in ((train, train2), (test, test2)):
+        assert a.labels.tobytes() == b.labels.tobytes()
+        assert a.inputs.tobytes() == b.inputs.tobytes()
     p2 = tmp_path / "again.bin"
     save_synth_dataset(p2, spec2, train2, test2)
     assert p1.read_bytes() == p2.read_bytes()
@@ -180,20 +266,19 @@ def write_idx_pair(tmp_path, pixels, labels, rows, cols,
 
 def test_idx_single_pixel_scaling(tmp_path):
     img, lbl = write_idx_pair(tmp_path, [255], [3], rows=1, cols=1)
-    samples = load_idx(img, lbl)
-    assert len(samples) == 1
-    assert samples[0].values.shape == (1,)
-    assert samples[0].values[0] == 1.0
-    assert samples[0].label == 3
+    pixels, labels = load_idx(img, lbl)
+    assert pixels.shape == (1, 1) and labels.shape == (1,)
+    assert pixels[0, 0] == 1.0
+    assert labels[0] == 3
 
 
 def test_idx_pairing_and_range(tmp_path):
     img, lbl = write_idx_pair(tmp_path, [0, 51, 102, 153, 204, 255, 0, 128],
                               [1, 0], rows=2, cols=2)
-    samples = load_idx(img, lbl)
-    assert [s.label for s in samples] == [1, 0]
-    np.testing.assert_allclose(samples[0].values, np.array([0, 51, 102, 153]) / 255.0)
-    assert all(0.0 <= v <= 1.0 for s in samples for v in s.values)
+    pixels, labels = load_idx(img, lbl)
+    assert labels.tolist() == [1, 0]
+    np.testing.assert_allclose(pixels[0], np.array([0, 51, 102, 153]) / 255.0)
+    assert ((0.0 <= pixels) & (pixels <= 1.0)).all()
 
 
 def test_idx_bad_magic(tmp_path):
@@ -223,17 +308,43 @@ def test_idx_count_mismatch(tmp_path):
 # -- constant coding ----------------------------------------------------------------
 
 
-def test_constant_code_tiles_vector():
-    out = constant_code(StaticSample(values=np.array([0.5]), label=2), 3)
-    assert np.array_equal(out.input_seq, [[0.5], [0.5], [0.5]])
-    assert out.label == 2
+def load_idx_dataset(tmp_path, pixels, labels, rows, cols, timesteps):
+    """The trainer's view of one IDX pair used as both train and test split."""
+    img, lbl = write_idx_pair(tmp_path, pixels, labels, rows=rows, cols=cols)
+    cfg = build_run_config({
+        "data.kind": "idx", "data.images": str(img), "data.labels": str(lbl),
+        "data.test_images": str(img), "data.test_labels": str(lbl),
+        "network.timesteps": str(timesteps),
+    })
+    return load_dataset(cfg)
 
 
-def test_constant_code_t1_and_validation():
-    out = constant_code(StaticSample(values=np.array([0.1, 0.9]), label=0), 1)
-    assert out.input_seq.shape == (1, 2)
-    with pytest.raises(ValueError):
-        constant_code(StaticSample(values=np.array([0.1]), label=0), 0)
+def test_constant_code_tiles_vector(tmp_path):
+    data = load_idx_dataset(tmp_path, [51], [2], rows=1, cols=1, timesteps=3)
+    for split in (data.train, data.test):
+        assert np.array_equal(split.inputs, [[[0.2], [0.2], [0.2]]])
+        assert split.labels.tolist() == [2]
+    assert data.input_dim == 1 and data.classes == 3
+
+
+def test_constant_code_t1_and_validation(tmp_path):
+    data = load_idx_dataset(tmp_path, [0, 255], [0], rows=1, cols=2, timesteps=1)
+    assert data.train.inputs.shape == (1, 1, 2)
+    assert data.classes == 2
+    with pytest.raises(ConfigError, match="network.timesteps"):
+        load_idx_dataset(tmp_path, [0], [0], rows=1, cols=1, timesteps=0)
+
+
+def test_idx_without_test_files_holds_out_every_fifth_image(tmp_path):
+    img, lbl = write_idx_pair(tmp_path, [0, 10, 20, 30, 40, 50], [0, 1, 0, 1, 3, 1],
+                              rows=1, cols=1)
+    cfg = build_run_config({"data.kind": "idx", "data.images": str(img),
+                            "data.labels": str(lbl), "network.timesteps": "2"})
+    data = load_dataset(cfg)
+    assert data.train.labels.tolist() == [0, 1, 0, 1, 1]
+    assert data.test.labels.tolist() == [3]
+    assert data.test.inputs.tolist() == [[[40 / 255], [40 / 255]]]
+    assert data.classes == 4
 
 
 # -- event parsing and binning ---------------------------------------------------------
@@ -353,8 +464,9 @@ def test_load_event_dir_layout(tmp_path):
     train, test = load_event_dir(tmp_path, width=2, height=2, timesteps=2)
     # sorted dirs: a_class -> 0, b_class -> 1; file index 4 of each -> test
     assert len(train) == 10 and len(test) == 2
-    assert sorted(s.label for s in test) == [0, 1]
-    assert all(s.input_seq.shape == (2, 8) for s in train + test)
+    assert sorted(test.labels.tolist()) == [0, 1]
+    assert train.inputs.shape[1:] == test.inputs.shape[1:] == (2, 8)
+    assert train.labels.tolist() == [0] * 5 + [1] * 5
 
 
 def test_load_event_dir_errors(tmp_path):

@@ -15,7 +15,7 @@ import pytest
 
 from etcsnn import train as train_module
 from etcsnn.autodiff import Tensor, mul, sum_all
-from etcsnn.data import Sample, SynthSpec, save_synth_dataset, synth_generate
+from etcsnn.data import Split, SynthSpec, save_synth_dataset, synth_generate
 from etcsnn.optim import OptimState
 from etcsnn.snn import NetworkSpec, lif_unroll
 from etcsnn.train import (
@@ -155,7 +155,7 @@ def test_load_dataset_synth_shapes():
     data = load_dataset(cfg)
     assert data.input_dim == 8 and data.classes == 2
     assert len(data.train) == 24 and len(data.test) == 6
-    assert data.train[0].input_seq.shape == (3, 8)
+    assert data.train.inputs.shape == (24, 3, 8) and data.test.labels.shape == (6,)
 
 
 def test_file_dataset_timestep_mismatch_rejected(tmp_path):
@@ -245,7 +245,7 @@ def test_overflowing_potential_is_a_training_error(tmp_path, monkeypatch):
     with the epoch and batch named instead of training on."""
     spec = SynthSpec(classes=2, input_dim=8, timesteps=3, samples_per_class=5)
     tr, te = synth_generate(spec)
-    huge = [Sample(np.full((3, 8), 1e308), s.label) for s in tr]
+    huge = Split(np.full(tr.inputs.shape, 1e308), tr.labels)
     path = tmp_path / "huge.bin"
     save_synth_dataset(path, spec, huge, te)
     monkeypatch.setattr(
@@ -312,6 +312,40 @@ def test_resume_refuses_a_log_it_cannot_continue(tmp_path):
     (short / "metrics.jsonl").write_text(header + "\n")  # no epoch records
     with pytest.raises(TrainingError, match="epoch records"):
         train(cfg, short, resume_from=ckpt)
+
+
+def test_fresh_run_refuses_a_directory_with_a_log(tmp_path):
+    cfg = build_run_config(tiny(**{"train.epochs": "2"}))
+    train(cfg, tmp_path / "run")
+    before = {p.name: p.read_bytes() for p in (tmp_path / "run").iterdir()}
+    again = build_run_config(tiny(**{"train.epochs": "0"}))
+    with pytest.raises(TrainingError, match="already holds a run"):
+        train(again, tmp_path / "run")
+    assert {p.name: p.read_bytes() for p in (tmp_path / "run").iterdir()} == before
+
+
+def test_failed_dataset_leaves_no_directory(tmp_path):
+    missing = tiny(**{"data.kind": "events", "data.events_dir": str(tmp_path / "none"),
+                      "data.width": "2", "data.height": "2"})
+    with pytest.raises(OSError):
+        train(build_run_config(missing), tmp_path / "a")
+    # a dump whose labels the network's output layer cannot hold
+    spec = SynthSpec(classes=2, input_dim=8, timesteps=3, samples_per_class=5)
+    tr, te = synth_generate(spec)
+    path = tmp_path / "bad_labels.bin"
+    save_synth_dataset(path, spec, tr, Split(te.inputs, te.labels + 4))
+    cfg = build_run_config(tiny(**{"data.kind": "file", "data.file": str(path)}))
+    with pytest.raises(TrainingError, match="label 5 out of range for 2 classes"):
+        train(cfg, tmp_path / "b")
+    # one event file per class: every file lands in the train split
+    for name in ("x", "y"):
+        (tmp_path / "events" / name).mkdir(parents=True)
+        (tmp_path / "events" / name / "s0.csv").write_text("t_us,x,y,polarity\n0,0,0,0\n")
+    events = tiny(**{"data.kind": "events", "data.events_dir": str(tmp_path / "events"),
+                     "data.width": "2", "data.height": "2"})
+    with pytest.raises(TrainingError, match="no samples"):
+        train(build_run_config(events), tmp_path / "c")
+    assert not any((tmp_path / run).exists() for run in "abc")
 
 
 def test_resume_rejects_different_config(tmp_path):
@@ -408,6 +442,28 @@ def test_checkpoint_layer_count_mismatch(trained, tmp_path):
         load_checkpoint(bad)
 
 
+def test_checkpoint_save_is_atomic(trained, tmp_path, monkeypatch):
+    """A write that fails half way leaves the earlier checkpoint at that path
+    byte-identical and no temporary file behind."""
+    path = tmp_path / "ck.bin"
+    save_checkpoint(trained.checkpoint, path)
+    before = path.read_bytes()
+    write_tensor = train_module._write_tensor
+
+    def fail_on_moments(fh, name, arr):
+        if name == "m0":
+            raise OSError("disk full")
+        write_tensor(fh, name, arr)
+
+    monkeypatch.setattr(train_module, "_write_tensor", fail_on_moments)
+    hacked = Checkpoint(trained.checkpoint.config, trained.checkpoint.config_text, 7,
+                        trained.checkpoint.params, trained.checkpoint.opt)
+    with pytest.raises(OSError, match="disk full"):
+        save_checkpoint(hacked, path)
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["ck.bin"]
+
+
 def test_checkpoint_dim_mismatch_with_config(trained, tmp_path):
     ck = load_checkpoint(trained.ckpt_path)
     hacked = Checkpoint(
@@ -433,9 +489,28 @@ def test_eval_per_timestep_range_errors(trained):
         eval_per_timestep(ck, data.test, [0])
     with pytest.raises(ValueError, match="eval_t"):
         eval_per_timestep(ck, data.test, [1, 4])
-    short = [Sample(s.input_seq[:2], s.label) for s in data.test]
+    short = Split(data.test.inputs[:, :2], data.test.labels)
     with pytest.raises(ValueError, match="eval_t is 3"):
         eval_per_timestep(ck, short, [3])
+
+
+@pytest.mark.parametrize("op", ["eval", "consistency", "dump"])
+def test_split_is_checked_against_the_checkpoint(trained, tmp_path, op):
+    """Every analysis op refuses a split of another input dim or with a label
+    the checkpoint's output layer does not have, with one ValueError."""
+    ck, test = trained.checkpoint, load_dataset(trained.checkpoint.config).test
+    run = {
+        "eval": lambda split: eval_per_timestep(ck, split, [1, 3]),
+        "consistency": lambda split: consistency_report(ck, split),
+        "dump": lambda split: dump_distributions(ck, split, tmp_path / "d.csv"),
+    }[op]
+    with pytest.raises(ValueError, match="label 2 out of range for 2 classes"):
+        run(Split(test.inputs, np.where(np.arange(len(test)) == 3, 2, test.labels)))
+    with pytest.raises(ValueError, match="input dim 9, the network takes 8"):
+        run(Split(np.zeros((len(test), 3, 9)), test.labels))
+    with pytest.raises(ValueError, match="no samples"):
+        run(test[:0])
+    assert not (tmp_path / "d.csv").exists()
 
 
 def test_eval_truncation_ignores_later_slices(trained):
@@ -443,12 +518,9 @@ def test_eval_truncation_ignores_later_slices(trained):
     data = load_dataset(trained.checkpoint.config)
     ck = trained.checkpoint
     base = eval_per_timestep(ck, data.test, [1])
-    mangled = []
-    for s in data.test:
-        seq = s.input_seq.copy()
-        seq[1:] = 1e6  # absurd values in every later slice
-        mangled.append(type(s)(input_seq=seq, label=s.label))
-    assert eval_per_timestep(ck, mangled, [1]) == base
+    inputs = data.test.inputs.copy()
+    inputs[:, 1:] = 1e6  # absurd values in every later slice
+    assert eval_per_timestep(ck, Split(inputs, data.test.labels), [1]) == base
 
 
 def test_eval_matches_logged_full_T(trained):
@@ -472,8 +544,7 @@ def _ckpt_spec(ckpt, steps):
 def resimulated_accuracy(ckpt, samples, k):
     """Reference truncated evaluation: a k-step network run on the first k
     input slices, batched as the checkpoint's config says."""
-    inputs = np.stack([s.input_seq[:k] for s in samples])
-    labels = np.array([s.label for s in samples])
+    inputs, labels = samples.inputs[:, :k], samples.labels
     spec, size = _ckpt_spec(ckpt, k), ckpt.config.batch_size
     values = np.concatenate([
         lif_unroll(spec, [Tensor(p) for p in ckpt.params], inputs[b0 : b0 + size]).values()
@@ -506,7 +577,7 @@ def tape_output_weight_grads(ckpt, samples, coeff):
     """Reference probe: one tape backward per step t of sum(coeff * v_t),
     reading the output-weight gradient."""
     steps = ckpt.config.timesteps
-    inputs = np.stack([s.input_seq for s in samples])
+    inputs = samples.inputs
     grads = []
     for t in range(steps):
         weights = [Tensor(p) for p in ckpt.params]
@@ -532,7 +603,7 @@ def _probe_case(hidden: str, scale_last_hidden: float = 1.0):
         rng.normal(0.5, 1.0, size=(a, b)) / np.sqrt(a) for a, b in zip(sizes, sizes[1:])
     ]
     params[-2] = params[-2] * scale_last_hidden
-    samples = [Sample(rng.uniform(0.0, 2.0, size=(5, 8)), i % 2) for i in range(12)]
+    samples = Split(rng.uniform(0.0, 2.0, size=(12, 5, 8)), np.arange(12) % 2)
     return _checkpoint(cfg, params), samples, rng.normal(size=(12, 2))
 
 
@@ -568,9 +639,9 @@ def test_consistency_cosine_matches_tape_probe(trained):
     steps = ck.config.timesteps
     values = lif_unroll(
         _ckpt_spec(ck, steps), [Tensor(p) for p in ck.params],
-        np.stack([s.input_seq for s in samples]),
+        samples.inputs,
     ).values()
-    y = np.eye(2)[[s.label for s in samples]]
+    y = np.eye(2)[samples.labels]
     p = np.exp(values.mean(axis=1))
     coeff = (p / p.sum(axis=1, keepdims=True) - y) / (len(samples) * steps)
     grads = tape_output_weight_grads(ck, samples, coeff).reshape(steps, -1)
@@ -622,7 +693,35 @@ def test_dump_distributions_format(trained, tmp_path):
             probs = [float(p) for p in r[4:]]
             assert abs(sum(probs) - 1.0) <= 1e-9
             assert int(r[3]) == int(np.argmax(probs))
-            assert r[1] == str(data.test[i].label)
+            assert r[1] == str(data.test.labels[i])
+
+
+def reference_dump(ckpt, split):
+    """The distribution CSV built one ``repr(float(p))`` at a time."""
+    values = train_module._ckpt_forward(ckpt, split, ckpt.config.timesteps)
+    probs = train_module._softmax_np(values)
+    mean_probs = train_module._softmax_np(values.mean(axis=1))
+    lines = ["sample_id,label,t,argmax," + ",".join(f"p_{c}" for c in range(values.shape[2]))]
+    for i, label in enumerate(split.labels):
+        for t in range(values.shape[1]):
+            row = probs[i, t]
+            lines.append(f"{i},{label},{t + 1},{int(np.argmax(row))},"
+                         + ",".join(repr(float(p)) for p in row))
+        lines.append(f"{i},{label},mean,{int(np.argmax(mean_probs[i]))},"
+                     + ",".join(repr(float(p)) for p in mean_probs[i]))
+    return ("\n".join(lines) + "\n").encode()
+
+
+def test_dump_distributions_bytes_match_per_element_format(trained, tmp_path):
+    ck, samples, _ = _probe_case("8")  # fixed random weights: varied probabilities
+    out = tmp_path / "probe.csv"
+    dump_distributions(ck, samples, out)
+    assert out.read_bytes() == reference_dump(ck, samples)
+    cells = {p for line in out.read_text().splitlines()[1:] for p in line.split(",")[4:]}
+    assert len(cells) > 100
+    test = load_dataset(trained.checkpoint.config).test
+    dump_distributions(trained.checkpoint, test, out)
+    assert out.read_bytes() == reference_dump(trained.checkpoint, test)
 
 
 def test_dump_distributions_deterministic(trained, tmp_path):
