@@ -8,17 +8,18 @@ order that is fixed by construction -- which makes gradient accumulation
 happen in a deterministic order, so repeated runs are bitwise identical.
 
 Scope is deliberately narrow: float64 only, no broadcasting (elementwise
-operands must match shapes exactly), matmul on rank-2 operands, softmax on
-the last axis of rank-1 to rank-3 values, and ``time_mean`` to average a
+operands must match shapes exactly), matmul on rank-2 operands, log-softmax
+on the last axis of rank-1 to rank-3 values, and ``time_mean`` to average a
 (batch, T, classes) stack over its time axis.  Every node's value is
 checked to be finite at creation, so a NaN or overflow fails loudly at the
 op that produced it instead of surfacing later as a corrupted update.
 
 ``stop_gradient`` blocks all flow along an edge; ``custom_grad`` attaches
 a caller-supplied elementwise pseudo-derivative, which is how the spike
-nonlinearity gets a usable backward rule.  Callers may also build a node
-directly from a value, its parents and a backward rule; ``etcsnn.snn``
-does so for its fused multi-step layers.
+nonlinearity gets a usable backward rule.  Training does not run on the
+tape: ``etcsnn.snn`` and ``etcsnn.losses`` compute the network pass and the
+objective in plain numpy.  The tape builds the per-op reference network and
+the reference losses that the gradient checks hold those to.
 """
 
 from __future__ import annotations
@@ -41,11 +42,7 @@ __all__ = [
     "scale",
     "matmul",
     "sum_all",
-    "mean_all",
     "time_mean",
-    "log",
-    "exp",
-    "temp_softmax",
     "log_softmax",
     "stop_gradient",
     "custom_grad",
@@ -128,25 +125,6 @@ class Tensor:
                     stack.append(parent)
         return list(seen.values())
 
-    # Operator sugar: numbers scale, tensors combine elementwise.
-    def __add__(self, other: "Tensor") -> "Tensor":
-        return add(self, other)
-
-    def __sub__(self, other: "Tensor") -> "Tensor":
-        return sub(self, other)
-
-    def __neg__(self) -> "Tensor":
-        return scale(self, -1.0)
-
-    def __mul__(self, other) -> "Tensor":
-        return mul(self, other) if isinstance(other, Tensor) else scale(self, other)
-
-    def __rmul__(self, other) -> "Tensor":
-        return scale(self, other)
-
-    def __matmul__(self, other: "Tensor") -> "Tensor":
-        return matmul(self, other)
-
     def __repr__(self) -> str:
         return f"Tensor(op={self.op!r}, shape={self.shape})"
 
@@ -221,15 +199,6 @@ def sum_all(a: Tensor) -> Tensor:
     return Tensor(a.data.sum(), "sum", (a,), rule)
 
 
-def mean_all(a: Tensor) -> Tensor:
-    n = a.data.size
-
-    def rule(g):
-        a.grad += g / n
-
-    return Tensor(a.data.mean(), "mean", (a,), rule)
-
-
 def time_mean(a: Tensor) -> Tensor:
     """Average a (batch, T, classes) stack over T, giving (batch, classes)."""
     if a.data.ndim != 3 or a.shape[1] < 1:
@@ -242,55 +211,14 @@ def time_mean(a: Tensor) -> Tensor:
     return Tensor(a.data.sum(axis=1) * c, "time-mean", (a,), rule)
 
 
-def log(a: Tensor) -> Tensor:
-    with np.errstate(divide="ignore", invalid="ignore"):
-        value = np.log(a.data)
-
-    def rule(g):
-        a.grad += g / a.data
-
-    return Tensor(value, "log", (a,), rule)
-
-
-def exp(a: Tensor) -> Tensor:
-    with np.errstate(over="ignore"):
-        value = np.exp(a.data)
-
-    def rule(g):
-        a.grad += value * g
-
-    return Tensor(value, "exp", (a,), rule)
-
-
-def _check_softmax_operand(a: Tensor, tau: float, op: str) -> None:
-    if not tau > 0:
-        raise ValueError(f"{op}: tau must be positive, got {tau}")
-    if a.data.ndim not in (1, 2, 3):
-        raise ShapeMismatchError(f"{op}: needs rank-1 to rank-3 input, got {a.shape}")
-
-
-def temp_softmax(a: Tensor, tau: float = 1.0) -> Tensor:
-    """Tempered softmax over the last axis, with max-subtraction for stability."""
-    _check_softmax_operand(a, tau, "softmax-temp")
-    z = a.data / tau
-    z = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    p = e / e.sum(axis=-1, keepdims=True)
-
-    def rule(g):
-        inner = np.sum(g * p, axis=-1, keepdims=True)
-        a.grad += (p * (g - inner)) / tau
-
-    return Tensor(p, "softmax-temp", (a,), rule)
-
-
 def log_softmax(a: Tensor, tau: float = 1.0) -> Tensor:
-    """log of the tempered softmax, computed directly from the logits.
-
-    Going through the logits instead of ``log(temp_softmax(...))`` keeps
-    tiny probabilities from rounding to zero before the log sees them.
-    """
-    _check_softmax_operand(a, tau, "log-softmax-temp")
+    """log of the softmax of ``a / tau`` over the last axis, computed from
+    the logits with max-subtraction, so tiny probabilities never round to
+    zero before the log sees them."""
+    if not tau > 0:
+        raise ValueError(f"log-softmax-temp: tau must be positive, got {tau}")
+    if a.data.ndim not in (1, 2, 3):
+        raise ShapeMismatchError(f"log-softmax-temp: needs rank-1 to rank-3 input, got {a.shape}")
     z = a.data / tau
     z = z - z.max(axis=-1, keepdims=True)
     ls = z - np.log(np.exp(z).sum(axis=-1, keepdims=True))

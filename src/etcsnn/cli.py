@@ -186,6 +186,9 @@ def _cmd_gradcheck(args) -> int:
         f"consistency fd_max_rel_err={report.etc_fd_max_rel_err:.3e} "
         f"fd_tol={report.fd_tol:.0e}"
     )
+    print(f"per_timestep_ce max_rel_err={report.ptce_max_rel_err:.3e} tol={report.tol:.0e}")
+    obj_err, obj_tol = report.objective_max_rel_err, report.objective_tol
+    print(f"objective max_rel_err={obj_err:.3e} tol={obj_tol:.0e}")
     print(f"lif max_rel_err={lif.max_rel_err:.3e} tol={lif.tol:.0e}")
     if not (report.passed and lif.passed):
         print("error: gradient check failed", file=sys.stderr)

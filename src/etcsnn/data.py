@@ -249,7 +249,10 @@ def load_synth_dataset(path) -> tuple[SynthSpec, Split, Split]:
         return chunk
 
     (text_len,) = struct.unpack("<Q", take(8))
-    spec = _spec_from_text(bytes(take(text_len)).decode())
+    try:  # UnicodeDecodeError is a ValueError
+        spec = _spec_from_text(bytes(take(text_len)).decode())
+    except ValueError as exc:
+        raise DatasetDumpError(f"{path}: bad spec text in dataset dump: {exc}") from None
     n_train, n_test = struct.unpack("<QQ", take(16))
     dtype = _record_dtype(spec)
     records = np.frombuffer(take((n_train + n_test) * dtype.itemsize), dtype=dtype)

@@ -1,20 +1,21 @@
 """Training objectives, their diagnostics, and gradient oracles.
 
-Both objectives are a few tape ops over one (batch, T, classes) tensor of
-output potentials.  ``ce_mean_loss`` is ordinary cross-entropy on the
-softmax of the time-averaged output potential -- supervising only the
-average leaves the individual timesteps free to disagree.  ``etc_loss``
-closes that gap: each timestep's tempered distribution is trained against
-frozen copies of every *other* timestep's, averaged over ordered pairs, so
-all steps are pulled toward a common prediction without any extra labels.
-``kl_metric_values`` is the matching read-only diagnostic (mean pairwise
-KL); it differs from ``etc_loss`` by exactly the mean entropy of the frozen
-targets.
+``objective`` is the loss training runs, in plain numpy over a (batch, T,
+classes) array of output potentials, for three modes.  ``ce_only`` is
+cross-entropy on the softmax of the time-averaged potential, which leaves
+the individual timesteps free to disagree.  ``ce_plus_etc`` adds the
+consistency term that closes the gap: each step's tempered distribution is
+trained against frozen copies of every *other* step's, averaged over
+ordered pairs.  ``per_timestep_ce`` is cross-entropy at every step (TET).
+``kl_metric_values`` is the read-only diagnostic (mean pairwise KL); it
+differs from the consistency term by exactly the mean target entropy.
 
-``gradcheck_ce`` / ``gradcheck_etc`` compare the tape's gradients against
-closed forms (and central finite differences): for the mean-CE loss the
-per-step gradient is ``(P_mean - y) / (T * batch)``; for the weighted
-consistency term ``lam * tau**2 * etc_loss`` it is
+``ce_mean_loss``, ``etc_loss`` and ``per_timestep_ce_loss`` build the same
+losses as tape ops: they are the oracles.  ``gradcheck_suite`` holds
+``objective`` to them, and them to closed forms (and central finite
+differences): per step, ``(P_mean - y) / (T * batch)`` for mean-CE,
+``(P_t - y) / (T * batch)`` for per-timestep CE, and for the weighted
+consistency term ``lam * tau**2 * etc_loss``
 
     lam * tau / (T * (T-1) * batch) * sum_{m != t} (P_t - P_m)
 
@@ -28,20 +29,26 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tensor, log_softmax, mul, scale, sum_all, time_mean
+from .autodiff import NonFiniteError, Tensor, add, log_softmax, mul, scale, sum_all, time_mean
 
 __all__ = [
+    "LOSS_MODES",
     "TimestepOutputs",
     "EtcConfig",
+    "objective",
     "ce_mean_loss",
     "etc_loss",
+    "per_timestep_ce_loss",
     "kl_metric_values",
     "GradCheckReport",
     "gradcheck_ce",
     "gradcheck_etc",
+    "gradcheck_per_timestep_ce",
     "GradCheckSuiteReport",
     "gradcheck_suite",
 ]
+
+LOSS_MODES = ("ce_only", "ce_plus_etc", "per_timestep_ce")
 
 
 @dataclass
@@ -94,6 +101,50 @@ class EtcConfig:
             raise ValueError(f"lam must be >= 0, got {self.lam}")
 
 
+def _log_softmax_term(x, target, tau: float, c: float, upstream: float = 1.0):
+    """``c * sum(target * log_softmax(x / tau))`` and its gradient by ``x``
+    when ``upstream`` reaches the scaled sum: the tape's ops, same order."""
+    ls = _log_softmax_np(x / tau)
+    g = target * (c * upstream)
+    return float(np.sum(target * ls) * c), (g - np.exp(ls) * g.sum(axis=-1, keepdims=True)) / tau
+
+
+def objective(
+    values: np.ndarray, labels_1h: np.ndarray, loss_mode: str, etc: EtcConfig
+) -> tuple[np.ndarray, float, float, float]:
+    """``(dv, total, ce, etc)`` of the (batch, T, classes) output potentials
+    ``values`` against one-hot labels: the gradient of ``total`` by
+    ``values``, the total and its logged components.  The consistency term
+    is on in mode ``ce_plus_etc`` with lam > 0 and T >= 2, else ``etc`` is
+    0.  Every result equals the tape losses' bit for bit: the same ops, and
+    ``dv`` adds the consistency part before the cross-entropy one, as the
+    tape's backward does.  Raises NonFiniteError on a non-finite loss.
+    """
+    batch, steps, _ = values.shape
+    dv = np.zeros_like(values)
+    etc_val = 0.0
+    with_etc = loss_mode == "ce_plus_etc" and etc.lam != 0.0 and steps >= 2
+    if loss_mode == "per_timestep_ce":
+        y = np.repeat(labels_1h[:, None, :], steps, axis=1)
+        ce, grad = _log_softmax_term(values, y, 1.0, -1.0 / (batch * steps))
+        dv += grad
+    else:
+        if with_etc:
+            weight = float(etc.lam * etc.tau**2)
+            p = _softmax_np(values / etc.tau)  # the frozen targets
+            others = p.sum(axis=1, keepdims=True) - p
+            c = -1.0 / (batch * steps * (steps - 1))
+            etc_val, grad = _log_softmax_term(values, others, etc.tau, c, weight)
+            dv += grad
+        mean = values.sum(axis=1) * (1.0 / steps)
+        ce, grad = _log_softmax_term(mean, labels_1h, 1.0, -1.0 / batch)
+        dv += ((1.0 / steps) * grad)[:, None, :]
+    total = ce + etc_val * weight if with_etc else ce
+    if not np.isfinite(total):
+        raise NonFiniteError(f"non-finite loss {total}")
+    return dv, total, ce, etc_val
+
+
 def _validate_one_hot(labels: np.ndarray, outputs: TimestepOutputs) -> None:
     if labels.shape != (outputs.batch, outputs.classes):
         raise ValueError(
@@ -132,6 +183,16 @@ def etc_loss(outputs: TimestepOutputs, cfg: EtcConfig) -> Tensor:
     total = sum_all(mul(others, log_softmax(outputs.v, cfg.tau)))
     pairs = outputs.batch * outputs.steps * (outputs.steps - 1)
     return scale(total, -1.0 / pairs)
+
+
+def per_timestep_ce_loss(outputs: TimestepOutputs, labels) -> Tensor:
+    """Cross-entropy of every step's softmax vs one-hot labels, averaged
+    over steps and batch; softmax at temperature 1."""
+    labels = np.asarray(labels, dtype=np.float64)
+    _validate_one_hot(labels, outputs)
+    y = Tensor(np.repeat(labels[:, None, :], outputs.steps, axis=1))
+    picked = sum_all(mul(y, log_softmax(outputs.v, 1.0)))
+    return scale(picked, -1.0 / (outputs.batch * outputs.steps))
 
 
 def kl_metric_values(values: np.ndarray, tau: float) -> float:
@@ -207,6 +268,18 @@ def gradcheck_ce(outputs: TimestepOutputs, labels, tol: float = 1e-10) -> GradCh
     return GradCheckReport(max_rel_err=err, tol=tol, passed=err < tol)
 
 
+def gradcheck_per_timestep_ce(
+    outputs: TimestepOutputs, labels, tol: float = 1e-10
+) -> GradCheckReport:
+    """Autodiff gradient of per_timestep_ce_loss vs the closed form
+    (P_t - y)/(T*batch), with P_t the temperature-1 softmax of step t."""
+    labels = np.asarray(labels, dtype=np.float64)
+    per_timestep_ce_loss(outputs, labels).backward()
+    p = _softmax_np(outputs.values())
+    err = _norm_rel_err(outputs.v.grad, (p - labels[:, None]) / (outputs.steps * outputs.batch))
+    return GradCheckReport(max_rel_err=err, tol=tol, passed=err < tol)
+
+
 def gradcheck_etc(
     outputs: TimestepOutputs,
     cfg: EtcConfig,
@@ -239,7 +312,7 @@ def gradcheck_etc(
     frozen_others = p.sum(axis=1, keepdims=True) - p
     denom = outputs.batch * outputs.steps * (outputs.steps - 1)
 
-    def objective(vals: np.ndarray) -> float:
+    def probe(vals: np.ndarray) -> float:
         logp = _log_softmax_np(vals / cfg.tau)
         return -weight * float((frozen_others * logp).sum()) / denom
 
@@ -251,9 +324,9 @@ def gradcheck_etc(
     for i in range(values.size):
         orig = flat_vals[i]
         flat_vals[i] = orig + fd_step
-        hi = objective(values)
+        hi = probe(values)
         flat_vals[i] = orig - fd_step
-        lo = objective(values)
+        lo = probe(values)
         flat_vals[i] = orig
         flat_fd[i] = (hi - lo) / (2.0 * fd_step)
     fd_err = _norm_rel_err(auto, fd)
@@ -272,17 +345,37 @@ class GradCheckSuiteReport:
     ce_max_rel_err: float
     etc_max_rel_err: float
     etc_fd_max_rel_err: float
+    ptce_max_rel_err: float
+    objective_max_rel_err: float  # numpy objective vs the tape losses, every mode
     tol: float
     fd_tol: float
+    objective_tol: float
     passed: bool
+
+
+def _tape_objective(outputs: TimestepOutputs, labels, loss_mode: str, cfg: EtcConfig):
+    """``objective``'s total, ce and etc built from the tape losses."""
+    if loss_mode == "per_timestep_ce":
+        total = per_timestep_ce_loss(outputs, labels)
+        return total, total.item(), 0.0
+    ce = ce_mean_loss(outputs, labels)
+    if loss_mode == "ce_only" or cfg.lam == 0.0 or outputs.steps < 2:
+        return ce, ce.item(), 0.0
+    etc = etc_loss(outputs, cfg)
+    return add(ce, scale(etc, cfg.lam * cfg.tau**2)), ce.item(), etc.item()
+
+
+_OBJECTIVE_TOL = 1e-12  # numpy objective vs tape: the same ops, so equal in practice
 
 
 def gradcheck_suite(
     seed: int = 0, cases: int = 100, tol: float = 1e-10, fd_tol: float = 1e-5
 ) -> GradCheckSuiteReport:
-    """Run both gradient oracles on ``cases`` freshly sampled instances."""
+    """Run the gradient oracles on ``cases`` freshly sampled instances, and
+    hold ``objective``'s gradient and logged losses to the tape's in every
+    loss mode."""
     rng = np.random.default_rng(seed)
-    ce_max = etc_max = fd_max = 0.0
+    ce_max = etc_max = fd_max = ptce_max = obj_max = 0.0
     for _ in range(cases):
         batch = int(rng.integers(1, 5))
         steps = int(rng.integers(2, 7))
@@ -296,12 +389,24 @@ def gradcheck_suite(
         report = gradcheck_etc(outs, cfg, tol=tol, fd_tol=fd_tol)
         etc_max = max(etc_max, report.max_rel_err)
         fd_max = max(fd_max, report.fd_max_rel_err)
+        ptce_max = max(ptce_max, gradcheck_per_timestep_ce(outs, labels, tol=tol).max_rel_err)
+        for mode in LOSS_MODES:
+            total, ce, etc = _tape_objective(outs, labels, mode, cfg)
+            total.backward()
+            dv, *logged = objective(values, labels, mode, cfg)
+            want = [total.item(), ce, etc]
+            errs = _norm_rel_err(dv, outs.v.grad), _norm_rel_err(np.array(logged), np.array(want))
+            obj_max = max(obj_max, *errs)
     return GradCheckSuiteReport(
         cases=cases,
         ce_max_rel_err=ce_max,
         etc_max_rel_err=etc_max,
         etc_fd_max_rel_err=fd_max,
+        ptce_max_rel_err=ptce_max,
+        objective_max_rel_err=obj_max,
         tol=tol,
         fd_tol=fd_tol,
-        passed=ce_max < tol and etc_max < tol and fd_max < fd_tol,
+        objective_tol=_OBJECTIVE_TOL,
+        passed=max(ce_max, etc_max, ptce_max) < tol and fd_max < fd_tol
+        and obj_max <= _OBJECTIVE_TOL,
     )

@@ -16,13 +16,13 @@ Networks here are plain feedforward stacks of fully connected LIF layers
 input current with the same time constant.  That output layer's per-step
 potentials are the network's logits.
 
-``lif_unroll`` puts one fused node per layer on the tape, each running all
-T steps.  The layers are feedforward, so the input current of every step
-comes from one (batch*T, fan_in) matmul; a numpy loop over the steps then
-charges, fires and resets, and the node's backward runs BPTT in reverse
-time by hand.  ``lif_step`` builds the same dynamics one op per node.
-Chained over the steps by ``lif_unroll_reference`` it is the oracle that
-``gradcheck_lif`` holds the fused nodes to.
+``lif_unroll`` runs the network in plain numpy.  The layers are
+feedforward, so one (batch*T, fan_in) matmul gives every step's input
+current; a loop over the steps then charges, fires and resets.
+``lif_backward`` walks the cache it returns from the output layer down,
+running BPTT in reverse time by hand.  ``lif_step`` builds the same dynamics
+one tape op per node.  Chained over the steps by ``lif_unroll_reference`` it
+is the oracle that ``gradcheck_lif`` holds the numpy pass to.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ from .autodiff import (
     sub,
     sum_all,
 )
-from .losses import TimestepOutputs, _norm_rel_err
+from .losses import _norm_rel_err
 
 __all__ = [
     "LifParams",
@@ -57,6 +57,7 @@ __all__ = [
     "spike_fn",
     "lif_step",
     "lif_unroll",
+    "lif_backward",
     "lif_unroll_reference",
     "init_weights",
     "initial_state",
@@ -187,7 +188,7 @@ def init_weights(spec: NetworkSpec, seed: int) -> list[Tensor]:
     return weights
 
 
-# -- fused multi-step layers ---------------------------------------------------
+# -- the numpy network pass ------------------------------------------------------
 
 
 def _drive(x: np.ndarray, w: np.ndarray, params: LifParams) -> np.ndarray:
@@ -216,56 +217,11 @@ def _charge_fire(drive: np.ndarray, params: LifParams) -> tuple[np.ndarray, np.n
             if params.v_reset != 0.0:
                 v = v + s * params.v_reset
     if not np.all(np.isfinite(charged)):
-        raise NonFiniteError("non-finite membrane potentials in 'lif-layer' node")
+        raise NonFiniteError("non-finite membrane potentials in a LIF layer")
     return charged, spikes
 
 
-def _fused_layer(x: Tensor | np.ndarray, w: Tensor, params: LifParams, spiking: bool) -> Tensor:
-    """One layer over all T steps as a single tape node.
-
-    ``x`` is the (batch, T, fan_in) input: the spikes of the layer below,
-    or the network input as a constant array (or as a tensor when its
-    gradient is wanted).  A spiking layer's value is its spikes; the
-    output integrator's value is its potentials, integrated from zero.
-    """
-    x_data = x.data if isinstance(x, Tensor) else x
-    batch, steps, fan_in = x_data.shape
-    leak = params.leak
-    drive = _drive(x_data, w.data, params)
-    if spiking:
-        charged, value = _charge_fire(drive, params)
-    else:
-        value = np.empty_like(drive)
-        v = np.zeros_like(drive[:, 0])
-        with np.errstate(over="ignore", invalid="ignore"):  # Tensor checks the value
-            for t in range(steps):
-                v = value[:, t] = v * leak + drive[:, t]
-
-    def rule(g):
-        # d(loss)/d(charged potential), latest step first; the stored
-        # potential carries leak * that back into the step before, through
-        # the (1 - s) reset factor of a spiking layer.
-        if spiking:
-            direct = surrogate_factor(charged, params) * g
-            keep = 1.0 - value
-        else:
-            direct = g
-        g_charged = np.empty_like(direct)
-        carry = np.zeros_like(direct[:, 0])
-        for t in reversed(range(steps)):
-            gc = direct[:, t] + (carry * keep[:, t] if spiking else carry)
-            g_charged[:, t] = gc
-            carry = leak * gc
-        g_current = (g_charged * (1.0 / params.tau_m)).reshape(batch * steps, -1)
-        w.grad += x_data.reshape(batch * steps, fan_in).T @ g_current
-        if isinstance(x, Tensor):
-            x.grad += (g_current @ w.data.T).reshape(x_data.shape)
-
-    parents = (x, w) if isinstance(x, Tensor) else (w,)
-    return Tensor(value, "lif-layer" if spiking else "lif-integrator", parents, rule)
-
-
-def _check_unroll_shapes(spec: NetworkSpec, weights: Sequence[Tensor], shape) -> None:
+def _check_unroll_shapes(spec: NetworkSpec, params: Sequence[np.ndarray], shape) -> None:
     if len(shape) != 3:
         raise ShapeMismatchError(f"inputs must be (batch, T, dim), got {shape}")
     _, steps, dim = shape
@@ -273,12 +229,12 @@ def _check_unroll_shapes(spec: NetworkSpec, weights: Sequence[Tensor], shape) ->
         raise ShapeMismatchError(f"inputs provide {steps} timesteps, spec wants {spec.timesteps}")
     if dim != spec.layer_sizes[0]:
         raise ShapeMismatchError(f"inputs have dim {dim}, spec wants {spec.layer_sizes[0]}")
-    if len(weights) != len(spec.layer_sizes) - 1:
+    if len(params) != len(spec.layer_sizes) - 1:
         raise ShapeMismatchError(
-            f"got {len(weights)} weight matrices for {len(spec.layer_sizes)} layers"
+            f"got {len(params)} weight matrices for {len(spec.layer_sizes)} layers"
         )
     for i, (w, fan_in, fan_out) in enumerate(
-        zip(weights, spec.layer_sizes, spec.layer_sizes[1:])
+        zip(params, spec.layer_sizes, spec.layer_sizes[1:])
     ):
         if w.shape != (fan_in, fan_out):
             raise ShapeMismatchError(
@@ -287,23 +243,67 @@ def _check_unroll_shapes(spec: NetworkSpec, weights: Sequence[Tensor], shape) ->
 
 
 def lif_unroll(
-    spec: NetworkSpec, weights: Sequence[Tensor], inputs: np.ndarray | Tensor
-) -> TimestepOutputs:
-    """Run the whole network over all timesteps, one tape node per layer.
+    spec: NetworkSpec, params: Sequence[np.ndarray], inputs: np.ndarray
+) -> tuple[np.ndarray, list[tuple]]:
+    """Run the whole network over all timesteps.
 
-    ``inputs`` is (batch, timesteps, input_dim) of per-step input currents:
-    an array, or a tensor when the gradient with respect to the inputs is
-    wanted.  Hidden layers start from the reset potential; the output
-    layer leak-integrates its current from zero with no threshold, spike,
-    or reset.  Returns the output layer's potential at every step.
+    ``params`` holds one (fan_in, fan_out) weight array per layer and
+    ``inputs`` is (batch, timesteps, input_dim) of per-step input currents.
+    Hidden layers start from the reset potential; the output layer
+    leak-integrates its current from zero with no threshold, spike, or
+    reset.  Returns the output layer's (batch, T, classes) potentials and
+    the cache ``lif_backward`` needs: per layer, its input, charged
+    potentials and spikes (None for the output layer).  Raises
+    NonFiniteError on a non-finite potential.
     """
-    if not isinstance(inputs, Tensor):
-        inputs = np.asarray(inputs, dtype=np.float64)
-    _check_unroll_shapes(spec, weights, inputs.shape)
-    signal = inputs
-    for w in weights[:-1]:
-        signal = _fused_layer(signal, w, spec.lif, spiking=True)
-    return TimestepOutputs(_fused_layer(signal, weights[-1], spec.lif, spiking=False))
+    x = np.asarray(inputs, dtype=np.float64)
+    _check_unroll_shapes(spec, params, x.shape)
+    lif = spec.lif
+    cache = []
+    for w in params[:-1]:
+        charged, spikes = _charge_fire(_drive(x, w, lif), lif)
+        cache.append((x, charged, spikes))
+        x = spikes
+    cache.append((x, None, None))
+    drive = _drive(x, params[-1], lif)
+    values = np.empty_like(drive)
+    v = np.zeros_like(drive[:, 0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(spec.timesteps):
+            v = values[:, t] = v * lif.leak + drive[:, t]
+    if not np.all(np.isfinite(values)):
+        raise NonFiniteError("non-finite membrane potentials in the output layer")
+    return values, cache
+
+
+def lif_backward(spec: NetworkSpec, params, cache, dv: np.ndarray) -> list[np.ndarray]:
+    """Gradient of a loss by every weight, from ``dv``, the loss's gradient
+    by the (batch, T, classes) output potentials of the ``lif_unroll`` call
+    that returned ``cache``."""
+    lif = spec.lif
+    grads = []  # output layer first
+    g = dv  # gradient by the current layer's value: spikes, or potentials
+    for i in reversed(range(len(params))):
+        x, charged, spikes = cache[i]
+        batch, steps, fan_in = x.shape
+        # d(loss)/d(charged potential), latest step first; the stored
+        # potential carries leak * that back into the step before, through
+        # the (1 - s) reset factor of a spiking layer.
+        if spikes is None:
+            direct, keep = g, None
+        else:
+            direct, keep = surrogate_factor(charged, lif) * g, 1.0 - spikes
+        g_charged = np.empty_like(direct)
+        carry = np.zeros_like(direct[:, 0])
+        for t in reversed(range(steps)):
+            gc = direct[:, t] + (carry if keep is None else carry * keep[:, t])
+            g_charged[:, t] = gc
+            carry = lif.leak * gc
+        g_current = (g_charged * (1.0 / lif.tau_m)).reshape(batch * steps, -1)
+        grads.append(x.reshape(batch * steps, fan_in).T @ g_current)
+        if i:
+            g = (g_current @ params[i].T).reshape(x.shape)
+    return grads[::-1]
 
 
 # -- per-op reference and its gradient check ---------------------------------------
@@ -368,22 +368,20 @@ def _random_lif_case(rng: np.random.Generator):
 
 
 def gradcheck_lif(seed: int = 0, cases: int = 100, tol: float = 1e-12) -> LifGradCheckReport:
-    """Fused ``lif_unroll`` against ``lif_unroll_reference`` on random networks.
+    """``lif_unroll``/``lif_backward`` vs ``lif_unroll_reference`` on random networks.
 
     Each case draws 1-3 hidden layers, T in {1, 2, 10}, a zero or nonzero
     reset potential and a membrane time constant, then compares the output
-    potentials, every weight gradient and the input gradient of a random
-    linear readout of the outputs.
+    potentials and every weight gradient of a random linear readout of the
+    outputs, which is the ``dv`` handed to ``lif_backward``.
     """
     rng = np.random.default_rng(seed)
     worst, in_band, count = 0.0, 0, 0
     for _ in range(cases):
         spec, w_vals, inputs, readout = _random_lif_case(rng)
 
-        weights = [Tensor(w) for w in w_vals]
-        x = Tensor(inputs)
-        outs = lif_unroll(spec, weights, x)
-        sum_all(mul(Tensor(readout), outs.v)).backward()
+        values, cache = lif_unroll(spec, w_vals, inputs)
+        grads = lif_backward(spec, w_vals, cache, readout)
 
         ref_weights = [Tensor(w) for w in w_vals]
         ref_x = [Tensor(inputs[:, t]) for t in range(spec.timesteps)]
@@ -393,14 +391,11 @@ def gradcheck_lif(seed: int = 0, cases: int = 100, tol: float = 1e-12) -> LifGra
             total = add(total, sum_all(mul(Tensor(readout[:, t]), ref_out[t])))
         total.backward()
 
-        pairs = [(outs.values(), np.stack([v.data for v in ref_out], axis=1))]
-        pairs += [(w.grad, r.grad) for w, r in zip(weights, ref_weights)]
-        pairs.append((x.grad, np.stack([r.grad for r in ref_x], axis=1)))
+        pairs = [(values, np.stack([v.data for v in ref_out], axis=1))]
+        pairs += [(g, r.grad) for g, r in zip(grads, ref_weights)]
         worst = max([worst] + [_norm_rel_err(got, want) for got, want in pairs])
 
-        signal = inputs
-        for w in w_vals[:-1]:
-            charged, signal = _charge_fire(_drive(signal, w, spec.lif), spec.lif)
+        for _, charged, _ in cache[:-1]:
             in_band += np.count_nonzero(surrogate_factor(charged, spec.lif))
             count += charged.size
     return LifGradCheckReport(

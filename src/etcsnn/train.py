@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .autodiff import NonFiniteError, Tensor, add, mul, log_softmax, scale, sum_all
+from .autodiff import NonFiniteError
 from .data import (
     Split,
     SynthSpec,
@@ -30,16 +30,9 @@ from .data import (
     load_synth_dataset,
     synth_generate,
 )
-from .losses import (
-    EtcConfig,
-    TimestepOutputs,
-    ce_mean_loss,
-    etc_loss,
-    kl_metric_values,
-    _softmax_np,
-)
+from .losses import LOSS_MODES, EtcConfig, kl_metric_values, objective, _softmax_np
 from .optim import OptimState, adamw_step, cosine_lr
-from .snn import LifParams, NetworkSpec, init_weights, lif_unroll
+from .snn import LifParams, NetworkSpec, init_weights, lif_backward, lif_unroll
 
 __all__ = [
     "ConfigError",
@@ -80,7 +73,6 @@ class TrainingError(RuntimeError):
     """Run-time failure inside a training run, with epoch/batch context."""
 
 
-LOSS_MODES = ("ce_only", "ce_plus_etc", "per_timestep_ce")
 DATA_KINDS = ("synth", "file", "idx", "events")
 
 _STREAM_SHUFFLE = 101
@@ -553,9 +545,15 @@ def load_checkpoint(path) -> Checkpoint:
         off += n
         return chunk
 
+    def take_text(n: int, what: str) -> str:
+        try:
+            return take(n).decode()
+        except UnicodeDecodeError:
+            raise CheckpointError(f"{path}: {what} is not UTF-8") from None
+
     def read_tensor(expect_name: str) -> np.ndarray:
         (name_len,) = struct.unpack("<I", take(4))
-        name = take(name_len).decode()
+        name = take_text(name_len, "a tensor name")
         if name != expect_name:
             raise CheckpointShapeError(
                 f"{path}: expected tensor {expect_name!r}, found {name!r}"
@@ -572,7 +570,7 @@ def load_checkpoint(path) -> Checkpoint:
             f"{path}: checkpoint version {version}, expected {_CKPT_VERSION}"
         )
     (text_len,) = struct.unpack("<Q", take(8))
-    config_text = take(text_len).decode()
+    config_text = take_text(text_len, "the embedded config")
     try:
         config = run_config_from_text(config_text)
     except ConfigError as exc:
@@ -632,27 +630,6 @@ class TrainResult:
     ckpt_path: Path
     metrics_path: Path
     records: list[EpochMetrics]
-
-
-def _batch_loss(
-    outputs: TimestepOutputs, labels_1h: np.ndarray, cfg: RunConfig
-) -> tuple[Tensor, float, float]:
-    """Total loss tensor plus (ce, etc) scalar components for logging."""
-    if cfg.loss_mode == "per_timestep_ce":
-        y = Tensor(np.repeat(labels_1h[:, None, :], outputs.steps, axis=1))
-        picked = sum_all(mul(y, log_softmax(outputs.v, 1.0)))
-        total = scale(picked, -1.0 / (outputs.batch * outputs.steps))
-        return total, total.item(), 0.0
-    ce = ce_mean_loss(outputs, labels_1h)
-    if (
-        cfg.loss_mode == "ce_only"
-        or cfg.etc.lam == 0.0
-        or outputs.steps < 2
-    ):
-        return ce, ce.item(), 0.0
-    etc = etc_loss(outputs, cfg.etc)
-    total = add(ce, scale(etc, cfg.etc.lam * cfg.etc.tau**2))
-    return total, ce.item(), etc.item()
 
 
 def _log_history(path: Path, header: str, start_epoch: int) -> list[str]:
@@ -733,14 +710,11 @@ def train(cfg: RunConfig, out_dir, resume_from=None) -> TrainResult:
             for batch_no, b0 in enumerate(range(0, n_train, cfg.batch_size)):
                 sel = order[b0 : b0 + cfg.batch_size]
                 try:
-                    weights = [Tensor(p) for p in params]
-                    outs = lif_unroll(spec, weights, x_train[sel])
-                    total, ce_val, etc_val = _batch_loss(outs, labels_1h[sel], cfg)
-                    grad_map = total.backward()
-                    grads = [
-                        grad_map.get(w, np.zeros_like(p))
-                        for w, p in zip(weights, params)
-                    ]
+                    values, cache = lif_unroll(spec, params, x_train[sel])
+                    dv, total, ce_val, etc_val = objective(
+                        values, labels_1h[sel], cfg.loss_mode, cfg.etc
+                    )
+                    grads = lif_backward(spec, params, cache, dv)
                     params = adamw_step(params, grads, opt, lr_now, names=names)
                 except (NonFiniteError, ValueError) as exc:
                     raise TrainingError(
@@ -748,7 +722,7 @@ def train(cfg: RunConfig, out_dir, resume_from=None) -> TrainResult:
                     ) from exc
                 ce_sum += ce_val * len(sel)
                 etc_sum += etc_val * len(sel)
-                total_sum += total.item() * len(sel)
+                total_sum += total * len(sel)
             done = epoch + 1
             ckpt = Checkpoint(cfg, config_text, done, params, opt)
             try:
@@ -788,32 +762,19 @@ def train(cfg: RunConfig, out_dir, resume_from=None) -> TrainResult:
 # The network is causal, so its first k potentials are those of a k-step run.
 
 
-def _forward_values(
-    spec: NetworkSpec,
-    params: list[np.ndarray],
-    inputs: np.ndarray,
-    batch_size: int,
-) -> np.ndarray:
-    """Output potentials (N, T, C) for a whole split, batched."""
-    chunks = []
-    for b0 in range(0, inputs.shape[0], batch_size):
-        weights = [Tensor(p) for p in params]
-        outs = lif_unroll(spec, weights, inputs[b0 : b0 + batch_size])
-        chunks.append(outs.values())
-    return np.concatenate(chunks, axis=0)
-
-
 def _ckpt_forward(
     ckpt: Checkpoint, split: Split, steps: int, readout: np.ndarray | None = None
 ) -> np.ndarray:
     """Output potentials (N, steps, C) over the first ``steps`` input slices
-    of ``split``, with the output weights replaced by ``readout`` if given.
-    The one place a split is checked against a checkpoint (ValueError)."""
+    of ``split``, batched, with the output weights replaced by ``readout`` if
+    given.  The one place a split is checked against a checkpoint (ValueError)."""
     dims = ckpt.params[0].shape[0], ckpt.params[-1].shape[-1]
     _check_split(split, *dims, steps)
     params = ckpt.params if readout is None else [*ckpt.params[:-1], readout]
     spec = replace(_network_spec(ckpt.config, dims[0], params[-1].shape[-1]), timesteps=steps)
-    return _forward_values(spec, params, split.inputs[:, :steps], ckpt.config.batch_size)
+    inputs, size = split.inputs[:, :steps], ckpt.config.batch_size
+    starts = range(0, len(split), size)
+    return np.concatenate([lif_unroll(spec, params, inputs[b : b + size])[0] for b in starts])
 
 
 def _prefix_accuracy(values: np.ndarray, labels: np.ndarray, k: int) -> float:

@@ -8,11 +8,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from etcsnn import autodiff as ad
-from oracles import fd_gradient, norm_rel_err
+from oracles import fd_gradient, norm_rel_err, softmax_row
 
 
 def leaf(values):
     return ad.Tensor(np.asarray(values, dtype=np.float64))
+
+
+def softmax(values, tau=1.0):
+    """Tempered softmax read off the tape's log-softmax."""
+    return np.exp(ad.log_softmax(leaf(values), tau=tau).data)
 
 
 def test_matmul_example():
@@ -24,7 +29,7 @@ def test_matmul_example():
 def test_sum_and_mean_values():
     x = leaf([1.0, 2.0, 3.0])
     assert ad.sum_all(x).item() == 6.0
-    assert ad.mean_all(x).item() == 2.0
+    assert ad.time_mean(leaf([[[1.0], [2.0], [3.0]]])).item() == 2.0
 
 
 def test_backward_linear_chain():
@@ -55,7 +60,7 @@ def test_backward_is_repeatable():
 
 def test_backward_returns_leaf_map():
     x = leaf([1.0, 2.0])
-    y = ad.sum_all(ad.exp(x))
+    y = ad.sum_all(ad.log_softmax(x))
     grads = y.backward()
     assert set(grads) == {x}
     assert grads[x].shape == x.shape
@@ -97,25 +102,23 @@ def test_stop_gradient_leaves_other_paths_bitwise_unchanged():
 
 
 def test_softmax_temperature_example():
-    p = ad.temp_softmax(leaf([4.0, 0.0]), tau=4.0)
+    p = softmax([4.0, 0.0], tau=4.0)
     expect = [math.e / (math.e + 1.0), 1.0 / (math.e + 1.0)]
-    np.testing.assert_allclose(p.data, expect, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(p, expect, rtol=0, atol=1e-15)
 
 
 def test_softmax_uniform_on_equal_logits():
-    p = ad.temp_softmax(leaf([[1.0, 1.0, 1.0]]), tau=2.0)
-    np.testing.assert_allclose(p.data, [[1 / 3] * 3], atol=1e-15)
+    p = softmax([[1.0, 1.0, 1.0]], tau=2.0)
+    np.testing.assert_allclose(p, [[1 / 3] * 3], atol=1e-15)
 
 
 def test_softmax_rows_sum_to_one():
     rng = np.random.default_rng(0)
-    p = ad.temp_softmax(leaf(rng.normal(size=(5, 7)) * 50), tau=3.0)
-    np.testing.assert_allclose(p.data.sum(axis=1), np.ones(5), atol=1e-9)
+    p = softmax(rng.normal(size=(5, 7)) * 50, tau=3.0)
+    np.testing.assert_allclose(p.sum(axis=1), np.ones(5), atol=1e-9)
 
 
 def test_softmax_survives_huge_logits():
-    p = ad.temp_softmax(leaf([1000.0, 0.0]), tau=1.0)
-    assert np.all(np.isfinite(p.data))
     ls = ad.log_softmax(leaf([1000.0, 0.0]), tau=1.0)
     assert np.all(np.isfinite(ls.data))
 
@@ -127,9 +130,9 @@ def test_softmax_survives_huge_logits():
     st.floats(0.25, 8.0),
 )
 def test_softmax_shift_invariance(row, c, tau):
-    base = ad.temp_softmax(leaf(row), tau=tau)
-    shifted = ad.temp_softmax(leaf([v + c for v in row]), tau=tau)
-    assert np.max(np.abs(base.data - shifted.data)) <= 1e-12
+    base = softmax(row, tau=tau)
+    shifted = softmax([v + c for v in row], tau=tau)
+    assert np.max(np.abs(base - shifted)) <= 1e-12
 
 
 def test_rank3_softmax_matches_per_step_rows():
@@ -139,7 +142,7 @@ def test_rank3_softmax_matches_per_step_rows():
     for t in range(4):
         assert np.array_equal(stacked.data[:, t], ad.log_softmax(leaf(z[:, t]), tau=1.5).data)
     with pytest.raises(ad.ShapeMismatchError, match="rank"):
-        ad.temp_softmax(leaf(np.zeros((1, 2, 3, 4))))
+        ad.log_softmax(leaf(np.zeros((1, 2, 3, 4))))
 
 
 def test_time_mean_example_and_shape_policing():
@@ -156,8 +159,8 @@ def test_log_softmax_matches_log_of_softmax():
     rng = np.random.default_rng(1)
     z = rng.normal(size=(4, 5)) * 3
     ls = ad.log_softmax(leaf(z), tau=2.5)
-    p = ad.temp_softmax(leaf(z), tau=2.5)
-    np.testing.assert_allclose(np.exp(ls.data), p.data, rtol=1e-12)
+    p = [softmax_row(row, tau=2.5) for row in z]
+    np.testing.assert_allclose(np.exp(ls.data), p, rtol=1e-12)
 
 
 def test_cross_entropy_toy_gradient():
@@ -193,13 +196,12 @@ def test_finite_differences_every_smooth_op():
     """
     rng = np.random.default_rng(42)
     cases = 0
-    for _ in range(12):
+    for _ in range(13):
         n = int(rng.integers(2, 5))
         m = int(rng.integers(2, 4))
         v = rng.normal(size=(n, m))
         w = rng.normal(size=(n, m))
         k = rng.normal(size=(m, n))
-        pos = rng.uniform(0.5, 3.0, size=(n, m))
         tau = float(rng.uniform(0.5, 6.0))
         c = float(rng.normal())
         const = ad.Tensor(w)
@@ -209,18 +211,13 @@ def test_finite_differences_every_smooth_op():
         _fd_check(lambda x: ad.sum_all(ad.mul(x, const)), v)
         _fd_check(lambda x: ad.sum_all(ad.scale(x, c)), v)
         _fd_check(lambda x: ad.sum_all(ad.matmul(x, ad.Tensor(k))), v)
-        _fd_check(lambda x: ad.mean_all(ad.mul(x, x)), v)
-        _fd_check(lambda x: ad.sum_all(ad.mul(ad.log(x), const)), pos)
-        _fd_check(lambda x: ad.sum_all(ad.mul(ad.exp(x), const)), v)
-        _fd_check(lambda x: ad.sum_all(ad.mul(ad.temp_softmax(x, tau), const)), v)
         _fd_check(lambda x: ad.sum_all(ad.mul(ad.log_softmax(x, tau), const)), v)
-        # rank-3 (batch, T, classes) stacks: softmax on the last axis, time mean
+        # rank-3 (batch, T, classes) stacks: log-softmax on the last axis, time mean
         v3 = rng.normal(size=(n, 3, m))
         const3 = ad.Tensor(rng.normal(size=(n, 3, m)))
-        _fd_check(lambda x: ad.sum_all(ad.mul(ad.temp_softmax(x, tau), const3)), v3)
         _fd_check(lambda x: ad.sum_all(ad.mul(ad.log_softmax(x, tau), const3)), v3)
         _fd_check(lambda x: ad.sum_all(ad.mul(ad.time_mean(x), const)), v3)
-        cases += 13
+        cases += 8
     assert cases >= 100
 
 
@@ -229,7 +226,7 @@ def test_forward_and_backward_are_deterministic():
         rng = np.random.default_rng(7)
         x = leaf(rng.normal(size=(6, 4)))
         w = leaf(rng.normal(size=(4, 3)))
-        out = ad.sum_all(ad.temp_softmax(ad.matmul(x, w), tau=2.0))
+        out = ad.sum_all(ad.log_softmax(ad.matmul(x, w), tau=2.0))
         out.backward()
         return out.data.copy(), x.grad.copy(), w.grad.copy()
 
@@ -267,11 +264,12 @@ def test_shape_mismatch_names_the_op():
         ad.matmul(leaf([[1.0, 2.0]]), leaf([[1.0, 2.0]]))
 
 
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
 def test_non_finite_forward_raises():
-    with pytest.raises(ad.NonFiniteError, match="log"):
-        ad.log(leaf([1.0, -1.0]))
-    with pytest.raises(ad.NonFiniteError, match="exp"):
-        ad.exp(leaf([1000.0]))
+    with pytest.raises(ad.NonFiniteError, match="mul"):
+        ad.mul(leaf([1.0, 1e200]), leaf([1.0, 1e200]))
+    with pytest.raises(ad.NonFiniteError, match="scale"):
+        ad.scale(leaf([1e308]), 10.0)
     with pytest.raises(ad.NonFiniteError):
         leaf([np.nan])
 
@@ -284,6 +282,6 @@ def test_backward_requires_scalar_root():
 
 def test_softmax_rejects_bad_tau():
     with pytest.raises(ValueError, match="tau"):
-        ad.temp_softmax(leaf([1.0, 2.0]), tau=0.0)
+        ad.log_softmax(leaf([1.0, 2.0]), tau=0.0)
     with pytest.raises(ValueError, match="tau"):
         ad.log_softmax(leaf([1.0, 2.0]), tau=-1.0)

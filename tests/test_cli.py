@@ -100,6 +100,32 @@ def test_corrupt_checkpoint_exits_2(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+def test_checkpoint_with_non_utf8_config_exits_2(trained_run, tmp_path, capsys):
+    blob = bytearray((trained_run / "ckpt_final.bin").read_bytes())
+    blob[20] = 0xFF  # first byte of the embedded config text
+    bad = tmp_path / "bad.bin"
+    bad.write_bytes(bytes(blob))
+    capsys.readouterr()
+    code = run_cli(["eval", "--ckpt", str(bad)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(bad) in err and len(err.splitlines()) == 1
+
+
+def test_dump_with_non_utf8_spec_exits_2(tmp_path, capsys):
+    dump = tmp_path / "d2.bin"
+    assert run_cli(["synth", "--out", str(dump), "--spec", "samples_per_class=5"]) == 0
+    blob = bytearray(dump.read_bytes())
+    blob[18] = 0xFF  # inside the spec text
+    dump.write_bytes(bytes(blob))
+    capsys.readouterr()
+    code = run_cli(["train", "--data", str(dump), "--out", str(tmp_path / "run")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(dump) in err and len(err.splitlines()) == 1
+    assert not (tmp_path / "run").exists()
+
+
 def test_dump_with_a_nan_is_one_error_line(tmp_path, capsys):
     dump = tmp_path / "d.bin"
     assert run_cli(["synth", "--out", str(dump), "--spec", "samples_per_class=5"]) == 0
@@ -267,6 +293,8 @@ def test_gradcheck_passes_and_prints_errors(capsys):
     assert "ce_mean max_rel_err=" in out
     assert "consistency max_rel_err=" in out
     assert "fd_max_rel_err=" in out
+    assert "per_timestep_ce max_rel_err=" in out
+    assert "objective max_rel_err=" in out
     assert "lif max_rel_err=" in out and "tol=1e-12" in out
     assert "PASS" in out
 

@@ -248,6 +248,18 @@ def test_dump_truncated(tmp_path):
         load_synth_dataset(tmp_path / "fat.bin")
 
 
+@pytest.mark.parametrize("old,new", [(b"c", b"\xff"), (b"classes=2", b"classes=x"),
+                                     (b"classes=2", b"classes=1")])
+def test_dump_bad_spec_text(tmp_path, old, new):
+    """Non-UTF-8, unparsable or invalid spec text makes a corrupt dump."""
+    spec = SynthSpec(classes=2, input_dim=4, timesteps=2, samples_per_class=5)
+    p = tmp_path / "d.bin"
+    save_synth_dataset(p, spec, *synth_generate(spec))
+    p.write_bytes(p.read_bytes().replace(old, new, 1))
+    with pytest.raises(DatasetDumpError, match=r"d\.bin: bad spec text"):
+        load_synth_dataset(p)
+
+
 # -- IDX loading -------------------------------------------------------------------
 
 

@@ -10,16 +10,21 @@ from hypothesis.extra.numpy import arrays
 
 from etcsnn import autodiff as ad
 from etcsnn.losses import (
+    LOSS_MODES,
     EtcConfig,
     TimestepOutputs,
+    _softmax_np,
+    _tape_objective,
     ce_mean_loss,
     etc_loss,
     gradcheck_ce,
     gradcheck_etc,
+    gradcheck_per_timestep_ce,
     gradcheck_suite,
     kl_metric_values,
+    objective,
+    per_timestep_ce_loss,
 )
-from etcsnn.train import RunConfig, _batch_loss
 from oracles import (
     ce_mean_reference,
     etc_loss_reference,
@@ -27,6 +32,7 @@ from oracles import (
     mean_entropy_reference,
     norm_rel_err,
     random_loss_instance,
+    softmax_row,
 )
 
 
@@ -89,19 +95,25 @@ def test_timestep_outputs_validation():
 # -- per-timestep tempered probabilities ---------------------------------------
 
 
+# ``_softmax_np(values / tau)`` gives the consistency term's frozen targets.
+
+
 def test_per_timestep_probs_rows_sum_to_one():
     rng = np.random.default_rng(4)
-    outs = outputs_from(rng.normal(size=(3, 4, 5)) * 10)
-    p = ad.temp_softmax(outs.v, tau=4.0)
+    values = rng.normal(size=(3, 4, 5)) * 10
+    p = _softmax_np(values / 4.0)
     assert p.shape == (3, 4, 5)
-    np.testing.assert_allclose(p.data.sum(axis=-1), np.ones((3, 4)), atol=1e-9)
+    np.testing.assert_allclose(p.sum(axis=-1), np.ones((3, 4)), atol=1e-9)
+    for b in range(3):
+        for t in range(4):
+            np.testing.assert_allclose(p[b, t], softmax_row(values[b, t], 4.0), rtol=1e-12)
 
 
 def test_per_timestep_probs_temperature_example():
-    outs = outputs_from(np.array([4.0, 0.0]).reshape(1, 1, 2))
-    p = ad.temp_softmax(outs.v, tau=4.0)
+    values = np.array([4.0, 0.0]).reshape(1, 1, 2)
+    p = _softmax_np(values / 4.0)
     np.testing.assert_allclose(
-        p.data[:, 0], [[math.e / (math.e + 1.0), 1.0 / (math.e + 1.0)]], atol=1e-15
+        p[:, 0], [[math.e / (math.e + 1.0), 1.0 / (math.e + 1.0)]], atol=1e-15
     )
 
 
@@ -217,36 +229,95 @@ def test_etc_loss_equals_kl_plus_mean_entropy():
         assert loss >= mean_entropy_reference(values, tau) - 1e-12
 
 
-# -- the training objective (train._batch_loss) --------------------------------
+# -- the training objective (losses.objective) ------------------------------------
+
+
+def _tape(values, labels, mode, cfg):
+    """The objective built from the tape losses: (V.grad, total, ce, etc)."""
+    outs = outputs_from(values)
+    total, ce, etc = _tape_objective(outs, labels, mode, cfg)
+    total.backward()
+    return outs.v.grad, total.item(), ce, etc
 
 
 def test_batch_loss_recomposes():
     rng = np.random.default_rng(12)
     values, labels = random_loss_instance(rng)
     cfg = EtcConfig(tau=4.0, lam=1.0)
-    total, ce_val, etc_val = _batch_loss(outputs_from(values), labels, RunConfig(etc=cfg))
+    dv, total, ce_val, etc_val = objective(values, labels, "ce_plus_etc", cfg)
     ce = ce_mean_loss(outputs_from(values), labels).item()
     etc = etc_loss(outputs_from(values), cfg).item()
     assert (ce_val, etc_val) == (ce, etc)
-    assert abs(total.item() - (ce + cfg.lam * cfg.tau**2 * etc)) < 1e-12
+    assert abs(total - (ce + cfg.lam * cfg.tau**2 * etc)) < 1e-12
+    assert np.array_equal(dv, _tape(values, labels, "ce_plus_etc", cfg)[0])
 
 
 def test_batch_loss_lambda_zero_is_ce_bitwise():
     rng = np.random.default_rng(14)
     values, labels = random_loss_instance(rng)
-    cfg = RunConfig(etc=EtcConfig(tau=4.0, lam=0.0))
-    total, _, etc_val = _batch_loss(outputs_from(values), labels, cfg)
+    cfg = EtcConfig(tau=4.0, lam=0.0)
+    dv, total, _, etc_val = objective(values, labels, "ce_plus_etc", cfg)
     ce = ce_mean_loss(outputs_from(values), labels).item()
-    assert total.item() == ce and etc_val == 0.0
+    assert total == ce and etc_val == 0.0
+    assert np.array_equal(dv, objective(values, labels, "ce_only", cfg)[0])
 
 
 def test_batch_loss_single_step_is_ce_bitwise():
     rng = np.random.default_rng(16)
     values = rng.normal(size=(3, 1, 4))
     labels = onehot([0, 1, 2], 4)
-    total, _, etc_val = _batch_loss(outputs_from(values), labels, RunConfig())
+    dv, total, _, etc_val = objective(values, labels, "ce_plus_etc", EtcConfig())
     ce = ce_mean_loss(outputs_from(values), labels).item()
-    assert total.item() == ce and etc_val == 0.0
+    assert total == ce and etc_val == 0.0
+    assert np.array_equal(dv, objective(values, labels, "ce_only", EtcConfig())[0])
+
+
+@pytest.mark.parametrize("mode", LOSS_MODES)
+def test_objective_equals_tape_bitwise(mode):
+    """Same ops in the same order as the tape: gradient and logged losses
+    agree bit for bit, T=1 and lam=0 included."""
+    rng = np.random.default_rng(26)
+    for i in range(30):
+        values, labels = random_loss_instance(rng)
+        if i % 5 == 0:
+            values = values[:, :1]
+        cfg = EtcConfig(tau=float(rng.uniform(0.5, 8.0)), lam=float(rng.uniform(0.0, 4.0)))
+        if i % 7 == 0:
+            cfg = EtcConfig(tau=cfg.tau, lam=0.0)
+        dv, *logged = objective(values, labels, mode, cfg)
+        want_dv, *want = _tape(values, labels, mode, cfg)
+        assert np.array_equal(dv, want_dv)
+        assert logged == want
+
+
+def test_objective_rejects_a_non_finite_loss():
+    values = np.full((2, 3, 2), 1e308)  # the time mean overflows
+    values[:, :, 1] = 0.0
+    with pytest.raises(ad.NonFiniteError, match="loss"):
+        with np.errstate(over="ignore", invalid="ignore"):
+            objective(values, onehot([0, 1], 2), "ce_only", EtcConfig())
+
+
+def test_per_timestep_ce_matches_bruteforce():
+    rng = np.random.default_rng(28)
+    for _ in range(20):
+        values, labels = random_loss_instance(rng)
+        got = per_timestep_ce_loss(outputs_from(values), labels).item()
+        batch, steps, _ = values.shape
+        want = sum(
+            -math.log(softmax_row(values[b, t])[int(np.argmax(labels[b]))])
+            for b in range(batch)
+            for t in range(steps)
+        ) / (batch * steps)
+        assert abs(got - want) < 1e-10
+
+
+def test_gradcheck_per_timestep_ce_random_instances():
+    rng = np.random.default_rng(30)
+    for _ in range(30):
+        values, labels = random_loss_instance(rng)
+        report = gradcheck_per_timestep_ce(outputs_from(values), labels)
+        assert report.passed, report
 
 
 def test_etc_config_validation():
@@ -324,3 +395,5 @@ def test_gradcheck_suite_passes():
     report = gradcheck_suite(seed=0, cases=25)
     assert report.passed, report
     assert report.cases == 25
+    assert report.ptce_max_rel_err < 1e-10
+    assert report.objective_max_rel_err <= 1e-12

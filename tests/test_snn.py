@@ -1,5 +1,5 @@
 """LIF dynamics: spike/surrogate exactness, step traces, unroll behavior,
-and the fused multi-step layers against the per-op reference."""
+and the numpy network pass against the per-op reference."""
 
 import numpy as np
 import pytest
@@ -14,6 +14,7 @@ from etcsnn.snn import (
     gradcheck_lif,
     init_weights,
     initial_state,
+    lif_backward,
     lif_step,
     lif_unroll,
     lif_unroll_reference,
@@ -154,11 +155,10 @@ def test_unroll_hand_trace_identity_weights():
     """
     spec = _spec()
     eye = np.eye(2)
-    weights = [ad.Tensor(eye), ad.Tensor(eye)]
     inputs = np.ones((1, 2, 2))
-    outs = lif_unroll(spec, weights, inputs)
-    np.testing.assert_array_equal(outs.values()[:, 0], [[0.5, 0.5]])
-    np.testing.assert_array_equal(outs.values()[:, 1], [[0.75, 0.75]])
+    values, _ = lif_unroll(spec, [eye, eye], inputs)
+    np.testing.assert_array_equal(values[:, 0], [[0.5, 0.5]])
+    np.testing.assert_array_equal(values[:, 1], [[0.75, 0.75]])
 
     # independent scalar re-execution of the recurrence
     v_h = 0.0
@@ -168,35 +168,35 @@ def test_unroll_hand_trace_identity_weights():
         s = 1.0 if v_h >= 0.5 else 0.0
         v_h = v_h * (1.0 - s)
         v_o = 0.5 * v_o + 0.5 * s
-        assert outs.values()[0, t, 0] == v_o
+        assert values[0, t, 0] == v_o
 
 
 def test_unroll_silent_hidden_layer_gives_zero_logits():
     spec = _spec(steps=4)
-    weights = [ad.Tensor(np.eye(2) * 0.1), ad.Tensor(np.eye(2))]
+    weights = [np.eye(2) * 0.1, np.eye(2)]
     inputs = np.full((3, 4, 2), 0.2)  # charged potential never reaches 0.5
-    outs = lif_unroll(spec, weights, inputs)
-    np.testing.assert_array_equal(outs.values(), np.zeros((3, 4, 2)))
+    values, _ = lif_unroll(spec, weights, inputs)
+    np.testing.assert_array_equal(values, np.zeros((3, 4, 2)))
 
 
 def test_unroll_zero_weights_give_zero_logits():
     spec = _spec(sizes=(3, 5, 2), steps=3)
-    weights = [ad.Tensor(np.zeros((3, 5))), ad.Tensor(np.zeros((5, 2)))]
-    outs = lif_unroll(spec, weights, np.random.default_rng(0).normal(size=(2, 3, 3)))
-    np.testing.assert_array_equal(outs.values(), np.zeros((2, 3, 2)))
+    weights = [np.zeros((3, 5)), np.zeros((5, 2))]
+    values, _ = lif_unroll(spec, weights, np.random.default_rng(0).normal(size=(2, 3, 3)))
+    np.testing.assert_array_equal(values, np.zeros((2, 3, 2)))
 
 
 def test_gradients_vanish_outside_surrogate_support():
     """Potentials pushed strictly below v_th - 1/a => all weight grads exactly 0."""
     spec = _spec(sizes=(3, 4, 2), steps=3)
     rng = np.random.default_rng(5)
-    w1 = ad.Tensor(rng.uniform(0.1, 0.5, size=(3, 4)))  # positive weights
-    w2 = ad.Tensor(rng.normal(size=(4, 2)))
+    w1 = rng.uniform(0.1, 0.5, size=(3, 4))  # positive weights
+    w2 = rng.normal(size=(4, 2))
     inputs = -np.ones((2, 3, 3))  # negative currents keep v < 0 < v_th - 1/a
-    outs = lif_unroll(spec, [w1, w2], inputs)
-    ad.sum_all(outs.v).backward()
-    assert np.array_equal(w1.grad, np.zeros((3, 4)))
-    assert np.array_equal(w2.grad, np.zeros((4, 2)))
+    values, cache = lif_unroll(spec, [w1, w2], inputs)
+    g1, g2 = lif_backward(spec, [w1, w2], cache, np.ones_like(values))  # d sum(V)
+    assert np.array_equal(g1, np.zeros((3, 4)))
+    assert np.array_equal(g2, np.zeros((4, 2)))
 
 
 def _per_step(x):
@@ -208,7 +208,7 @@ def _reference_mean(spec, weights, x, spike=None):
     acc = outs[0]
     for v in outs[1:]:
         acc = ad.add(acc, v)
-    return ad.mean_all(acc)
+    return ad.scale(ad.sum_all(acc), 1.0 / acc.data.size)
 
 
 def test_identity_spike_hook_makes_network_linear():
@@ -272,16 +272,16 @@ def test_network_spec_validation():
 
 def test_unroll_shape_policing():
     spec = _spec(sizes=(3, 4, 2), steps=2)
-    weights = [ad.Tensor(np.zeros((3, 4))), ad.Tensor(np.zeros((4, 2)))]
+    weights = [np.zeros((3, 4)), np.zeros((4, 2))]
     with pytest.raises(ad.ShapeMismatchError, match="timesteps"):
         lif_unroll(spec, weights, np.zeros((1, 5, 3)))
     with pytest.raises(ad.ShapeMismatchError, match="dim"):
         lif_unroll(spec, weights, np.zeros((1, 2, 7)))
     with pytest.raises(ad.ShapeMismatchError, match="weight"):
-        lif_unroll(spec, [weights[0], ad.Tensor(np.zeros((5, 2)))], np.zeros((1, 2, 3)))
+        lif_unroll(spec, [weights[0], np.zeros((5, 2))], np.zeros((1, 2, 3)))
 
 
-# -- fused layers vs the per-op reference ----------------------------------------
+# -- the numpy pass vs the per-op reference ----------------------------------------
 
 
 def test_gradcheck_lif_matches_reference():
@@ -298,27 +298,53 @@ def test_fused_values_bitwise_equal_reference(v_reset):
     rng = np.random.default_rng(17)
     weights = init_weights(spec, seed=3)
     x = rng.uniform(0.0, 1.5, size=(8, 10, 16))
-    fused = lif_unroll(spec, weights, x).values()
+    values, cache = lif_unroll(spec, [w.data for w in weights], x)
     ref = lif_unroll_reference(spec, weights, _per_step(x))
-    assert np.array_equal(fused, np.stack([v.data for v in ref], axis=1))
+    assert np.array_equal(values, np.stack([v.data for v in ref], axis=1))
+    # the cache holds each layer's input, and the hidden layers' spikes feed the next
+    assert cache[0][0] is x and cache[-1][1:] == (None, None)
+    for below, above in zip(cache, cache[1:]):
+        assert above[0] is below[2]
 
 
-def test_unroll_builds_one_node_per_layer():
-    spec = _spec(sizes=(3, 4, 5, 2), steps=6)
-    weights = init_weights(spec, seed=0)
-    outs = lif_unroll(spec, weights, np.ones((2, 6, 3)))
-    assert outs.v.op == "lif-integrator"
-    hidden = outs.v.parents[0]
-    assert hidden.op == "lif-layer" and hidden.parents[0].op == "lif-layer"
-    assert hidden.parents[0].parents == (weights[0],)  # array inputs are no node
+def test_backward_matches_reference_on_a_fixed_network():
+    """Weight gradients of a random readout, two hidden layers and a nonzero
+    reset: numpy BPTT vs the per-op tape, which sums each weight gradient
+    over the steps in another order."""
+    spec = _spec(sizes=(5, 6, 4, 3), steps=7, lif=LifParams(v_reset=0.1))
+    rng = np.random.default_rng(19)
+    params = [
+        rng.normal(0.5, 1.0, size=(a, b)) / np.sqrt(a) for a, b in ((5, 6), (6, 4), (4, 3))
+    ]
+    x = rng.uniform(0.0, 2.0, size=(3, 7, 5))
+    dv = rng.normal(size=(3, 7, 3))
+    values, cache = lif_unroll(spec, params, x)
+    grads = lif_backward(spec, params, cache, dv)
+    weights = [ad.Tensor(w) for w in params]
+    outs = lif_unroll_reference(spec, weights, _per_step(x))
+    total = ad.sum_all(ad.mul(ad.Tensor(dv[:, 0]), outs[0]))
+    for t in range(1, 7):
+        total = ad.add(total, ad.sum_all(ad.mul(ad.Tensor(dv[:, t]), outs[t])))
+    total.backward()
+    assert [g.shape for g in grads] == [w.shape for w in params]
+    assert all(np.any(g != 0.0) for g in grads)
+    for g, w in zip(grads, weights):
+        assert norm_rel_err(g, w.grad) <= 1e-12
 
 
 @pytest.mark.parametrize("scale_of", ["inputs", "weights"])
 def test_unroll_overflowing_potential_raises(scale_of):
-    """An overflowed membrane potential still yields 0/1 spikes; the fused
-    node must catch it instead of passing finite spikes upward."""
+    """An overflowed membrane potential still yields 0/1 spikes; the
+    forward must catch it instead of passing finite spikes upward."""
     spec = _spec(sizes=(3, 4, 2), steps=3)
     w = np.full((3, 4), 1e308 if scale_of == "weights" else 1.0)
     x = np.full((2, 3, 3), 1e308 if scale_of == "inputs" else 1.0)
     with pytest.raises(ad.NonFiniteError, match="membrane"):
-        lif_unroll(spec, [ad.Tensor(w), ad.Tensor(np.ones((4, 2)))], x)
+        lif_unroll(spec, [w, np.ones((4, 2))], x)
+
+
+def test_unroll_overflowing_output_potential_raises():
+    """Finite spikes through huge output weights overflow the output layer."""
+    spec = _spec(sizes=(3, 4, 2), steps=3)
+    with pytest.raises(ad.NonFiniteError, match="output layer"):
+        lif_unroll(spec, [np.ones((3, 4)), np.full((4, 2), 1e308)], np.ones((2, 3, 3)))

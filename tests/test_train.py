@@ -6,6 +6,7 @@ the sub-minute range while still exercising the full loop: shuffling,
 AdamW updates, metric logging, checkpoint writes, and resume.
 """
 
+import hashlib
 import json
 import struct
 from pathlib import Path
@@ -17,9 +18,10 @@ from etcsnn import train as train_module
 from etcsnn.autodiff import Tensor, mul, sum_all
 from etcsnn.data import Split, SynthSpec, save_synth_dataset, synth_generate
 from etcsnn.optim import OptimState
-from etcsnn.snn import NetworkSpec, lif_unroll
+from etcsnn.snn import NetworkSpec, lif_unroll, lif_unroll_reference
 from etcsnn.train import (
     Checkpoint,
+    CheckpointError,
     CheckpointMagicError,
     CheckpointShapeError,
     CheckpointTruncatedError,
@@ -239,6 +241,38 @@ def test_per_timestep_ce_mode_trains(tmp_path):
     assert all(rec.loss_etc == 0.0 for rec in result.records)
 
 
+# sha256 of metrics.jsonl and ckpt_final.bin of a 2-epoch default-network run
+# on 10 samples per class (x86-64, numpy 2.4).  The tape-built training step
+# wrote these bytes; the numpy step reproduces them bit for bit.
+GOLDEN_RUNS = {
+    "ce_only": (
+        "8e414b0c6ffc555eefeeae5fe376dfb5ccb7fd0d2a0faf01e4fa7c4b2410f25f",
+        "b568890549d810cc3afef7f768354089159b9fa650a4d6046578d864266af07d",
+    ),
+    "ce_plus_etc": (
+        "ec0f153244c6dd9f1cf4dbe828a4eba225b072d8bfadcc6fd7e40c72feaf2e82",
+        "96d3f94ff617d6632bbc1c47219951f4579d8a7f6ec266d7ee0aca9f2a046529",
+    ),
+    "per_timestep_ce": (
+        "23dfe4541f2ffe91b951bfde3e7f3d8bc3b1841e598b9d2fd23763d3aa5267b0",
+        "da9d22533b5973c1edc99d43f4a3ddb3bfe8f88c0e0a10b0d23be014637bdbb8",
+    ),
+}
+
+
+@pytest.mark.parametrize("mode", sorted(GOLDEN_RUNS))
+def test_training_outputs_match_golden_hashes(tmp_path, mode):
+    cfg = build_run_config({
+        "train.loss_mode": mode, "train.epochs": "2", "data.samples_per_class": "10",
+    })
+    result = train(cfg, tmp_path / "run")
+    got = tuple(
+        hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in (result.metrics_path, result.ckpt_path)
+    )
+    assert got == GOLDEN_RUNS[mode]
+
+
 def test_overflowing_potential_is_a_training_error(tmp_path, monkeypatch):
     """Inputs of 1e308 through all-positive weights overflow the first
     layer's charged potential while its spikes stay 0/1; the run must stop
@@ -418,6 +452,18 @@ def test_checkpoint_trailing_bytes(trained, tmp_path):
         load_checkpoint(bad)
 
 
+# the config text's first key; the length prefix and name of tensor w0
+@pytest.mark.parametrize("marker,skip", [(b"data.kind=", 0), (b"\x02\x00\x00\x00w0", 4)])
+def test_checkpoint_non_utf8_text_is_a_checkpoint_error(trained, tmp_path, marker, skip):
+    """A bad byte in the embedded config or in a tensor name names the file."""
+    blob = bytearray(trained.ckpt_path.read_bytes())
+    blob[blob.index(marker) + skip] = 0xFF
+    bad = tmp_path / "bad.bin"
+    bad.write_bytes(bytes(blob))
+    with pytest.raises(CheckpointError, match=r"bad\.bin: .*not UTF-8"):
+        load_checkpoint(bad)
+
+
 def test_checkpoint_layer_count_mismatch(trained, tmp_path):
     from etcsnn.optim import OptimState
 
@@ -547,7 +593,7 @@ def resimulated_accuracy(ckpt, samples, k):
     inputs, labels = samples.inputs[:, :k], samples.labels
     spec, size = _ckpt_spec(ckpt, k), ckpt.config.batch_size
     values = np.concatenate([
-        lif_unroll(spec, [Tensor(p) for p in ckpt.params], inputs[b0 : b0 + size]).values()
+        lif_unroll(spec, ckpt.params, inputs[b0 : b0 + size])[0]
         for b0 in range(0, len(samples), size)
     ])
     pred = np.argmax(values.sum(axis=1) / k, axis=1)
@@ -574,17 +620,15 @@ def test_single_forward_eval_equals_resimulation(tmp_path, hidden, steps):
 
 
 def tape_output_weight_grads(ckpt, samples, coeff):
-    """Reference probe: one tape backward per step t of sum(coeff * v_t),
-    reading the output-weight gradient."""
+    """Reference probe: one backward of sum(coeff * v_t) per step t through
+    the per-op tape network, reading the output-weight gradient."""
     steps = ckpt.config.timesteps
-    inputs = samples.inputs
+    inputs = [Tensor(samples.inputs[:, t]) for t in range(steps)]
     grads = []
     for t in range(steps):
         weights = [Tensor(p) for p in ckpt.params]
-        outs = lif_unroll(_ckpt_spec(ckpt, steps), weights, inputs)
-        step_coeff = np.zeros_like(outs.values())
-        step_coeff[:, t] = coeff
-        grad_map = sum_all(mul(Tensor(step_coeff), outs.v)).backward()
+        outs = lif_unroll_reference(_ckpt_spec(ckpt, steps), weights, inputs)
+        grad_map = sum_all(mul(Tensor(coeff), outs[t])).backward()
         grads.append(grad_map.get(weights[-1], np.zeros_like(ckpt.params[-1])))
     return np.stack(grads)
 
@@ -637,10 +681,7 @@ def test_consistency_cosine_matches_tape_probe(trained):
     ck = trained.checkpoint
     samples = load_dataset(ck.config).test
     steps = ck.config.timesteps
-    values = lif_unroll(
-        _ckpt_spec(ck, steps), [Tensor(p) for p in ck.params],
-        samples.inputs,
-    ).values()
+    values, _ = lif_unroll(_ckpt_spec(ck, steps), ck.params, samples.inputs)
     y = np.eye(2)[samples.labels]
     p = np.exp(values.mean(axis=1))
     coeff = (p / p.sum(axis=1, keepdims=True) - y) / (len(samples) * steps)
