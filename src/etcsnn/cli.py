@@ -75,8 +75,19 @@ def _read_config_file(path: str) -> dict[str, str]:
         raise ConfigError(f"{path} {exc}") from None
 
 
+def _sample_count(text: str) -> int:
+    """A --samples value: an integer of at least 1."""
+    try:
+        if (value := int(text)) >= 1:
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+
+
 def _gather_mapping(args) -> dict[str, str]:
-    """Config file, then --data shorthand, then --set overrides (last wins)."""
+    """Config file, then --data shorthand, then synth's --spec fields, then
+    --set overrides (last wins)."""
     mapping: dict[str, str] = {}
     if getattr(args, "config", None):
         mapping.update(_read_config_file(args.config))
@@ -86,9 +97,10 @@ def _gather_mapping(args) -> dict[str, str]:
             raise _UsageError(f"dataset not found: {args.data}")
         mapping["data.kind"] = "file"
         mapping["data.file"] = str(data_path)
-    for item in getattr(args, "set", None) or []:
-        key, value = _parse_assignment(item)
-        mapping[key] = value
+    for flag, aliases in (("spec", _SYNTH_KEY_ALIASES), ("set", {})):
+        for item in getattr(args, flag, None) or []:
+            key, value = _parse_assignment(item)
+            mapping[aliases.get(key, key)] = value
     return mapping
 
 
@@ -117,20 +129,7 @@ def _eval_dataset(ckpt, args):
 
 
 def _cmd_synth(args) -> int:
-    mapping = {}
-    for item in args.spec or []:
-        key, value = _parse_assignment(item)
-        mapping[_SYNTH_KEY_ALIASES.get(key, key)] = value
-    for item in args.set or []:
-        key, value = _parse_assignment(item)
-        mapping[key] = value
-    if getattr(args, "config", None):
-        file_map = _read_config_file(args.config)
-        file_map.update(mapping)
-        mapping = file_map
-    cfg = build_run_config(mapping)
-
-    spec = synth_spec(cfg)
+    spec = synth_spec(build_run_config(_gather_mapping(args)))
     train_split, test_split = synth_generate(spec)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -264,13 +263,13 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("dump-dist", help="per-timestep distribution CSV")
     p.add_argument("--ckpt", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--samples", type=int, help="limit to first N test samples")
+    p.add_argument("--samples", type=_sample_count, help="limit to first N test samples")
     add_config_flags(p)
     p.set_defaults(fn=_cmd_dump_dist)
 
     p = sub.add_parser("consistency", help="temporal-consistency report")
     p.add_argument("--ckpt", required=True)
-    p.add_argument("--samples", type=int, help="limit to first N test samples")
+    p.add_argument("--samples", type=_sample_count, help="limit to first N test samples")
     add_config_flags(p)
     p.set_defaults(fn=_cmd_consistency)
 

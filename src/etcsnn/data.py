@@ -17,7 +17,7 @@ index)`` so generation is order-independent and bit-reproducible.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -185,33 +185,24 @@ def synth_generate(spec: SynthSpec) -> tuple[Split, Split]:
 
 _DUMP_MAGIC = b"ETCSYND1"
 
-_SPEC_FIELDS = (
-    "classes",
-    "input_dim",
-    "timesteps",
-    "drift_strength",
-    "noise_sigma",
-    "samples_per_class",
-    "seed",
-)
-
 
 def _spec_text(spec: SynthSpec) -> str:
-    return "".join(f"{k}={getattr(spec, k)!r}\n" for k in _SPEC_FIELDS)
+    return "".join(f"{f.name}={getattr(spec, f.name)!r}\n" for f in fields(spec))
 
 
 def _spec_from_text(text: str) -> SynthSpec:
-    fields = {}
+    # each field's value is parsed as the type of its default
+    casts = {f.name: type(f.default) for f in fields(SynthSpec)}
+    values = {}
     for line in text.splitlines():
         key, _, raw = line.partition("=")
-        if key not in _SPEC_FIELDS:
-            raise DatasetDumpError(f"unknown spec field {key!r} in dump")
-        caster = float if key in ("drift_strength", "noise_sigma") else int
-        fields[key] = caster(raw)
-    missing = [k for k in _SPEC_FIELDS if k not in fields]
+        if key not in casts:
+            raise ValueError(f"unknown spec field {key!r}")
+        values[key] = casts[key](raw)
+    missing = [k for k in casts if k not in values]
     if missing:
-        raise DatasetDumpError(f"dump spec missing fields {missing}")
-    return SynthSpec(**fields)
+        raise ValueError(f"missing fields {missing}")
+    return SynthSpec(**values)
 
 
 def _record_dtype(spec: SynthSpec) -> np.dtype:

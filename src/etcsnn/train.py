@@ -14,9 +14,10 @@ pair (seed, epochs completed) and checkpoint resume is exact by construction.
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -209,20 +210,34 @@ def _parse_value(key: str, kind: str, text: str):
     try:
         if kind == _INT:
             return int(text)
-        if kind == _FLOAT:
-            return float(text)
         if kind == _INTS:
-            if text.strip() == "":
-                return ()
-            return tuple(int(p) for p in text.split(","))
-        return text
+            return tuple(int(p) for p in text.split(",")) if text.strip() else ()
+        if kind != _FLOAT:
+            return text
+        value = float(text)
     except ValueError:
         raise ConfigError(f"config key {key}: cannot parse {text!r} as {kind}") from None
+    if not math.isfinite(value):
+        raise ConfigError(f"config key {key}: {text!r} is not a finite number")
+    return value
 
 
 def _require(cond: bool, key: str, message: str) -> None:
     if not cond:
         raise ConfigError(f"config key {key}: {message}")
+
+
+def _overlay(obj, values: dict, prefix: tuple[str, ...] = ()):
+    """``obj`` with the field at each attribute path in ``values`` replaced;
+    nested dataclasses are rebuilt, so every ``__post_init__`` runs again."""
+    changes = {}
+    for f in fields(obj):
+        path = (*prefix, f.name)
+        if path in values:
+            changes[f.name] = values[path]
+        elif is_dataclass(sub := getattr(obj, f.name)):
+            changes[f.name] = _overlay(sub, values, path)
+    return replace(obj, **changes)
 
 
 def build_run_config(mapping: dict[str, str]) -> RunConfig:
@@ -231,8 +246,8 @@ def build_run_config(mapping: dict[str, str]) -> RunConfig:
     if unknown:
         raise ConfigError(f"unknown config key {unknown[0]!r}")
     base = dict(config_to_items(default_config()))
-    # the eval list defaults to "all of 1..T", which must track whatever
-    # timesteps value this mapping settles on -- keep the sentinel unresolved
+    # an empty eval list is resolved to "all of 1..T" by RunConfig, so it
+    # tracks whatever timesteps value this mapping settles on
     base["eval.timesteps"] = ""
     base.update(mapping)
     val = {
@@ -265,54 +280,13 @@ def build_run_config(mapping: dict[str, str]) -> RunConfig:
     _require(val["train.loss_mode"] in LOSS_MODES, "train.loss_mode",
              f"must be one of {LOSS_MODES}")
     _require(val["train.save_interval"] >= 0, "train.save_interval", "must be >= 0")
-    evals = val["eval.timesteps"]
-    if not evals:
-        evals = tuple(range(1, val["network.timesteps"] + 1))
+    cfg = _overlay(default_config(), {path: val[key] for key, _, path in _CONFIG_TABLE})
     _require(
-        all(1 <= t <= val["network.timesteps"] for t in evals),
+        all(1 <= t <= cfg.timesteps for t in cfg.eval_timesteps),
         "eval.timesteps",
-        f"entries must lie in [1, {val['network.timesteps']}]",
+        f"entries must lie in [1, {cfg.timesteps}]",
     )
-
-    return RunConfig(
-        data=DataSpec(
-            kind=val["data.kind"],
-            classes=val["data.classes"],
-            dim=val["data.dim"],
-            drift_strength=val["data.drift_strength"],
-            noise_sigma=val["data.noise_sigma"],
-            samples_per_class=val["data.samples_per_class"],
-            seed=val["data.seed"],
-            file=val["data.file"],
-            images=val["data.images"],
-            labels=val["data.labels"],
-            test_images=val["data.test_images"],
-            test_labels=val["data.test_labels"],
-            events_dir=val["data.events_dir"],
-            width=val["data.width"],
-            height=val["data.height"],
-        ),
-        hidden_sizes=hidden,
-        timesteps=val["network.timesteps"],
-        lif=LifParams(
-            tau_m=val["lif.tau_m"],
-            v_th=val["lif.v_th"],
-            v_reset=val["lif.v_reset"],
-            surrogate_a=val["lif.surrogate_a"],
-        ),
-        etc=EtcConfig(tau=val["etc.tau"], lam=val["etc.lambda"]),
-        lr_base=val["opt.lr"],
-        weight_decay=val["opt.weight_decay"],
-        beta1=val["opt.beta1"],
-        beta2=val["opt.beta2"],
-        eps=val["opt.eps"],
-        epochs=val["train.epochs"],
-        batch_size=val["train.batch_size"],
-        seed=val["train.seed"],
-        loss_mode=val["train.loss_mode"],
-        save_interval=val["train.save_interval"],
-        eval_timesteps=evals,
-    )
+    return cfg
 
 
 def parse_config_lines(text: str) -> dict[str, str]:
@@ -439,21 +413,7 @@ class EpochMetrics:
     argmax_flip_rate: float
 
     def json_line(self) -> str:
-        return json.dumps(
-            {
-                "epoch": self.epoch,
-                "lr": float(self.lr),
-                "loss_ce": float(self.loss_ce),
-                "loss_etc": float(self.loss_etc),
-                "loss_total": float(self.loss_total),
-                "test_acc_full_T": float(self.test_acc_full_T),
-                "test_acc_per_eval_T": {
-                    k: float(v) for k, v in self.test_acc_per_eval_T.items()
-                },
-                "mean_pairwise_kl": float(self.mean_pairwise_kl),
-                "argmax_flip_rate": float(self.argmax_flip_rate),
-            }
-        )
+        return json.dumps(asdict(self))
 
 
 def config_header_line(cfg: RunConfig) -> str:
@@ -464,6 +424,9 @@ def config_header_line(cfg: RunConfig) -> str:
 
 _CKPT_MAGIC = b"ETCCKPT1"
 _CKPT_VERSION = 1
+# the optimizer block's hyper-parameters, in file order; each is a field of
+# both RunConfig and OptimState
+_OPT_HYPERS = ("lr_base", "weight_decay", "beta1", "beta2", "eps")
 
 
 class CheckpointError(Exception):
@@ -521,7 +484,7 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
             for i, p in enumerate(ckpt.params):
                 _write_tensor(fh, f"w{i}", p)
             opt = ckpt.opt
-            hyper = opt.lr_base, opt.weight_decay, opt.beta1, opt.beta2, opt.eps
+            hyper = (getattr(opt, name) for name in _OPT_HYPERS)
             fh.write(struct.pack("<Q5d", opt.step, *hyper))
             for i, (m, v) in enumerate(zip(opt.m, opt.v)):
                 _write_tensor(fh, f"m{i}", m)
@@ -579,7 +542,7 @@ def load_checkpoint(path) -> Checkpoint:
     (n_params,) = struct.unpack("<I", take(4))
     params = [read_tensor(f"w{i}") for i in range(n_params)]
     (step,) = struct.unpack("<Q", take(8))
-    lr_base, wd, beta1, beta2, eps = struct.unpack("<5d", take(40))
+    hyper = dict(zip(_OPT_HYPERS, struct.unpack("<5d", take(40))))
     m, v = [], []
     for i in range(n_params):
         m.append(read_tensor(f"m{i}"))
@@ -612,10 +575,14 @@ def load_checkpoint(path) -> Checkpoint:
                 f"{config.data.classes}"
             )
 
-    opt = OptimState(
-        step=step, m=m, v=v, lr_base=lr_base, weight_decay=wd,
-        beta1=beta1, beta2=beta2, eps=eps,
-    )
+    for name, value in hyper.items():
+        if value != getattr(config, name):
+            raise CheckpointError(
+                f"{path}: optimizer {name} {value!r} does not match the embedded "
+                f"config's {getattr(config, name)!r}"
+            )
+
+    opt = OptimState(step=step, m=m, v=v, **hyper)
     return Checkpoint(
         config=config, config_text=config_text, epoch=epoch, params=params, opt=opt
     )
@@ -685,14 +652,7 @@ def train(cfg: RunConfig, out_dir, resume_from=None) -> TrainResult:
         )
     else:
         params = [w.data for w in init_weights(spec, cfg.seed)]
-        opt = OptimState.fresh(
-            params,
-            lr_base=cfg.lr_base,
-            weight_decay=cfg.weight_decay,
-            beta1=cfg.beta1,
-            beta2=cfg.beta2,
-            eps=cfg.eps,
-        )
+        opt = OptimState.fresh(params, **{name: getattr(cfg, name) for name in _OPT_HYPERS})
         start_epoch = 0
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -815,12 +775,7 @@ class ConsistencyReport:
     samples: int
 
     def to_dict(self) -> dict:
-        return {
-            "mean_pairwise_kl": float(self.mean_pairwise_kl),
-            "argmax_flip_rate": float(self.argmax_flip_rate),
-            "grad_cosine_mean": float(self.grad_cosine_mean),
-            "samples": self.samples,
-        }
+        return asdict(self)
 
 
 _GRAD_BATCH = 64  # samples in the gradient-direction probe

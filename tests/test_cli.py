@@ -151,6 +151,50 @@ def test_divergent_training_exits_2(tmp_path, tiny_cfg, capsys):
     assert err.startswith("error:") and "epoch 0" in err
 
 
+@pytest.mark.parametrize("item", ["opt.lr=inf", "data.noise_sigma=inf", "lif.tau_m=nan"])
+def test_non_finite_config_float_is_one_error_line(tmp_path, capsys, item):
+    code = run_cli(["train", "--set", item, "--out", str(tmp_path / "run")])
+    assert code == 1
+    err = capsys.readouterr().err
+    key = item.partition("=")[0]
+    assert err.startswith(f"error: config key {key}: ") and len(err.splitlines()) == 1
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("samples", ["0", "-3"])
+@pytest.mark.parametrize("command", ["consistency", "dump-dist"])
+def test_samples_below_one_is_a_usage_error(trained_run, tmp_path, capsys, command, samples):
+    out = tmp_path / "dist.csv"
+    argv = [command, "--ckpt", str(trained_run / "ckpt_final.bin"), "--samples", samples]
+    if command == "dump-dist":
+        argv += ["--out", str(out)]
+    capsys.readouterr()
+    assert run_cli(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: argument --samples: ")
+    assert len(captured.err.splitlines()) == 1 and captured.out == ""
+    assert not out.exists()
+
+
+def test_resume_from_checkpoint_with_altered_optimizer_block_exits_2(
+    trained_run, tiny_cfg, tmp_path, capsys
+):
+    ckpt = trained_run / "ckpt_final.bin"
+    blob = bytearray(ckpt.read_bytes())
+    # the top byte of beta1 in the optimizer block (step, lr, wd, beta1, ...)
+    beta1 = blob.index(struct.pack("<3d", 0.01, 0.0001, 0.9)) + 2 * 8
+    blob[beta1 + 7] ^= 0xFF
+    bad = tmp_path / "bad.bin"
+    bad.write_bytes(bytes(blob))
+    capsys.readouterr()
+    code = run_cli([
+        "train", "--config", str(tiny_cfg), "--out", str(trained_run), "--resume", str(bad),
+    ])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: optimizer beta1 ") and len(err.splitlines()) == 1
+
+
 # -- synth + train + eval happy paths ---------------------------------------------
 
 
@@ -170,6 +214,22 @@ def test_synth_writes_loadable_dataset(tmp_path, capsys):
     spec, train_split, test_split = load_synth_dataset(out)
     assert spec.classes == 2 and spec.seed == 5
     assert len(train_split) == 16 and len(test_split) == 4
+
+
+def test_synth_precedence_is_file_then_spec_then_set(tmp_path):
+    cfg = tmp_path / "synth.cfg"
+    cfg.write_text("data.classes=3\ndata.dim=8\ndata.samples_per_class=4\n"
+                   "network.timesteps=2\ndata.seed=1\n")
+    out = tmp_path / "d.bin"
+    assert run_cli([
+        "synth", "--out", str(out), "--config", str(cfg),
+        "--set", "data.seed=3", "--spec", "seed=2", "--spec", "classes=2",
+    ]) == 0
+    from etcsnn.data import load_synth_dataset
+
+    spec = load_synth_dataset(out)[0]
+    assert (spec.classes, spec.seed) == (2, 3)  # --spec beats the file, --set beats --spec
+    assert (spec.input_dim, spec.timesteps, spec.samples_per_class) == (8, 2, 4)
 
 
 def test_train_writes_artifacts(trained_run, capsys):

@@ -3,6 +3,7 @@ binning."""
 
 import hashlib
 import struct
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from etcsnn.data import (
 )
 from etcsnn.cli import run_cli
 from etcsnn.data import _STREAM_NOISE, _class_bases, _nuisance_directions
+from etcsnn.data import _spec_from_text, _spec_text
 from etcsnn.train import ConfigError, build_run_config, load_dataset
 
 SMALL = SynthSpec(classes=3, input_dim=8, timesteps=4, samples_per_class=10, seed=7)
@@ -249,15 +251,31 @@ def test_dump_truncated(tmp_path):
 
 
 @pytest.mark.parametrize("old,new", [(b"c", b"\xff"), (b"classes=2", b"classes=x"),
-                                     (b"classes=2", b"classes=1")])
+                                     (b"classes=2", b"classes=1"), (b"seed=", b"sead=")])
 def test_dump_bad_spec_text(tmp_path, old, new):
-    """Non-UTF-8, unparsable or invalid spec text makes a corrupt dump."""
+    """Non-UTF-8, unparsable, invalid or unknown spec text makes a corrupt dump."""
     spec = SynthSpec(classes=2, input_dim=4, timesteps=2, samples_per_class=5)
     p = tmp_path / "d.bin"
     save_synth_dataset(p, spec, *synth_generate(spec))
     p.write_bytes(p.read_bytes().replace(old, new, 1))
     with pytest.raises(DatasetDumpError, match=r"d\.bin: bad spec text"):
         load_synth_dataset(p)
+
+
+def test_spec_text_names_every_field_and_casts_to_its_default_type():
+    spec = SynthSpec(classes=3, input_dim=5, timesteps=2, drift_strength=1.5,
+                     noise_sigma=0.25, samples_per_class=4, seed=7)
+    text = _spec_text(spec)
+    assert [ln.partition("=")[0] for ln in text.splitlines()] == [
+        f.name for f in fields(SynthSpec)
+    ]
+    assert _spec_from_text(text) == spec
+    integral = _spec_from_text(text.replace("drift_strength=1.5", "drift_strength=2"))
+    assert type(integral.drift_strength) is float and integral.drift_strength == 2.0
+    with pytest.raises(ValueError, match="unknown spec field 'sead'"):
+        _spec_from_text(text.replace("seed=", "sead="))
+    with pytest.raises(ValueError, match=r"missing fields \['seed'\]"):
+        _spec_from_text(text.replace("seed=7\n", ""))
 
 
 # -- IDX loading -------------------------------------------------------------------

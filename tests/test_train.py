@@ -8,7 +8,9 @@ AdamW updates, metric logging, checkpoint writes, and resume.
 
 import hashlib
 import json
+import re
 import struct
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -34,6 +36,7 @@ from etcsnn.train import (
     consistency_report,
     default_config,
     dump_distributions,
+    parse_config_lines,
     eval_per_timestep,
     load_checkpoint,
     load_dataset,
@@ -135,6 +138,88 @@ def test_eval_timesteps_explicit_and_bounded():
     assert cfg.eval_timesteps == (1, 3, 6)
     with pytest.raises(ConfigError, match=r"eval\.timesteps"):
         build_run_config({"network.timesteps": "4", "eval.timesteps": "5"})
+
+
+_FLOAT_KEYS = [key for key, kind, _ in train_module._CONFIG_TABLE
+               if kind == train_module._FLOAT]
+
+
+@pytest.mark.parametrize("text", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("key", _FLOAT_KEYS)
+def test_non_finite_float_names_its_key(key, text):
+    with pytest.raises(ConfigError, match=rf"config key {re.escape(key)}: .*not a finite"):
+        build_run_config({key: text})
+
+
+# a valid value other than the default for every row of the config table,
+# written as config_to_items echoes it
+NON_DEFAULT = {
+    "data.kind": "idx",
+    "data.classes": "3",
+    "data.dim": "65",
+    "data.drift_strength": "2.5",
+    "data.noise_sigma": "0.25",
+    "data.samples_per_class": "7",
+    "data.seed": "9",
+    "data.file": "d.bin",
+    "data.images": "img.idx",
+    "data.labels": "lbl.idx",
+    "data.test_images": "timg.idx",
+    "data.test_labels": "tlbl.idx",
+    "data.events_dir": "events",
+    "data.width": "5",
+    "data.height": "6",
+    "network.hidden_sizes": "16,8",
+    "network.timesteps": "4",
+    "lif.tau_m": "3.5",
+    "lif.v_th": "0.75",
+    "lif.v_reset": "0.125",
+    "lif.surrogate_a": "1.5",
+    "etc.tau": "2.0",
+    "etc.lambda": "0.5",
+    "opt.lr": "0.02",
+    "opt.weight_decay": "0.001",
+    "opt.beta1": "0.8",
+    "opt.beta2": "0.99",
+    "opt.eps": "1e-06",
+    "train.epochs": "7",
+    "train.batch_size": "16",
+    "train.seed": "11",
+    "train.loss_mode": "ce_only",
+    "train.save_interval": "2",
+    "eval.timesteps": "1,5",
+}
+
+
+def test_non_default_values_cover_the_table():
+    assert list(NON_DEFAULT) == [key for key, _, _ in train_module._CONFIG_TABLE]
+
+
+@pytest.mark.parametrize(
+    "key,kind,path", train_module._CONFIG_TABLE, ids=[r[0] for r in train_module._CONFIG_TABLE]
+)
+def test_each_table_row_lands_at_its_path_and_echoes(key, kind, path):
+    """A value set under one key reaches that row's attribute and no other."""
+    cfg = build_run_config({key: NON_DEFAULT[key]})
+    landed, default = cfg, default_config()
+    for name in path:
+        landed, default = getattr(landed, name), getattr(default, name)
+    assert landed == train_module._parse_value(key, kind, NON_DEFAULT[key]) != default
+    items = dict(config_to_items(cfg))
+    assert items[key] == NON_DEFAULT[key]
+    defaults = dict(config_to_items(default_config()))
+    changed = {k for k, v in items.items() if v != defaults[k]}
+    # the default eval list is every step, so it follows network.timesteps
+    assert changed == ({key, "eval.timesteps"} if key == "network.timesteps" else {key})
+
+
+def test_readme_config_block_parses():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    (block,) = re.findall(r"```ini\n(.*?)```", readme, flags=re.S)
+    cfg = run_config_from_text(block)
+    assert cfg.loss_mode == "ce_plus_etc" and cfg.epochs == 40 and cfg.lr_base == 0.01
+    items = dict(config_to_items(cfg))
+    assert all(items[k] == v for k, v in parse_config_lines(block).items())
 
 
 def test_config_text_comments_and_blanks():
@@ -485,6 +570,16 @@ def test_checkpoint_layer_count_mismatch(trained, tmp_path):
     bad = tmp_path / "bad.bin"
     save_checkpoint(hacked, bad)
     with pytest.raises(CheckpointShapeError, match="1 weight tensors for 2 layers"):
+        load_checkpoint(bad)
+
+
+@pytest.mark.parametrize("name", ["lr_base", "weight_decay", "beta1", "beta2", "eps"])
+def test_checkpoint_optimizer_block_must_match_config(trained, tmp_path, name):
+    ck = load_checkpoint(trained.ckpt_path)
+    opt = replace(ck.opt, **{name: getattr(ck.opt, name) * 2})
+    bad = tmp_path / "bad.bin"
+    save_checkpoint(replace(ck, opt=opt), bad)
+    with pytest.raises(CheckpointError, match=rf"bad\.bin: optimizer {name} "):
         load_checkpoint(bad)
 
 
