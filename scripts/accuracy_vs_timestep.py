@@ -16,7 +16,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from etcsnn.train import eval_per_timestep, load_checkpoint, load_dataset  # noqa: E402
+from etcsnn.train import eval_per_timestep, load_checkpoint, load_test_split  # noqa: E402
 
 
 def main() -> int:
@@ -37,13 +37,13 @@ def main() -> int:
     print(f"{'checkpoint':<40} {'eval_t':>6} {'accuracy':>9}")
     for path in args.ckpt:
         ckpt = load_checkpoint(path)
-        data = load_dataset(ckpt.config)
+        test = load_test_split(ckpt.config)
         if args.timesteps:
             budgets = [int(p) for p in args.timesteps.split(",")]
         else:
             budgets = list(range(1, ckpt.config.timesteps + 1))
         # one forward per checkpoint scores every budget
-        for k, acc in eval_per_timestep(ckpt, data.test, budgets).items():
+        for k, acc in eval_per_timestep(ckpt, test, budgets).items():
             lines.append(f"{path},{k},{acc!r}")
             print(f"{path:<40} {k:>6} {acc:>9.4f}")
     out = Path(args.out)

@@ -28,7 +28,7 @@ from .train import (
     dump_distributions,
     eval_per_timestep,
     load_checkpoint,
-    load_dataset,
+    load_test_split,
     parse_config_lines,
     synth_spec,
     train,
@@ -116,13 +116,12 @@ def _load_checkpoint_arg(path: str):
     return load_checkpoint(p)
 
 
-def _eval_dataset(ckpt, args):
-    """Dataset for analysis commands: the checkpoint's own config, with any
-    --data/--set overrides layered on top."""
+def _eval_split(ckpt, args):
+    """The test split the analysis commands score: the checkpoint's own
+    config, with any --data/--set overrides layered on top."""
     base = dict(config_to_items(ckpt.config))
     base.update(_gather_mapping(args))
-    cfg = build_run_config(base)
-    return load_dataset(cfg)
+    return load_test_split(build_run_config(base))
 
 
 # -- subcommands -----------------------------------------------------------------
@@ -160,7 +159,7 @@ def _cmd_train(args) -> int:
 
 def _cmd_eval(args) -> int:
     ckpt = _load_checkpoint_arg(args.ckpt)
-    data = _eval_dataset(ckpt, args)
+    split = _eval_split(ckpt, args)
     if args.timesteps:
         try:
             ks = [int(p) for p in args.timesteps.split(",")]
@@ -168,7 +167,7 @@ def _cmd_eval(args) -> int:
             raise _UsageError(f"cannot parse --timesteps {args.timesteps!r}") from None
     else:
         ks = list(ckpt.config.eval_timesteps)
-    accuracy = eval_per_timestep(ckpt, data.test, ks)
+    accuracy = eval_per_timestep(ckpt, split, ks)
     print(json.dumps({"checkpoint": args.ckpt, "accuracy": accuracy}))
     return 0
 
@@ -198,8 +197,7 @@ def _cmd_gradcheck(args) -> int:
 
 def _cmd_dump_dist(args) -> int:
     ckpt = _load_checkpoint_arg(args.ckpt)
-    data = _eval_dataset(ckpt, args)
-    samples = data.test[: args.samples]
+    samples = _eval_split(ckpt, args)[: args.samples]
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     dump_distributions(ckpt, samples, out)
@@ -209,8 +207,7 @@ def _cmd_dump_dist(args) -> int:
 
 def _cmd_consistency(args) -> int:
     ckpt = _load_checkpoint_arg(args.ckpt)
-    data = _eval_dataset(ckpt, args)
-    samples = data.test[: args.samples]
+    samples = _eval_split(ckpt, args)[: args.samples]
     print(json.dumps(consistency_report(ckpt, samples).to_dict()))
     return 0
 

@@ -33,12 +33,14 @@ __all__ = [
     "IdxCountMismatchError",
     "EventFormatError",
     "DatasetDumpError",
+    "synth_split",
     "synth_generate",
     "save_synth_dataset",
     "load_synth_dataset",
     "load_idx",
     "parse_event_csv",
     "bin_events",
+    "event_split",
     "load_event_dir",
 ]
 
@@ -121,6 +123,12 @@ class SynthSpec:
     def __post_init__(self):
         if self.classes < 2:
             raise ValueError(f"classes must be >= 2, got {self.classes}")
+        if self.classes % 5 == 0:
+            # every 5th sample is held out, so its label would always be 4 mod 5
+            raise ValueError(
+                f"classes must not be a multiple of 5, got {self.classes}: "
+                "the test split would hold only classes 4 mod 5"
+            )
         if self.input_dim < self.classes:
             raise ValueError(
                 f"input_dim {self.input_dim} must be >= classes {self.classes}"
@@ -148,12 +156,12 @@ def _nuisance_directions(spec: SynthSpec) -> np.ndarray:
     return u / np.linalg.norm(u, axis=1, keepdims=True)
 
 
-def synth_generate(spec: SynthSpec) -> tuple[Split, Split]:
-    """Generate the drifting-class dataset, 80/20 train/test split.
+def synth_split(spec: SynthSpec, held_out: bool) -> Split:
+    """One split of the drifting-class dataset: the held-out (test) samples
+    if ``held_out``, else the training ones.
 
-    Sample ``idx`` has label ``idx % classes``; every 5th index goes to the
-    test split, so both splits stay class-balanced whenever the total count
-    divides evenly.  Timestep t (0-based) of a class-c sample is
+    Sample ``idx`` has label ``idx % classes``; every 5th index is held out.
+    Timestep t (0-based) of a class-c sample is
 
         (1 - w_t) * base_c + w_t * nuisance_t + sigma * noise,
 
@@ -169,16 +177,19 @@ def synth_generate(spec: SynthSpec) -> tuple[Split, Split]:
         w[:, None] * _nuisance_directions(spec)
     )
     indices = np.arange(spec.classes * spec.samples_per_class)
-    splits = []
-    for members in (indices[indices % 5 != 4], indices[indices % 5 == 4]):
-        inputs = np.empty((members.size, steps, spec.input_dim))
-        labels = members % spec.classes
-        for row, idx in enumerate(members.tolist()):
-            rng = np.random.default_rng([spec.seed, _STREAM_NOISE, idx])
-            noise = rng.normal(size=(steps, spec.input_dim))
-            inputs[row] = clean[labels[row]] + spec.noise_sigma * noise
-        splits.append(Split(inputs, labels))
-    return splits[0], splits[1]
+    members = indices[(indices % 5 == 4) == held_out]
+    inputs = np.empty((members.size, steps, spec.input_dim))
+    labels = members % spec.classes
+    for row, idx in enumerate(members.tolist()):
+        rng = np.random.default_rng([spec.seed, _STREAM_NOISE, idx])
+        noise = rng.normal(size=(steps, spec.input_dim))
+        inputs[row] = clean[labels[row]] + spec.noise_sigma * noise
+    return Split(inputs, labels)
+
+
+def synth_generate(spec: SynthSpec) -> tuple[Split, Split]:
+    """The drifting-class dataset as its 80/20 train/test split."""
+    return synth_split(spec, held_out=False), synth_split(spec, held_out=True)
 
 
 # -- synthetic dataset dump ----------------------------------------------------
@@ -380,24 +391,28 @@ def bin_events(
     return counts.reshape(timesteps, 2 * height * width)
 
 
-def load_event_dir(dir_path, width: int, height: int, timesteps: int) -> tuple[Split, Split]:
-    """One subdirectory per class (sorted name order = label order), CSV files
-    inside; every 5th file of a class (sorted) lands in the test split."""
+def event_split(dir_path, width: int, height: int, timesteps: int, held_out: bool) -> Split:
+    """One split of an event directory: one subdirectory per class (sorted
+    name order = label order), CSV files inside; every 5th file of a class
+    (sorted) is held out, and only the files of the asked-for split are binned."""
     root = Path(dir_path)
     class_dirs = sorted(p for p in root.iterdir() if p.is_dir())
     if not class_dirs:
         raise EventFormatError(f"{dir_path}: no class subdirectories")
-    members: tuple[list, list] = ([], [])  # (label, file) of the train and test split
+    members = []  # (label, file) of the split
     for label, cdir in enumerate(class_dirs):
         files = sorted(cdir.glob("*.csv"))
         if not files:
             raise EventFormatError(f"{cdir}: class directory has no .csv files")
-        for fidx, fpath in enumerate(files):
-            members[fidx % 5 == 4].append((label, fpath))
-    splits = []
-    for part in members:
-        inputs = np.empty((len(part), timesteps, 2 * height * width))
-        for row, (_, fpath) in enumerate(part):
-            inputs[row] = bin_events(parse_event_csv(fpath), width, height, timesteps)
-        splits.append(Split(inputs, [label for label, _ in part]))
-    return splits[0], splits[1]
+        members += [(label, f) for fidx, f in enumerate(files) if (fidx % 5 == 4) == held_out]
+    inputs = np.empty((len(members), timesteps, 2 * height * width))
+    for row, (_, fpath) in enumerate(members):
+        inputs[row] = bin_events(parse_event_csv(fpath), width, height, timesteps)
+    return Split(inputs, [label for label, _ in members])
+
+
+def load_event_dir(dir_path, width: int, height: int, timesteps: int) -> tuple[Split, Split]:
+    """An event directory's train and test split (see ``event_split``)."""
+    return tuple(
+        event_split(dir_path, width, height, timesteps, held_out) for held_out in (False, True)
+    )

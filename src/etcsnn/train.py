@@ -5,6 +5,8 @@ and per-timestep output-distribution dumps.
 A dataset is a pair of ``data.Split``s; training indexes its batches out of
 them, and every evaluation is one batched forward over a split through
 ``_ckpt_forward``, the one place a split is checked against a checkpoint.
+``load_test_split`` builds the test split alone, for analysis that scores
+nothing else.
 
 Determinism contract: every random draw comes from a generator seeded by
 ``(train.seed, stream, index)``, so the complete RNG state of a run is the
@@ -17,6 +19,7 @@ import json
 import math
 import os
 import struct
+import zlib
 from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 
@@ -26,10 +29,12 @@ from .autodiff import NonFiniteError
 from .data import (
     Split,
     SynthSpec,
+    event_split,
     load_event_dir,
     load_idx,
     load_synth_dataset,
     synth_generate,
+    synth_split,
 )
 from .losses import LOSS_MODES, EtcConfig, kl_metric_values, objective, _softmax_np
 from .optim import OptimState, adamw_step, cosine_lr
@@ -57,6 +62,7 @@ __all__ = [
     "run_config_from_text",
     "synth_spec",
     "load_dataset",
+    "load_test_split",
     "train",
     "eval_per_timestep",
     "consistency_report",
@@ -256,6 +262,11 @@ def build_run_config(mapping: dict[str, str]) -> RunConfig:
 
     _require(val["data.kind"] in DATA_KINDS, "data.kind", f"must be one of {DATA_KINDS}")
     _require(val["data.classes"] >= 2, "data.classes", "must be >= 2")
+    _require(
+        val["data.kind"] != "synth" or val["data.classes"] % 5 != 0, "data.classes",
+        "must not be a multiple of 5 for data.kind=synth: the test split would hold "
+        "only classes 4 mod 5",
+    )
     _require(val["data.dim"] >= val["data.classes"], "data.dim", "must be >= data.classes")
     _require(val["data.drift_strength"] >= 0, "data.drift_strength", "must be >= 0")
     _require(val["data.noise_sigma"] >= 0, "data.noise_sigma", "must be >= 0")
@@ -332,6 +343,33 @@ def synth_spec(cfg: RunConfig) -> SynthSpec:
     )
 
 
+def _load_dump(cfg: RunConfig) -> tuple[SynthSpec, Split, Split]:
+    d = cfg.data
+    spec, train, test = load_synth_dataset(d.file)
+    if spec.timesteps != cfg.timesteps:
+        raise ConfigError(
+            f"config key network.timesteps: dataset {d.file} was generated "
+            f"with {spec.timesteps} timesteps, config wants {cfg.timesteps}"
+        )
+    return spec, train, test
+
+
+def _idx_splits(cfg: RunConfig, held_out: tuple[bool, ...]) -> list[Split]:
+    """The IDX splits named by ``held_out`` (False: train, True: test)."""
+    d = cfg.data
+    if d.test_images:
+        pairs = [
+            load_idx(d.test_images, d.test_labels) if held else load_idx(d.images, d.labels)
+            for held in held_out
+        ]
+    else:
+        pixels, labels = load_idx(d.images, d.labels)
+        held_rows = np.arange(labels.size) % 5 == 4
+        pairs = [(pixels[held_rows == held], labels[held_rows == held]) for held in held_out]
+    # constant coding: the same pixels as input current at every step
+    return [Split(np.repeat(x[:, None, :], cfg.timesteps, axis=1), y) for x, y in pairs]
+
+
 def load_dataset(cfg: RunConfig) -> LoadedData:
     """Materialize the configured dataset, already encoded to T timesteps."""
     d = cfg.data
@@ -339,25 +377,11 @@ def load_dataset(cfg: RunConfig) -> LoadedData:
         train, test = synth_generate(synth_spec(cfg))
         return LoadedData(train, test, d.dim, d.classes)
     if d.kind == "file":
-        spec, train, test = load_synth_dataset(d.file)
-        if spec.timesteps != cfg.timesteps:
-            raise ConfigError(
-                f"config key network.timesteps: dataset {d.file} was generated "
-                f"with {spec.timesteps} timesteps, config wants {cfg.timesteps}"
-            )
+        spec, train, test = _load_dump(cfg)
         return LoadedData(train, test, spec.input_dim, spec.classes)
     if d.kind == "idx":
-        pixels, labels = load_idx(d.images, d.labels)
-        if d.test_images:
-            parts = [(pixels, labels), load_idx(d.test_images, d.test_labels)]
-        else:
-            held = np.arange(labels.size) % 5 == 4
-            parts = [(pixels[~held], labels[~held]), (pixels[held], labels[held])]
-        # constant coding: the same pixels as input current at every step
-        train, test = (
-            Split(np.repeat(x[:, None, :], cfg.timesteps, axis=1), y) for x, y in parts
-        )
-        input_dim = pixels.shape[1]
+        train, test = _idx_splits(cfg, (False, True))
+        input_dim = train.inputs.shape[2]
     elif d.kind == "events":
         train, test = load_event_dir(d.events_dir, d.width, d.height, cfg.timesteps)
         input_dim = 2 * d.width * d.height
@@ -366,6 +390,21 @@ def load_dataset(cfg: RunConfig) -> LoadedData:
     # the labels name the classes: the largest one plus one, at least 2
     classes = max(2, *(int(s.labels.max(initial=0)) + 1 for s in (train, test)))
     return LoadedData(train, test, input_dim, classes)
+
+
+def load_test_split(cfg: RunConfig) -> Split:
+    """``load_dataset(cfg).test``, bit for bit, without building the
+    training split: what the analysis commands score."""
+    d = cfg.data
+    if d.kind == "synth":
+        return synth_split(synth_spec(cfg), held_out=True)
+    if d.kind == "file":
+        return _load_dump(cfg)[2]
+    if d.kind == "idx":
+        return _idx_splits(cfg, (True,))[0]
+    if d.kind == "events":
+        return event_split(d.events_dir, d.width, d.height, cfg.timesteps, held_out=True)
+    raise ConfigError(f"config key data.kind: unsupported kind {d.kind!r}")
 
 
 def _check_split(split: Split, input_dim: int, classes: int, steps: int) -> None:
@@ -423,7 +462,8 @@ def config_header_line(cfg: RunConfig) -> str:
 # -- checkpoints --------------------------------------------------------------------
 
 _CKPT_MAGIC = b"ETCCKPT1"
-_CKPT_VERSION = 1
+# version 2 ends in a crc32 of every byte before it; version 1 had none
+_CKPT_VERSION = 2
 # the optimizer block's hyper-parameters, in file order; each is a field of
 # both RunConfig and OptimState
 _OPT_HYPERS = ("lr_base", "weight_decay", "beta1", "beta2", "eps")
@@ -458,6 +498,17 @@ class Checkpoint:
     opt: OptimState
 
 
+class _Crc32Writer:
+    """A binary file that keeps the crc32 of every byte written to it."""
+
+    def __init__(self, fh):
+        self.fh, self.crc = fh, 0
+
+    def write(self, data: bytes) -> None:
+        self.crc = zlib.crc32(data, self.crc)
+        self.fh.write(data)
+
+
 def _write_tensor(fh, name: str, arr: np.ndarray) -> None:
     blob = name.encode()
     fh.write(struct.pack("<I", len(blob)))
@@ -473,13 +524,14 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
     try:
-        with open(tmp, "wb") as fh:
+        with open(tmp, "wb") as raw:
+            fh = _Crc32Writer(raw)
             fh.write(_CKPT_MAGIC)
             fh.write(struct.pack("<I", _CKPT_VERSION))
             text = ckpt.config_text.encode()
             fh.write(struct.pack("<Q", len(text)))
             fh.write(text)
-            fh.write(struct.pack("<QQ", ckpt.epoch, ckpt.epoch))  # epoch + rng cursor
+            fh.write(struct.pack("<Q", ckpt.epoch))
             fh.write(struct.pack("<I", len(ckpt.params)))
             for i, p in enumerate(ckpt.params):
                 _write_tensor(fh, f"w{i}", p)
@@ -489,6 +541,7 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
             for i, (m, v) in enumerate(zip(opt.m, opt.v)):
                 _write_tensor(fh, f"m{i}", m)
                 _write_tensor(fh, f"v{i}", v)
+            raw.write(struct.pack("<I", fh.crc))
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
@@ -538,7 +591,7 @@ def load_checkpoint(path) -> Checkpoint:
         config = run_config_from_text(config_text)
     except ConfigError as exc:
         raise CheckpointError(f"{path}: embedded config invalid: {exc}") from exc
-    epoch, _rng_cursor = struct.unpack("<QQ", take(16))
+    (epoch,) = struct.unpack("<Q", take(8))
     (n_params,) = struct.unpack("<I", take(4))
     params = [read_tensor(f"w{i}") for i in range(n_params)]
     (step,) = struct.unpack("<Q", take(8))
@@ -547,6 +600,7 @@ def load_checkpoint(path) -> Checkpoint:
     for i in range(n_params):
         m.append(read_tensor(f"m{i}"))
         v.append(read_tensor(f"v{i}"))
+    (crc,) = struct.unpack("<I", take(4))
     if off != len(blob):
         raise CheckpointTruncatedError(f"{path}: trailing bytes after checkpoint")
 
@@ -581,6 +635,9 @@ def load_checkpoint(path) -> Checkpoint:
                 f"{path}: optimizer {name} {value!r} does not match the embedded "
                 f"config's {getattr(config, name)!r}"
             )
+    # last, so every check above keeps its own message
+    if zlib.crc32(blob[: off - 4]) != crc:
+        raise CheckpointError(f"{path}: checksum mismatch, the checkpoint is corrupt")
 
     opt = OptimState(step=step, m=m, v=v, **hyper)
     return Checkpoint(

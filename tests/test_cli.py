@@ -12,8 +12,17 @@ import sys
 
 import pytest
 
+import etcsnn.cli
+import etcsnn.data
+import etcsnn.train
 from etcsnn.cli import run_cli
-from etcsnn.train import load_checkpoint
+from etcsnn.train import (
+    consistency_report,
+    dump_distributions,
+    eval_per_timestep,
+    load_checkpoint,
+    load_dataset,
+)
 
 TINY = """
 # tiny but real training setup
@@ -193,6 +202,46 @@ def test_resume_from_checkpoint_with_altered_optimizer_block_exits_2(
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {bad}: optimizer beta1 ") and len(err.splitlines()) == 1
+
+
+def test_eval_on_checkpoint_with_altered_weight_exits_2(trained_run, tmp_path, capsys):
+    blob = bytearray((trained_run / "ckpt_final.bin").read_bytes())
+    # the top byte of w0's first element: past its name, rank and two dims
+    first = blob.index(b"\x02\x00\x00\x00w0") + 4 + 2 + 4 + 8
+    blob[first + 7] ^= 0x40
+    bad = tmp_path / "bad.bin"
+    bad.write_bytes(bytes(blob))
+    capsys.readouterr()
+    assert run_cli(["eval", "--ckpt", str(bad), "--timesteps", "1,3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {bad}: checksum mismatch")
+    assert len(captured.err.splitlines()) == 1 and captured.out == ""
+
+
+def test_eval_on_version_1_checkpoint_exits_2(trained_run, tmp_path, capsys):
+    blob = (trained_run / "ckpt_final.bin").read_bytes()
+    (text_len,) = struct.unpack("<Q", blob[12:20])
+    epoch_end = 28 + text_len
+    # the version-1 layout: the epoch written twice, no trailing crc32
+    v1 = (blob[:8] + struct.pack("<I", 1) + blob[12:epoch_end]
+          + blob[epoch_end - 8 : epoch_end] + blob[epoch_end:-4])
+    old = tmp_path / "v1.bin"
+    old.write_bytes(v1)
+    capsys.readouterr()
+    assert run_cli(["eval", "--ckpt", str(old)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {old}: checkpoint version 1, expected 2\n"
+
+
+@pytest.mark.parametrize("classes", ["5", "10"])
+def test_synth_class_count_divisible_by_five_is_one_error_line(tmp_path, capsys, classes):
+    out = tmp_path / "d.bin"
+    code = run_cli(["synth", "--out", str(out), "--spec", f"classes={classes}",
+                    "--spec", "samples_per_class=5"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: config key data.classes: must not be a multiple of 5")
+    assert len(err.splitlines()) == 1 and not out.exists()
 
 
 # -- synth + train + eval happy paths ---------------------------------------------
@@ -412,6 +461,42 @@ def test_consistency_prints_report(trained_run, capsys):
     assert payload["samples"] == 4
     assert payload["mean_pairwise_kl"] >= 0.0
     assert -1.0 <= payload["grad_cosine_mean"] <= 1.0
+
+
+def _refuse_generation(*_args, **_kwargs):
+    raise AssertionError("the analysis commands must not build the training split")
+
+
+@pytest.mark.parametrize("samples", [None, 3])
+def test_analysis_commands_build_only_the_test_split(
+    trained_run, tmp_path, capsys, monkeypatch, samples
+):
+    """``eval``, ``consistency`` and ``dump-dist`` run with the two-split
+    generator out of reach, and print (and write) the bytes of the library
+    calls on ``load_dataset(cfg).test``."""
+    path = str(trained_run / "ckpt_final.bin")
+    ckpt = load_checkpoint(path)
+    test = load_dataset(ckpt.config).test[:samples]
+    want_eval = json.dumps({
+        "checkpoint": path, "accuracy": eval_per_timestep(ckpt, test, [1, 2, 3]),
+    })
+    want_report = json.dumps(consistency_report(ckpt, test).to_dict())
+    want_csv = tmp_path / "want.csv"
+    dump_distributions(ckpt, test, want_csv)
+
+    for module in (etcsnn.data, etcsnn.train, etcsnn.cli):
+        monkeypatch.setattr(module, "synth_generate", _refuse_generation)
+    limit = [] if samples is None else ["--samples", str(samples)]
+    got_csv = tmp_path / "got.csv"
+    capsys.readouterr()
+    if samples is None:
+        assert run_cli(["eval", "--ckpt", path, "--timesteps", "1,2,3"]) == 0
+        assert capsys.readouterr().out == want_eval + "\n"
+    assert run_cli(["consistency", "--ckpt", path, *limit]) == 0
+    assert capsys.readouterr().out == want_report + "\n"
+    assert run_cli(["dump-dist", "--ckpt", path, "--out", str(got_csv), *limit]) == 0
+    assert capsys.readouterr().out == f"wrote {got_csv} ({len(test)} samples)\n"
+    assert got_csv.read_bytes() == want_csv.read_bytes()
 
 
 # -- installed console script ----------------------------------------------------

@@ -28,7 +28,7 @@ from etcsnn.data import (
 from etcsnn.cli import run_cli
 from etcsnn.data import _STREAM_NOISE, _class_bases, _nuisance_directions
 from etcsnn.data import _spec_from_text, _spec_text
-from etcsnn.train import ConfigError, build_run_config, load_dataset
+from etcsnn.train import ConfigError, build_run_config, load_dataset, load_test_split
 
 SMALL = SynthSpec(classes=3, input_dim=8, timesteps=4, samples_per_class=10, seed=7)
 
@@ -174,6 +174,10 @@ def test_spec_validation():
         SynthSpec(drift_strength=-0.1)
     with pytest.raises(ValueError, match="timesteps"):
         SynthSpec(timesteps=0)
+    # every 5th sample is held out: the test split would hold classes 4 mod 5 only
+    for classes in (5, 10, 15):
+        with pytest.raises(ValueError, match="classes must not be a multiple of 5"):
+            SynthSpec(classes=classes, input_dim=16)
 
 
 # -- splits ------------------------------------------------------------------------
@@ -505,3 +509,83 @@ def test_load_event_dir_errors(tmp_path):
     (tmp_path / "empty_class").mkdir()
     with pytest.raises(EventFormatError, match="no .csv"):
         load_event_dir(tmp_path, 2, 2, 2)
+
+
+# -- the held-out split alone --------------------------------------------------------
+
+
+def assert_test_split_alone(cfg):
+    """``load_test_split`` returns ``load_dataset(cfg).test`` bit for bit."""
+    want = load_dataset(cfg).test
+    got = load_test_split(cfg)
+    assert np.array_equal(got.inputs, want.inputs)
+    assert np.array_equal(got.labels, want.labels)
+    assert got.inputs.tobytes() == want.inputs.tobytes()
+    assert got.inputs.shape == want.inputs.shape and got.labels.dtype == want.labels.dtype
+    return got
+
+
+@pytest.mark.parametrize("overrides", [
+    {"network.timesteps": "1", "data.samples_per_class": "4"},
+    {"data.samples_per_class": "2"},
+    {"data.samples_per_class": "1"},  # four samples, none held out
+    {"data.dim": "6", "data.classes": "3", "data.samples_per_class": "7"},
+    {"data.dim": "64", "data.samples_per_class": "7", "data.noise_sigma": "0.5"},
+])
+def test_synth_test_split_alone_matches_load_dataset(overrides):
+    assert_test_split_alone(build_run_config(overrides))
+
+
+def test_dump_test_split_alone_matches_load_dataset(tmp_path):
+    spec = SynthSpec(classes=3, input_dim=5, timesteps=2, drift_strength=1.5,
+                     noise_sigma=0.3, samples_per_class=6, seed=4)
+    dump = tmp_path / "d.bin"
+    save_synth_dataset(dump, spec, *synth_generate(spec))
+    mapping = {"data.kind": "file", "data.file": str(dump), "network.timesteps": "2"}
+    assert len(assert_test_split_alone(build_run_config(mapping))) == 3
+    mapping["network.timesteps"] = "3"
+    with pytest.raises(ConfigError, match="network.timesteps"):
+        load_test_split(build_run_config(mapping))
+
+
+def test_idx_test_split_alone_matches_load_dataset(tmp_path):
+    (tmp_path / "train").mkdir()
+    (tmp_path / "test").mkdir()
+    img, lbl = write_idx_pair(tmp_path / "train", list(range(0, 240, 10)),
+                              [0, 1, 2, 1, 0, 2], rows=2, cols=2)
+    test_img, test_lbl = write_idx_pair(tmp_path / "test", list(range(7, 87, 10)),
+                                        [2, 1], rows=2, cols=2)
+    held_out = {"data.kind": "idx", "data.images": str(img), "data.labels": str(lbl),
+                "network.timesteps": "3"}
+    assert assert_test_split_alone(build_run_config(held_out)).labels.tolist() == [0]
+    given = dict(held_out, **{"data.test_images": str(test_img),
+                              "data.test_labels": str(test_lbl)})
+    assert assert_test_split_alone(build_run_config(given)).labels.tolist() == [2, 1]
+    # with test files given, the training files are not read
+    given["data.images"] = str(tmp_path / "missing.idx")
+    assert len(load_test_split(build_run_config(given))) == 2
+
+
+def write_event_classes(root, files_per_class):
+    for c, cname in enumerate(("a_class", "b_class")):
+        (root / cname).mkdir()
+        for i in range(files_per_class):
+            write_events(root / cname / f"s{i}.csv",
+                         [(0, i % 2, c, 0), (5 + i % 4, 1, 1 - c, 1), (9, 0, 0, i % 2)])
+
+
+def test_event_test_split_alone_matches_load_dataset(tmp_path):
+    write_event_classes(tmp_path, files_per_class=11)
+    cfg = build_run_config({"data.kind": "events", "data.events_dir": str(tmp_path),
+                            "data.width": "2", "data.height": "2", "network.timesteps": "3"})
+    assert assert_test_split_alone(cfg).labels.tolist() == [0, 0, 1, 1]
+
+
+def test_event_test_split_bins_only_held_out_files(tmp_path):
+    write_event_classes(tmp_path, files_per_class=5)
+    (tmp_path / "a_class" / "s0.csv").write_text("not an event file\n")
+    cfg = build_run_config({"data.kind": "events", "data.events_dir": str(tmp_path),
+                            "data.width": "2", "data.height": "2", "network.timesteps": "2"})
+    with pytest.raises(EventFormatError, match="s0.csv"):
+        load_dataset(cfg)
+    assert load_test_split(cfg).labels.tolist() == [0, 1]

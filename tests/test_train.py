@@ -10,6 +10,7 @@ import hashlib
 import json
 import re
 import struct
+import zlib
 from dataclasses import replace
 from pathlib import Path
 
@@ -108,6 +109,7 @@ def test_unparsable_value_names_key():
     "key,value",
     [
         ("data.classes", "1"),
+        ("data.classes", "10"),  # a multiple of 5 with data.kind=synth
         ("data.dim", "1"),  # dim < classes with default classes=4
         ("data.drift_strength", "-0.5"),
         ("network.hidden_sizes", ""),
@@ -126,6 +128,11 @@ def test_unparsable_value_names_key():
 def test_constraint_violation_names_its_key(key, value):
     with pytest.raises(ConfigError, match=key.replace(".", r"\.")):
         build_run_config({key: value})
+
+
+def test_class_count_divisible_by_five_is_allowed_for_other_kinds():
+    # idx and events take their classes from the labels, not from data.classes
+    assert build_run_config({"data.classes": "5", "data.kind": "idx"}).data.classes == 5
 
 
 def test_eval_timesteps_default_tracks_timesteps_override():
@@ -328,19 +335,20 @@ def test_per_timestep_ce_mode_trains(tmp_path):
 
 # sha256 of metrics.jsonl and ckpt_final.bin of a 2-epoch default-network run
 # on 10 samples per class (x86-64, numpy 2.4).  The tape-built training step
-# wrote these bytes; the numpy step reproduces them bit for bit.
+# wrote these bytes; the numpy step reproduces them bit for bit.  The
+# checkpoint hashes are of format version 2, which ends in a crc32.
 GOLDEN_RUNS = {
     "ce_only": (
         "8e414b0c6ffc555eefeeae5fe376dfb5ccb7fd0d2a0faf01e4fa7c4b2410f25f",
-        "b568890549d810cc3afef7f768354089159b9fa650a4d6046578d864266af07d",
+        "0e80cd123129b9aecde9ab012e82fb2aafa342243ea5f99787181fbeb607acf9",
     ),
     "ce_plus_etc": (
         "ec0f153244c6dd9f1cf4dbe828a4eba225b072d8bfadcc6fd7e40c72feaf2e82",
-        "96d3f94ff617d6632bbc1c47219951f4579d8a7f6ec266d7ee0aca9f2a046529",
+        "2d9d7a4aa0c223bc1c63ccad072468072a68c94dd14669cadce1d6eb52845e99",
     ),
     "per_timestep_ce": (
         "23dfe4541f2ffe91b951bfde3e7f3d8bc3b1841e598b9d2fd23763d3aa5267b0",
-        "da9d22533b5973c1edc99d43f4a3ddb3bfe8f88c0e0a10b0d23be014637bdbb8",
+        "6731cdade354eb5d69153f6d5772a3c6af38e7a541e9696b67f35d31c0098c46",
     ),
 }
 
@@ -519,6 +527,30 @@ def test_checkpoint_bad_version(trained, tmp_path):
     bad = tmp_path / "bad.bin"
     bad.write_bytes(bytes(blob))
     with pytest.raises(CheckpointVersionError, match="version 99"):
+        load_checkpoint(bad)
+
+
+def test_checkpoint_layout_has_one_epoch_and_ends_in_a_crc32(trained):
+    blob = trained.ckpt_path.read_bytes()
+    (version, text_len) = struct.unpack("<IQ", blob[8:20])
+    epoch, n_params = struct.unpack("<QI", blob[20 + text_len : 32 + text_len])
+    assert (version, epoch, n_params) == (2, 3, 2)
+    assert blob[32 + text_len : 38 + text_len] == struct.pack("<I", 2) + b"w0"
+    assert blob[-4:] == struct.pack("<I", zlib.crc32(blob[:-4]))
+
+
+@pytest.mark.parametrize("tensor", ["w0", "w1", "m0", "v1", "crc"])
+def test_checkpoint_altered_byte_fails_the_checksum(trained, tmp_path, tensor):
+    blob = bytearray(trained.ckpt_path.read_bytes())
+    if tensor == "crc":
+        blob[-1] ^= 0x01
+    else:
+        # past the name's length prefix, the name, the rank and two dims
+        first = blob.index(struct.pack("<I", 2) + tensor.encode()) + 4 + 2 + 4 + 8
+        blob[first + 7] ^= 0x40  # top byte of the tensor's first element
+    bad = tmp_path / "bad.bin"
+    bad.write_bytes(bytes(blob))
+    with pytest.raises(CheckpointError, match=r"bad\.bin: checksum mismatch"):
         load_checkpoint(bad)
 
 
