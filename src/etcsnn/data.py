@@ -4,7 +4,9 @@ ingestion, and event-stream CSV binning.
 One format runs from every loader to the forward: a ``Split`` holds a
 split's input currents as one (N, T, dim) float64 array and its labels as
 one (N,) int64 array, checked once when it is built.  ``load_idx`` returns
-static pixels; the trainer repeats them over the time axis.
+static pixels; the trainer repeats them over the time axis.  Every kind holds
+out its test split by the one rule ``held_out``, and the split loaders build
+only the splits they are asked for.
 
 The synthetic task is the desk-scale stand-in for neuromorphic data: every
 class has a fixed unit-norm base pattern, and timestep t blends that pattern
@@ -33,14 +35,13 @@ __all__ = [
     "IdxCountMismatchError",
     "EventFormatError",
     "DatasetDumpError",
-    "synth_split",
+    "held_out",
     "synth_generate",
     "save_synth_dataset",
     "load_synth_dataset",
     "load_idx",
     "parse_event_csv",
     "bin_events",
-    "event_split",
     "load_event_dir",
 ]
 
@@ -156,12 +157,18 @@ def _nuisance_directions(spec: SynthSpec) -> np.ndarray:
     return u / np.linalg.norm(u, axis=1, keepdims=True)
 
 
-def synth_split(spec: SynthSpec, held_out: bool) -> Split:
-    """One split of the drifting-class dataset: the held-out (test) samples
-    if ``held_out``, else the training ones.
+def held_out(count: int) -> np.ndarray:
+    """The hold-out rule of every data kind: of ``count`` items in order,
+    every 5th (index 4, 9, ...) belongs to the test split."""
+    return np.arange(count) % 5 == 4
 
-    Sample ``idx`` has label ``idx % classes``; every 5th index is held out.
-    Timestep t (0-based) of a class-c sample is
+
+def synth_generate(spec: SynthSpec, splits=(False, True)) -> tuple[Split, ...]:
+    """The drifting-class dataset's splits named by ``splits`` (False: the
+    training split, True: the held-out test split), and only those.
+
+    Sample ``idx`` has label ``idx % classes``; ``held_out`` picks the test
+    samples.  Timestep t (0-based) of a class-c sample is
 
         (1 - w_t) * base_c + w_t * nuisance_t + sigma * noise,
 
@@ -177,19 +184,18 @@ def synth_split(spec: SynthSpec, held_out: bool) -> Split:
         w[:, None] * _nuisance_directions(spec)
     )
     indices = np.arange(spec.classes * spec.samples_per_class)
-    members = indices[(indices % 5 == 4) == held_out]
-    inputs = np.empty((members.size, steps, spec.input_dim))
-    labels = members % spec.classes
-    for row, idx in enumerate(members.tolist()):
-        rng = np.random.default_rng([spec.seed, _STREAM_NOISE, idx])
-        noise = rng.normal(size=(steps, spec.input_dim))
-        inputs[row] = clean[labels[row]] + spec.noise_sigma * noise
-    return Split(inputs, labels)
-
-
-def synth_generate(spec: SynthSpec) -> tuple[Split, Split]:
-    """The drifting-class dataset as its 80/20 train/test split."""
-    return synth_split(spec, held_out=False), synth_split(spec, held_out=True)
+    test = held_out(indices.size)
+    built = []
+    for want in splits:
+        members = indices[test == want]
+        inputs = np.empty((members.size, steps, spec.input_dim))
+        labels = members % spec.classes
+        for row, idx in enumerate(members.tolist()):
+            rng = np.random.default_rng([spec.seed, _STREAM_NOISE, idx])
+            noise = rng.normal(size=(steps, spec.input_dim))
+            inputs[row] = clean[labels[row]] + spec.noise_sigma * noise
+        built.append(Split(inputs, labels))
+    return tuple(built)
 
 
 # -- synthetic dataset dump ----------------------------------------------------
@@ -391,28 +397,28 @@ def bin_events(
     return counts.reshape(timesteps, 2 * height * width)
 
 
-def event_split(dir_path, width: int, height: int, timesteps: int, held_out: bool) -> Split:
-    """One split of an event directory: one subdirectory per class (sorted
-    name order = label order), CSV files inside; every 5th file of a class
-    (sorted) is held out, and only the files of the asked-for split are binned."""
+def load_event_dir(
+    dir_path, width: int, height: int, timesteps: int, splits=(False, True)
+) -> tuple[Split, ...]:
+    """The splits named by ``splits`` (False: train, True: test) of an event
+    directory: one subdirectory per class (sorted name order = label order),
+    CSV files inside; ``held_out`` picks each class's test files (sorted), and
+    only the files of the asked-for splits are binned."""
     root = Path(dir_path)
     class_dirs = sorted(p for p in root.iterdir() if p.is_dir())
     if not class_dirs:
         raise EventFormatError(f"{dir_path}: no class subdirectories")
-    members = []  # (label, file) of the split
+    files = []  # (label, path, held out) of every file
     for label, cdir in enumerate(class_dirs):
-        files = sorted(cdir.glob("*.csv"))
-        if not files:
+        paths = sorted(cdir.glob("*.csv"))
+        if not paths:
             raise EventFormatError(f"{cdir}: class directory has no .csv files")
-        members += [(label, f) for fidx, f in enumerate(files) if (fidx % 5 == 4) == held_out]
-    inputs = np.empty((len(members), timesteps, 2 * height * width))
-    for row, (_, fpath) in enumerate(members):
-        inputs[row] = bin_events(parse_event_csv(fpath), width, height, timesteps)
-    return Split(inputs, [label for label, _ in members])
-
-
-def load_event_dir(dir_path, width: int, height: int, timesteps: int) -> tuple[Split, Split]:
-    """An event directory's train and test split (see ``event_split``)."""
-    return tuple(
-        event_split(dir_path, width, height, timesteps, held_out) for held_out in (False, True)
-    )
+        files += zip([label] * len(paths), paths, held_out(len(paths)).tolist())
+    built = []
+    for want in splits:
+        members = [(label, path) for label, path, test in files if test == want]
+        inputs = np.empty((len(members), timesteps, 2 * height * width))
+        for row, (_, path) in enumerate(members):
+            inputs[row] = bin_events(parse_event_csv(path), width, height, timesteps)
+        built.append(Split(inputs, [label for label, _ in members]))
+    return tuple(built)

@@ -216,9 +216,7 @@ def kl_metric_values(values: np.ndarray, tau: float) -> float:
     batch, steps, _ = arr.shape
     if steps < 2:
         raise ValueError("pairwise KL needs at least 2 timesteps")
-    z = arr / tau
-    z = z - z.max(axis=-1, keepdims=True)
-    logp = z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
+    logp = _log_softmax_np(arr / tau)
     p = np.exp(logp)
     total = steps * np.sum(p * logp) - np.sum(p.sum(axis=1) * logp.sum(axis=1))
     return max(float(total) / (batch * steps * (steps - 1)), 0.0)

@@ -29,12 +29,11 @@ from .autodiff import NonFiniteError
 from .data import (
     Split,
     SynthSpec,
-    event_split,
+    held_out,
     load_event_dir,
     load_idx,
     load_synth_dataset,
     synth_generate,
-    synth_split,
 )
 from .losses import LOSS_MODES, EtcConfig, kl_metric_values, objective, _softmax_np
 from .optim import OptimState, adamw_step, cosine_lr
@@ -343,68 +342,57 @@ def synth_spec(cfg: RunConfig) -> SynthSpec:
     )
 
 
-def _load_dump(cfg: RunConfig) -> tuple[SynthSpec, Split, Split]:
-    d = cfg.data
-    spec, train, test = load_synth_dataset(d.file)
-    if spec.timesteps != cfg.timesteps:
-        raise ConfigError(
-            f"config key network.timesteps: dataset {d.file} was generated "
-            f"with {spec.timesteps} timesteps, config wants {cfg.timesteps}"
-        )
-    return spec, train, test
+# the data.* inputs each kind reads; an empty one is a ConfigError naming it
+_INPUT_KEYS = {"file": ("file",), "idx": ("images", "labels"), "events": ("events_dir",)}
 
 
-def _idx_splits(cfg: RunConfig, held_out: tuple[bool, ...]) -> list[Split]:
-    """The IDX splits named by ``held_out`` (False: train, True: test)."""
+def _load_splits(cfg: RunConfig, splits: tuple[bool, ...]) -> tuple[tuple[Split, ...], int]:
+    """The configured dataset's splits named by ``splits`` (False: train,
+    True: test), encoded to T timesteps and built alone, and its class count."""
     d = cfg.data
-    if d.test_images:
-        pairs = [
-            load_idx(d.test_images, d.test_labels) if held else load_idx(d.images, d.labels)
-            for held in held_out
-        ]
+    needed = _INPUT_KEYS.get(d.kind, ())
+    if d.kind == "idx" and (d.test_images or d.test_labels):
+        needed += ("test_images", "test_labels")  # a test pair or none
+    for name in needed:
+        _require(getattr(d, name) != "", f"data.{name}", f"must be set for data.kind={d.kind}")
+    if d.kind == "synth":
+        return synth_generate(synth_spec(cfg), splits), d.classes
+    if d.kind == "file":
+        spec, *dumped = load_synth_dataset(d.file)
+        if spec.timesteps != cfg.timesteps:
+            raise ConfigError(
+                f"config key network.timesteps: dataset {d.file} was generated "
+                f"with {spec.timesteps} timesteps, config wants {cfg.timesteps}"
+            )
+        return tuple(dumped[want] for want in splits), spec.classes
+    if d.kind == "idx":
+        if d.test_images:
+            files = ((d.images, d.labels), (d.test_images, d.test_labels))
+            pairs = [load_idx(*files[want]) for want in splits]
+        else:
+            pixels, labels = load_idx(d.images, d.labels)
+            test = held_out(labels.size)
+            pairs = [(pixels[test == want], labels[test == want]) for want in splits]
+        # constant coding: the same pixels as input current at every step
+        built = tuple(Split(np.repeat(x[:, None, :], cfg.timesteps, axis=1), y) for x, y in pairs)
+    elif d.kind == "events":
+        built = load_event_dir(d.events_dir, d.width, d.height, cfg.timesteps, splits)
     else:
-        pixels, labels = load_idx(d.images, d.labels)
-        held_rows = np.arange(labels.size) % 5 == 4
-        pairs = [(pixels[held_rows == held], labels[held_rows == held]) for held in held_out]
-    # constant coding: the same pixels as input current at every step
-    return [Split(np.repeat(x[:, None, :], cfg.timesteps, axis=1), y) for x, y in pairs]
+        raise ConfigError(f"config key data.kind: unsupported kind {d.kind!r}")
+    # the labels name the classes: the largest one plus one, at least 2
+    return built, max(2, *(int(s.labels.max(initial=0)) + 1 for s in built))
 
 
 def load_dataset(cfg: RunConfig) -> LoadedData:
     """Materialize the configured dataset, already encoded to T timesteps."""
-    d = cfg.data
-    if d.kind == "synth":
-        train, test = synth_generate(synth_spec(cfg))
-        return LoadedData(train, test, d.dim, d.classes)
-    if d.kind == "file":
-        spec, train, test = _load_dump(cfg)
-        return LoadedData(train, test, spec.input_dim, spec.classes)
-    if d.kind == "idx":
-        train, test = _idx_splits(cfg, (False, True))
-        input_dim = train.inputs.shape[2]
-    elif d.kind == "events":
-        train, test = load_event_dir(d.events_dir, d.width, d.height, cfg.timesteps)
-        input_dim = 2 * d.width * d.height
-    else:
-        raise ConfigError(f"config key data.kind: unsupported kind {d.kind!r}")
-    # the labels name the classes: the largest one plus one, at least 2
-    classes = max(2, *(int(s.labels.max(initial=0)) + 1 for s in (train, test)))
-    return LoadedData(train, test, input_dim, classes)
+    (train, test), classes = _load_splits(cfg, (False, True))
+    return LoadedData(train, test, train.inputs.shape[2], classes)
 
 
 def load_test_split(cfg: RunConfig) -> Split:
     """``load_dataset(cfg).test``, bit for bit, without building the
     training split: what the analysis commands score."""
-    d = cfg.data
-    if d.kind == "synth":
-        return synth_split(synth_spec(cfg), held_out=True)
-    if d.kind == "file":
-        return _load_dump(cfg)[2]
-    if d.kind == "idx":
-        return _idx_splits(cfg, (True,))[0]
-    if d.kind == "events":
-        return event_split(d.events_dir, d.width, d.height, cfg.timesteps, held_out=True)
-    raise ConfigError(f"config key data.kind: unsupported kind {d.kind!r}")
+    return _load_splits(cfg, (True,))[0][0]
 
 
 def _check_split(split: Split, input_dim: int, classes: int, steps: int) -> None:

@@ -12,8 +12,6 @@ import sys
 
 import pytest
 
-import etcsnn.cli
-import etcsnn.data
 import etcsnn.train
 from etcsnn.cli import run_cli
 from etcsnn.train import (
@@ -344,6 +342,32 @@ def test_missing_input_dir_is_one_error_line(tmp_path, capsys):
     assert err.startswith("error:") and "missing" in err and len(err.splitlines()) == 1
 
 
+_IDX_PAIR = ["data.kind=idx", "data.images=i.idx", "data.labels=l.idx"]
+
+
+@pytest.mark.parametrize("sets, key", [
+    (["data.kind=file"], "data.file"),
+    (["data.kind=idx"], "data.images"),
+    (["data.kind=idx", "data.images=i.idx"], "data.labels"),
+    ([*_IDX_PAIR, "data.test_labels=t.idx"], "data.test_images"),
+    ([*_IDX_PAIR, "data.test_images=t.idx"], "data.test_labels"),
+    (["data.kind=events"], "data.events_dir"),
+])
+def test_missing_data_input_names_its_key(trained_run, tmp_path, capsys, sets, key):
+    """A data kind whose input key is empty is one ``config key`` line,
+    exit 1, for training (which then makes no run directory) and analysis."""
+    flags = [arg for item in sets for arg in ("--set", item)]
+    out = tmp_path / "new-run"
+    capsys.readouterr()
+    for argv in (["train", *flags, "--out", str(out)],
+                 ["eval", "--ckpt", str(trained_run / "ckpt_final.bin"), *flags]):
+        assert run_cli(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: config key {key}: must be set")
+        assert len(err.splitlines()) == 1
+    assert not out.exists()
+
+
 def test_config_file_bad_line_names_path_and_line(tmp_path, capsys):
     path = tmp_path / "bad.cfg"
     path.write_text("train.epochs=0\nnot a key value line\n")
@@ -463,17 +487,14 @@ def test_consistency_prints_report(trained_run, capsys):
     assert -1.0 <= payload["grad_cosine_mean"] <= 1.0
 
 
-def _refuse_generation(*_args, **_kwargs):
-    raise AssertionError("the analysis commands must not build the training split")
-
-
 @pytest.mark.parametrize("samples", [None, 3])
 def test_analysis_commands_build_only_the_test_split(
     trained_run, tmp_path, capsys, monkeypatch, samples
 ):
-    """``eval``, ``consistency`` and ``dump-dist`` run with the two-split
-    generator out of reach, and print (and write) the bytes of the library
-    calls on ``load_dataset(cfg).test``."""
+    """``eval``, ``consistency`` and ``dump-dist`` ask the generator for the
+    test split alone, and print (and write) the bytes of the library calls
+    on ``load_dataset(cfg).test``; ``train()`` asks the same name once for
+    both splits."""
     path = str(trained_run / "ckpt_final.bin")
     ckpt = load_checkpoint(path)
     test = load_dataset(ckpt.config).test[:samples]
@@ -484,8 +505,14 @@ def test_analysis_commands_build_only_the_test_split(
     want_csv = tmp_path / "want.csv"
     dump_distributions(ckpt, test, want_csv)
 
-    for module in (etcsnn.data, etcsnn.train, etcsnn.cli):
-        monkeypatch.setattr(module, "synth_generate", _refuse_generation)
+    generate = etcsnn.train.synth_generate
+    asked = []
+
+    def recording_generate(spec, splits=(False, True)):
+        asked.append(tuple(splits))
+        return generate(spec, splits)
+
+    monkeypatch.setattr(etcsnn.train, "synth_generate", recording_generate)
     limit = [] if samples is None else ["--samples", str(samples)]
     got_csv = tmp_path / "got.csv"
     capsys.readouterr()
@@ -497,6 +524,11 @@ def test_analysis_commands_build_only_the_test_split(
     assert run_cli(["dump-dist", "--ckpt", path, "--out", str(got_csv), *limit]) == 0
     assert capsys.readouterr().out == f"wrote {got_csv} ({len(test)} samples)\n"
     assert got_csv.read_bytes() == want_csv.read_bytes()
+    assert asked == [(True,)] * (3 if samples is None else 2)
+
+    asked.clear()
+    etcsnn.train.train(ckpt.config, tmp_path / "again")
+    assert asked == [(False, True)]
 
 
 # -- installed console script ----------------------------------------------------

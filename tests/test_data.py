@@ -18,6 +18,7 @@ from etcsnn.data import (
     Split,
     SynthSpec,
     bin_events,
+    held_out,
     load_event_dir,
     load_idx,
     load_synth_dataset,
@@ -589,3 +590,21 @@ def test_event_test_split_bins_only_held_out_files(tmp_path):
     with pytest.raises(EventFormatError, match="s0.csv"):
         load_dataset(cfg)
     assert load_test_split(cfg).labels.tolist() == [0, 1]
+
+
+def test_loaders_build_exactly_the_asked_splits(tmp_path):
+    """``held_out`` marks every 5th item, and the split loaders return the
+    splits asked for, in the order asked, each equal to its two-split twin."""
+    assert np.flatnonzero(held_out(11)).tolist() == [4, 9]
+    spec = SynthSpec(classes=3, input_dim=6, timesteps=2, noise_sigma=0.3,
+                     samples_per_class=4)
+    write_event_classes(tmp_path, files_per_class=6)
+    for load in (lambda splits: synth_generate(spec, splits),
+                 lambda splits: load_event_dir(tmp_path, 2, 2, 2, splits)):
+        train, test = load((False, True))
+        for splits, want in (((True,), [test]), ((True, False), [test, train]), ((), [])):
+            got = load(splits)
+            assert len(got) == len(want)
+            for g, w in zip(got, want):
+                assert g.inputs.tobytes() == w.inputs.tobytes()
+                assert np.array_equal(g.labels, w.labels)
