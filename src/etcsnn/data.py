@@ -13,12 +13,18 @@ class has a fixed unit-norm base pattern, and timestep t blends that pattern
 toward a timestep-dependent nuisance direction shared by all classes, so late
 slices carry less class information and the per-timestep corruption differs
 from step to step.  All randomness is keyed off ``(seed, stream, sample
-index)`` so generation is order-independent and bit-reproducible.
+index)`` so generation is order-independent and bit-reproducible: sample
+``idx``'s noise is exactly what ``np.random.default_rng([seed, 3, idx])``
+draws.  Those generators are not built one per sample; the SeedSequence and
+PCG64 seeding numpy would run for each is computed for a whole split in one
+vectorised pass, and one reused generator draws every sample from its derived
+state.  numpy's own ``default_rng`` is the tests' oracle for that state.
 """
 
 from __future__ import annotations
 
 import struct
+from collections.abc import Iterator
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -142,6 +148,8 @@ class SynthSpec:
             raise ValueError("noise_sigma must be >= 0")
         if self.samples_per_class < 1:
             raise ValueError("samples_per_class must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 def _class_bases(spec: SynthSpec) -> np.ndarray:
@@ -155,6 +163,81 @@ def _nuisance_directions(spec: SynthSpec) -> np.ndarray:
     rng = np.random.default_rng([spec.seed, _STREAM_NUISANCE])
     u = rng.normal(size=(spec.timesteps, spec.input_dim))
     return u / np.linalg.norm(u, axis=1, keepdims=True)
+
+
+# numpy's SeedSequence (O'Neill's seed_seq_fe, a pool of four uint32 words) and
+# PCG64 seeding (pcg_setseq_128_srandom_r) constants
+_SEED_INIT_A, _SEED_MULT_A = 0x43B0D7E5, 0x931E8875
+_SEED_INIT_B, _SEED_MULT_B = 0x8B51F9DD, 0x58F38DED
+_SEED_MIX_L, _SEED_MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK32, _MASK128 = 2**32 - 1, 2**128 - 1
+
+
+def _seed_words(n: int) -> list[int]:
+    """A non-negative integer as numpy splits a seed: little-endian uint32
+    words, at least one."""
+    words = [n & _MASK32]
+    while n > _MASK32:
+        n >>= 32
+        words.append(n & _MASK32)
+    return words
+
+
+def _hasher(const: int, mult: int):
+    """SeedSequence's multiplicative hash over uint32 lanes; every call steps
+    the shared constant, as numpy does within one seed sequence."""
+
+    def hash_(value: np.ndarray) -> np.ndarray:
+        nonlocal const
+        value = value ^ np.uint32(const)
+        const = const * mult & _MASK32
+        value = value * np.uint32(const)
+        return value ^ value >> 16
+
+    return hash_
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    mixed = x * np.uint32(_SEED_MIX_L) - y * np.uint32(_SEED_MIX_R)
+    return mixed ^ mixed >> 16
+
+
+def _noise_states(seed: int, indices: np.ndarray) -> Iterator[dict]:
+    """The PCG64 state of ``np.random.default_rng([seed, _STREAM_NOISE, idx])``
+    for every ``idx`` in ``indices``, in order, without building one.
+
+    One lane per index: SeedSequence's entropy pool and its
+    ``generate_state(4, uint64)`` run in uint32 lanes, then each four words
+    fold into PCG64's ``(state, inc)`` by its seeding rule (two LCG steps) as
+    Python ints.  An index takes one entropy word, so indices must stay below
+    2**32 rather than wrap.
+    """
+    if indices.size and int(indices.max()) > _MASK32:
+        raise ValueError(f"sample index {int(indices.max())} does not fit 32 bits")
+    entropy = [np.full(indices.size, w, np.uint32) for w in _seed_words(seed)]
+    entropy += [np.full(indices.size, _STREAM_NOISE, np.uint32), indices.astype(np.uint32)]
+    # a pool larger than the entropy hashes zeros into its remaining words
+    entropy += [np.zeros(indices.size, np.uint32)] * (4 - len(entropy))
+    hashmix = _hasher(_SEED_INIT_A, _SEED_MULT_A)
+    pool = [hashmix(word) for word in entropy[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = _mix(pool[dst], hashmix(word))
+    hash_out = _hasher(_SEED_INIT_B, _SEED_MULT_B)
+    words = np.stack([hash_out(pool[i % 4]) for i in range(8)], axis=1)
+    # generate_state(4, uint64) pairs the words little-endian; PCG64 takes
+    # the first two as its 128-bit seed and the last two as its stream, high
+    # half first.  Rows become Python ints one at a time, not a split's worth.
+    for s_hi, s_lo, i_hi, i_lo in map(np.ndarray.tolist, words.astype("<u4").view("<u8")):
+        inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
+        state = ((inc + (s_hi << 64 | s_lo)) * _PCG64_MULT + inc) & _MASK128
+        yield {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+               "has_uint32": 0, "uinteger": 0}
 
 
 def held_out(count: int) -> np.ndarray:
@@ -185,13 +268,15 @@ def synth_generate(spec: SynthSpec, splits=(False, True)) -> tuple[Split, ...]:
     )
     indices = np.arange(spec.classes * spec.samples_per_class)
     test = held_out(indices.size)
+    # every draw follows a state assignment, so its own seed is never used
+    rng = np.random.Generator(np.random.PCG64())
     built = []
     for want in splits:
         members = indices[test == want]
         inputs = np.empty((members.size, steps, spec.input_dim))
         labels = members % spec.classes
-        for row, idx in enumerate(members.tolist()):
-            rng = np.random.default_rng([spec.seed, _STREAM_NOISE, idx])
+        for row, state in enumerate(_noise_states(spec.seed, members)):
+            rng.bit_generator.state = state
             noise = rng.normal(size=(steps, spec.input_dim))
             inputs[row] = clean[labels[row]] + spec.noise_sigma * noise
         built.append(Split(inputs, labels))

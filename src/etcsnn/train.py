@@ -270,6 +270,7 @@ def build_run_config(mapping: dict[str, str]) -> RunConfig:
     _require(val["data.drift_strength"] >= 0, "data.drift_strength", "must be >= 0")
     _require(val["data.noise_sigma"] >= 0, "data.noise_sigma", "must be >= 0")
     _require(val["data.samples_per_class"] >= 1, "data.samples_per_class", "must be >= 1")
+    _require(val["data.seed"] >= 0, "data.seed", "must be >= 0")
     _require(val["data.width"] >= 0, "data.width", "must be >= 0")
     _require(val["data.height"] >= 0, "data.height", "must be >= 0")
     hidden = val["network.hidden_sizes"]
@@ -287,6 +288,7 @@ def build_run_config(mapping: dict[str, str]) -> RunConfig:
     _require(val["opt.eps"] > 0, "opt.eps", "must be > 0")
     _require(val["train.epochs"] >= 0, "train.epochs", "must be >= 0")
     _require(val["train.batch_size"] >= 1, "train.batch_size", "must be >= 1")
+    _require(val["train.seed"] >= 0, "train.seed", "must be >= 0")
     _require(val["train.loss_mode"] in LOSS_MODES, "train.loss_mode",
              f"must be one of {LOSS_MODES}")
     _require(val["train.save_interval"] >= 0, "train.save_interval", "must be >= 0")
@@ -342,8 +344,13 @@ def synth_spec(cfg: RunConfig) -> SynthSpec:
     )
 
 
-# the data.* inputs each kind reads; an empty one is a ConfigError naming it
-_INPUT_KEYS = {"file": ("file",), "idx": ("images", "labels"), "events": ("events_dir",)}
+# the data.* inputs each kind reads; one left at its default (an empty path,
+# a 0 frame size) is a ConfigError naming it
+_INPUT_KEYS = {
+    "file": ("file",),
+    "idx": ("images", "labels"),
+    "events": ("events_dir", "width", "height"),
+}
 
 
 def _load_splits(cfg: RunConfig, splits: tuple[bool, ...]) -> tuple[tuple[Split, ...], int]:
@@ -354,7 +361,8 @@ def _load_splits(cfg: RunConfig, splits: tuple[bool, ...]) -> tuple[tuple[Split,
     if d.kind == "idx" and (d.test_images or d.test_labels):
         needed += ("test_images", "test_labels")  # a test pair or none
     for name in needed:
-        _require(getattr(d, name) != "", f"data.{name}", f"must be set for data.kind={d.kind}")
+        _require(getattr(d, name) not in ("", 0), f"data.{name}",
+                 f"must be set for data.kind={d.kind}")
     if d.kind == "synth":
         return synth_generate(synth_spec(cfg), splits), d.classes
     if d.kind == "file":

@@ -334,7 +334,7 @@ def test_eval_rejects_out_of_range_timestep(trained_run, capsys):
 
 def test_missing_input_dir_is_one_error_line(tmp_path, capsys):
     code = run_cli([
-        "train", "--set", "data.kind=events",
+        "train", "--set", "data.kind=events", "--set", "data.width=2", "--set", "data.height=2",
         "--set", f"data.events_dir={tmp_path / 'missing'}", "--out", str(tmp_path / "x"),
     ])
     assert code == 1
@@ -352,9 +352,11 @@ _IDX_PAIR = ["data.kind=idx", "data.images=i.idx", "data.labels=l.idx"]
     ([*_IDX_PAIR, "data.test_labels=t.idx"], "data.test_images"),
     ([*_IDX_PAIR, "data.test_images=t.idx"], "data.test_labels"),
     (["data.kind=events"], "data.events_dir"),
+    (["data.kind=events", "data.events_dir=ev"], "data.width"),
+    (["data.kind=events", "data.events_dir=ev", "data.width=2"], "data.height"),
 ])
 def test_missing_data_input_names_its_key(trained_run, tmp_path, capsys, sets, key):
-    """A data kind whose input key is empty is one ``config key`` line,
+    """A data kind whose input key is left unset is one ``config key`` line,
     exit 1, for training (which then makes no run directory) and analysis."""
     flags = [arg for item in sets for arg in ("--set", item)]
     out = tmp_path / "new-run"
@@ -365,6 +367,18 @@ def test_missing_data_input_names_its_key(trained_run, tmp_path, capsys, sets, k
         err = capsys.readouterr().err
         assert err.startswith(f"error: config key {key}: must be set")
         assert len(err.splitlines()) == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, key", [
+    (["train", "--set", "data.seed=-1"], "data.seed"),
+    (["train", "--set", "train.seed=-1"], "train.seed"),
+    (["synth", "--spec", "seed=-3"], "data.seed"),
+])
+def test_negative_seed_names_its_key(tmp_path, capsys, argv, key):
+    out = tmp_path / "out"
+    assert run_cli([*argv, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: config key {key}: must be >= 0\n"
     assert not out.exists()
 
 

@@ -27,7 +27,7 @@ from etcsnn.data import (
     synth_generate,
 )
 from etcsnn.cli import run_cli
-from etcsnn.data import _STREAM_NOISE, _class_bases, _nuisance_directions
+from etcsnn.data import _STREAM_NOISE, _class_bases, _noise_states, _nuisance_directions
 from etcsnn.data import _spec_from_text, _spec_text
 from etcsnn.train import ConfigError, build_run_config, load_dataset, load_test_split
 
@@ -137,17 +137,35 @@ def reference_sample(spec, idx):
     return seq
 
 
+# one-word seeds and seeds numpy splits into two and three 32-bit words
+SEEDS = (0, 2, 2**32 + 3, 2**64 + 7)
+
+
 @pytest.mark.parametrize("timesteps", [1, 4, 10])
 @pytest.mark.parametrize("drift", [0.0, 1.0, 4.0])
 def test_generator_matches_per_step_formula_bitwise(timesteps, drift):
-    spec = SynthSpec(classes=3, input_dim=8, timesteps=timesteps, drift_strength=drift,
-                     noise_sigma=0.3, samples_per_class=4, seed=2)
-    train, test = synth_generate(spec)
-    got = samples(train, test)
     order = [i for i in range(12) if i % 5 != 4] + [i for i in range(12) if i % 5 == 4]
-    assert [label for _, label in got] == [i % 3 for i in order]
-    for (seq, _), idx in zip(got, order):
-        assert seq.tobytes() == reference_sample(spec, idx).tobytes()
+    for seed in SEEDS:
+        spec = SynthSpec(classes=3, input_dim=8, timesteps=timesteps, drift_strength=drift,
+                         noise_sigma=0.3, samples_per_class=4, seed=seed)
+        got = samples(*synth_generate(spec))
+        assert [label for _, label in got] == [i % 3 for i in order]
+        for (seq, _), idx in zip(got, order):
+            assert seq.tobytes() == reference_sample(spec, idx).tobytes(), (seed, idx)
+
+
+@pytest.mark.parametrize("seed", [*SEEDS, 7, 2**70 + 3])
+def test_noise_states_match_default_rng(seed):
+    indices = np.array([0, 1, 4, 2**31, 2**32 - 1])
+    for idx, state in zip(indices.tolist(), _noise_states(seed, indices)):
+        assert state == np.random.default_rng([seed, _STREAM_NOISE, idx]).bit_generator.state
+
+
+def test_noise_states_refuse_an_index_past_32_bits():
+    # numpy would key index 2**32 by two words; it must not wrap to index 0
+    with pytest.raises(ValueError, match="4294967296"):
+        list(_noise_states(0, np.array([0, 2**32])))
+    assert list(_noise_states(0, np.array([], dtype=np.int64))) == []
 
 
 # The sha256 of an ``etcsnn synth`` dump, pinned from the generator that built
@@ -175,6 +193,8 @@ def test_spec_validation():
         SynthSpec(drift_strength=-0.1)
     with pytest.raises(ValueError, match="timesteps"):
         SynthSpec(timesteps=0)
+    with pytest.raises(ValueError, match="seed must be >= 0"):
+        SynthSpec(seed=-3)
     # every 5th sample is held out: the test split would hold classes 4 mod 5 only
     for classes in (5, 10, 15):
         with pytest.raises(ValueError, match="classes must not be a multiple of 5"):

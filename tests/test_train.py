@@ -123,6 +123,8 @@ def test_unparsable_value_names_key():
         ("train.batch_size", "0"),
         ("train.loss_mode", "hinge"),
         ("data.kind", "tfrecord"),
+        ("data.seed", "-1"),
+        ("train.seed", "-1"),
     ],
 )
 def test_constraint_violation_names_its_key(key, value):
