@@ -16,45 +16,46 @@ op that produced it instead of surfacing later as a corrupted update.
 
 ``stop_gradient`` blocks all flow along an edge; ``custom_grad`` attaches
 a caller-supplied elementwise pseudo-derivative, which is how the spike
-nonlinearity gets a usable backward rule.  Training does not run on the
-tape: ``etcsnn.snn`` and ``etcsnn.losses`` compute the network pass and the
-objective in plain numpy.  The tape builds the per-op reference network and
-the reference losses that the gradient checks hold those to.
+nonlinearity gets a usable backward rule.
+
+This is the one oracle module.  Training does not run on the tape:
+``etcsnn.snn`` and ``etcsnn.losses`` compute the network pass and the
+objective in plain numpy and never import this module.  Here the tape
+builds the same network one op per node (``lif_step``, chained over the
+steps by ``lif_unroll_reference``) and the same losses (``ce_mean_loss``,
+``etc_loss``, ``per_timestep_ce_loss``, each over a (batch, T, classes)
+tensor of output potentials).  The ``gradcheck_*`` functions hold the
+numpy pass and ``objective`` to those, and the tape losses to closed forms
+(and central finite differences): per step, ``(P_mean - y) / (T * batch)``
+for mean-CE, ``(P_t - y) / (T * batch)`` for per-timestep CE, and for the
+weighted consistency term ``lam * tau**2 * etc_loss``
+
+    lam * tau / (T * (T-1) * batch) * sum_{m != t} (P_t - P_m)
+
+note the single power of tau: differentiating the tempered softmax
+contributes a 1/tau that cancels one of the two in the weight.  A new
+backward rule in the engine lands with its tape form here.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Callable
+import math
+from dataclasses import dataclass, replace
+from typing import Callable, Sequence
 
 import numpy as np
 
-__all__ = [
-    "Tensor",
-    "CustomGradSpec",
-    "ShapeMismatchError",
-    "NonFiniteError",
-    "GraphError",
-    "add",
-    "sub",
-    "mul",
-    "scale",
-    "matmul",
-    "sum_all",
-    "time_mean",
-    "log_softmax",
-    "stop_gradient",
-    "custom_grad",
-]
-
-
-class ShapeMismatchError(ValueError):
-    """Operand shapes are incompatible for the attempted operation."""
-
-
-class NonFiniteError(ArithmeticError):
-    """An operation produced NaN or Inf (or a leaf was built from one)."""
+from .losses import LOSS_MODES, EtcConfig, _log_softmax_np, _softmax_np, objective
+from .snn import (
+    LifParams,
+    NetworkSpec,
+    NonFiniteError,
+    ShapeMismatchError,
+    lif_backward,
+    lif_unroll,
+    surrogate_factor,
+)
 
 
 class GraphError(RuntimeError):
@@ -266,3 +267,374 @@ def custom_grad(a: Tensor, spec: CustomGradSpec, name: str = "custom") -> Tensor
         a.grad += pseudo * g
 
     return Tensor(value, name, (a,), rule)
+
+
+# -- the per-op LIF network -------------------------------------------------------
+
+
+def spike_fn(v: Tensor, params: LifParams) -> Tensor:
+    """Heaviside spike (1.0 where v >= v_th) with the triangular surrogate."""
+    spec = CustomGradSpec(
+        forward=lambda x: (x >= params.v_th).astype(np.float64),
+        backward=lambda x: surrogate_factor(x, params),
+    )
+    return custom_grad(v, spec, name="spike")
+
+
+@dataclass
+class LifState:
+    """Post-step layer state: stored potential and the spikes just emitted."""
+
+    v: Tensor
+    s: Tensor
+
+
+def initial_state(batch: int, neurons: int, params: LifParams) -> LifState:
+    v0 = Tensor(np.full((batch, neurons), params.v_reset))
+    s0 = Tensor(np.zeros((batch, neurons)))
+    return LifState(v=v0, s=s0)
+
+
+def lif_step(
+    state: LifState,
+    input_current: Tensor,
+    params: LifParams,
+    spike: Callable[[Tensor], Tensor] | None = None,
+) -> LifState:
+    """Advance one timestep: charge, fire, hard-reset.
+
+    ``spike`` overrides the nonlinearity (a test hook -- identity turns the
+    layer into a plain leaky integrator).  With an override the reset is
+    skipped, since the override's output need not be binary.
+    """
+    charged = add(scale(state.v, params.leak), scale(input_current, 1.0 / params.tau_m))
+    if spike is not None:
+        return LifState(v=charged, s=spike(charged))
+    spiked = spike_fn(charged, params)
+    # Hard reset: v -> v * (1 - s) + v_reset * s, with the spike factor
+    # behind stop_gradient so the reset adds no second gradient path.
+    keep = stop_gradient(sub(Tensor(np.ones_like(charged.data)), spiked))
+    v_next = mul(charged, keep)
+    if params.v_reset != 0.0:
+        v_next = add(v_next, scale(stop_gradient(spiked), params.v_reset))
+    return LifState(v=v_next, s=spiked)
+
+
+def lif_unroll_reference(
+    spec: NetworkSpec,
+    weights: Sequence[Tensor],
+    inputs: Sequence[Tensor],
+    spike: Callable[[Tensor], Tensor] | None = None,
+) -> list[Tensor]:
+    """``snn.lif_unroll`` built one op per node from ``lif_step``.
+
+    ``inputs`` holds one (batch, input_dim) tensor per timestep; returns
+    the output layer's (batch, classes) potential at each step.  ``spike``
+    overrides the hidden nonlinearity as in ``lif_step``.
+    """
+    lif = spec.lif
+    batch = inputs[0].shape[0]
+    states = [initial_state(batch, n, lif) for n in spec.layer_sizes[1:-1]]
+    v_out = Tensor(np.zeros((batch, spec.classes)))
+    outputs = []
+    for signal in inputs:
+        for i, state in enumerate(states):
+            states[i] = lif_step(state, matmul(signal, weights[i]), lif, spike=spike)
+            signal = states[i].s
+        out_current = matmul(signal, weights[-1])
+        v_out = add(scale(v_out, lif.leak), scale(out_current, 1.0 / lif.tau_m))
+        outputs.append(v_out)
+    return outputs
+
+
+# -- the tape losses --------------------------------------------------------------
+
+
+def _check_outputs(v: Tensor, labels=None) -> np.ndarray | None:
+    """Hold ``v`` to (batch, T >= 1, classes >= 2) and ``labels``, when
+    given, to one-hot (batch, classes) rows; returns the labels as float64."""
+    if v.data.ndim != 3 or v.shape[1] < 1 or v.shape[2] < 2:
+        raise ValueError(f"outputs must be (batch, T >= 1, classes >= 2), got {v.shape}")
+    if labels is None:
+        return None
+    labels = np.asarray(labels, dtype=np.float64)
+    if labels.shape != (v.shape[0], v.shape[2]):
+        raise ValueError(f"labels shape {labels.shape} does not match outputs {v.shape}")
+    if not np.all(np.isin(labels, (0.0, 1.0))) or not np.all(labels.sum(axis=1) == 1.0):
+        raise ValueError("labels must be one-hot rows")
+    return labels
+
+
+def ce_mean_loss(v: Tensor, labels) -> Tensor:
+    """Cross-entropy of softmax(mean-over-time potential) vs one-hot labels.
+
+    ``v`` holds the (batch, T, classes) output potentials.  Scalar,
+    averaged over the batch; softmax at temperature 1.
+    """
+    labels = _check_outputs(v, labels)
+    picked = mul(Tensor(labels), log_softmax(time_mean(v), 1.0))
+    return scale(sum_all(picked), -1.0 / v.shape[0])
+
+
+def etc_loss(v: Tensor, cfg: EtcConfig) -> Tensor:
+    """Pairwise temporal-consistency loss, averaged over pairs and batch.
+
+    For every ordered pair (t, m != t), the cross-entropy of step t's
+    tempered distribution under step m's, with step m's probabilities
+    frozen -- they enter the tape as a constant leaf, so gradients flow
+    only through the log-probability factor.  The sum over m != t of
+    frozen targets is computed once as (total - own), which is
+    algebraically identical to the pairwise double sum.
+    """
+    _check_outputs(v)
+    batch, steps, _ = v.shape
+    if steps < 2:
+        raise ValueError("consistency loss needs at least 2 timesteps")
+    p = _softmax_np(v.data / cfg.tau)
+    others = Tensor(p.sum(axis=1, keepdims=True) - p)
+    total = sum_all(mul(others, log_softmax(v, cfg.tau)))
+    return scale(total, -1.0 / (batch * steps * (steps - 1)))
+
+
+def per_timestep_ce_loss(v: Tensor, labels) -> Tensor:
+    """Cross-entropy of every step's softmax vs one-hot labels, averaged
+    over steps and batch; softmax at temperature 1."""
+    labels = _check_outputs(v, labels)
+    batch, steps, _ = v.shape
+    y = Tensor(np.repeat(labels[:, None, :], steps, axis=1))
+    picked = sum_all(mul(y, log_softmax(v, 1.0)))
+    return scale(picked, -1.0 / (batch * steps))
+
+
+def _tape_objective(v: Tensor, labels, loss_mode: str, cfg: EtcConfig):
+    """``objective``'s total, ce and etc built from the tape losses."""
+    if loss_mode == "per_timestep_ce":
+        total = per_timestep_ce_loss(v, labels)
+        return total, total.item(), 0.0
+    ce = ce_mean_loss(v, labels)
+    if loss_mode == "ce_only" or cfg.lam == 0.0 or v.shape[1] < 2:
+        return ce, ce.item(), 0.0
+    etc = etc_loss(v, cfg)
+    return add(ce, scale(etc, cfg.lam * cfg.tau**2)), ce.item(), etc.item()
+
+
+# -- gradient oracles -------------------------------------------------------------
+
+
+def _norm_rel_err(got: np.ndarray, want: np.ndarray) -> float:
+    denom = max(float(np.max(np.abs(got))), float(np.max(np.abs(want))), 1e-300)
+    return float(np.max(np.abs(got - want)) / denom)
+
+
+@dataclass(frozen=True)
+class GradCheckReport:
+    """One oracle's worst relative error over ``cases`` instances, its
+    tolerance, and whether it passed that oracle's rule (``<`` for the
+    closed forms and finite differences, ``<=`` for the numpy objective and
+    LIF pass against the tape)."""
+
+    name: str
+    max_rel_err: float
+    tol: float
+    passed: bool
+    cases: int = 1
+    fd: bool = False  # against central finite differences, not a closed form
+    band_fraction: float | None = None  # lif: share of hidden potentials in the surrogate band
+
+    def line(self) -> str:
+        pre = "fd_" if self.fd else ""
+        return f"{self.name} {pre}max_rel_err={self.max_rel_err:.3e} {pre}tol={self.tol:.0e}"
+
+
+def _check_cases(cases: int) -> None:
+    if cases < 1:
+        raise ValueError(f"cases must be >= 1, got {cases}")
+
+
+def gradcheck_ce(v: Tensor, labels, tol: float = 1e-10) -> GradCheckReport:
+    """Autodiff gradient of ce_mean_loss vs the closed form (P_mean - y)/(T*batch).
+
+    ``v`` must be a leaf, so its per-step values are free variables; the
+    closed form is identical at every timestep.
+    """
+    labels = np.asarray(labels, dtype=np.float64)
+    ce_mean_loss(v, labels).backward()
+    batch, steps, _ = v.shape
+    expected = (_softmax_np(v.data.mean(axis=1)) - labels) / (steps * batch)
+    err = max(_norm_rel_err(v.grad[:, t], expected) for t in range(steps))
+    return GradCheckReport("ce_mean", err, tol, passed=err < tol)
+
+
+def gradcheck_per_timestep_ce(v: Tensor, labels, tol: float = 1e-10) -> GradCheckReport:
+    """Autodiff gradient of per_timestep_ce_loss vs the closed form
+    (P_t - y)/(T*batch), with P_t the temperature-1 softmax of step t."""
+    labels = np.asarray(labels, dtype=np.float64)
+    per_timestep_ce_loss(v, labels).backward()
+    batch, steps, _ = v.shape
+    err = _norm_rel_err(v.grad, (_softmax_np(v.data) - labels[:, None]) / (steps * batch))
+    return GradCheckReport("per_timestep_ce", err, tol, passed=err < tol)
+
+
+def gradcheck_etc(
+    v: Tensor,
+    cfg: EtcConfig,
+    tol: float = 1e-10,
+    fd_tol: float = 1e-5,
+    fd_step: float = 1e-6,
+    with_fd: bool = True,
+) -> list[GradCheckReport]:
+    """Autodiff gradient of lam*tau^2*etc_loss vs closed form and central FD.
+
+    Closed form per step t:  lam*tau/(T*(T-1)*batch) * sum_{m != t}(P_t - P_m),
+    with P at temperature tau.  The FD probe must see the same function the
+    tape differentiates, so the target distributions stay pinned at the
+    unperturbed values instead of being recomputed per probe.  Returns the
+    closed-form report, then the FD one unless ``with_fd`` is false.
+    """
+    weight = cfg.lam * cfg.tau**2
+    scale(etc_loss(v, cfg), weight).backward()
+    batch, steps, _ = v.shape
+    p = _softmax_np(v.data / cfg.tau)
+    coeff = cfg.lam * cfg.tau / (steps * (steps - 1) * batch)
+    # sum_{m != t}(P_t - P_m) == T * P_t - sum_m P_m
+    expected = coeff * (steps * p - p.sum(axis=1, keepdims=True))
+    err = max(_norm_rel_err(v.grad[:, t], expected[:, t]) for t in range(steps))
+    reports = [GradCheckReport("consistency", err, tol, passed=err < tol)]
+    if not with_fd:
+        return reports
+
+    frozen_others = p.sum(axis=1, keepdims=True) - p
+    denom = batch * steps * (steps - 1)
+
+    def probe(vals: np.ndarray) -> float:
+        logp = _log_softmax_np(vals / cfg.tau)
+        return -weight * float((frozen_others * logp).sum()) / denom
+
+    values = v.data.copy()  # the probes below perturb it in place
+    fd = np.zeros_like(values)
+    for i in np.ndindex(values.shape):
+        orig = values[i]
+        values[i] = orig + fd_step
+        hi = probe(values)
+        values[i] = orig - fd_step
+        lo = probe(values)
+        values[i] = orig
+        fd[i] = (hi - lo) / (2.0 * fd_step)
+    fd_err = _norm_rel_err(v.grad, fd)
+    reports.append(GradCheckReport("consistency", fd_err, fd_tol, passed=fd_err < fd_tol, fd=True))
+    return reports
+
+
+_OBJECTIVE_TOL = 1e-12  # numpy objective vs tape: the same ops, so equal in practice
+
+
+def gradcheck_objective(
+    v: Tensor, labels, cfg: EtcConfig, tol: float = _OBJECTIVE_TOL
+) -> GradCheckReport:
+    """``objective``'s gradient and logged losses vs the tape losses', in
+    every loss mode."""
+    err = 0.0
+    for mode in LOSS_MODES:
+        total, ce, etc = _tape_objective(v, labels, mode, cfg)
+        total.backward()
+        dv, *logged = objective(v.data, labels, mode, cfg)
+        want = [total.item(), ce, etc]
+        err = max(err, _norm_rel_err(dv, v.grad), _norm_rel_err(np.array(logged), np.array(want)))
+    return GradCheckReport("objective", err, tol, passed=err <= tol)
+
+
+def _worst(reports: Sequence[GradCheckReport]) -> GradCheckReport:
+    """One oracle's reports over many cases folded into one."""
+    worst = max(reports, key=lambda r: r.max_rel_err)
+    return replace(worst, passed=all(r.passed for r in reports), cases=len(reports))
+
+
+def gradcheck_suite(
+    seed: int = 0, cases: int = 100, tol: float = 1e-10, fd_tol: float = 1e-5
+) -> list[GradCheckReport]:
+    """The loss oracles on ``cases`` freshly sampled instances: the tape
+    losses against their closed forms and central FD, and ``objective``
+    against the tape losses in every loss mode.  One report per oracle."""
+    _check_cases(cases)
+    rng = np.random.default_rng(seed)
+    runs = []
+    for _ in range(cases):
+        batch = int(rng.integers(1, 5))
+        steps = int(rng.integers(2, 7))
+        classes = int(rng.integers(2, 6))
+        v = Tensor(rng.normal(scale=2.0, size=(batch, steps, classes)))
+        labels = np.zeros((batch, classes))
+        labels[np.arange(batch), rng.integers(0, classes, size=batch)] = 1.0
+        cfg = EtcConfig(tau=float(rng.uniform(0.5, 8.0)), lam=float(rng.uniform(0.1, 4.0)))
+        runs.append([
+            gradcheck_ce(v, labels, tol=tol),
+            *gradcheck_etc(v, cfg, tol=tol, fd_tol=fd_tol),
+            gradcheck_per_timestep_ce(v, labels, tol=tol),
+            gradcheck_objective(v, labels, cfg),
+        ])
+    return [_worst(column) for column in zip(*runs)]
+
+
+def _random_lif_case(rng: np.random.Generator):
+    """Network, weights, inputs and a linear readout of the outputs."""
+    hidden = [int(n) for n in rng.integers(2, 9, size=int(rng.integers(1, 4)))]
+    sizes = (int(rng.integers(2, 7)), *hidden, int(rng.integers(2, 5)))
+    lif = LifParams(
+        tau_m=float(rng.choice([1.0, 1.5, 2.0, 4.0])),
+        v_reset=float(rng.uniform(-0.3, 0.3)) if rng.random() < 0.5 else 0.0,
+        surrogate_a=float(rng.uniform(1.0, 3.0)),
+    )
+    spec = NetworkSpec(sizes, timesteps=int(rng.choice([1, 2, 10])), lif=lif)
+    # Positive-mean weights and inputs keep the charged potentials near
+    # v_th, inside the surrogate band where gradients flow.
+    weights = [
+        rng.normal(0.5, 1.0, size=(fan_in, fan_out)) / math.sqrt(fan_in)
+        for fan_in, fan_out in zip(sizes, sizes[1:])
+    ]
+    batch = int(rng.integers(1, 5))
+    inputs = rng.uniform(0.0, 2.0, size=(batch, spec.timesteps, sizes[0]))
+    readout = rng.normal(size=(batch, spec.timesteps, spec.classes))
+    return spec, weights, inputs, readout
+
+
+def gradcheck_lif(seed: int = 0, cases: int = 100, tol: float = 1e-12) -> GradCheckReport:
+    """``snn.lif_unroll``/``snn.lif_backward`` vs ``lif_unroll_reference`` on
+    random networks.
+
+    Each case draws 1-3 hidden layers, T in {1, 2, 10}, a zero or nonzero
+    reset potential and a membrane time constant, then compares the output
+    potentials and every weight gradient of a random linear readout of the
+    outputs, which is the ``dv`` handed to ``lif_backward``.
+    """
+    _check_cases(cases)
+    rng = np.random.default_rng(seed)
+    worst, in_band, count = 0.0, 0, 0
+    for _ in range(cases):
+        spec, w_vals, inputs, readout = _random_lif_case(rng)
+
+        values, cache = lif_unroll(spec, w_vals, inputs)
+        grads = lif_backward(spec, w_vals, cache, readout)
+
+        ref_weights = [Tensor(w) for w in w_vals]
+        ref_x = [Tensor(inputs[:, t]) for t in range(spec.timesteps)]
+        ref_out = lif_unroll_reference(spec, ref_weights, ref_x)
+        total = sum_all(mul(Tensor(readout[:, 0]), ref_out[0]))
+        for t in range(1, spec.timesteps):
+            total = add(total, sum_all(mul(Tensor(readout[:, t]), ref_out[t])))
+        total.backward()
+
+        pairs = [(values, np.stack([v.data for v in ref_out], axis=1))]
+        pairs += [(g, r.grad) for g, r in zip(grads, ref_weights)]
+        worst = max([worst] + [_norm_rel_err(got, want) for got, want in pairs])
+
+        for _, charged, _ in cache[:-1]:
+            in_band += np.count_nonzero(surrogate_factor(charged, spec.lif))
+            count += charged.size
+    return GradCheckReport(
+        "lif",
+        worst,
+        tol,
+        passed=worst <= tol,
+        cases=cases,
+        band_fraction=float(in_band / count),
+    )

@@ -15,9 +15,8 @@ import sys
 import time
 from pathlib import Path
 
+from .autodiff import gradcheck_lif, gradcheck_suite
 from .data import DataError, save_synth_dataset, synth_generate
-from .losses import gradcheck_suite
-from .snn import gradcheck_lif
 from .train import (
     CheckpointError,
     ConfigError,
@@ -75,14 +74,18 @@ def _read_config_file(path: str) -> dict[str, str]:
         raise ConfigError(f"{path} {exc}") from None
 
 
-def _sample_count(text: str) -> int:
-    """A --samples value: an integer of at least 1."""
-    try:
-        if (value := int(text)) >= 1:
-            return value
-    except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+def _int_at_least(low: int):
+    """An argparse type: an integer of at least ``low``."""
+
+    def parse(text: str) -> int:
+        try:
+            if (value := int(text)) >= low:
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {text!r}")
+
+    return parse
 
 
 def _gather_mapping(args) -> dict[str, str]:
@@ -173,22 +176,12 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_gradcheck(args) -> int:
-    report = gradcheck_suite(seed=args.seed, cases=args.cases)
-    lif = gradcheck_lif(seed=args.seed, cases=args.cases)
-    print(f"cases={report.cases}")
-    print(f"ce_mean max_rel_err={report.ce_max_rel_err:.3e} tol={report.tol:.0e}")
-    print(
-        f"consistency max_rel_err={report.etc_max_rel_err:.3e} tol={report.tol:.0e}"
-    )
-    print(
-        f"consistency fd_max_rel_err={report.etc_fd_max_rel_err:.3e} "
-        f"fd_tol={report.fd_tol:.0e}"
-    )
-    print(f"per_timestep_ce max_rel_err={report.ptce_max_rel_err:.3e} tol={report.tol:.0e}")
-    obj_err, obj_tol = report.objective_max_rel_err, report.objective_tol
-    print(f"objective max_rel_err={obj_err:.3e} tol={obj_tol:.0e}")
-    print(f"lif max_rel_err={lif.max_rel_err:.3e} tol={lif.tol:.0e}")
-    if not (report.passed and lif.passed):
+    reports = gradcheck_suite(seed=args.seed, cases=args.cases)
+    reports.append(gradcheck_lif(seed=args.seed, cases=args.cases))
+    print(f"cases={args.cases}")
+    for report in reports:
+        print(report.line())
+    if not all(report.passed for report in reports):
         print("error: gradient check failed", file=sys.stderr)
         return 2
     print("PASS")
@@ -253,20 +246,20 @@ def _build_parser() -> _Parser:
     p.set_defaults(fn=_cmd_eval)
 
     p = sub.add_parser("gradcheck", help="run the loss and LIF gradient oracles")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--cases", type=int, default=100)
+    p.add_argument("--seed", type=_int_at_least(0), default=0)
+    p.add_argument("--cases", type=_int_at_least(1), default=100)
     p.set_defaults(fn=_cmd_gradcheck)
 
     p = sub.add_parser("dump-dist", help="per-timestep distribution CSV")
     p.add_argument("--ckpt", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--samples", type=_sample_count, help="limit to first N test samples")
+    p.add_argument("--samples", type=_int_at_least(1), help="limit to first N test samples")
     add_config_flags(p)
     p.set_defaults(fn=_cmd_dump_dist)
 
     p = sub.add_parser("consistency", help="temporal-consistency report")
     p.add_argument("--ckpt", required=True)
-    p.add_argument("--samples", type=_sample_count, help="limit to first N test samples")
+    p.add_argument("--samples", type=_int_at_least(1), help="limit to first N test samples")
     add_config_flags(p)
     p.set_defaults(fn=_cmd_consistency)
 
@@ -278,8 +271,9 @@ def run_cli(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.fn(args)
-    # ValueError: a config, a dataset or a budget that does not fit the run
-    except (_UsageError, ValueError, OSError) as exc:
+    # ValueError: a config, a dataset or a budget that does not fit the run;
+    # MemoryError: one too large for this machine
+    except (_UsageError, ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (DataError, CheckpointError, TrainingError) as exc:

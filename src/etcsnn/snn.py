@@ -20,50 +20,37 @@ potentials are the network's logits.
 feedforward, so one (batch*T, fan_in) matmul gives every step's input
 current; a loop over the steps then charges, fires and resets.
 ``lif_backward`` walks the cache it returns from the output layer down,
-running BPTT in reverse time by hand.  ``lif_step`` builds the same dynamics
-one tape op per node.  Chained over the steps by ``lif_unroll_reference`` it
-is the oracle that ``gradcheck_lif`` holds the numpy pass to.
+running BPTT in reverse time by hand.  The oracle module
+``etcsnn.autodiff`` builds the same dynamics one tape op per node and
+holds this pass to it; this module never builds a tape.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .autodiff import (
-    CustomGradSpec,
-    NonFiniteError,
-    ShapeMismatchError,
-    Tensor,
-    add,
-    custom_grad,
-    matmul,
-    mul,
-    scale,
-    stop_gradient,
-    sub,
-    sum_all,
-)
-from .losses import _norm_rel_err
-
 __all__ = [
+    "ShapeMismatchError",
+    "NonFiniteError",
     "LifParams",
-    "LifState",
     "NetworkSpec",
     "surrogate_factor",
-    "spike_fn",
-    "lif_step",
     "lif_unroll",
     "lif_backward",
-    "lif_unroll_reference",
     "init_weights",
-    "initial_state",
-    "LifGradCheckReport",
-    "gradcheck_lif",
 ]
+
+
+class ShapeMismatchError(ValueError):
+    """Operand shapes are incompatible for the attempted operation."""
+
+
+class NonFiniteError(ArithmeticError):
+    """A potential, a loss or a tape node came out NaN or Inf."""
 
 
 @dataclass(frozen=True)
@@ -102,54 +89,6 @@ def surrogate_factor(v: np.ndarray, params: LifParams) -> np.ndarray:
     return (a - a * a * np.minimum(dist, 2.0 / a)) * (dist <= 1.0 / a) + 0.0
 
 
-def spike_fn(v: Tensor, params: LifParams) -> Tensor:
-    """Heaviside spike (1.0 where v >= v_th) with the triangular surrogate."""
-    spec = CustomGradSpec(
-        forward=lambda x: (x >= params.v_th).astype(np.float64),
-        backward=lambda x: surrogate_factor(x, params),
-    )
-    return custom_grad(v, spec, name="spike")
-
-
-@dataclass
-class LifState:
-    """Post-step layer state: stored potential and the spikes just emitted."""
-
-    v: Tensor
-    s: Tensor
-
-
-def initial_state(batch: int, neurons: int, params: LifParams) -> LifState:
-    v0 = Tensor(np.full((batch, neurons), params.v_reset))
-    s0 = Tensor(np.zeros((batch, neurons)))
-    return LifState(v=v0, s=s0)
-
-
-def lif_step(
-    state: LifState,
-    input_current: Tensor,
-    params: LifParams,
-    spike: Callable[[Tensor], Tensor] | None = None,
-) -> LifState:
-    """Advance one timestep: charge, fire, hard-reset.
-
-    ``spike`` overrides the nonlinearity (a test hook -- identity turns the
-    layer into a plain leaky integrator).  With an override the reset is
-    skipped, since the override's output need not be binary.
-    """
-    charged = add(scale(state.v, params.leak), scale(input_current, 1.0 / params.tau_m))
-    if spike is not None:
-        return LifState(v=charged, s=spike(charged))
-    spiked = spike_fn(charged, params)
-    # Hard reset: v -> v * (1 - s) + v_reset * s, with the spike factor
-    # behind stop_gradient so the reset adds no second gradient path.
-    keep = stop_gradient(sub(Tensor(np.ones_like(charged.data)), spiked))
-    v_next = mul(charged, keep)
-    if params.v_reset != 0.0:
-        v_next = add(v_next, scale(stop_gradient(spiked), params.v_reset))
-    return LifState(v=v_next, s=spiked)
-
-
 @dataclass(frozen=True)
 class NetworkSpec:
     """Shape of a feedforward LIF classifier.
@@ -178,13 +117,13 @@ class NetworkSpec:
         return self.layer_sizes[-1]
 
 
-def init_weights(spec: NetworkSpec, seed: int) -> list[Tensor]:
+def init_weights(spec: NetworkSpec, seed: int) -> list[np.ndarray]:
     """Uniform(+-sqrt(6/fan_in)) weights for each consecutive layer pair."""
     rng = np.random.default_rng(seed)
     weights = []
     for fan_in, fan_out in zip(spec.layer_sizes, spec.layer_sizes[1:]):
         bound = math.sqrt(6.0 / fan_in)
-        weights.append(Tensor(rng.uniform(-bound, bound, size=(fan_in, fan_out))))
+        weights.append(rng.uniform(-bound, bound, size=(fan_in, fan_out)))
     return weights
 
 
@@ -202,7 +141,7 @@ def _drive(x: np.ndarray, w: np.ndarray, params: LifParams) -> np.ndarray:
 def _charge_fire(drive: np.ndarray, params: LifParams) -> tuple[np.ndarray, np.ndarray]:
     """Charged potentials and spikes of one LIF layer over all steps.
 
-    Same arithmetic as ``lif_step``, starting from the reset potential.
+    Same arithmetic as ``autodiff.lif_step``, starting from the reset potential.
     Raises NonFiniteError on an overflowed potential, which the 0/1 spikes
     would otherwise hide.
     """
@@ -304,104 +243,3 @@ def lif_backward(spec: NetworkSpec, params, cache, dv: np.ndarray) -> list[np.nd
         if i:
             g = (g_current @ params[i].T).reshape(x.shape)
     return grads[::-1]
-
-
-# -- per-op reference and its gradient check ---------------------------------------
-
-
-def lif_unroll_reference(
-    spec: NetworkSpec,
-    weights: Sequence[Tensor],
-    inputs: Sequence[Tensor],
-    spike: Callable[[Tensor], Tensor] | None = None,
-) -> list[Tensor]:
-    """``lif_unroll`` built one op per node from ``lif_step``.
-
-    ``inputs`` holds one (batch, input_dim) tensor per timestep; returns
-    the output layer's (batch, classes) potential at each step.  ``spike``
-    overrides the hidden nonlinearity as in ``lif_step``.
-    """
-    lif = spec.lif
-    batch = inputs[0].shape[0]
-    states = [initial_state(batch, n, lif) for n in spec.layer_sizes[1:-1]]
-    v_out = Tensor(np.zeros((batch, spec.classes)))
-    outputs = []
-    for signal in inputs:
-        for i, state in enumerate(states):
-            states[i] = lif_step(state, matmul(signal, weights[i]), lif, spike=spike)
-            signal = states[i].s
-        out_current = matmul(signal, weights[-1])
-        v_out = add(scale(v_out, lif.leak), scale(out_current, 1.0 / lif.tau_m))
-        outputs.append(v_out)
-    return outputs
-
-
-@dataclass(frozen=True)
-class LifGradCheckReport:
-    cases: int
-    max_rel_err: float
-    band_fraction: float  # share of all hidden charged potentials inside the surrogate band
-    tol: float
-    passed: bool
-
-
-def _random_lif_case(rng: np.random.Generator):
-    """Network, weights, inputs and a linear readout of the outputs."""
-    hidden = [int(n) for n in rng.integers(2, 9, size=int(rng.integers(1, 4)))]
-    sizes = (int(rng.integers(2, 7)), *hidden, int(rng.integers(2, 5)))
-    lif = LifParams(
-        tau_m=float(rng.choice([1.0, 1.5, 2.0, 4.0])),
-        v_reset=float(rng.uniform(-0.3, 0.3)) if rng.random() < 0.5 else 0.0,
-        surrogate_a=float(rng.uniform(1.0, 3.0)),
-    )
-    spec = NetworkSpec(sizes, timesteps=int(rng.choice([1, 2, 10])), lif=lif)
-    # Positive-mean weights and inputs keep the charged potentials near
-    # v_th, inside the surrogate band where gradients flow.
-    weights = [
-        rng.normal(0.5, 1.0, size=(fan_in, fan_out)) / math.sqrt(fan_in)
-        for fan_in, fan_out in zip(sizes, sizes[1:])
-    ]
-    batch = int(rng.integers(1, 5))
-    inputs = rng.uniform(0.0, 2.0, size=(batch, spec.timesteps, sizes[0]))
-    readout = rng.normal(size=(batch, spec.timesteps, spec.classes))
-    return spec, weights, inputs, readout
-
-
-def gradcheck_lif(seed: int = 0, cases: int = 100, tol: float = 1e-12) -> LifGradCheckReport:
-    """``lif_unroll``/``lif_backward`` vs ``lif_unroll_reference`` on random networks.
-
-    Each case draws 1-3 hidden layers, T in {1, 2, 10}, a zero or nonzero
-    reset potential and a membrane time constant, then compares the output
-    potentials and every weight gradient of a random linear readout of the
-    outputs, which is the ``dv`` handed to ``lif_backward``.
-    """
-    rng = np.random.default_rng(seed)
-    worst, in_band, count = 0.0, 0, 0
-    for _ in range(cases):
-        spec, w_vals, inputs, readout = _random_lif_case(rng)
-
-        values, cache = lif_unroll(spec, w_vals, inputs)
-        grads = lif_backward(spec, w_vals, cache, readout)
-
-        ref_weights = [Tensor(w) for w in w_vals]
-        ref_x = [Tensor(inputs[:, t]) for t in range(spec.timesteps)]
-        ref_out = lif_unroll_reference(spec, ref_weights, ref_x)
-        total = sum_all(mul(Tensor(readout[:, 0]), ref_out[0]))
-        for t in range(1, spec.timesteps):
-            total = add(total, sum_all(mul(Tensor(readout[:, t]), ref_out[t])))
-        total.backward()
-
-        pairs = [(values, np.stack([v.data for v in ref_out], axis=1))]
-        pairs += [(g, r.grad) for g, r in zip(grads, ref_weights)]
-        worst = max([worst] + [_norm_rel_err(got, want) for got, want in pairs])
-
-        for _, charged, _ in cache[:-1]:
-            in_band += np.count_nonzero(surrogate_factor(charged, spec.lif))
-            count += charged.size
-    return LifGradCheckReport(
-        cases=cases,
-        max_rel_err=worst,
-        band_fraction=float(in_band / max(count, 1)),
-        tol=tol,
-        passed=worst <= tol,
-    )

@@ -25,7 +25,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .autodiff import NonFiniteError
 from .data import (
     Split,
     SynthSpec,
@@ -37,7 +36,7 @@ from .data import (
 )
 from .losses import LOSS_MODES, EtcConfig, kl_metric_values, objective, _softmax_np
 from .optim import OptimState, adamw_step, cosine_lr
-from .snn import LifParams, NetworkSpec, init_weights, lif_backward, lif_unroll
+from .snn import LifParams, NetworkSpec, NonFiniteError, init_weights, lif_backward, lif_unroll
 
 __all__ = [
     "ConfigError",
@@ -704,7 +703,7 @@ def train(cfg: RunConfig, out_dir, resume_from=None) -> TrainResult:
             f"{metrics_path} already holds a run; resume it or train into a fresh directory"
         )
     else:
-        params = [w.data for w in init_weights(spec, cfg.seed)]
+        params = init_weights(spec, cfg.seed)
         opt = OptimState.fresh(params, **{name: getattr(cfg, name) for name in _OPT_HYPERS})
         start_epoch = 0
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -15,16 +15,9 @@ import time
 import numpy as np
 import pytest
 
-from etcsnn.autodiff import Tensor, sum_all
-from etcsnn.losses import (
-    EtcConfig,
-    TimestepOutputs,
-    etc_loss,
-    gradcheck_ce,
-    gradcheck_etc,
-    kl_metric_values,
-)
-from etcsnn.snn import LifParams, spike_fn, surrogate_factor
+from etcsnn.autodiff import Tensor, etc_loss, gradcheck_ce, gradcheck_etc, spike_fn, sum_all
+from etcsnn.losses import EtcConfig, kl_metric_values
+from etcsnn.snn import LifParams, surrogate_factor
 from etcsnn.train import build_run_config, load_checkpoint, train
 
 from oracles import mean_entropy_reference
@@ -35,14 +28,14 @@ def _report(criterion: str, ok: bool, detail: str) -> bool:
     return ok
 
 
-def _random_outputs(rng) -> tuple[TimestepOutputs, np.ndarray]:
+def _random_outputs(rng) -> tuple[Tensor, np.ndarray]:
     batch = int(rng.integers(1, 5))
     steps = int(rng.integers(2, 7))
     classes = int(rng.integers(2, 6))
     values = rng.normal(scale=2.0, size=(batch, steps, classes))
     labels = np.zeros((batch, classes))
     labels[np.arange(batch), rng.integers(0, classes, size=batch)] = 1.0
-    return TimestepOutputs.from_values(values), labels
+    return Tensor(values), labels
 
 
 # -- 1: surrogate exactness ---------------------------------------------------------
@@ -95,9 +88,9 @@ def test_criterion_3_consistency_gradient_oracle():
         cfg = EtcConfig(
             tau=float(rng.uniform(0.5, 8.0)), lam=float(rng.uniform(0.1, 4.0))
         )
-        report = gradcheck_etc(outs, cfg, tol=1e-10, fd_tol=1e-5)
-        worst_closed = max(worst_closed, report.max_rel_err)
-        worst_fd = max(worst_fd, report.fd_max_rel_err)
+        closed, fd = gradcheck_etc(outs, cfg, tol=1e-10, fd_tol=1e-5)
+        worst_closed = max(worst_closed, closed.max_rel_err)
+        worst_fd = max(worst_fd, fd.max_rel_err)
     wall = time.perf_counter() - t0
     ok = worst_closed < 1e-10 and worst_fd < 1e-5 and wall < 30.0
     assert _report(
@@ -117,8 +110,8 @@ def test_criterion_4_loss_identity_and_kl_zero():
         outs, _ = _random_outputs(rng)
         tau = float(rng.uniform(0.5, 8.0))
         cfg = EtcConfig(tau=tau, lam=1.0)
-        lhs = etc_loss(outs, cfg).item() - mean_entropy_reference(outs.values(), tau)
-        rhs = kl_metric_values(outs.values(), tau)
+        lhs = etc_loss(outs, cfg).item() - mean_entropy_reference(outs.data, tau)
+        rhs = kl_metric_values(outs.data, tau)
         worst = max(worst, abs(lhs - rhs))
 
     # identical per-timestep distributions: shift each step by a constant

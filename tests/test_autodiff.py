@@ -1,12 +1,18 @@
-"""Tape mechanics: forward values, backward rules, determinism, errors."""
+"""Tape mechanics: forward values, backward rules, determinism, errors;
+and the tape's place as an oracle only."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import etcsnn
 from etcsnn import autodiff as ad
 from oracles import fd_gradient, norm_rel_err, softmax_row
 
@@ -285,3 +291,25 @@ def test_softmax_rejects_bad_tau():
         ad.log_softmax(leaf([1.0, 2.0]), tau=0.0)
     with pytest.raises(ValueError, match="tau"):
         ad.log_softmax(leaf([1.0, 2.0]), tau=-1.0)
+
+
+# -- the tape is an oracle only ------------------------------------------------------
+
+
+def test_engine_imports_no_tape():
+    """Training, evaluation and the objective never build a Tensor: in a
+    fresh interpreter, importing the trainer (and with it snn, losses,
+    optim and data) leaves the oracle module unloaded."""
+    env = {**os.environ, "PYTHONPATH": str(Path(etcsnn.__file__).parents[1])}
+    code = "import sys, etcsnn.train; print('etcsnn.autodiff' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    assert proc.stdout == "False\n"
+
+
+@pytest.mark.parametrize("oracle", [ad.gradcheck_suite, ad.gradcheck_lif])
+@pytest.mark.parametrize("cases", [0, -3])
+def test_oracles_refuse_to_check_nothing(oracle, cases):
+    with pytest.raises(ValueError, match="cases"):
+        oracle(cases=cases)

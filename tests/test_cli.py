@@ -382,6 +382,17 @@ def test_negative_seed_names_its_key(tmp_path, capsys, argv, key):
     assert not out.exists()
 
 
+def test_dataset_too_large_to_allocate_is_one_error_line(tmp_path, capsys):
+    # 10**14 samples per class is petabytes: beyond any user address
+    # space, so the first allocation fails at once whatever the host
+    out = tmp_path / "run"
+    argv = ["train", "--set", f"data.samples_per_class={10**14}", "--out", str(out)]
+    assert run_cli(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert not out.exists()
+
+
 def test_config_file_bad_line_names_path_and_line(tmp_path, capsys):
     path = tmp_path / "bad.cfg"
     path.write_text("train.epochs=0\nnot a key value line\n")
@@ -444,6 +455,26 @@ def test_gradcheck_passes_and_prints_errors(capsys):
     assert "objective max_rel_err=" in out
     assert "lif max_rel_err=" in out and "tol=1e-12" in out
     assert "PASS" in out
+    prefixes = [
+        "cases=", "ce_mean max_rel_err=", "consistency max_rel_err=",
+        "consistency fd_max_rel_err=", "per_timestep_ce max_rel_err=",
+        "objective max_rel_err=", "lif max_rel_err=", "PASS",
+    ]
+    lines = out.splitlines()
+    assert len(lines) == len(prefixes)
+    assert all(line.startswith(p) for line, p in zip(lines, prefixes)), lines
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["--cases", "0"], "--cases"),
+    (["--cases", "-3"], "--cases"),
+    (["--seed", "-1", "--cases", "1"], "--seed"),
+])
+def test_gradcheck_bad_count_or_seed_names_its_flag(capsys, argv, flag):
+    assert run_cli(["gradcheck", *argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: argument {flag}: ")
+    assert len(captured.err.splitlines()) == 1 and captured.out == ""
 
 
 # -- analysis commands ---------------------------------------------------------------

@@ -7,18 +7,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from etcsnn import autodiff as ad
-from etcsnn.snn import (
-    LifParams,
+from etcsnn.autodiff import (
     LifState,
-    NetworkSpec,
     gradcheck_lif,
-    init_weights,
     initial_state,
-    lif_backward,
     lif_step,
-    lif_unroll,
     lif_unroll_reference,
     spike_fn,
+)
+from etcsnn.snn import (
+    LifParams,
+    NetworkSpec,
+    init_weights,
+    lif_backward,
+    lif_unroll,
     surrogate_factor,
 )
 from oracles import fd_gradient, norm_rel_err
@@ -250,11 +252,11 @@ def test_init_weights_deterministic_and_bounded():
     b = init_weights(spec, seed=9)
     c = init_weights(spec, seed=10)
     for wa, wb in zip(a, b):
-        assert np.array_equal(wa.data, wb.data)
-    assert any(not np.array_equal(wa.data, wc.data) for wa, wc in zip(a, c))
+        assert np.array_equal(wa, wb)
+    assert any(not np.array_equal(wa, wc) for wa, wc in zip(a, c))
     assert a[0].shape == (6, 4) and a[1].shape == (4, 2)
-    assert np.all(np.abs(a[0].data) <= np.sqrt(6.0 / 6))
-    assert np.all(np.abs(a[1].data) <= np.sqrt(6.0 / 4))
+    assert np.all(np.abs(a[0]) <= np.sqrt(6.0 / 6))
+    assert np.all(np.abs(a[1]) <= np.sqrt(6.0 / 4))
 
 
 def test_network_spec_validation():
@@ -298,8 +300,8 @@ def test_fused_values_bitwise_equal_reference(v_reset):
     rng = np.random.default_rng(17)
     weights = init_weights(spec, seed=3)
     x = rng.uniform(0.0, 1.5, size=(8, 10, 16))
-    values, cache = lif_unroll(spec, [w.data for w in weights], x)
-    ref = lif_unroll_reference(spec, weights, _per_step(x))
+    values, cache = lif_unroll(spec, weights, x)
+    ref = lif_unroll_reference(spec, [ad.Tensor(w) for w in weights], _per_step(x))
     assert np.array_equal(values, np.stack([v.data for v in ref], axis=1))
     # the cache holds each layer's input, and the hidden layers' spikes feed the next
     assert cache[0][0] is x and cache[-1][1:] == (None, None)

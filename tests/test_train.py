@@ -18,10 +18,10 @@ import numpy as np
 import pytest
 
 from etcsnn import train as train_module
-from etcsnn.autodiff import Tensor, mul, sum_all
+from etcsnn.autodiff import Tensor, lif_unroll_reference, mul, sum_all
 from etcsnn.data import Split, SynthSpec, save_synth_dataset, synth_generate
 from etcsnn.optim import OptimState
-from etcsnn.snn import NetworkSpec, lif_unroll, lif_unroll_reference
+from etcsnn.snn import NetworkSpec, lif_unroll
 from etcsnn.train import (
     Checkpoint,
     CheckpointError,
@@ -379,7 +379,7 @@ def test_overflowing_potential_is_a_training_error(tmp_path, monkeypatch):
     save_synth_dataset(path, spec, huge, te)
     monkeypatch.setattr(
         train_module, "init_weights",
-        lambda net, seed: [Tensor(np.ones((a, b))) for a, b in
+        lambda net, seed: [np.ones((a, b)) for a, b in
                            zip(net.layer_sizes, net.layer_sizes[1:])],
     )
     cfg = build_run_config(tiny(**{"data.kind": "file", "data.file": str(path)}))
