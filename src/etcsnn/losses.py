@@ -53,10 +53,9 @@ def _log_softmax_np(z: np.ndarray) -> np.ndarray:
     return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
 
 
-def _log_softmax_term(x, target, tau: float, c: float, upstream: float = 1.0):
-    """``c * sum(target * log_softmax(x / tau))`` and its gradient by ``x``
-    when ``upstream`` reaches the scaled sum: the tape's ops, same order."""
-    ls = _log_softmax_np(x / tau)
+def _log_softmax_term(ls, target, tau: float, c: float, upstream: float = 1.0):
+    """``c * sum(target * ls)``, ``ls = log_softmax(x / tau)``, and its gradient by
+    ``x`` when ``upstream`` reaches the scaled sum: the tape's ops, same order."""
     g = target * (c * upstream)
     return float(np.sum(target * ls) * c), (g - np.exp(ls) * g.sum(axis=-1, keepdims=True)) / tau
 
@@ -78,18 +77,22 @@ def objective(
     with_etc = loss_mode == "ce_plus_etc" and etc.lam != 0.0 and steps >= 2
     if loss_mode == "per_timestep_ce":
         y = np.repeat(labels_1h[:, None, :], steps, axis=1)
-        ce, grad = _log_softmax_term(values, y, 1.0, -1.0 / (batch * steps))
+        ce, grad = _log_softmax_term(_log_softmax_np(values), y, 1.0, -1.0 / (batch * steps))
         dv += grad
     else:
         if with_etc:
             weight = float(etc.lam * etc.tau**2)
-            p = _softmax_np(values / etc.tau)  # the frozen targets
+            z = values / etc.tau  # _softmax_np's and _log_softmax_np's ops, one exp for both
+            z -= z.max(axis=-1, keepdims=True)
+            e = np.exp(z)
+            norm = e.sum(axis=-1, keepdims=True)
+            p = e / norm  # the frozen targets
             others = p.sum(axis=1, keepdims=True) - p
             c = -1.0 / (batch * steps * (steps - 1))
-            etc_val, grad = _log_softmax_term(values, others, etc.tau, c, weight)
+            etc_val, grad = _log_softmax_term(z - np.log(norm), others, etc.tau, c, weight)
             dv += grad
         mean = values.sum(axis=1) * (1.0 / steps)
-        ce, grad = _log_softmax_term(mean, labels_1h, 1.0, -1.0 / batch)
+        ce, grad = _log_softmax_term(_log_softmax_np(mean), labels_1h, 1.0, -1.0 / batch)
         dv += ((1.0 / steps) * grad)[:, None, :]
     total = ce + etc_val * weight if with_etc else ce
     if not np.isfinite(total):

@@ -18,11 +18,14 @@ potentials are the network's logits.
 
 ``lif_unroll`` runs the network in plain numpy.  The layers are
 feedforward, so one (batch*T, fan_in) matmul gives every step's input
-current; a loop over the steps then charges, fires and resets.
-``lif_backward`` walks the cache it returns from the output layer down,
-running BPTT in reverse time by hand.  The oracle module
-``etcsnn.autodiff`` builds the same dynamics one tape op per node and
-holds this pass to it; this module never builds a tape.
+current; a loop over the steps then charges, fires and resets in place,
+on time-major (T, batch, width) drives and potentials whose per-step slices
+are contiguous.  Spikes, inputs and gradients by input currents stay
+batch-major: their (batch*T, width) rows feed the matmuls, and that row
+order fixes the float summation order.  ``lif_backward`` walks the cache
+from the output layer down, running BPTT in reverse time by hand, time-major
+too.  The oracle module ``etcsnn.autodiff`` builds the same dynamics one
+tape op per node and holds this pass to it; this module never builds a tape.
 """
 
 from __future__ import annotations
@@ -80,13 +83,18 @@ def surrogate_factor(v: np.ndarray, params: LifParams) -> np.ndarray:
     threshold.
     """
     a = params.surrogate_a
-    dist = np.abs(v - params.v_th)
+    dist = np.subtract(v, params.v_th, out=np.empty(np.shape(v)))
+    np.abs(dist, out=dist)
     # Same values, bit for bit, as np.where(dist > 1/a, 0, a - a*a*dist),
     # but masked by a multiply: np.where branches on every element and is
     # several times slower on the random masks of a fused layer.  The
     # clamp keeps masked terms finite (inf * 0 would be NaN) and + 0.0
-    # turns their -0.0 into 0.0.
-    return (a - a * a * np.minimum(dist, 2.0 / a)) * (dist <= 1.0 / a) + 0.0
+    # turns their -0.0 into 0.0.  In place, as fresh temporaries cost more.
+    in_band = dist <= 1.0 / a
+    out = np.multiply(np.minimum(dist, 2.0 / a, out=dist), a * a, out=dist)
+    np.subtract(a, out, out=out)
+    out *= in_band
+    return np.add(out, 0.0, out=out)
 
 
 @dataclass(frozen=True)
@@ -131,32 +139,37 @@ def init_weights(spec: NetworkSpec, seed: int) -> list[np.ndarray]:
 
 
 def _drive(x: np.ndarray, w: np.ndarray, params: LifParams) -> np.ndarray:
-    """``(1/tau_m) * input current`` of every step: (batch, T, fan_out)."""
+    """``(1/tau_m) * input current`` of every step, time-major: (T, batch, fan_out)."""
     batch, steps, fan_in = x.shape
+    out = np.empty((steps, batch, w.shape[1]))
     with np.errstate(over="ignore", invalid="ignore"):  # callers check finiteness
-        current = x.reshape(batch * steps, fan_in) @ w
-        return current.reshape(batch, steps, -1) * (1.0 / params.tau_m)
+        current = (x.reshape(batch * steps, fan_in) @ w).reshape(batch, steps, -1)
+        np.multiply(current, 1.0 / params.tau_m, out=out.transpose(1, 0, 2))
+    return out
 
 
 def _charge_fire(drive: np.ndarray, params: LifParams) -> tuple[np.ndarray, np.ndarray]:
-    """Charged potentials and spikes of one LIF layer over all steps.
+    """Time-major charged potentials and batch-major spikes of one LIF layer;
+    the spikes overwrite ``drive``, one array less at the memory peak.
 
-    Same arithmetic as ``autodiff.lif_step``, starting from the reset potential.
-    Raises NonFiniteError on an overflowed potential, which the 0/1 spikes
-    would otherwise hide.
+    Same arithmetic as ``autodiff.lif_step`` from the reset potential, with
+    ``c * (c < v_th)`` for ``c * (1 - s)``.  Raises NonFiniteError on an
+    overflowed potential, which the 0/1 spikes would otherwise hide.
     """
     charged = np.empty_like(drive)
-    spikes = np.empty_like(drive)
-    v = np.full(drive[:, 0].shape, params.v_reset)
+    keep, v = np.empty(drive.shape[1:]), np.full(drive.shape[1:], params.v_reset)
     with np.errstate(over="ignore", invalid="ignore"):
-        for t in range(drive.shape[1]):
-            c = charged[:, t] = v * params.leak + drive[:, t]
-            s = spikes[:, t] = c >= params.v_th
-            v = c * (1.0 - s)
+        for c, d in zip(charged, drive):
+            np.multiply(v, params.leak, out=c)
+            c += d
+            np.less(c, params.v_th, out=keep)
+            np.multiply(c, keep, out=v)
             if params.v_reset != 0.0:
-                v = v + s * params.v_reset
+                v += (c >= params.v_th) * params.v_reset
     if not np.all(np.isfinite(charged)):
         raise NonFiniteError("non-finite membrane potentials in a LIF layer")
+    spikes = drive.reshape(drive.shape[1], drive.shape[0], -1)
+    np.copyto(spikes, (charged >= params.v_th).transpose(1, 0, 2))
     return charged, spikes
 
 
@@ -191,9 +204,9 @@ def lif_unroll(
     Hidden layers start from the reset potential; the output layer
     leak-integrates its current from zero with no threshold, spike, or
     reset.  Returns the output layer's (batch, T, classes) potentials and
-    the cache ``lif_backward`` needs: per layer, its input, charged
-    potentials and spikes (None for the output layer).  Raises
-    NonFiniteError on a non-finite potential.
+    the cache ``lif_backward`` needs: per layer, its input, (T, batch,
+    width) charged potentials and (batch, T, width) spikes (None for the
+    output layer).  Raises NonFiniteError on a non-finite potential.
     """
     x = np.asarray(inputs, dtype=np.float64)
     _check_unroll_shapes(spec, params, x.shape)
@@ -205,11 +218,12 @@ def lif_unroll(
         x = spikes
     cache.append((x, None, None))
     drive = _drive(x, params[-1], lif)
-    values = np.empty_like(drive)
-    v = np.zeros_like(drive[:, 0])
+    values = np.empty((x.shape[0], spec.timesteps, spec.classes))
+    v = np.zeros(drive.shape[1:])
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(spec.timesteps):
-            v = values[:, t] = v * lif.leak + drive[:, t]
+            v = np.multiply(v, lif.leak, out=values[:, t])
+            v += drive[t]
     if not np.all(np.isfinite(values)):
         raise NonFiniteError("non-finite membrane potentials in the output layer")
     return values, cache
@@ -225,20 +239,22 @@ def lif_backward(spec: NetworkSpec, params, cache, dv: np.ndarray) -> list[np.nd
     for i in reversed(range(len(params))):
         x, charged, spikes = cache[i]
         batch, steps, fan_in = x.shape
-        # d(loss)/d(charged potential), latest step first; the stored
-        # potential carries leak * that back into the step before, through
-        # the (1 - s) reset factor of a spiking layer.
+        # d(loss)/d(charged potential), latest step first; the stored potential carries
+        # decay = leak * (1 - s) times it a step back: (leak*g)*k == g*(leak*k), k in {0, 1}.
         if spikes is None:
-            direct, keep = g, None
+            direct, decay = g.transpose(1, 0, 2), (lif.leak,) * steps
         else:
-            direct, keep = surrogate_factor(charged, lif) * g, 1.0 - spikes
-        g_charged = np.empty_like(direct)
-        carry = np.zeros_like(direct[:, 0])
+            direct = surrogate_factor(charged, lif)
+            direct *= g.transpose(1, 0, 2)
+            decay = lif.leak * (charged < lif.v_th)
+        g_charged = np.empty(direct.shape)  # time-major
+        carry = np.zeros(direct.shape[1:])
         for t in reversed(range(steps)):
-            gc = direct[:, t] + (carry if keep is None else carry * keep[:, t])
-            g_charged[:, t] = gc
-            carry = lif.leak * gc
-        g_current = (g_charged * (1.0 / lif.tau_m)).reshape(batch * steps, -1)
+            carry = np.multiply(carry, decay[t], out=g_charged[t])
+            carry += direct[t]
+        g_current = np.empty(x.shape[:2] + g_charged.shape[2:])
+        np.multiply(g_charged.transpose(1, 0, 2), 1.0 / lif.tau_m, out=g_current)
+        g_current = g_current.reshape(batch * steps, -1)
         grads.append(x.reshape(batch * steps, fan_in).T @ g_current)
         if i:
             g = (g_current @ params[i].T).reshape(x.shape)

@@ -109,3 +109,78 @@ def random_loss_instance(rng: np.random.Generator):
     onehot = np.zeros((batch, classes))
     onehot[np.arange(batch), rng.integers(0, classes, size=batch)] = 1.0
     return values, onehot
+
+
+# -- the batch-major LIF kernels, frozen ---------------------------------------------
+#
+# The numpy network pass as it stood before its time loops went time-major
+# and in place, kept verbatim apart from taking the neuron constants as
+# plain floats.  The live kernels must match it bit for bit.
+
+
+def _surrogate_frozen(v, v_th, a):
+    dist = np.abs(v - v_th)
+    return (a - a * a * np.minimum(dist, 2.0 / a)) * (dist <= 1.0 / a) + 0.0
+
+
+def _drive_frozen(x, w, tau_m):
+    batch, steps, fan_in = x.shape
+    with np.errstate(over="ignore", invalid="ignore"):
+        current = x.reshape(batch * steps, fan_in) @ w
+        return current.reshape(batch, steps, -1) * (1.0 / tau_m)
+
+
+def lif_unroll_frozen(weights, inputs, tau_m, v_th, v_reset):
+    """``(values, cache)``: (batch, T, classes) output potentials and, per
+    layer, its input, its (batch, T, width) charged potentials and spikes
+    (None for the output layer)."""
+    leak = 1.0 - 1.0 / tau_m
+    x = np.asarray(inputs, dtype=np.float64)
+    cache = []
+    for w in weights[:-1]:
+        drive = _drive_frozen(x, w, tau_m)
+        charged = np.empty_like(drive)
+        spikes = np.empty_like(drive)
+        v = np.full(drive[:, 0].shape, v_reset)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for t in range(drive.shape[1]):
+                c = charged[:, t] = v * leak + drive[:, t]
+                s = spikes[:, t] = c >= v_th
+                v = c * (1.0 - s)
+                if v_reset != 0.0:
+                    v = v + s * v_reset
+        cache.append((x, charged, spikes))
+        x = spikes
+    cache.append((x, None, None))
+    drive = _drive_frozen(x, weights[-1], tau_m)
+    values = np.empty_like(drive)
+    v = np.zeros_like(drive[:, 0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(drive.shape[1]):
+            v = values[:, t] = v * leak + drive[:, t]
+    return values, cache
+
+
+def lif_backward_frozen(weights, cache, dv, tau_m, v_th, surrogate_a):
+    """Every weight's gradient from ``dv`` and a ``lif_unroll_frozen`` cache."""
+    leak = 1.0 - 1.0 / tau_m
+    grads = []
+    g = dv
+    for i in reversed(range(len(weights))):
+        x, charged, spikes = cache[i]
+        batch, steps, fan_in = x.shape
+        if spikes is None:
+            direct, keep = g, None
+        else:
+            direct, keep = _surrogate_frozen(charged, v_th, surrogate_a) * g, 1.0 - spikes
+        g_charged = np.empty_like(direct)
+        carry = np.zeros_like(direct[:, 0])
+        for t in reversed(range(steps)):
+            gc = direct[:, t] + (carry if keep is None else carry * keep[:, t])
+            g_charged[:, t] = gc
+            carry = leak * gc
+        g_current = (g_charged * (1.0 / tau_m)).reshape(batch * steps, -1)
+        grads.append(x.reshape(batch * steps, fan_in).T @ g_current)
+        if i:
+            g = (g_current @ weights[i].T).reshape(x.shape)
+    return grads[::-1]

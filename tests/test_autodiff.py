@@ -299,13 +299,15 @@ def test_softmax_rejects_bad_tau():
 def test_engine_imports_no_tape():
     """Training, evaluation and the objective never build a Tensor: in a
     fresh interpreter, importing the trainer (and with it snn, losses,
-    optim and data) leaves the oracle module unloaded."""
+    optim and data) or the CLI leaves the oracle module unloaded; only
+    ``gradcheck`` loads it."""
     env = {**os.environ, "PYTHONPATH": str(Path(etcsnn.__file__).parents[1])}
-    code = "import sys, etcsnn.train; print('etcsnn.autodiff' in sys.modules)"
-    proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
-    )
-    assert proc.stdout == "False\n"
+    for module in ("etcsnn.train", "etcsnn.cli"):
+        code = f"import sys, {module}; print('etcsnn.autodiff' in sys.modules)"
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+        )
+        assert proc.stdout == "False\n", module
 
 
 @pytest.mark.parametrize("oracle", [ad.gradcheck_suite, ad.gradcheck_lif])

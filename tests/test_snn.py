@@ -23,7 +23,7 @@ from etcsnn.snn import (
     lif_unroll,
     surrogate_factor,
 )
-from oracles import fd_gradient, norm_rel_err
+from oracles import fd_gradient, lif_backward_frozen, lif_unroll_frozen, norm_rel_err
 
 P = LifParams()  # tau_m=2, v_th=0.5, v_reset=0, a=2
 
@@ -332,6 +332,52 @@ def test_backward_matches_reference_on_a_fixed_network():
     assert all(np.any(g != 0.0) for g in grads)
     for g, w in zip(grads, weights):
         assert norm_rel_err(g, w.grad) <= 1e-12
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.int64)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    batch=st.sampled_from([1, *range(3, 41)]),
+    steps=st.sampled_from([1, 2, 10]),
+    hidden=st.lists(st.integers(1, 12), min_size=1, max_size=3),
+    dims=st.tuples(st.integers(1, 8), st.integers(2, 5)),
+    v_reset=st.sampled_from([0.0, 0.1]),
+    tau_m=st.sampled_from([1.0, 1.5, 2.0, 4.0]),
+    v_th=st.sampled_from([-0.3, 0.0, 0.5]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_kernels_match_frozen_batch_major_kernels_bitwise(
+    batch, steps, hidden, dims, v_reset, tau_m, v_th, seed
+):
+    """The time-major, in-place loops against a frozen copy of the
+    batch-major ones: values, weight gradients, charged potentials and
+    spikes agree as raw bits, so signed zeros count too.  ``v_th <= 0``
+    fires on negative potentials, and ``tau_m = 1`` drops the leak."""
+    sizes = (dims[0], *hidden, dims[1])
+    lif = LifParams(tau_m=tau_m, v_th=v_th, v_reset=v_reset)
+    spec = _spec(sizes=sizes, steps=steps, lif=lif)
+    rng = np.random.default_rng(seed)
+    params = [rng.normal(0.3, 1.0, size=(a, b)) / np.sqrt(a) for a, b in zip(sizes, sizes[1:])]
+    x = rng.uniform(-1.0, 2.0, size=(batch, steps, sizes[0]))
+    dv = rng.normal(size=(batch, steps, sizes[-1])) * (rng.random((batch, steps, sizes[-1])) > 0.2)
+
+    values, cache = lif_unroll(spec, params, x)
+    grads = lif_backward(spec, params, cache, dv)
+    want_values, want_cache = lif_unroll_frozen(params, x, tau_m, v_th, v_reset)
+    want_grads = lif_backward_frozen(params, want_cache, dv, tau_m, v_th, lif.surrogate_a)
+
+    assert np.array_equal(_bits(values), _bits(want_values))
+    assert len(grads) == len(want_grads)
+    for got, want in zip(grads, want_grads):
+        assert np.array_equal(_bits(got), _bits(want))
+    for (_, charged, spikes), (_, want_charged, want_spikes) in zip(cache[:-1], want_cache):
+        assert charged.shape == (steps, batch, want_charged.shape[2])  # time-major
+        assert np.array_equal(_bits(charged.transpose(1, 0, 2)), _bits(want_charged))
+        assert spikes.shape == want_spikes.shape  # batch-major: the next layer's input
+        assert np.array_equal(_bits(spikes), _bits(want_spikes))
 
 
 @pytest.mark.parametrize("scale_of", ["inputs", "weights"])

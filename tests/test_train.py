@@ -352,20 +352,32 @@ GOLDEN_RUNS = {
         "23dfe4541f2ffe91b951bfde3e7f3d8bc3b1841e598b9d2fd23763d3aa5267b0",
         "6731cdade354eb5d69153f6d5772a3c6af38e7a541e9696b67f35d31c0098c46",
     ),
+    "per_timestep_ce-reset-16-8": (
+        "c9ae316966650752854777d5e4f9e2b5237b81153d98ca0ee863b429d432748e",
+        "9983d6f272d0bd9388c940b5d485207147c9d4360bbdeaa26253197bb0b981a9",
+    ),
+}
+# the keys each row sets; a row not named here sets only its loss mode
+GOLDEN_OVERRIDES = {
+    "per_timestep_ce-reset-16-8": {
+        "train.loss_mode": "per_timestep_ce", "lif.v_reset": "0.1",
+        "network.hidden_sizes": "16,8",
+    },
 }
 
 
-@pytest.mark.parametrize("mode", sorted(GOLDEN_RUNS))
-def test_training_outputs_match_golden_hashes(tmp_path, mode):
+@pytest.mark.parametrize("row", sorted(GOLDEN_RUNS))
+def test_training_outputs_match_golden_hashes(tmp_path, row):
     cfg = build_run_config({
-        "train.loss_mode": mode, "train.epochs": "2", "data.samples_per_class": "10",
+        "train.loss_mode": row, "train.epochs": "2", "data.samples_per_class": "10",
+        **GOLDEN_OVERRIDES.get(row, {}),
     })
     result = train(cfg, tmp_path / "run")
     got = tuple(
         hashlib.sha256(path.read_bytes()).hexdigest()
         for path in (result.metrics_path, result.ckpt_path)
     )
-    assert got == GOLDEN_RUNS[mode]
+    assert got == GOLDEN_RUNS[row]
 
 
 def test_overflowing_potential_is_a_training_error(tmp_path, monkeypatch):
