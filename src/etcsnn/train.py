@@ -571,7 +571,7 @@ def load_checkpoint(path) -> Checkpoint:
             )
         (rank,) = struct.unpack("<I", take(4))
         dims = struct.unpack(f"<{rank}I", take(4 * rank))
-        count = int(np.prod(dims)) if dims else 1
+        count = math.prod(dims)  # a Python int: a corrupt shape cannot wrap
         data = np.frombuffer(take(8 * count), dtype="<f8")
         return data.reshape(dims).copy()
 
@@ -789,15 +789,21 @@ def _ckpt_forward(
     return np.concatenate([lif_unroll(spec, params, inputs[b : b + size])[0] for b in starts])
 
 
+def _budget_accuracies(values: np.ndarray, labels: np.ndarray, budgets) -> dict[str, float]:
+    """Accuracy of argmax of the mean of the first k potentials at every
+    budget k, keyed ``str(k)`` in ``budgets`` order (a repeated budget keeps
+    its first place).  One cumulative sum over the time axis gives every
+    prefix sum: numpy sums a non-inner axis in sequence, so each equals
+    ``values[:, :k].sum(axis=1)`` bit for bit."""
+    ks = np.array(budgets)
+    means = np.cumsum(values[:, : ks.max()], axis=1)[:, ks - 1] / ks[:, None]
+    hits = np.argmax(means, axis=2) == labels[:, None]  # ties -> lowest class index
+    return dict(zip(map(str, budgets), hits.mean(axis=0).tolist()))
+
+
 def _prefix_accuracy(values: np.ndarray, labels: np.ndarray, k: int) -> float:
     """Accuracy of argmax of the mean of the first k potentials."""
-    mean_k = values[:, :k, :].sum(axis=1) / k
-    pred = np.argmax(mean_k, axis=1)  # ties -> lowest class index
-    return float(np.mean(pred == labels))
-
-
-def _budget_accuracies(values: np.ndarray, labels: np.ndarray, budgets) -> dict[str, float]:
-    return {str(k): _prefix_accuracy(values, labels, k) for k in budgets}
+    return _budget_accuracies(values, labels, [k])[str(k)]
 
 
 def _consistency_metrics(values: np.ndarray, tau: float) -> tuple[float, float]:
@@ -874,15 +880,24 @@ def consistency_report(ckpt: Checkpoint, split: Split) -> ConsistencyReport:
     )
 
 
+def _distribution_csv(values: np.ndarray, labels: np.ndarray) -> str:
+    """The distribution dump of output potentials ``values`` (N, T, C): per
+    sample, each step's temperature-1 softmax row, then its mean row."""
+    # (N, T + 1, C)
+    probs = np.concatenate(
+        [_softmax_np(values), _softmax_np(values.mean(axis=1))[:, None]], axis=1
+    )
+    picks = np.argmax(probs, axis=2).tolist()  # ties go to the lowest class
+    lines = ["sample_id,label,t,argmax," + ",".join(f"p_{c}" for c in range(values.shape[2]))]
+    steps = [*range(1, values.shape[1] + 1), "mean"]
+    rows = zip(labels.tolist(), probs.tolist(), picks)
+    for i, (label, sample, sample_picks) in enumerate(rows):
+        for t, row, pick in zip(steps, sample, sample_picks):
+            lines.append(f"{i},{label},{t},{pick}," + ",".join(map(repr, row)))
+    return "\n".join(lines) + "\n"
+
+
 def dump_distributions(ckpt: Checkpoint, split: Split, out_path) -> None:
     """Per-timestep temperature-1 softmax rows per sample, plus a mean row."""
     values = _ckpt_forward(ckpt, split, ckpt.config.timesteps)
-    probs = _softmax_np(values)  # (N, T, C)
-    mean_probs = _softmax_np(values.mean(axis=1))
-    lines = ["sample_id,label,t,argmax," + ",".join(f"p_{c}" for c in range(values.shape[2]))]
-    rows = zip(split.labels.tolist(), probs.tolist(), mean_probs.tolist())
-    for i, (label, steps, mean) in enumerate(rows):
-        for t, row in [*enumerate(steps, start=1), ("mean", mean)]:
-            # index of the first maximum, as np.argmax: ties go to the lowest class
-            lines.append(f"{i},{label},{t},{row.index(max(row))}," + ",".join(map(repr, row)))
-    Path(out_path).write_text("\n".join(lines) + "\n")
+    Path(out_path).write_text(_distribution_csv(values, split.labels))

@@ -184,3 +184,34 @@ def lif_backward_frozen(weights, cache, dv, tau_m, v_th, surrogate_a):
         if i:
             g = (g_current @ weights[i].T).reshape(x.shape)
     return grads[::-1]
+
+
+# -- the per-budget evaluation, frozen ---------------------------------------------
+#
+# Budget accuracies and the distribution dump's rows as they stood before
+# every budget came from one cumulative sum and every argmax from one call,
+# kept verbatim apart from their names.  The live code must match them
+# exactly: the same accuracies in the same key order, the same CSV bytes.
+
+
+def _prefix_accuracy_frozen(values, labels, k):
+    mean_k = values[:, :k, :].sum(axis=1) / k
+    pred = np.argmax(mean_k, axis=1)  # ties -> lowest class index
+    return float(np.mean(pred == labels))
+
+
+def budget_accuracies_frozen(values, labels, budgets):
+    """Accuracy at each budget ``k``, keyed ``str(k)``, one pass per budget."""
+    return {str(k): _prefix_accuracy_frozen(values, labels, k) for k in budgets}
+
+
+def distribution_csv_frozen(labels, probs, mean_probs):
+    """The distribution CSV text of per-step softmax rows ``probs`` (N, T, C)
+    and mean rows ``mean_probs`` (N, C), one ``max``/``index`` per row."""
+    lines = ["sample_id,label,t,argmax," + ",".join(f"p_{c}" for c in range(probs.shape[2]))]
+    rows = zip(labels.tolist(), probs.tolist(), mean_probs.tolist())
+    for i, (label, steps, mean) in enumerate(rows):
+        for t, row in [*enumerate(steps, start=1), ("mean", mean)]:
+            # index of the first maximum, as np.argmax: ties go to the lowest class
+            lines.append(f"{i},{label},{t},{row.index(max(row))}," + ",".join(map(repr, row)))
+    return "\n".join(lines) + "\n"

@@ -216,6 +216,22 @@ def test_eval_on_checkpoint_with_altered_weight_exits_2(trained_run, tmp_path, c
     assert len(captured.err.splitlines()) == 1 and captured.out == ""
 
 
+def test_checkpoint_with_overflowing_shape_is_truncated_and_exits_2(
+    trained_run, tmp_path, capsys
+):
+    """w0's dims set to (2**32 - 1, 2**32 - 1): their element count overflows
+    int64 to 0, so it must be counted exactly and fail as truncated."""
+    blob = bytearray((trained_run / "ckpt_final.bin").read_bytes())
+    dims = blob.index(b"\x02\x00\x00\x00w0") + 4 + 2 + 4  # past name and rank
+    blob[dims : dims + 8] = struct.pack("<II", 2**32 - 1, 2**32 - 1)
+    bad = tmp_path / "huge.bin"
+    bad.write_bytes(bytes(blob))
+    capsys.readouterr()
+    assert run_cli(["eval", "--ckpt", str(bad)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {bad}: truncated checkpoint\n" and captured.out == ""
+
+
 def test_eval_on_version_1_checkpoint_exits_2(trained_run, tmp_path, capsys):
     blob = (trained_run / "ckpt_final.bin").read_bytes()
     (text_len,) = struct.unpack("<Q", blob[12:20])

@@ -2,7 +2,9 @@
 binning."""
 
 import hashlib
+import itertools
 import struct
+import tracemalloc
 from dataclasses import fields
 
 import numpy as np
@@ -144,14 +146,31 @@ SEEDS = (0, 2, 2**32 + 3, 2**64 + 7)
 @pytest.mark.parametrize("timesteps", [1, 4, 10])
 @pytest.mark.parametrize("drift", [0.0, 1.0, 4.0])
 def test_generator_matches_per_step_formula_bitwise(timesteps, drift):
+    """The in-place ``standard_normal`` draws against ``normal``'s, bit for
+    bit; at ``noise_sigma=0`` every noise term is a signed zero."""
     order = [i for i in range(12) if i % 5 != 4] + [i for i in range(12) if i % 5 == 4]
-    for seed in SEEDS:
+    for seed, sigma in itertools.product(SEEDS, (0.0, 0.3)):
         spec = SynthSpec(classes=3, input_dim=8, timesteps=timesteps, drift_strength=drift,
-                         noise_sigma=0.3, samples_per_class=4, seed=seed)
+                         noise_sigma=sigma, samples_per_class=4, seed=seed)
         got = samples(*synth_generate(spec))
         assert [label for _, label in got] == [i % 3 for i in order]
         for (seq, _), idx in zip(got, order):
-            assert seq.tobytes() == reference_sample(spec, idx).tobytes(), (seed, idx)
+            assert seq.tobytes() == reference_sample(spec, idx).tobytes(), (seed, sigma, idx)
+
+
+def test_generator_peak_memory_is_the_splits_alone():
+    """Noise is drawn in place into each split row: nothing split-sized is
+    built beside the two splits (a gather of every sample's clean blend
+    would double the peak)."""
+    spec = SynthSpec(input_dim=256, noise_sigma=0.2, samples_per_class=125, seed=3)
+    tracemalloc.start()
+    try:
+        splits = synth_generate(spec)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    nbytes = sum(s.inputs.nbytes + s.labels.nbytes for s in splits)
+    assert nbytes <= peak <= 1.05 * nbytes
 
 
 @pytest.mark.parametrize("seed", [*SEEDS, 7, 2**70 + 3])

@@ -16,6 +16,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from etcsnn import train as train_module
 from etcsnn.autodiff import Tensor, lif_unroll_reference, mul, sum_all
@@ -46,7 +48,7 @@ from etcsnn.train import (
     train,
 )
 from etcsnn.train import _output_weight_grads, _prefix_accuracy
-from oracles import norm_rel_err
+from oracles import budget_accuracies_frozen, distribution_csv_frozen, norm_rel_err
 
 
 def tiny(**overrides) -> dict:
@@ -840,6 +842,38 @@ def test_prefix_accuracy_ties_break_to_lowest_class():
     values = np.zeros((2, 2, 3))
     assert _prefix_accuracy(values, np.array([0, 0]), 2) == 1.0
     assert _prefix_accuracy(values, np.array([1, 2]), 2) == 0.0
+
+
+@settings(max_examples=250, deadline=None, derandomize=True)
+@given(
+    n=st.integers(1, 40),
+    steps=st.integers(1, 12),
+    classes=st.sampled_from([2, 3, 4, 7, 9, 16]),
+    budget_draws=st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=1, max_size=8),
+    grid=st.sampled_from([None, 1.0, 0.5]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_evaluation_matches_frozen_per_budget_code(n, steps, classes, budget_draws, grid, seed):
+    """One cumulative sum and one argmax against a frozen copy of the pass
+    per budget and the per-row ``max``/``index``: equal accuracies in the
+    same key order (budgets repeated and out of order) and equal CSV bytes.
+    Values on a coarse grid tie prefix sums and probabilities across
+    classes, so the lowest-class tie rule is exercised."""
+    rng = np.random.default_rng(seed)
+    values = rng.normal(scale=2.0, size=(n, steps, classes))
+    if grid is not None:
+        values = np.round(values / grid) * grid
+    labels = rng.integers(0, classes, size=n)
+    budgets = [1 + int(d * steps) for d in budget_draws]
+
+    got = train_module._budget_accuracies(values, labels, budgets)
+    want = budget_accuracies_frozen(values, labels, budgets)
+    assert list(got.items()) == list(want.items())
+
+    probs = train_module._softmax_np(values)
+    mean_probs = train_module._softmax_np(values.mean(axis=1))
+    csv = train_module._distribution_csv(values, labels)
+    assert csv.encode() == distribution_csv_frozen(labels, probs, mean_probs).encode()
 
 
 def test_consistency_report_fields(trained):
