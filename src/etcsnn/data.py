@@ -4,9 +4,11 @@ ingestion, and event-stream CSV binning.
 One format runs from every loader to the forward: a ``Split`` holds a
 split's input currents as one (N, T, dim) float64 array and its labels as
 one (N,) int64 array, checked once when it is built.  ``load_idx`` returns
-static pixels; the trainer repeats them over the time axis.  Every kind holds
-out its test split by the one rule ``held_out``, and the split loaders build
-only the splits they are asked for.
+static pixels, its two files read by one header reader; the trainer
+broadcasts them over the time axis.  An event file is one (n, 4) int64
+array, checked and binned by whole-array ops.  Every kind holds out its test
+split by the one rule ``held_out``, and the split loaders build only the
+splits they are asked for.
 
 The synthetic task is the desk-scale stand-in for neuromorphic data: every
 class has a fixed unit-norm base pattern, and timestep t blends that pattern
@@ -26,6 +28,7 @@ would, and no split-sized temporary is built.
 
 from __future__ import annotations
 
+import math
 import struct
 from collections.abc import Iterator
 from dataclasses import dataclass, fields
@@ -36,7 +39,6 @@ import numpy as np
 __all__ = [
     "Split",
     "SynthSpec",
-    "EventRecord",
     "DataError",
     "IdxError",
     "IdxMagicError",
@@ -368,61 +370,45 @@ _IDX_IMAGE_MAGIC = 0x00000803
 _IDX_LABEL_MAGIC = 0x00000801
 
 
+def _read_idx(path, magic: int, what: str, dims: int) -> np.ndarray:
+    """The uint8 body of a big-endian IDX file with ``dims`` sizes in its
+    header, shaped by them; ``what`` names one item in the messages."""
+    blob = Path(path).read_bytes()
+    header = 4 * (1 + dims)
+    if len(blob) < header:
+        raise IdxTruncatedError(f"{path}: too short for an IDX {what} header")
+    found, *shape = struct.unpack(f">{1 + dims}I", blob[:header])
+    if found != magic:
+        raise IdxMagicError(f"{path}: bad magic 0x{found:08x}, expected 0x{magic:08x}")
+    expected = header + math.prod(shape)
+    if len(blob) != expected:
+        raise IdxTruncatedError(
+            f"{path}: expected {expected} bytes for {shape[0]} {what}s, found {len(blob)}"
+        )
+    return np.frombuffer(blob, dtype=np.uint8, offset=header).reshape(shape)
+
+
 def load_idx(images_path, labels_path) -> tuple[np.ndarray, np.ndarray]:
     """Standard big-endian IDX pair -> flattened [0,1] pixels (N, rows*cols)
     and labels (N,)."""
-    img_blob = Path(images_path).read_bytes()
-    if len(img_blob) < 16:
-        raise IdxTruncatedError(f"{images_path}: too short for an IDX image header")
-    magic, n_images, rows, cols = struct.unpack(">IIII", img_blob[:16])
-    if magic != _IDX_IMAGE_MAGIC:
-        raise IdxMagicError(
-            f"{images_path}: bad magic 0x{magic:08x}, expected 0x{_IDX_IMAGE_MAGIC:08x}"
-        )
-    expected = 16 + n_images * rows * cols
-    if len(img_blob) != expected:
-        raise IdxTruncatedError(
-            f"{images_path}: expected {expected} bytes for {n_images} images, "
-            f"found {len(img_blob)}"
-        )
-
-    lbl_blob = Path(labels_path).read_bytes()
-    if len(lbl_blob) < 8:
-        raise IdxTruncatedError(f"{labels_path}: too short for an IDX label header")
-    magic, n_labels = struct.unpack(">II", lbl_blob[:8])
-    if magic != _IDX_LABEL_MAGIC:
-        raise IdxMagicError(
-            f"{labels_path}: bad magic 0x{magic:08x}, expected 0x{_IDX_LABEL_MAGIC:08x}"
-        )
-    if len(lbl_blob) != 8 + n_labels:
-        raise IdxTruncatedError(
-            f"{labels_path}: expected {8 + n_labels} bytes for {n_labels} labels, "
-            f"found {len(lbl_blob)}"
-        )
-    if n_images != n_labels:
-        raise IdxCountMismatchError(f"{n_images} images vs {n_labels} labels")
-
-    pixels = np.frombuffer(img_blob, dtype=np.uint8, offset=16)
-    pixels = pixels.reshape(n_images, rows * cols).astype(np.float64) / 255.0
-    labels = np.frombuffer(lbl_blob, dtype=np.uint8, offset=8).astype(np.int64)
-    return pixels, labels
+    images = _read_idx(images_path, _IDX_IMAGE_MAGIC, "image", dims=3)
+    labels = _read_idx(labels_path, _IDX_LABEL_MAGIC, "label", dims=1)
+    n_images, rows, cols = images.shape
+    if n_images != labels.size:
+        raise IdxCountMismatchError(f"{n_images} images vs {labels.size} labels")
+    pixels = images.reshape(n_images, rows * cols).astype(np.float64) / 255.0
+    return pixels, labels.astype(np.int64)
 
 
 # -- event streams ---------------------------------------------------------------
 
 _EVENT_HEADER = "t_us,x,y,polarity"
+_INT64 = np.iinfo(np.int64)
 
 
-@dataclass(frozen=True)
-class EventRecord:
-    t_us: int
-    x: int
-    y: int
-    polarity: int
-
-
-def parse_event_csv(path) -> list[EventRecord]:
-    """Sorted event CSV with exact header ``t_us,x,y,polarity``."""
+def parse_event_csv(path) -> np.ndarray:
+    """Sorted event CSV with exact header ``t_us,x,y,polarity`` -> an
+    (n, 4) int64 array of ``(t_us, x, y, polarity)`` rows."""
     lines = Path(path).read_text().splitlines()
     if not lines:
         raise EventFormatError(f"{path}: empty file")
@@ -430,7 +416,7 @@ def parse_event_csv(path) -> list[EventRecord]:
         raise EventFormatError(
             f"{path}: first line must be {_EVENT_HEADER!r}, got {lines[0]!r}"
         )
-    events = []
+    rows = []
     prev_t = None
     for ln, line in enumerate(lines[1:], start=2):
         if not line:
@@ -439,52 +425,56 @@ def parse_event_csv(path) -> list[EventRecord]:
         if len(parts) != 4:
             raise EventFormatError(f"{path}:{ln}: expected 4 fields, got {len(parts)}")
         try:
-            t_us, x, y, pol = (int(p) for p in parts)
+            row = [int(p) for p in parts]
         except ValueError:
             raise EventFormatError(f"{path}:{ln}: non-integer field in {line!r}") from None
+        if min(row) < _INT64.min or max(row) > _INT64.max:
+            raise EventFormatError(f"{path}:{ln}: field does not fit int64 in {line!r}")
+        t_us, _, _, pol = row
         if pol not in (0, 1):
             raise EventFormatError(f"{path}:{ln}: polarity must be 0 or 1, got {pol}")
         if prev_t is not None and t_us < prev_t:
             raise EventFormatError(f"{path}:{ln}: timestamps not sorted")
         prev_t = t_us
-        events.append(EventRecord(t_us=t_us, x=x, y=y, polarity=pol))
-    return events
+        rows.append(row)
+    return np.array(rows, dtype=np.int64).reshape(-1, 4)
 
 
-def bin_events(
-    events: list[EventRecord], width: int, height: int, timesteps: int
-) -> np.ndarray:
-    """Bin a sorted event stream into T frames, flattened to (T, 2*H*W).
+def bin_events(events: np.ndarray, width: int, height: int, timesteps: int) -> np.ndarray:
+    """Bin a sorted (n, 4) ``(t_us, x, y, polarity)`` event array into T
+    frames, flattened to (T, 2*H*W).
 
-    The span [t_min, t_max] is cut into T equal windows (last right-closed);
-    counts are divided by each window's max count, zero windows left alone.
+    The span [t_min, t_max] is cut into T equal windows (last right-closed):
+    event i falls in ``min((t_i - t_min) * T // span, T - 1)``.  Counts are
+    divided by each window's max count, zero windows left alone.
     """
     if timesteps < 1:
         raise ValueError(f"timesteps must be >= 1, got {timesteps}")
-    if not events:
+    events = np.asarray(events, dtype=np.int64)
+    if not events.size:
         raise EventFormatError("empty event list")
-    t0 = events[0].t_us
-    span = events[-1].t_us - t0
-    counts = np.zeros((timesteps, 2, height, width))
-    prev_t = t0
-    for i, ev in enumerate(events):
-        if ev.t_us < prev_t:
-            raise EventFormatError(f"event {i} out of order (t={ev.t_us} < {prev_t})")
-        prev_t = ev.t_us
-        if not (0 <= ev.x < width and 0 <= ev.y < height):
+    t, x, y, pol = events.T
+    # the lowest offending index is named; at one index, order is checked first
+    disorder = np.concatenate(([False], t[1:] < t[:-1]))
+    outside = (x < 0) | (x >= width) | (y < 0) | (y >= height)
+    bad = np.flatnonzero(disorder | outside | (pol != 0) & (pol != 1))
+    if bad.size:
+        i = bad[0]
+        if disorder[i]:
+            raise EventFormatError(f"event {i} out of order (t={t[i]} < {t[i - 1]})")
+        if outside[i]:
             raise EventFormatError(
-                f"event {i} at ({ev.x}, {ev.y}) outside {width}x{height} frame"
+                f"event {i} at ({x[i]}, {y[i]}) outside {width}x{height} frame"
             )
-        if span == 0:
-            window = 0
-        else:
-            window = min((ev.t_us - t0) * timesteps // span, timesteps - 1)
-        counts[window, ev.polarity, ev.y, ev.x] += 1.0
-    for w in range(timesteps):
-        peak = counts[w].max()
-        if peak > 0:
-            counts[w] /= peak
-    return counts.reshape(timesteps, 2 * height * width)
+        raise EventFormatError(f"event {i} polarity must be 0 or 1, got {pol[i]}")
+    span = int(t[-1]) - int(t[0])
+    if span * timesteps > _INT64.max:
+        raise EventFormatError(f"event span {span} us times {timesteps} overflows int64")
+    window = np.minimum((t - t[0]) * timesteps // max(span, 1), timesteps - 1)
+    cell = ((window * 2 + pol) * height + y) * width + x
+    counts = np.bincount(cell, minlength=timesteps * 2 * height * width).reshape(timesteps, -1)
+    peak = counts.max(axis=1, keepdims=True)
+    return np.divide(counts, peak, out=np.zeros(counts.shape), where=peak > 0)
 
 
 def load_event_dir(
@@ -493,7 +483,7 @@ def load_event_dir(
     """The splits named by ``splits`` (False: train, True: test) of an event
     directory: one subdirectory per class (sorted name order = label order),
     CSV files inside; ``held_out`` picks each class's test files (sorted), and
-    only the files of the asked-for splits are binned."""
+    only the files of the asked-for splits are binned; errors name the file."""
     root = Path(dir_path)
     class_dirs = sorted(p for p in root.iterdir() if p.is_dir())
     if not class_dirs:
@@ -509,6 +499,10 @@ def load_event_dir(
         members = [(label, path) for label, path, test in files if test == want]
         inputs = np.empty((len(members), timesteps, 2 * height * width))
         for row, (_, path) in enumerate(members):
-            inputs[row] = bin_events(parse_event_csv(path), width, height, timesteps)
+            events = parse_event_csv(path)
+            try:
+                inputs[row] = bin_events(events, width, height, timesteps)
+            except EventFormatError as exc:
+                raise EventFormatError(f"{path}: {exc}") from None
         built.append(Split(inputs, [label for label, _ in members]))
     return tuple(built)

@@ -380,8 +380,10 @@ def _load_splits(cfg: RunConfig, splits: tuple[bool, ...]) -> tuple[tuple[Split,
             pixels, labels = load_idx(d.images, d.labels)
             test = held_out(labels.size)
             pairs = [(pixels[test == want], labels[test == want]) for want in splits]
-        # constant coding: the same pixels as input current at every step
-        built = tuple(Split(np.repeat(x[:, None, :], cfg.timesteps, axis=1), y) for x, y in pairs)
+        # constant coding: the same pixels as input current at every step, as
+        # a read-only view whose time axis has stride 0
+        built = tuple(Split(np.broadcast_to(x[:, None], (len(x), cfg.timesteps, x.shape[1])), y)
+                      for x, y in pairs)
     elif d.kind == "events":
         built = load_event_dir(d.events_dir, d.width, d.height, cfg.timesteps, splits)
     else:

@@ -358,6 +358,24 @@ def test_missing_input_dir_is_one_error_line(tmp_path, capsys):
     assert err.startswith("error:") and "missing" in err and len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("rows", [[], ["0,0,0,0", "1,3,1,0"]])
+def test_event_binning_error_names_its_file(tmp_path, capsys, rows):
+    """A header-only event file, or one with an event outside the frame, is
+    one ``error:`` line naming that file, exit 2."""
+    for cname in ("a", "b"):
+        (tmp_path / "ev" / cname).mkdir(parents=True)
+        (tmp_path / "ev" / cname / "s0.csv").write_text("t_us,x,y,polarity\n0,1,1,1\n")
+    bad = tmp_path / "ev" / "b" / "bad.csv"
+    bad.write_text("\n".join(["t_us,x,y,polarity", *rows]) + "\n")
+    code = run_cli([
+        "train", "--set", "data.kind=events", "--set", f"data.events_dir={tmp_path / 'ev'}",
+        "--set", "data.width=2", "--set", "data.height=2", "--out", str(tmp_path / "x"),
+    ])
+    assert code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {bad}: ")
+
+
 _IDX_PAIR = ["data.kind=idx", "data.images=i.idx", "data.labels=l.idx"]
 
 

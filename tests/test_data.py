@@ -3,9 +3,12 @@ binning."""
 
 import hashlib
 import itertools
+import math
+import re
 import struct
 import tracemalloc
 from dataclasses import fields
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,7 +16,6 @@ import pytest
 from etcsnn.data import (
     DatasetDumpError,
     EventFormatError,
-    EventRecord,
     IdxCountMismatchError,
     IdxMagicError,
     IdxTruncatedError,
@@ -401,6 +403,15 @@ def test_constant_code_tiles_vector(tmp_path):
     assert data.input_dim == 1 and data.classes == 3
 
 
+def test_constant_code_is_a_read_only_view_equal_to_repeat(tmp_path):
+    pixels = list(range(0, 240, 10))
+    data = load_idx_dataset(tmp_path, pixels, [0, 1, 2, 1, 0, 2], rows=2, cols=2, timesteps=5)
+    flat = np.array(pixels, dtype=np.float64).reshape(6, 4) / 255.0
+    for split in (data.train, data.test):
+        assert split.inputs.tobytes() == np.repeat(flat[:, None, :], 5, axis=1).tobytes()
+        assert split.inputs.strides[1] == 0 and not split.inputs.flags.writeable
+
+
 def test_constant_code_t1_and_validation(tmp_path):
     data = load_idx_dataset(tmp_path, [0, 255], [0], rows=1, cols=2, timesteps=1)
     assert data.train.inputs.shape == (1, 1, 2)
@@ -428,15 +439,19 @@ def write_events(path, rows, header="t_us,x,y,polarity"):
     path.write_text("\n".join([header] + [",".join(map(str, r)) for r in rows]) + "\n")
 
 
+def events(*rows):
+    """An (n, 4) int64 ``(t_us, x, y, polarity)`` event array."""
+    return np.array(rows, dtype=np.int64).reshape(-1, 4)
+
+
 def test_parse_event_csv_happy(tmp_path):
     p = tmp_path / "ev.csv"
     write_events(p, [(0, 0, 0, 0), (10, 1, 0, 1), (10, 1, 1, 1)])
-    events = parse_event_csv(p)
-    assert events == [
-        EventRecord(0, 0, 0, 0),
-        EventRecord(10, 1, 0, 1),
-        EventRecord(10, 1, 1, 1),
-    ]
+    got = parse_event_csv(p)
+    assert got.dtype == np.int64 and got.shape == (3, 4)
+    assert got.tolist() == [[0, 0, 0, 0], [10, 1, 0, 1], [10, 1, 1, 1]]
+    write_events(p, [])
+    assert parse_event_csv(p).shape == (0, 4)
 
 
 def test_parse_event_csv_errors(tmp_path):
@@ -456,19 +471,25 @@ def test_parse_event_csv_errors(tmp_path):
     p.write_text("")
     with pytest.raises(EventFormatError, match="empty"):
         parse_event_csv(p)
+    for row in [(2**63, 0, 0, 0), (0, -(2**63) - 1, 0, 0), (0, 0, 10**30, 1)]:
+        write_events(p, [(0, 0, 0, 0), row])
+        with pytest.raises(EventFormatError, match=r"ev\.csv:3: field does not fit int64"):
+            parse_event_csv(p)
+    write_events(p, [(0, 0, 0, 0), (2**63 - 1, -(2**63), 0, 1)])  # the extremes fit
+    assert parse_event_csv(p)[1].tolist() == [2**63 - 1, -(2**63), 0, 1]
 
 
 def bin_reference(events, width, height, timesteps):
-    """Independent re-derivation: raw counts, then per-window max division."""
+    """Independent re-derivation in exact rationals: raw counts, then
+    per-window max division."""
     counts = np.zeros((timesteps, 2, height, width))
-    t0, t1 = events[0].t_us, events[-1].t_us
-    for ev in events:
+    t0, t1 = int(events[0, 0]), int(events[-1, 0])
+    for t, x, y, pol in events.tolist():
         if t1 == t0:
             w = 0
         else:
-            frac = (ev.t_us - t0) / (t1 - t0)
-            w = min(int(frac * timesteps), timesteps - 1)
-        counts[w, ev.polarity, ev.y, ev.x] += 1
+            w = min(math.floor(Fraction(t - t0, t1 - t0) * timesteps), timesteps - 1)
+        counts[w, pol, y, x] += 1
     out = counts.copy()
     for w in range(timesteps):
         if counts[w].max() > 0:
@@ -477,7 +498,7 @@ def bin_reference(events, width, height, timesteps):
 
 
 def test_bin_single_event_is_one_hot():
-    frames = bin_events([EventRecord(5, 1, 0, 1)], width=2, height=2, timesteps=3)
+    frames = bin_events(events((5, 1, 0, 1)), width=2, height=2, timesteps=3)
     assert frames.shape == (3, 8)
     assert frames.sum() == 1.0
     # plane 1 (polarity), row 0, col 1 of window 0
@@ -485,48 +506,78 @@ def test_bin_single_event_is_one_hot():
 
 
 def test_bin_two_events_same_cell_normalize_to_one():
-    events = [EventRecord(0, 0, 0, 0), EventRecord(0, 0, 0, 0)]
-    frames = bin_events(events, width=1, height=1, timesteps=2)
+    frames = bin_events(events((0, 0, 0, 0), (0, 0, 0, 0)), width=1, height=1, timesteps=2)
     assert frames[0, 0] == 1.0 and frames.sum() == 1.0
 
 
 def test_bin_even_spread_one_per_window():
-    events = [EventRecord(10 * t, t % 2, 0, t % 2) for t in range(4)]
-    frames = bin_events(events, width=2, height=1, timesteps=4)
+    frames = bin_events(events(*[(10 * t, t % 2, 0, t % 2) for t in range(4)]),
+                        width=2, height=1, timesteps=4)
     assert np.count_nonzero(frames) == 4
     assert (frames[frames > 0] == 1.0).all()
 
 
+def random_events(rng, n, width, height, times):
+    """``n`` sorted events drawn from ``times`` over a width x height frame."""
+    return np.stack([np.sort(rng.choice(times, size=n)), rng.integers(0, width, n),
+                     rng.integers(0, height, n), rng.integers(0, 2, n)], axis=1)
+
+
 def test_bin_matches_bruteforce_oracle():
     rng = np.random.default_rng(13)
-    for _ in range(20):
-        n = int(rng.integers(1, 40))
-        ts = np.sort(rng.integers(0, 1000, size=n))
-        events = [
-            EventRecord(int(t), int(rng.integers(0, 3)), int(rng.integers(0, 2)),
-                        int(rng.integers(0, 2)))
-            for t in ts
-        ]
-        T = int(rng.integers(1, 6))
-        got = bin_events(events, width=3, height=2, timesteps=T)
-        raw, want = bin_reference(events, 3, 2, T)
-        assert raw.sum() == n  # conservation before normalization
-        np.testing.assert_array_equal(got, want)
+    cases = []
+    for _ in range(20):  # small frames, spread timestamps
+        cases.append((random_events(rng, int(rng.integers(1, 40)), 3, 2, np.arange(1000)),
+                      3, 2, int(rng.integers(1, 6))))
+    for _ in range(40):  # span 0, a few repeated timestamps, T up to 12, larger frames
+        width, height = (int(v) for v in rng.integers(1, 17, size=2))
+        times = [np.array([int(rng.integers(0, 10**9))]), np.arange(4),
+                 np.arange(0, 10**6, 7), np.arange(10**12, 10**12 + 13)][int(rng.integers(0, 4))]
+        cases.append((random_events(rng, int(rng.integers(1, 300)), width, height, times),
+                      width, height, int(rng.integers(1, 13))))
+    for steps in (1, 2, 3):  # timestamps near 2**62, span * T just inside int64
+        times = 2**62 + np.array([0, 1, 2**61 // 3, 2**61 // 3 + 1, 2**61 - 1, 2**61 + 12345])
+        cases.append((random_events(rng, 50, 2, 2, times), 2, 2, steps))
+    for ev, width, height, steps in cases:
+        got = bin_events(ev, width=width, height=height, timesteps=steps)
+        raw, want = bin_reference(ev, width, height, steps)
+        assert raw.sum() == len(ev)  # conservation before normalization
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
 
 def test_bin_last_window_right_closed():
-    events = [EventRecord(0, 0, 0, 0), EventRecord(100, 1, 0, 0)]
-    frames = bin_events(events, width=2, height=1, timesteps=4)
+    frames = bin_events(events((0, 0, 0, 0), (100, 1, 0, 0)), width=2, height=1, timesteps=4)
     assert frames[3].reshape(2, 1, 2)[0, 0, 1] == 1.0
 
 
 def test_bin_errors():
     with pytest.raises(EventFormatError, match="empty"):
-        bin_events([], 2, 2, 3)
+        bin_events(events(), 2, 2, 3)
     with pytest.raises(EventFormatError, match="order"):
-        bin_events([EventRecord(5, 0, 0, 0), EventRecord(1, 0, 0, 0)], 2, 2, 3)
+        bin_events(events((5, 0, 0, 0), (1, 0, 0, 0)), 2, 2, 3)
     with pytest.raises(EventFormatError, match="outside"):
-        bin_events([EventRecord(0, 5, 0, 0)], 2, 2, 3)
+        bin_events(events((0, 5, 0, 0)), 2, 2, 3)
+    # the lowest offending index is named, whichever check it fails
+    with pytest.raises(EventFormatError, match=r"^event 1 out of order \(t=3 < 5\)$"):
+        bin_events(events((5, 0, 0, 0), (3, 0, 0, 0), (6, 0, 9, 0)), 2, 2, 3)
+    with pytest.raises(EventFormatError, match=r"^event 1 at \(0, 9\) outside 2x2 frame$"):
+        bin_events(events((5, 0, 0, 0), (6, 0, 9, 0), (3, 0, 0, 0)), 2, 2, 3)
+    # at one index, order is checked before the frame, the frame before polarity
+    with pytest.raises(EventFormatError, match=r"^event 1 out of order \(t=3 < 5\)$"):
+        bin_events(events((5, 0, 0, 0), (3, 7, 0, 2)), 2, 2, 3)
+    with pytest.raises(EventFormatError, match=r"^event 1 at \(7, 0\) outside 2x2 frame$"):
+        bin_events(events((5, 0, 0, 0), (6, 7, 0, 2)), 2, 2, 3)
+    # a span, or span * T, past int64 is refused
+    near = events((2**62, 0, 0, 0), (2**62 + 2**61 + 12345, 0, 0, 1))
+    with pytest.raises(EventFormatError, match=r"^event span \d+ us times 4 overflows int64$"):
+        bin_events(near, 1, 1, 4)
+    with pytest.raises(EventFormatError, match="overflows int64"):
+        bin_events(events((-(2**62) - 5, 0, 0, 0), (2**62 + 5, 0, 0, 1)), 1, 1, 1)
+    for pol in (2, -1):
+        message = rf"^event 2 polarity must be 0 or 1, got {pol}$"
+        with pytest.raises(EventFormatError, match=message):
+            bin_events(events((0, 0, 0, 0), (1, 1, 1, 1), (2, 1, 0, pol), (1, 9, 0, 0)), 2, 2, 3)
 
 
 def test_load_event_dir_layout(tmp_path):
@@ -548,6 +599,20 @@ def test_load_event_dir_errors(tmp_path):
         load_event_dir(tmp_path, 2, 2, 2)
     (tmp_path / "empty_class").mkdir()
     with pytest.raises(EventFormatError, match="no .csv"):
+        load_event_dir(tmp_path, 2, 2, 2)
+
+
+@pytest.mark.parametrize("rows, message", [
+    ([], "empty event list"),
+    ([(0, 0, 0, 0), (1, 3, 1, 0)], r"event 1 at \(3, 1\) outside 2x2 frame"),
+    ([(-(2**62), 0, 0, 0), (2**62, 0, 0, 0)],
+     "event span 9223372036854775808 us times 2 overflows int64"),
+])
+def test_load_event_dir_binning_errors_name_the_file(tmp_path, rows, message):
+    write_event_classes(tmp_path, files_per_class=1)
+    bad = tmp_path / "b_class" / "s0.csv"
+    write_events(bad, rows)
+    with pytest.raises(EventFormatError, match=f"^{re.escape(str(bad))}: {message}$"):
         load_event_dir(tmp_path, 2, 2, 2)
 
 
