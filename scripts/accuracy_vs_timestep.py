@@ -16,6 +16,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from etcsnn.train import ConfigError, build_run_config, config_to_items  # noqa: E402
 from etcsnn.train import eval_per_timestep, load_checkpoint, load_test_split  # noqa: E402
 
 
@@ -28,8 +29,8 @@ def main() -> int:
     ap.add_argument("--out", default="accuracy_vs_timestep.csv")
     ap.add_argument(
         "--timesteps", default="",
-        help="comma list of eval budgets; default: every step up to the "
-        "checkpoint's training T",
+        help="comma list of eval budgets, read as eval.timesteps; default: "
+        "every step up to the checkpoint's training T",
     )
     args = ap.parse_args()
 
@@ -37,13 +38,15 @@ def main() -> int:
     print(f"{'checkpoint':<40} {'eval_t':>6} {'accuracy':>9}")
     for path in args.ckpt:
         ckpt = load_checkpoint(path)
-        test = load_test_split(ckpt.config)
-        if args.timesteps:
-            budgets = [int(p) for p in args.timesteps.split(",")]
-        else:
-            budgets = list(range(1, ckpt.config.timesteps + 1))
+        try:  # the budgets follow the eval.timesteps rule: empty means 1..T
+            cfg = build_run_config({**dict(config_to_items(ckpt.config)),
+                                    "eval.timesteps": args.timesteps})
+        except ConfigError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
+        test = load_test_split(cfg)
         # one forward per checkpoint scores every budget
-        for k, acc in eval_per_timestep(ckpt, test, budgets).items():
+        for k, acc in eval_per_timestep(ckpt, test, cfg.eval_timesteps).items():
             lines.append(f"{path},{k},{acc!r}")
             print(f"{path:<40} {k:>6} {acc:>9.4f}")
     out = Path(args.out)

@@ -23,7 +23,7 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from etcsnn.train import build_run_config, train  # noqa: E402
+from etcsnn.train import build_run_config, split_assignment, train  # noqa: E402
 
 
 def run_pair(seed: int, epochs: int, extra: dict, out_root: Path) -> dict:
@@ -59,10 +59,7 @@ def main() -> int:
     )
     args = ap.parse_args()
 
-    extra = {}
-    for item in args.set:
-        key, _, value = item.partition("=")
-        extra[key.strip()] = value.strip()
+    extra = dict(map(split_assignment, args.set))
     seeds = [int(s) for s in args.seeds.split(",")]
     out_root = Path(args.out)
 

@@ -1,6 +1,12 @@
 """Command-line surface: dataset synthesis, training, evaluation, gradient
 checking, and analysis dumps, all driven by flat ``key=value`` configs.
 
+Every ``key=value`` item (a config-file line, ``--set``, ``--spec``) goes
+through ``train.split_assignment``.  ``eval``, ``consistency`` and
+``dump-dist`` score the checkpoint under its own config with the overrides on
+top (``eval --timesteps LIST`` is ``eval.timesteps``); only ``data.*``,
+``network.timesteps`` and eval's ``eval.timesteps`` may differ from it.
+
 Exit codes: 0 success, 1 usage error (bad flags, bad config, missing or
 unreadable inputs, a dataset that does not fit the checkpoint), 2 runtime
 error (training blow-up, corrupt artifacts, failed checks).
@@ -13,6 +19,7 @@ import argparse
 import json
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 from .data import DataError, save_synth_dataset, synth_generate
@@ -22,12 +29,14 @@ from .train import (
     TrainingError,
     build_run_config,
     config_to_items,
+    config_to_text,
     consistency_report,
     dump_distributions,
     eval_per_timestep,
     load_checkpoint,
     load_test_split,
     parse_config_lines,
+    split_assignment,
     synth_spec,
     train,
 )
@@ -56,21 +65,10 @@ _SYNTH_KEY_ALIASES = {
 }
 
 
-def _parse_assignment(text: str) -> tuple[str, str]:
-    key, sep, value = text.partition("=")
-    if not sep or not key.strip():
-        raise _UsageError(f"expected KEY=VALUE, got {text!r}")
-    return key.strip(), value.strip()
-
-
-def _read_config_file(path: str) -> dict[str, str]:
-    p = Path(path)
-    if not p.is_file():
-        raise _UsageError(f"config not found: {path}")
-    try:
-        return parse_config_lines(p.read_text())
-    except ConfigError as exc:
-        raise ConfigError(f"{path} {exc}") from None
+def _existing(path: str, what: str) -> Path:
+    if not Path(path).is_file():
+        raise _UsageError(f"{what} not found: {path}")
+    return Path(path)
 
 
 def _int_at_least(low: int):
@@ -89,20 +87,22 @@ def _int_at_least(low: int):
 
 def _gather_mapping(args) -> dict[str, str]:
     """Config file, then --data shorthand, then synth's --spec fields, then
-    --set overrides (last wins)."""
+    --set overrides, then eval's --timesteps shorthand (last wins)."""
     mapping: dict[str, str] = {}
     if getattr(args, "config", None):
-        mapping.update(_read_config_file(args.config))
+        try:
+            mapping.update(parse_config_lines(_existing(args.config, "config").read_text()))
+        except ConfigError as exc:
+            raise ConfigError(f"{args.config} {exc}") from None
     if getattr(args, "data", None):
-        data_path = Path(args.data)
-        if not data_path.is_file():
-            raise _UsageError(f"dataset not found: {args.data}")
         mapping["data.kind"] = "file"
-        mapping["data.file"] = str(data_path)
+        mapping["data.file"] = str(_existing(args.data, "dataset"))
     for flag, aliases in (("spec", _SYNTH_KEY_ALIASES), ("set", {})):
         for item in getattr(args, flag, None) or []:
-            key, value = _parse_assignment(item)
+            key, value = split_assignment(item)
             mapping[aliases.get(key, key)] = value
+    if getattr(args, "timesteps", None):  # empty: the checkpoint's list
+        mapping["eval.timesteps"] = args.timesteps
     return mapping
 
 
@@ -111,19 +111,21 @@ def _default_out_dir(seed: int) -> Path:
     return Path("runs") / f"{stamp}-seed{seed}"
 
 
-def _load_checkpoint_arg(path: str):
-    p = Path(path)
-    if not p.is_file():
-        raise _UsageError(f"checkpoint not found: {path}")
-    return load_checkpoint(p)
-
-
-def _eval_split(ckpt, args):
-    """The test split the analysis commands score: the checkpoint's own
-    config, with any --data/--set overrides layered on top."""
-    base = dict(config_to_items(ckpt.config))
-    base.update(_gather_mapping(args))
-    return load_test_split(build_run_config(base))
+def _eval_split(args, free=()):
+    """The checkpoint carrying the effective config of an analysis command,
+    its own with the overrides on top, and the test split that config names;
+    only data.*, network.timesteps and the keys in ``free`` may change."""
+    ckpt = load_checkpoint(_existing(args.ckpt, "checkpoint"))
+    trained = config_to_items(ckpt.config)
+    cfg = build_run_config({**dict(trained), **_gather_mapping(args)})
+    keys = ("data.*", "network.timesteps", *free)
+    for (key, was), (_, now) in zip(trained, config_to_items(cfg)):
+        if now != was and not key.startswith("data.") and key not in keys:
+            raise ConfigError(
+                f"config key {key}: the checkpoint was trained with {was!r}, not "
+                f"{now!r}; {args.command} may change only {', '.join(keys)}"
+            )
+    return replace(ckpt, config=cfg, config_text=config_to_text(cfg)), load_test_split(cfg)
 
 
 # -- subcommands -----------------------------------------------------------------
@@ -142,11 +144,7 @@ def _cmd_synth(args) -> int:
 def _cmd_train(args) -> int:
     cfg = build_run_config(_gather_mapping(args))
     out_dir = Path(args.out) if args.out else _default_out_dir(cfg.seed)
-    resume = None
-    if args.resume:
-        resume = Path(args.resume)
-        if not resume.is_file():
-            raise _UsageError(f"checkpoint not found: {args.resume}")
+    resume = _existing(args.resume, "checkpoint") if args.resume else None
     result = train(cfg, out_dir, resume_from=resume)
     print(f"wrote {result.metrics_path}")
     print(f"wrote {result.ckpt_path}")
@@ -160,16 +158,8 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    ckpt = _load_checkpoint_arg(args.ckpt)
-    split = _eval_split(ckpt, args)
-    if args.timesteps:
-        try:
-            ks = [int(p) for p in args.timesteps.split(",")]
-        except ValueError:
-            raise _UsageError(f"cannot parse --timesteps {args.timesteps!r}") from None
-    else:
-        ks = list(ckpt.config.eval_timesteps)
-    accuracy = eval_per_timestep(ckpt, split, ks)
+    ckpt, split = _eval_split(args, free=("eval.timesteps",))
+    accuracy = eval_per_timestep(ckpt, split, ckpt.config.eval_timesteps)
     print(json.dumps({"checkpoint": args.ckpt, "accuracy": accuracy}))
     return 0
 
@@ -190,8 +180,8 @@ def _cmd_gradcheck(args) -> int:
 
 
 def _cmd_dump_dist(args) -> int:
-    ckpt = _load_checkpoint_arg(args.ckpt)
-    samples = _eval_split(ckpt, args)[: args.samples]
+    ckpt, split = _eval_split(args)
+    samples = split[: args.samples]
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     dump_distributions(ckpt, samples, out)
@@ -200,9 +190,8 @@ def _cmd_dump_dist(args) -> int:
 
 
 def _cmd_consistency(args) -> int:
-    ckpt = _load_checkpoint_arg(args.ckpt)
-    samples = _eval_split(ckpt, args)[: args.samples]
-    print(json.dumps(consistency_report(ckpt, samples).to_dict()))
+    ckpt, split = _eval_split(args)
+    print(json.dumps(consistency_report(ckpt, split[: args.samples]).to_dict()))
     return 0
 
 
@@ -242,7 +231,10 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("eval", help="accuracy at truncated timestep budgets")
     p.add_argument("--ckpt", required=True)
-    p.add_argument("--timesteps", help="comma list, default: checkpoint's eval list")
+    p.add_argument(
+        "--timesteps", help="shorthand for --set eval.timesteps=LIST, applied last; "
+        "default: the checkpoint's eval list",
+    )
     add_config_flags(p)
     p.set_defaults(fn=_cmd_eval)
 

@@ -6,9 +6,10 @@ split's input currents as one (N, T, dim) float64 array and its labels as
 one (N,) int64 array, checked once when it is built.  ``load_idx`` returns
 static pixels, its two files read by one header reader; the trainer
 broadcasts them over the time axis.  An event file is one (n, 4) int64
-array, checked and binned by whole-array ops.  Every kind holds out its test
-split by the one rule ``held_out``, and the split loaders build only the
-splits they are asked for.
+array: ``parse_event_csv`` checks each line's fields, and ``bin_events``
+checks order, frame bounds and polarity over the whole array and bins it at
+once.  Every kind holds out its test split by the one rule ``held_out``, and
+the split loaders build only the splits they are asked for.
 
 The synthetic task is the desk-scale stand-in for neuromorphic data: every
 class has a fixed unit-norm base pattern, and timestep t blends that pattern
@@ -407,8 +408,10 @@ _INT64 = np.iinfo(np.int64)
 
 
 def parse_event_csv(path) -> np.ndarray:
-    """Sorted event CSV with exact header ``t_us,x,y,polarity`` -> an
-    (n, 4) int64 array of ``(t_us, x, y, polarity)`` rows."""
+    """Event CSV with exact header ``t_us,x,y,polarity`` -> an (n, 4) int64
+    array of ``(t_us, x, y, polarity)`` rows.  Each line is checked for its
+    shape only (four integer fields that fit int64); event order and values
+    are ``bin_events``' checks."""
     lines = Path(path).read_text().splitlines()
     if not lines:
         raise EventFormatError(f"{path}: empty file")
@@ -417,7 +420,6 @@ def parse_event_csv(path) -> np.ndarray:
             f"{path}: first line must be {_EVENT_HEADER!r}, got {lines[0]!r}"
         )
     rows = []
-    prev_t = None
     for ln, line in enumerate(lines[1:], start=2):
         if not line:
             continue
@@ -430,12 +432,6 @@ def parse_event_csv(path) -> np.ndarray:
             raise EventFormatError(f"{path}:{ln}: non-integer field in {line!r}") from None
         if min(row) < _INT64.min or max(row) > _INT64.max:
             raise EventFormatError(f"{path}:{ln}: field does not fit int64 in {line!r}")
-        t_us, _, _, pol = row
-        if pol not in (0, 1):
-            raise EventFormatError(f"{path}:{ln}: polarity must be 0 or 1, got {pol}")
-        if prev_t is not None and t_us < prev_t:
-            raise EventFormatError(f"{path}:{ln}: timestamps not sorted")
-        prev_t = t_us
         rows.append(row)
     return np.array(rows, dtype=np.int64).reshape(-1, 4)
 

@@ -57,6 +57,7 @@ __all__ = [
     "config_to_text",
     "build_run_config",
     "parse_config_lines",
+    "split_assignment",
     "run_config_from_text",
     "synth_spec",
     "load_dataset",
@@ -300,18 +301,26 @@ def build_run_config(mapping: dict[str, str]) -> RunConfig:
     return cfg
 
 
+def split_assignment(text: str) -> tuple[str, str]:
+    """One ``key=value`` item, a config line or an override, as its stripped
+    key and value."""
+    key, sep, value = text.partition("=")
+    if not sep or not key.strip():
+        raise ConfigError(f"expected key=value, got {text!r}")
+    return key.strip(), value.strip()
+
+
 def parse_config_lines(text: str) -> dict[str, str]:
     """``key=value`` lines (blank lines and # comments allowed) as a mapping."""
-    mapping = {}
+    pairs = []
     for ln, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        key, sep, value = stripped.partition("=")
-        if not sep:
-            raise ConfigError(f"line {ln}: expected key=value, got {line!r}")
-        mapping[key.strip()] = value.strip()
-    return mapping
+        if stripped and not stripped.startswith("#"):
+            try:
+                pairs.append(split_assignment(stripped))
+            except ConfigError as exc:
+                raise ConfigError(f"line {ln}: {exc}") from None
+    return dict(pairs)
 
 
 def run_config_from_text(text: str) -> RunConfig:

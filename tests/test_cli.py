@@ -9,6 +9,7 @@ import json
 import struct
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -80,6 +81,23 @@ def test_malformed_set_exits_1(capsys):
     code = run_cli(["train", "--set", "no_equals_sign"])
     assert code == 1
     assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("item", ["x", "=1", " = 1"])
+def test_malformed_item_is_one_message_from_file_set_and_spec(tmp_path, capsys, item):
+    """A config-file line, a --set and a --spec item go through one
+    key=value splitter; the file's message adds its path and line."""
+    path = tmp_path / "bad.cfg"
+    path.write_text(f"train.epochs=0\n{item}\n")
+    message = f"expected key=value, got {item.strip()!r}"
+    for argv, prefix in (
+        (["train", "--config", str(path)], f"{path} line 2: "),
+        (["train", "--set", item.strip()], ""),
+        (["synth", "--out", str(tmp_path / "d.bin"), "--spec", item.strip()], ""),
+    ):
+        capsys.readouterr()
+        assert run_cli(argv) == 1
+        assert capsys.readouterr().err == f"error: {prefix}{message}\n"
 
 
 def test_unknown_subcommand_exits_1(capsys):
@@ -340,12 +358,115 @@ def test_eval_defaults_to_config_eval_list(trained_run, capsys):
     assert set(payload["accuracy"]) == {"1", "2", "3"}
 
 
+def eval_budgets(argv, capsys) -> list[str]:
+    """The budget keys ``eval`` prints, in order."""
+    capsys.readouterr()
+    assert run_cli(["eval", *argv]) == 0
+    return list(json.loads(capsys.readouterr().out)["accuracy"])
+
+
+def test_eval_scores_the_eval_timesteps_override(trained_run, capsys):
+    ckpt = ["--ckpt", str(trained_run / "ckpt_final.bin")]
+    assert eval_budgets([*ckpt, "--set", "eval.timesteps=1,2"], capsys) == ["1", "2"]
+    # --timesteps is eval.timesteps, applied after --set
+    assert eval_budgets(
+        [*ckpt, "--set", "eval.timesteps=1,2", "--timesteps", "3,1"], capsys
+    ) == ["3", "1"]
+    # an empty --set value is every step up to T, as in any config
+    assert eval_budgets([*ckpt, "--set", "eval.timesteps="], capsys) == ["1", "2", "3"]
+
+
+def test_empty_timesteps_flag_keeps_the_checkpoint_list(tmp_path, tiny_cfg, capsys):
+    run = tmp_path / "run"
+    argv = ["train", "--config", str(tiny_cfg), "--set", "eval.timesteps=3,1", "--out", str(run)]
+    assert run_cli(argv) == 0
+    ckpt = ["--ckpt", str(run / "ckpt_final.bin")]
+    assert eval_budgets([*ckpt, "--timesteps", ""], capsys) == ["3", "1"]
+    assert eval_budgets(
+        [*ckpt, "--set", "eval.timesteps=2", "--timesteps", ""], capsys
+    ) == ["2"]
+
+
+_REFUSED = [
+    "network.hidden_sizes=3", "lif.tau_m=3.0", "lif.v_th=0.1", "lif.v_reset=0.25",
+    "lif.surrogate_a=3.0", "etc.tau=1.0", "etc.lambda=0.5", "opt.lr=0.5",
+    "opt.weight_decay=0.5", "opt.beta1=0.5", "opt.beta2=0.5", "opt.eps=0.5",
+    "train.epochs=7", "train.batch_size=7", "train.seed=7", "train.loss_mode=ce_only",
+    "train.save_interval=7",
+]
+
+
+@pytest.mark.parametrize("item", _REFUSED)
+def test_analysis_refuses_a_key_that_describes_the_trained_run(
+    trained_run, tmp_path, capsys, item
+):
+    """``eval``, ``consistency`` and ``dump-dist`` score the trained network:
+    an override that changes any key but data.*, network.timesteps and eval's
+    eval.timesteps is one ``config key`` line, exit 1, with nothing printed."""
+    key = item.partition("=")[0]
+    out = tmp_path / "dist.csv"
+    ckpt = ["--ckpt", str(trained_run / "ckpt_final.bin")]
+    capsys.readouterr()
+    dump = ["dump-dist", *ckpt, "--out", str(out)]
+    for argv in (["eval", *ckpt], ["consistency", *ckpt], dump):
+        assert run_cli([*argv, "--set", item]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: config key {key}: the checkpoint was trained")
+        assert f"{argv[0]} may change only data.*, network.timesteps" in captured.err
+        assert len(captured.err.splitlines()) == 1 and captured.out == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["consistency", "dump-dist"])
+def test_eval_timesteps_override_is_eval_only(trained_run, tmp_path, capsys, command):
+    argv = [command, "--ckpt", str(trained_run / "ckpt_final.bin"), "--set", "eval.timesteps=1,2"]
+    if command == "dump-dist":
+        argv += ["--out", str(tmp_path / "dist.csv")]
+    capsys.readouterr()
+    assert run_cli(argv) == 1
+    err = capsys.readouterr().err
+    assert err == (
+        "error: config key eval.timesteps: the checkpoint was trained with '1,2,3', not "
+        f"'1,2'; {command} may change only data.*, network.timesteps\n"
+    )
+
+
+def test_analysis_accepts_overrides_equal_to_the_checkpoint(trained_run, tiny_cfg, capsys):
+    """The training config file, or a value written another way, changes
+    nothing and is accepted."""
+    ckpt = ["--ckpt", str(trained_run / "ckpt_final.bin")]
+    for command in ("eval", "consistency"):
+        capsys.readouterr()
+        assert run_cli([command, *ckpt]) == 0
+        want = capsys.readouterr().out
+        for flags in (["--config", str(tiny_cfg)], ["--set", "etc.tau=4"],
+                      ["--set", "train.batch_size=8", "--set", "network.hidden_sizes= 8"]):
+            assert run_cli([command, *ckpt, *flags]) == 0
+            assert capsys.readouterr().out == want
+
+
+def test_dump_dist_runs_the_overridden_timesteps(trained_run, tmp_path):
+    out = tmp_path / "dist.csv"
+    assert run_cli([
+        "dump-dist", "--ckpt", str(trained_run / "ckpt_final.bin"), "--out", str(out),
+        "--samples", "2", "--set", "network.timesteps=4",
+    ]) == 0
+    steps = [line.split(",")[2] for line in out.read_text().splitlines()[1:]]
+    assert steps == ["1", "2", "3", "4", "mean"] * 2
+
+
 def test_eval_rejects_out_of_range_timestep(trained_run, capsys):
-    code = run_cli([
-        "eval", "--ckpt", str(trained_run / "ckpt_final.bin"), "--timesteps", "9",
-    ])
-    assert code == 1
-    assert capsys.readouterr().err.startswith("error:")
+    """The flag and the override are one rule, checked by the config layer."""
+    ckpt = ["--ckpt", str(trained_run / "ckpt_final.bin")]
+    for budgets, message in (("9", "entries must lie in [1, 3]"),
+                             ("0,1", "entries must lie in [1, 3]"),
+                             ("1,x", "cannot parse '1,x' as ints")):
+        for flags in (["--timesteps", budgets], ["--set", f"eval.timesteps={budgets}"]):
+            capsys.readouterr()
+            assert run_cli(["eval", *ckpt, *flags]) == 1
+            captured = capsys.readouterr()
+            assert captured.err == f"error: config key eval.timesteps: {message}\n"
+            assert captured.out == ""
 
 
 def test_missing_input_dir_is_one_error_line(tmp_path, capsys):
@@ -358,10 +479,12 @@ def test_missing_input_dir_is_one_error_line(tmp_path, capsys):
     assert err.startswith("error:") and "missing" in err and len(err.splitlines()) == 1
 
 
-@pytest.mark.parametrize("rows", [[], ["0,0,0,0", "1,3,1,0"]])
+@pytest.mark.parametrize("rows", [
+    [], ["0,0,0,0", "1,3,1,0"], ["5,0,0,0", "3,0,0,0"], ["0,0,0,2"],
+])
 def test_event_binning_error_names_its_file(tmp_path, capsys, rows):
-    """A header-only event file, or one with an event outside the frame, is
-    one ``error:`` line naming that file, exit 2."""
+    """A header-only event file, or one with an event outside the frame, out
+    of order or of polarity 2, is one ``error:`` line naming that file, exit 2."""
     for cname in ("a", "b"):
         (tmp_path / "ev" / cname).mkdir(parents=True)
         (tmp_path / "ev" / cname / "s0.csv").write_text("t_us,x,y,polarity\n0,1,1,1\n")
@@ -608,6 +731,18 @@ def test_analysis_commands_build_only_the_test_split(
     asked.clear()
     etcsnn.train.train(ckpt.config, tmp_path / "again")
     assert asked == [(False, True)]
+
+
+def test_accuracy_script_budgets_follow_the_eval_timesteps_rule(trained_run, tmp_path):
+    script = Path(__file__).resolve().parent.parent / "scripts" / "accuracy_vs_timestep.py"
+    ckpt, out = str(trained_run / "ckpt_final.bin"), tmp_path / "curve.csv"
+    argv = [sys.executable, str(script), "--ckpt", ckpt, "--out", str(out)]
+    proc = subprocess.run([*argv, "--timesteps", "1,9"], capture_output=True, text=True)
+    assert proc.returncode == 1 and not out.exists()
+    assert proc.stderr == "error: config key eval.timesteps: entries must lie in [1, 3]\n"
+    proc = subprocess.run([*argv, "--timesteps", "3,1"], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert [row.split(",")[1] for row in out.read_text().splitlines()[1:]] == ["3", "1"]
 
 
 # -- installed console script ----------------------------------------------------

@@ -452,18 +452,15 @@ def test_parse_event_csv_happy(tmp_path):
     assert got.tolist() == [[0, 0, 0, 0], [10, 1, 0, 1], [10, 1, 1, 1]]
     write_events(p, [])
     assert parse_event_csv(p).shape == (0, 4)
+    # order and polarity are left to bin_events, which sees the whole array
+    write_events(p, [(5, 0, 0, 2), (3, 0, 0, 0)])
+    assert parse_event_csv(p).tolist() == [[5, 0, 0, 2], [3, 0, 0, 0]]
 
 
 def test_parse_event_csv_errors(tmp_path):
     p = tmp_path / "ev.csv"
     write_events(p, [(0, 0, 0, 0)], header="time,x,y,p")
     with pytest.raises(EventFormatError, match="first line"):
-        parse_event_csv(p)
-    write_events(p, [(5, 0, 0, 0), (3, 0, 0, 0)])
-    with pytest.raises(EventFormatError, match="sorted"):
-        parse_event_csv(p)
-    write_events(p, [(0, 0, 0, 2)])
-    with pytest.raises(EventFormatError, match="polarity"):
         parse_event_csv(p)
     p.write_text("t_us,x,y,polarity\n1,2,xx,0\n")
     with pytest.raises(EventFormatError, match="non-integer"):
@@ -607,6 +604,9 @@ def test_load_event_dir_errors(tmp_path):
     ([(0, 0, 0, 0), (1, 3, 1, 0)], r"event 1 at \(3, 1\) outside 2x2 frame"),
     ([(-(2**62), 0, 0, 0), (2**62, 0, 0, 0)],
      "event span 9223372036854775808 us times 2 overflows int64"),
+    # order and polarity are binning checks, not per-line parser checks
+    ([(5, 0, 0, 0), (3, 0, 0, 0)], r"event 1 out of order \(t=3 < 5\)"),
+    ([(0, 0, 0, 2)], "event 0 polarity must be 0 or 1, got 2"),
 ])
 def test_load_event_dir_binning_errors_name_the_file(tmp_path, rows, message):
     write_event_classes(tmp_path, files_per_class=1)
