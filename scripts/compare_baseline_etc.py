@@ -23,21 +23,29 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from etcsnn.train import build_run_config, split_assignment, train  # noqa: E402
+from etcsnn.cli import _int_at_least, _Parser, run_parsed  # noqa: E402
+from etcsnn.train import ConfigError, build_run_config, split_assignment, train  # noqa: E402
+
+MODES = ("ce_only", "ce_plus_etc")
 
 
-def run_pair(seed: int, epochs: int, extra: dict, out_root: Path) -> dict:
+def arm_config(seed: int, mode: str, epochs: int, extra: dict):
+    mapping = {
+        "train.epochs": str(epochs),
+        "opt.lr": "0.01",
+        "train.loss_mode": mode,
+        "train.seed": str(seed),
+        "data.seed": str(seed),
+    }
+    cfg = build_run_config({**mapping, **extra})
+    if cfg.epochs < 1:  # the comparison reads each arm's last epoch record
+        raise ConfigError(f"config key train.epochs: must be >= 1, got {cfg.epochs}")
+    return cfg
+
+
+def run_pair(seed: int, configs: dict, out_root: Path) -> dict:
     row = {"seed": seed}
-    for mode in ("ce_only", "ce_plus_etc"):
-        mapping = {
-            "train.epochs": str(epochs),
-            "opt.lr": "0.01",
-            "train.loss_mode": mode,
-            "train.seed": str(seed),
-            "data.seed": str(seed),
-        }
-        mapping.update(extra)
-        cfg = build_run_config(mapping)
+    for mode, cfg in configs.items():
         result = train(cfg, out_root / f"seed{seed}-{mode}")
         last = result.records[-1]
         tag = "base" if mode == "ce_only" else "etc"
@@ -48,29 +56,30 @@ def run_pair(seed: int, epochs: int, extra: dict, out_root: Path) -> dict:
     return row
 
 
-def main() -> int:
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--seeds", default="0,1,2,3,4", help="comma list of seeds")
-    ap.add_argument("--epochs", type=int, default=40)
-    ap.add_argument("--out", default="runs/compare")
-    ap.add_argument(
-        "--set", action="append", default=[], metavar="KEY=VALUE",
-        help="extra config override applied to both runs, repeatable",
-    )
-    args = ap.parse_args()
+def seed_list(text: str) -> list[int]:
+    seeds = [_int_at_least(0)(s) for s in text.split(",")]
+    if len(set(seeds)) < len(seeds):  # a repeat would train into its first run's directory
+        raise argparse.ArgumentTypeError(f"expected distinct seeds, got {text!r}")
+    return seeds
 
+
+def compare(args) -> int:
     extra = dict(map(split_assignment, args.set))
-    seeds = [int(s) for s in args.seeds.split(",")]
+    # every arm's config is checked before the first run starts
+    configs = [
+        (seed, {mode: arm_config(seed, mode, args.epochs, extra) for mode in MODES})
+        for seed in args.seeds
+    ]
     out_root = Path(args.out)
 
     t0 = time.time()
-    rows = [run_pair(seed, args.epochs, extra, out_root) for seed in seeds]
+    rows = [run_pair(seed, arms, out_root) for seed, arms in configs]
 
     def med(key: str) -> float:
         return float(np.median([r[key] for r in rows]))
 
     summary = {
-        "seeds": seeds,
+        "seeds": args.seeds,
         "epochs": args.epochs,
         "overrides": extra,
         "rows": rows,
@@ -113,6 +122,18 @@ def main() -> int:
     )
     print(f"wrote {summary_path} ({summary['wall_seconds']}s)")
     return 0
+
+
+def main(argv=None) -> int:
+    ap = _Parser(description=__doc__.splitlines()[0])
+    ap.add_argument("--seeds", type=seed_list, default="0,1,2,3,4", help="comma list of seeds")
+    ap.add_argument("--epochs", type=int, default=40)
+    ap.add_argument("--out", default="runs/compare")
+    ap.add_argument(
+        "--set", action="append", default=[], metavar="KEY=VALUE",
+        help="extra config override applied to both runs, repeatable",
+    )
+    return run_parsed(ap, argv, compare)
 
 
 if __name__ == "__main__":

@@ -5,12 +5,16 @@ Every ``key=value`` item (a config-file line, ``--set``, ``--spec``) goes
 through ``train.split_assignment``.  ``eval``, ``consistency`` and
 ``dump-dist`` score the checkpoint under its own config with the overrides on
 top (``eval --timesteps LIST`` is ``eval.timesteps``); only ``data.*``,
-``network.timesteps`` and eval's ``eval.timesteps`` may differ from it.
+``network.timesteps`` and eval's ``eval.timesteps`` may differ from it, and a
+default 1..T eval list follows the effective ``network.timesteps``.  ``eval``
+is the one scorer of truncated inference: one JSON line per checkpoint with
+every budget's accuracy.
 
 Exit codes: 0 success, 1 usage error (bad flags, bad config, missing or
 unreadable inputs, a dataset that does not fit the checkpoint), 2 runtime
 error (training blow-up, corrupt artifacts, failed checks).
-Every error is printed to stderr as a single line starting with ``error:``.
+Every error is printed to stderr as a single line starting with ``error:``;
+``run_parsed`` holds that mapping for any parser built on ``_Parser``.
 """
 
 from __future__ import annotations
@@ -29,7 +33,6 @@ from .train import (
     TrainingError,
     build_run_config,
     config_to_items,
-    config_to_text,
     consistency_report,
     dump_distributions,
     eval_per_timestep,
@@ -41,7 +44,7 @@ from .train import (
     train,
 )
 
-__all__ = ["main", "run_cli"]
+__all__ = ["main", "run_cli", "run_parsed"]
 
 
 class _UsageError(Exception):
@@ -114,18 +117,28 @@ def _default_out_dir(seed: int) -> Path:
 def _eval_split(args, free=()):
     """The checkpoint carrying the effective config of an analysis command,
     its own with the overrides on top, and the test split that config names;
-    only data.*, network.timesteps and the keys in ``free`` may change."""
+    only data.*, network.timesteps and the keys in ``free`` may change.  A
+    trained ``eval.timesteps`` that is its default 1..T follows the effective
+    ``network.timesteps``; any other list is kept and range-checked."""
     ckpt = load_checkpoint(_existing(args.ckpt, "checkpoint"))
     trained = config_to_items(ckpt.config)
-    cfg = build_run_config({**dict(trained), **_gather_mapping(args)})
+    mapping = dict(trained)
+    budgets = ckpt.config.eval_timesteps
+    if budgets == tuple(range(1, ckpt.config.timesteps + 1)):
+        mapping["eval.timesteps"], budgets = "", ()  # each resolves to 1..T at the new T
+    cfg = build_run_config({**mapping, **_gather_mapping(args)})
+    # the trained config at the effective T: what follows from T is no change
+    retimed = replace(ckpt.config, timesteps=cfg.timesteps, eval_timesteps=budgets)
     keys = ("data.*", "network.timesteps", *free)
-    for (key, was), (_, now) in zip(trained, config_to_items(cfg)):
-        if now != was and not key.startswith("data.") and key not in keys:
+    for (key, was), (_, same), (_, now) in zip(
+        trained, config_to_items(retimed), config_to_items(cfg)
+    ):
+        if now != same and not key.startswith("data.") and key not in keys:
             raise ConfigError(
                 f"config key {key}: the checkpoint was trained with {was!r}, not "
                 f"{now!r}; {args.command} may change only {', '.join(keys)}"
             )
-    return replace(ckpt, config=cfg, config_text=config_to_text(cfg)), load_test_split(cfg)
+    return replace(ckpt, config=cfg), load_test_split(cfg)
 
 
 # -- subcommands -----------------------------------------------------------------
@@ -259,11 +272,11 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def run_cli(argv=None) -> int:
-    parser = _build_parser()
+def run_parsed(parser: argparse.ArgumentParser, argv, fn) -> int:
+    """``fn(parser.parse_args(argv))``'s exit code; any error is one
+    ``error:`` line on stderr and exit code 1 or 2 (see the module doc)."""
     try:
-        args = parser.parse_args(argv)
-        return args.fn(args)
+        return fn(parser.parse_args(argv))
     # ValueError: a config, a dataset or a budget that does not fit the run;
     # MemoryError: one too large for this machine
     except (_UsageError, ValueError, OSError, MemoryError) as exc:
@@ -275,6 +288,10 @@ def run_cli(argv=None) -> int:
     except SystemExit as exc:  # argparse --help
         code = exc.code if isinstance(exc.code, int) else 0
         return code
+
+
+def run_cli(argv=None) -> int:
+    return run_parsed(_build_parser(), argv, lambda args: args.fn(args))
 
 
 def main() -> None:

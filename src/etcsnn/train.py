@@ -498,7 +498,6 @@ class CheckpointShapeError(CheckpointError):
 @dataclass
 class Checkpoint:
     config: RunConfig
-    config_text: str
     epoch: int  # epochs completed so far
     params: list[np.ndarray]
     opt: OptimState
@@ -534,7 +533,7 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
             fh = _Crc32Writer(raw)
             fh.write(_CKPT_MAGIC)
             fh.write(struct.pack("<I", _CKPT_VERSION))
-            text = ckpt.config_text.encode()
+            text = config_to_text(ckpt.config).encode()
             fh.write(struct.pack("<Q", len(text)))
             fh.write(text)
             fh.write(struct.pack("<Q", ckpt.epoch))
@@ -592,9 +591,8 @@ def load_checkpoint(path) -> Checkpoint:
             f"{path}: checkpoint version {version}, expected {_CKPT_VERSION}"
         )
     (text_len,) = struct.unpack("<Q", take(8))
-    config_text = take_text(text_len, "the embedded config")
     try:
-        config = run_config_from_text(config_text)
+        config = run_config_from_text(take_text(text_len, "the embedded config"))
     except ConfigError as exc:
         raise CheckpointError(f"{path}: embedded config invalid: {exc}") from exc
     (epoch,) = struct.unpack("<Q", take(8))
@@ -646,9 +644,7 @@ def load_checkpoint(path) -> Checkpoint:
         raise CheckpointError(f"{path}: checksum mismatch, the checkpoint is corrupt")
 
     opt = OptimState(step=step, m=m, v=v, **hyper)
-    return Checkpoint(
-        config=config, config_text=config_text, epoch=epoch, params=params, opt=opt
-    )
+    return Checkpoint(config=config, epoch=epoch, params=params, opt=opt)
 
 
 # -- the training loop ---------------------------------------------------------------
@@ -694,13 +690,12 @@ def train(cfg: RunConfig, out_dir, resume_from=None) -> TrainResult:
     x_train = data.train.inputs
     labels_1h = _one_hot(data.train.labels, data.classes)
     spec = _network_spec(cfg, data.input_dim, data.classes)
-    config_text = config_to_text(cfg)
     metrics_path = out_dir / "metrics.jsonl"
     history = [config_header_line(cfg) + "\n"]
 
     if resume_from is not None:
         ck = load_checkpoint(resume_from)
-        if ck.config_text != config_text:
+        if config_to_text(ck.config) != config_to_text(cfg):
             raise TrainingError(
                 f"checkpoint {resume_from} was written with a different config; "
                 "resume requires an exact match"
@@ -747,7 +742,7 @@ def train(cfg: RunConfig, out_dir, resume_from=None) -> TrainResult:
                 etc_sum += etc_val * len(sel)
                 total_sum += total * len(sel)
             done = epoch + 1
-            ckpt = Checkpoint(cfg, config_text, done, params, opt)
+            ckpt = Checkpoint(cfg, done, params, opt)
             try:
                 values = _ckpt_forward(ckpt, data.test, cfg.timesteps)
             except (NonFiniteError, ValueError) as exc:
@@ -771,7 +766,7 @@ def train(cfg: RunConfig, out_dir, resume_from=None) -> TrainResult:
             if cfg.save_interval and done % cfg.save_interval == 0 and done < cfg.epochs:
                 save_checkpoint(ckpt, out_dir / f"ckpt_epoch{done:04d}.bin")
 
-    final = Checkpoint(cfg, config_text, cfg.epochs, params, opt)
+    final = Checkpoint(cfg, cfg.epochs, params, opt)
     ckpt_path = out_dir / "ckpt_final.bin"
     save_checkpoint(final, ckpt_path)
     return TrainResult(

@@ -385,6 +385,11 @@ def test_empty_timesteps_flag_keeps_the_checkpoint_list(tmp_path, tiny_cfg, caps
     assert eval_budgets(
         [*ckpt, "--set", "eval.timesteps=2", "--timesteps", ""], capsys
     ) == ["2"]
+    # a list other than 1..T is kept under an unchanged T and checked against a new one
+    assert eval_budgets([*ckpt, "--set", "network.timesteps=3"], capsys) == ["3", "1"]
+    assert run_cli(["eval", *ckpt, "--set", "network.timesteps=2"]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: config key eval.timesteps: entries must lie in [1, 2]\n"
 
 
 _REFUSED = [
@@ -453,6 +458,30 @@ def test_dump_dist_runs_the_overridden_timesteps(trained_run, tmp_path):
     ]) == 0
     steps = [line.split(",")[2] for line in out.read_text().splitlines()[1:]]
     assert steps == ["1", "2", "3", "4", "mean"] * 2
+
+
+@pytest.mark.parametrize("command", ["eval", "consistency", "dump-dist"])
+def test_analysis_runs_fewer_timesteps_than_trained(trained_run, tmp_path, capsys, command):
+    """A default eval list follows a shrunk network.timesteps: no command
+    refuses it, and eval scores budgets 1..T for the new T."""
+    out = tmp_path / "dist.csv"
+    argv = [command, "--ckpt", str(trained_run / "ckpt_final.bin"), "--set", "network.timesteps=2"]
+    argv += ["--out", str(out), "--samples", "2"] if command == "dump-dist" else []
+    capsys.readouterr()
+    assert run_cli(argv) == 0
+    printed = capsys.readouterr().out
+    if command == "eval":
+        assert list(json.loads(printed)["accuracy"]) == ["1", "2"]
+    elif command == "consistency":
+        assert json.loads(printed)["samples"] > 0
+    else:
+        steps = [line.split(",")[2] for line in out.read_text().splitlines()[1:]]
+        assert steps == ["1", "2", "mean"] * 2
+
+
+def test_eval_budgets_follow_a_raised_timesteps(trained_run, capsys):
+    ckpt = ["--ckpt", str(trained_run / "ckpt_final.bin")]
+    assert eval_budgets([*ckpt, "--set", "network.timesteps=5"], capsys) == list("12345")
 
 
 def test_eval_rejects_out_of_range_timestep(trained_run, capsys):
@@ -733,16 +762,23 @@ def test_analysis_commands_build_only_the_test_split(
     assert asked == [(False, True)]
 
 
-def test_accuracy_script_budgets_follow_the_eval_timesteps_rule(trained_run, tmp_path):
-    script = Path(__file__).resolve().parent.parent / "scripts" / "accuracy_vs_timestep.py"
-    ckpt, out = str(trained_run / "ckpt_final.bin"), tmp_path / "curve.csv"
-    argv = [sys.executable, str(script), "--ckpt", ckpt, "--out", str(out)]
-    proc = subprocess.run([*argv, "--timesteps", "1,9"], capture_output=True, text=True)
-    assert proc.returncode == 1 and not out.exists()
-    assert proc.stderr == "error: config key eval.timesteps: entries must lie in [1, 3]\n"
-    proc = subprocess.run([*argv, "--timesteps", "3,1"], capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
-    assert [row.split(",")[1] for row in out.read_text().splitlines()[1:]] == ["3", "1"]
+# -- scripts ---------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("flags", [
+    ["--set", "x"], ["--set", "foo=1"], ["--epochs", "0"], ["--seeds", "a"], ["--seeds", "0,0"],
+], ids=["malformed-set", "unknown-key", "zero-epochs", "bad-seed", "repeated-seed"])
+def test_compare_script_bad_input_is_one_error_line(tmp_path, flags):
+    """Every arm's config is checked before the first run: a bad flag is one
+    ``error:`` line, exit 1, and no run directory."""
+    script = Path(__file__).resolve().parent.parent / "scripts" / "compare_baseline_etc.py"
+    out = tmp_path / "compare"
+    proc = subprocess.run(
+        [sys.executable, str(script), "--out", str(out), *flags], capture_output=True, text=True
+    )
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and len(proc.stderr.splitlines()) == 1
+    assert not out.exists()
 
 
 # -- installed console script ----------------------------------------------------

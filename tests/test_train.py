@@ -604,7 +604,6 @@ def test_checkpoint_layer_count_mismatch(trained, tmp_path):
     opt = ck.opt
     hacked = Checkpoint(
         config=ck.config,
-        config_text=ck.config_text,
         epoch=ck.epoch,
         params=ck.params[:1],
         opt=OptimState(
@@ -645,8 +644,8 @@ def test_checkpoint_save_is_atomic(trained, tmp_path, monkeypatch):
         write_tensor(fh, name, arr)
 
     monkeypatch.setattr(train_module, "_write_tensor", fail_on_moments)
-    hacked = Checkpoint(trained.checkpoint.config, trained.checkpoint.config_text, 7,
-                        trained.checkpoint.params, trained.checkpoint.opt)
+    hacked = Checkpoint(trained.checkpoint.config, 7, trained.checkpoint.params,
+                        trained.checkpoint.opt)
     with pytest.raises(OSError, match="disk full"):
         save_checkpoint(hacked, path)
     assert path.read_bytes() == before
@@ -657,7 +656,6 @@ def test_checkpoint_dim_mismatch_with_config(trained, tmp_path):
     ck = load_checkpoint(trained.ckpt_path)
     hacked = Checkpoint(
         config=ck.config,
-        config_text=ck.config_text,
         epoch=ck.epoch,
         params=[p.T.copy() for p in ck.params],
         opt=ck.opt,
@@ -777,7 +775,7 @@ def tape_output_weight_grads(ckpt, samples, coeff):
 
 
 def _checkpoint(cfg, params):
-    return Checkpoint(cfg, config_to_text(cfg), 0, params, OptimState.fresh(params))
+    return Checkpoint(cfg, 0, params, OptimState.fresh(params))
 
 
 def _probe_case(hidden: str, scale_last_hidden: float = 1.0):
