@@ -5,14 +5,17 @@ Every ``key=value`` item (a config-file line, ``--set``, ``--spec``) goes
 through ``train.split_assignment``.  ``eval``, ``consistency`` and
 ``dump-dist`` score the checkpoint under its own config with the overrides on
 top (``eval --timesteps LIST`` is ``eval.timesteps``); only ``data.*``,
-``network.timesteps`` and eval's ``eval.timesteps`` may differ from it, and a
-default 1..T eval list follows the effective ``network.timesteps``.  ``eval``
-is the one scorer of truncated inference: one JSON line per checkpoint with
-every budget's accuracy.
+``network.timesteps`` and eval's ``eval.timesteps`` may differ from it.  A
+default 1..T eval list follows the effective ``network.timesteps``, and so
+does every list under ``consistency`` and ``dump-dist``, which do not score
+it, unless they are given one.  ``eval`` is the one scorer of truncated
+inference: one JSON line per checkpoint with every budget's accuracy.
 
 Exit codes: 0 success, 1 usage error (bad flags, bad config, missing or
-unreadable inputs, a dataset that does not fit the checkpoint), 2 runtime
-error (training blow-up, corrupt artifacts, failed checks).
+unreadable inputs, a valid dataset that does not fit the checkpoint or
+overflows its forward), 2 runtime error (training blow-up, failed checks,
+and every file the loaders reject: a ``DataError`` or ``CheckpointError``,
+whose message names the file).
 Every error is printed to stderr as a single line starting with ``error:``;
 ``run_parsed`` holds that mapping for any parser built on ``_Parser``.
 """
@@ -27,6 +30,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from .data import DataError, save_synth_dataset, synth_generate
+from .snn import NonFiniteError
 from .train import (
     CheckpointError,
     ConfigError,
@@ -119,14 +123,16 @@ def _eval_split(args, free=()):
     its own with the overrides on top, and the test split that config names;
     only data.*, network.timesteps and the keys in ``free`` may change.  A
     trained ``eval.timesteps`` that is its default 1..T follows the effective
-    ``network.timesteps``; any other list is kept and range-checked."""
+    ``network.timesteps``, and so does any list a command that does not
+    score it is not given; any other list is kept and range-checked."""
     ckpt = load_checkpoint(_existing(args.ckpt, "checkpoint"))
     trained = config_to_items(ckpt.config)
-    mapping = dict(trained)
+    mapping, overrides = dict(trained), _gather_mapping(args)
     budgets = ckpt.config.eval_timesteps
-    if budgets == tuple(range(1, ckpt.config.timesteps + 1)):
+    unscored = "eval.timesteps" not in free and "eval.timesteps" not in overrides
+    if unscored or budgets == tuple(range(1, ckpt.config.timesteps + 1)):
         mapping["eval.timesteps"], budgets = "", ()  # each resolves to 1..T at the new T
-    cfg = build_run_config({**mapping, **_gather_mapping(args)})
+    cfg = build_run_config({**mapping, **overrides})
     # the trained config at the effective T: what follows from T is no change
     retimed = replace(ckpt.config, timesteps=cfg.timesteps, eval_timesteps=budgets)
     keys = ("data.*", "network.timesteps", *free)
@@ -278,8 +284,9 @@ def run_parsed(parser: argparse.ArgumentParser, argv, fn) -> int:
     try:
         return fn(parser.parse_args(argv))
     # ValueError: a config, a dataset or a budget that does not fit the run;
-    # MemoryError: one too large for this machine
-    except (_UsageError, ValueError, OSError, MemoryError) as exc:
+    # NonFiniteError: inputs that overflow an analysis command's forward;
+    # MemoryError: a dataset too large for this machine
+    except (_UsageError, ValueError, NonFiniteError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (DataError, CheckpointError, TrainingError) as exc:

@@ -9,7 +9,10 @@ broadcasts them over the time axis.  An event file is one (n, 4) int64
 array: ``parse_event_csv`` checks each line's fields, and ``bin_events``
 checks order, frame bounds and polarity over the whole array and bins it at
 once.  Every kind holds out its test split by the one rule ``held_out``, and
-the split loaders build only the splits they are asked for.
+the split loaders build only the splits they are asked for.  Whatever a
+loader rejects in a file, from its magic or length to a non-UTF-8 line, a
+non-finite input or a label outside the dump's classes, is one ``DataError``
+whose message names the file.
 
 The synthetic task is the desk-scale stand-in for neuromorphic data: every
 class has a fixed unit-norm base pattern, and timestep t blends that pattern
@@ -41,12 +44,6 @@ __all__ = [
     "Split",
     "SynthSpec",
     "DataError",
-    "IdxError",
-    "IdxMagicError",
-    "IdxTruncatedError",
-    "IdxCountMismatchError",
-    "EventFormatError",
-    "DatasetDumpError",
     "held_out",
     "synth_generate",
     "save_synth_dataset",
@@ -59,31 +56,9 @@ __all__ = [
 
 
 class DataError(Exception):
-    """Base for everything the loaders can reject."""
-
-
-class IdxError(DataError):
-    pass
-
-
-class IdxMagicError(IdxError):
-    pass
-
-
-class IdxTruncatedError(IdxError):
-    pass
-
-
-class IdxCountMismatchError(IdxError):
-    pass
-
-
-class EventFormatError(DataError):
-    pass
-
-
-class DatasetDumpError(DataError):
-    pass
+    """A dataset the loaders reject.  Raised by a loader, the message names
+    the file (both files of an IDX pair); ``bin_events`` alone, which takes
+    an array, names the event."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -338,13 +313,13 @@ def save_synth_dataset(path, spec: SynthSpec, train: Split, test: Split) -> None
 def load_synth_dataset(path) -> tuple[SynthSpec, Split, Split]:
     blob = memoryview(Path(path).read_bytes())  # slices share the file's bytes
     if blob[:8] != _DUMP_MAGIC:
-        raise DatasetDumpError(f"bad magic in {path}: not a dataset dump")
+        raise DataError(f"bad magic in {path}: not a dataset dump")
     off = 8
 
     def take(n: int) -> memoryview:
         nonlocal off
         if off + n > len(blob):
-            raise DatasetDumpError(f"truncated dataset dump {path}")
+            raise DataError(f"truncated dataset dump {path}")
         chunk = blob[off : off + n]
         off += n
         return chunk
@@ -353,15 +328,22 @@ def load_synth_dataset(path) -> tuple[SynthSpec, Split, Split]:
     try:  # UnicodeDecodeError is a ValueError
         spec = _spec_from_text(bytes(take(text_len)).decode())
     except ValueError as exc:
-        raise DatasetDumpError(f"{path}: bad spec text in dataset dump: {exc}") from None
+        raise DataError(f"{path}: bad spec text in dataset dump: {exc}") from None
     n_train, n_test = struct.unpack("<QQ", take(16))
     dtype = _record_dtype(spec)
     records = np.frombuffer(take((n_train + n_test) * dtype.itemsize), dtype=dtype)
     if off != len(blob):
-        raise DatasetDumpError(f"trailing bytes in dataset dump {path}")
-    train, test = (
-        Split(part["x"], part["label"]) for part in (records[:n_train], records[n_train:])
-    )
+        raise DataError(f"trailing bytes in dataset dump {path}")
+    # unsigned, so a label written negative reads as one too large
+    top = int(records["label"].max(initial=0))
+    if top >= spec.classes:
+        raise DataError(f"{path}: label {top} out of range for {spec.classes} classes")
+    try:
+        train, test = (
+            Split(part["x"], part["label"]) for part in (records[:n_train], records[n_train:])
+        )
+    except ValueError as exc:  # a non-finite input
+        raise DataError(f"{path}: {exc}") from None
     return spec, train, test
 
 
@@ -377,13 +359,13 @@ def _read_idx(path, magic: int, what: str, dims: int) -> np.ndarray:
     blob = Path(path).read_bytes()
     header = 4 * (1 + dims)
     if len(blob) < header:
-        raise IdxTruncatedError(f"{path}: too short for an IDX {what} header")
+        raise DataError(f"{path}: too short for an IDX {what} header")
     found, *shape = struct.unpack(f">{1 + dims}I", blob[:header])
     if found != magic:
-        raise IdxMagicError(f"{path}: bad magic 0x{found:08x}, expected 0x{magic:08x}")
+        raise DataError(f"{path}: bad magic 0x{found:08x}, expected 0x{magic:08x}")
     expected = header + math.prod(shape)
     if len(blob) != expected:
-        raise IdxTruncatedError(
+        raise DataError(
             f"{path}: expected {expected} bytes for {shape[0]} {what}s, found {len(blob)}"
         )
     return np.frombuffer(blob, dtype=np.uint8, offset=header).reshape(shape)
@@ -396,7 +378,7 @@ def load_idx(images_path, labels_path) -> tuple[np.ndarray, np.ndarray]:
     labels = _read_idx(labels_path, _IDX_LABEL_MAGIC, "label", dims=1)
     n_images, rows, cols = images.shape
     if n_images != labels.size:
-        raise IdxCountMismatchError(f"{n_images} images vs {labels.size} labels")
+        raise DataError(f"{images_path}, {labels_path}: {n_images} images vs {labels.size} labels")
     pixels = images.reshape(n_images, rows * cols).astype(np.float64) / 255.0
     return pixels, labels.astype(np.int64)
 
@@ -412,26 +394,27 @@ def parse_event_csv(path) -> np.ndarray:
     array of ``(t_us, x, y, polarity)`` rows.  Each line is checked for its
     shape only (four integer fields that fit int64); event order and values
     are ``bin_events``' checks."""
-    lines = Path(path).read_text().splitlines()
+    try:
+        lines = Path(path).read_text(encoding="utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
     if not lines:
-        raise EventFormatError(f"{path}: empty file")
+        raise DataError(f"{path}: empty file")
     if lines[0] != _EVENT_HEADER:
-        raise EventFormatError(
-            f"{path}: first line must be {_EVENT_HEADER!r}, got {lines[0]!r}"
-        )
+        raise DataError(f"{path}: first line must be {_EVENT_HEADER!r}, got {lines[0]!r}")
     rows = []
     for ln, line in enumerate(lines[1:], start=2):
         if not line:
             continue
         parts = line.split(",")
         if len(parts) != 4:
-            raise EventFormatError(f"{path}:{ln}: expected 4 fields, got {len(parts)}")
+            raise DataError(f"{path}:{ln}: expected 4 fields, got {len(parts)}")
         try:
             row = [int(p) for p in parts]
         except ValueError:
-            raise EventFormatError(f"{path}:{ln}: non-integer field in {line!r}") from None
+            raise DataError(f"{path}:{ln}: non-integer field in {line!r}") from None
         if min(row) < _INT64.min or max(row) > _INT64.max:
-            raise EventFormatError(f"{path}:{ln}: field does not fit int64 in {line!r}")
+            raise DataError(f"{path}:{ln}: field does not fit int64 in {line!r}")
         rows.append(row)
     return np.array(rows, dtype=np.int64).reshape(-1, 4)
 
@@ -448,7 +431,7 @@ def bin_events(events: np.ndarray, width: int, height: int, timesteps: int) -> n
         raise ValueError(f"timesteps must be >= 1, got {timesteps}")
     events = np.asarray(events, dtype=np.int64)
     if not events.size:
-        raise EventFormatError("empty event list")
+        raise DataError("empty event list")
     t, x, y, pol = events.T
     # the lowest offending index is named; at one index, order is checked first
     disorder = np.concatenate(([False], t[1:] < t[:-1]))
@@ -457,15 +440,13 @@ def bin_events(events: np.ndarray, width: int, height: int, timesteps: int) -> n
     if bad.size:
         i = bad[0]
         if disorder[i]:
-            raise EventFormatError(f"event {i} out of order (t={t[i]} < {t[i - 1]})")
+            raise DataError(f"event {i} out of order (t={t[i]} < {t[i - 1]})")
         if outside[i]:
-            raise EventFormatError(
-                f"event {i} at ({x[i]}, {y[i]}) outside {width}x{height} frame"
-            )
-        raise EventFormatError(f"event {i} polarity must be 0 or 1, got {pol[i]}")
+            raise DataError(f"event {i} at ({x[i]}, {y[i]}) outside {width}x{height} frame")
+        raise DataError(f"event {i} polarity must be 0 or 1, got {pol[i]}")
     span = int(t[-1]) - int(t[0])
     if span * timesteps > _INT64.max:
-        raise EventFormatError(f"event span {span} us times {timesteps} overflows int64")
+        raise DataError(f"event span {span} us times {timesteps} overflows int64")
     window = np.minimum((t - t[0]) * timesteps // max(span, 1), timesteps - 1)
     cell = ((window * 2 + pol) * height + y) * width + x
     counts = np.bincount(cell, minlength=timesteps * 2 * height * width).reshape(timesteps, -1)
@@ -483,12 +464,12 @@ def load_event_dir(
     root = Path(dir_path)
     class_dirs = sorted(p for p in root.iterdir() if p.is_dir())
     if not class_dirs:
-        raise EventFormatError(f"{dir_path}: no class subdirectories")
+        raise DataError(f"{dir_path}: no class subdirectories")
     files = []  # (label, path, held out) of every file
     for label, cdir in enumerate(class_dirs):
         paths = sorted(cdir.glob("*.csv"))
         if not paths:
-            raise EventFormatError(f"{cdir}: class directory has no .csv files")
+            raise DataError(f"{cdir}: class directory has no .csv files")
         files += zip([label] * len(paths), paths, held_out(len(paths)).tolist())
     built = []
     for want in splits:
@@ -498,7 +479,7 @@ def load_event_dir(
             events = parse_event_csv(path)
             try:
                 inputs[row] = bin_events(events, width, height, timesteps)
-            except EventFormatError as exc:
-                raise EventFormatError(f"{path}: {exc}") from None
+            except DataError as exc:
+                raise DataError(f"{path}: {exc}") from None
         built.append(Split(inputs, [label for label, _ in members]))
     return tuple(built)

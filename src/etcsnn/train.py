@@ -46,10 +46,6 @@ __all__ = [
     "EpochMetrics",
     "Checkpoint",
     "CheckpointError",
-    "CheckpointMagicError",
-    "CheckpointVersionError",
-    "CheckpointTruncatedError",
-    "CheckpointShapeError",
     "TrainResult",
     "ConsistencyReport",
     "default_config",
@@ -476,23 +472,7 @@ _OPT_HYPERS = ("lr_base", "weight_decay", "beta1", "beta2", "eps")
 
 
 class CheckpointError(Exception):
-    pass
-
-
-class CheckpointMagicError(CheckpointError):
-    pass
-
-
-class CheckpointVersionError(CheckpointError):
-    pass
-
-
-class CheckpointTruncatedError(CheckpointError):
-    pass
-
-
-class CheckpointShapeError(CheckpointError):
-    pass
+    """A checkpoint ``load_checkpoint`` rejects; the message names the file."""
 
 
 @dataclass
@@ -555,13 +535,13 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
 def load_checkpoint(path) -> Checkpoint:
     blob = Path(path).read_bytes()
     if blob[:8] != _CKPT_MAGIC:
-        raise CheckpointMagicError(f"{path}: bad magic, not a checkpoint")
+        raise CheckpointError(f"{path}: bad magic, not a checkpoint")
     off = 8
 
     def take(n: int) -> bytes:
         nonlocal off
         if off + n > len(blob):
-            raise CheckpointTruncatedError(f"{path}: truncated checkpoint")
+            raise CheckpointError(f"{path}: truncated checkpoint")
         chunk = blob[off : off + n]
         off += n
         return chunk
@@ -576,9 +556,7 @@ def load_checkpoint(path) -> Checkpoint:
         (name_len,) = struct.unpack("<I", take(4))
         name = take_text(name_len, "a tensor name")
         if name != expect_name:
-            raise CheckpointShapeError(
-                f"{path}: expected tensor {expect_name!r}, found {name!r}"
-            )
+            raise CheckpointError(f"{path}: expected tensor {expect_name!r}, found {name!r}")
         (rank,) = struct.unpack("<I", take(4))
         dims = struct.unpack(f"<{rank}I", take(4 * rank))
         count = math.prod(dims)  # a Python int: a corrupt shape cannot wrap
@@ -587,9 +565,7 @@ def load_checkpoint(path) -> Checkpoint:
 
     (version,) = struct.unpack("<I", take(4))
     if version != _CKPT_VERSION:
-        raise CheckpointVersionError(
-            f"{path}: checkpoint version {version}, expected {_CKPT_VERSION}"
-        )
+        raise CheckpointError(f"{path}: checkpoint version {version}, expected {_CKPT_VERSION}")
     (text_len,) = struct.unpack("<Q", take(8))
     try:
         config = run_config_from_text(take_text(text_len, "the embedded config"))
@@ -606,29 +582,25 @@ def load_checkpoint(path) -> Checkpoint:
         v.append(read_tensor(f"v{i}"))
     (crc,) = struct.unpack("<I", take(4))
     if off != len(blob):
-        raise CheckpointTruncatedError(f"{path}: trailing bytes after checkpoint")
+        raise CheckpointError(f"{path}: trailing bytes after checkpoint")
 
     expected_layers = len(config.hidden_sizes) + 1
     if n_params != expected_layers:
-        raise CheckpointShapeError(
-            f"{path}: {n_params} weight tensors for {expected_layers} layers"
-        )
+        raise CheckpointError(f"{path}: {n_params} weight tensors for {expected_layers} layers")
     sizes = params[0].shape[:1] + tuple(config.hidden_sizes) + params[-1].shape[-1:]
     for i, p in enumerate(params):
         want = (sizes[i], sizes[i + 1])
         if p.shape != want:
-            raise CheckpointShapeError(
-                f"{path}: weight w{i} has shape {p.shape}, expected {want}"
-            )
+            raise CheckpointError(f"{path}: weight w{i} has shape {p.shape}, expected {want}")
         if m[i].shape != want or v[i].shape != want:
-            raise CheckpointShapeError(f"{path}: moment shapes for w{i} do not match")
+            raise CheckpointError(f"{path}: moment shapes for w{i} do not match")
     if config.data.kind == "synth":
         if params[0].shape[0] != config.data.dim:
-            raise CheckpointShapeError(
+            raise CheckpointError(
                 f"{path}: input dim {params[0].shape[0]} != data.dim {config.data.dim}"
             )
         if params[-1].shape[-1] != config.data.classes:
-            raise CheckpointShapeError(
+            raise CheckpointError(
                 f"{path}: output dim {params[-1].shape[-1]} != data.classes "
                 f"{config.data.classes}"
             )

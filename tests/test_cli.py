@@ -5,13 +5,18 @@ Commands run in-process through run_cli() so the suite stays fast; one test
 drives the installed console script end to end as a smoke check.
 """
 
+import io
 import json
+import math
 import struct
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import etcsnn.train
 from etcsnn.cli import run_cli
@@ -159,10 +164,66 @@ def test_dump_with_a_nan_is_one_error_line(tmp_path, capsys):
     dump.write_bytes(bytes(blob))
     capsys.readouterr()
     code = run_cli(["train", "--data", str(dump), "--out", str(tmp_path / "run")])
-    assert code == 1
+    assert code == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: non-finite") and len(err.splitlines()) == 1
+    assert err.startswith(f"error: {dump}: non-finite") and len(err.splitlines()) == 1
     assert not (tmp_path / "run").exists()
+
+
+def _idx(path: Path, magic: int, shape: tuple[int, ...]) -> None:
+    path.write_bytes(struct.pack(f">{1 + len(shape)}I", magic, *shape) + bytes(math.prod(shape)))
+
+
+@pytest.mark.parametrize("case", [
+    "csv-not-utf8", "dump-label-wraps-negative", "dump-label-past-classes", "idx-count-mismatch",
+])
+def test_rejected_file_is_one_error_line_naming_it(trained_run, tmp_path, tiny_cfg, capsys, case):
+    """A non-UTF-8 event file, a dump with a label that is negative or not
+    below its own class count, and an IDX pair whose counts differ are each
+    one ``error:`` line naming the file (both files of the pair), exit 2,
+    from every command that reads them."""
+    ckpt = ["--ckpt", str(trained_run / "ckpt_final.bin")]
+    if case == "csv-not-utf8":
+        for cname in ("a", "b"):
+            (tmp_path / "ev" / cname).mkdir(parents=True)
+            for i in range(5):  # the fifth file of each class is held out
+                (tmp_path / "ev" / cname / f"s{i}.csv").write_text("t_us,x,y,polarity\n0,1,1,1\n")
+        named = [tmp_path / "ev" / "b" / "s4.csv"]
+        named[0].write_bytes(b"t_us,x,y,polarity\n0,1,\xff,1\n")
+        flags = ["--set", "data.kind=events", "--set", f"data.events_dir={tmp_path / 'ev'}",
+                 "--set", "data.width=2", "--set", "data.height=2"]
+    elif case.startswith("dump"):
+        named = [tmp_path / "d.bin"]
+        assert run_cli(["synth", "--config", str(tiny_cfg), "--out", str(named[0])]) == 0
+        blob = bytearray(named[0].read_bytes())
+        record = 8 + 3 * 8 * 8  # a label, then (T, dim) float64 currents
+        label = -1 if case == "dump-label-wraps-negative" else 2
+        blob[-record : -record + 8] = struct.pack("<q", label)  # the last test sample's
+        named[0].write_bytes(bytes(blob))
+        flags = ["--config", str(tiny_cfg), "--data", str(named[0])]
+    else:
+        named = [tmp_path / "i.idx", tmp_path / "l.idx"]
+        _idx(named[0], 0x803, (3, 2, 2))
+        _idx(named[1], 0x801, (2,))
+        flags = ["--set", "data.kind=idx", "--set", f"data.images={named[0]}",
+                 "--set", f"data.labels={named[1]}"]
+    for argv in (["train", *flags, "--out", str(tmp_path / "new-run")], ["eval", *ckpt, *flags]):
+        capsys.readouterr()
+        assert run_cli(argv) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert all(str(path) in err[0] for path in named)
+    assert not (tmp_path / "new-run").exists()
+
+
+def test_valid_dump_with_more_classes_than_the_checkpoint_exits_1(trained_run, tmp_path, capsys):
+    dump = tmp_path / "d.bin"
+    spec = ["classes=3", "dim=8", "timesteps=3", "samples_per_class=5"]
+    assert run_cli(["synth", "--out", str(dump), *[a for s in spec for a in ("--spec", s)]]) == 0
+    capsys.readouterr()
+    ckpt = str(trained_run / "ckpt_final.bin")
+    assert run_cli(["eval", "--ckpt", ckpt, "--data", str(dump)]) == 1
+    assert capsys.readouterr().err == "error: label 2 out of range for 2 classes\n"
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
@@ -174,6 +235,27 @@ def test_divergent_training_exits_2(tmp_path, tiny_cfg, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "epoch 0" in err
+
+
+@pytest.mark.parametrize("command", ["eval", "consistency", "dump-dist"])
+def test_analysis_overflow_on_finite_inputs_exits_1(
+    trained_run, tmp_path, tiny_cfg, capsys, command
+):
+    """A dump of finite inputs so large that the forward overflows loads, and
+    scoring it is one ``error:`` line, exit 1 as for any valid dataset that
+    does not fit the checkpoint, not a traceback."""
+    dump = tmp_path / "huge.bin"
+    assert run_cli(["synth", "--config", str(tiny_cfg), "--out", str(dump)]) == 0
+    blob = bytearray(dump.read_bytes())
+    blob[-3 * 8 * 8 :] = struct.pack("<24d", *[1.7e308] * 24)  # the last test sample's (T, dim)
+    dump.write_bytes(bytes(blob))
+    argv = [command, "--ckpt", str(trained_run / "ckpt_final.bin"), "--data", str(dump)]
+    argv += ["--out", str(tmp_path / "dist.csv")] if command == "dump-dist" else []
+    capsys.readouterr()
+    assert run_cli(argv) == 1
+    err = capsys.readouterr().err
+    assert err == "error: non-finite membrane potentials in a LIF layer\n"
+    assert not (tmp_path / "dist.csv").exists()
 
 
 @pytest.mark.parametrize("item", ["opt.lr=inf", "data.noise_sigma=inf", "lif.tau_m=nan"])
@@ -263,6 +345,67 @@ def test_eval_on_version_1_checkpoint_exits_2(trained_run, tmp_path, capsys):
     assert run_cli(["eval", "--ckpt", str(old)]) == 2
     err = capsys.readouterr().err
     assert err == f"error: {old}: checkpoint version 1, expected 2\n"
+
+
+@pytest.fixture(scope="module")
+def tiny_artifacts(tmp_path_factory):
+    """A tiny trained checkpoint, a dump of its data and a scratch directory."""
+    root = tmp_path_factory.mktemp("artifacts")
+    (root / "tiny.cfg").write_text(TINY)
+    dump, run = root / "d.bin", root / "run"
+    with redirect_stdout(io.StringIO()):
+        assert run_cli(["synth", "--config", str(root / "tiny.cfg"), "--out", str(dump)]) == 0
+        assert run_cli(["train", "--config", str(root / "tiny.cfg"), "--out", str(run)]) == 0
+    return run / "ckpt_final.bin", dump, root
+
+
+def run_quiet(argv) -> tuple[int, list[str]]:
+    """``run_cli(argv)``'s exit code and stderr lines, stdout discarded."""
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        code = run_cli(argv)
+    return code, err.getvalue().splitlines()
+
+
+def corrupt(blob: bytes, data) -> bytes:
+    """``blob`` cut to its first k bytes or with its bit k flipped, as drawn."""
+    if data.draw(st.booleans(), label="truncate"):
+        return blob[: data.draw(st.integers(0, len(blob) - 1), label="kept bytes")]
+    bit = data.draw(st.integers(0, 8 * len(blob) - 1), label="flipped bit")
+    out = bytearray(blob)
+    out[bit // 8] ^= 1 << bit % 8
+    return bytes(out)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(st.data())
+def test_corrupt_checkpoint_is_one_error_line_naming_it(tiny_artifacts, data):
+    """A truncated or bit-flipped checkpoint is one ``error:`` line naming
+    it, exit 2, from every command that loads one."""
+    ckpt, _, root = tiny_artifacts
+    bad = root / "bad.bin"
+    bad.write_bytes(corrupt(ckpt.read_bytes(), data))
+    for argv in (["eval"], ["consistency"], ["dump-dist", "--out", str(root / "dist.csv")]):
+        code, err = run_quiet([*argv, "--ckpt", str(bad)])
+        assert code == 2 and len(err) == 1
+        assert err[0].startswith("error: ") and str(bad) in err[0]
+    assert not (root / "dist.csv").exists()
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.data())
+def test_corrupt_dump_is_at_most_one_error_line(tiny_artifacts, data):
+    """``eval --data`` on a truncated or bit-flipped dump: a flipped input
+    value may still load (a dump has no checksum), and a flipped spec may
+    describe another valid dataset; any error is one line, and a rejected
+    dump is exit 2 and named."""
+    ckpt, dump, root = tiny_artifacts
+    bad = root / "bad.dump"
+    bad.write_bytes(corrupt(dump.read_bytes(), data))
+    code, err = run_quiet(["eval", "--ckpt", str(ckpt), "--data", str(bad)])
+    assert code in (0, 1, 2) and len(err) == (code != 0)
+    if code == 2:
+        assert err[0].startswith("error: ") and str(bad) in err[0]
 
 
 @pytest.mark.parametrize("classes", ["5", "10"])
@@ -390,6 +533,24 @@ def test_empty_timesteps_flag_keeps_the_checkpoint_list(tmp_path, tiny_cfg, caps
     assert run_cli(["eval", *ckpt, "--set", "network.timesteps=2"]) == 1
     err = capsys.readouterr().err
     assert err == "error: config key eval.timesteps: entries must lie in [1, 2]\n"
+
+
+def test_unscored_eval_list_follows_a_shrunk_timesteps(tmp_path, tiny_cfg, capsys):
+    """``consistency`` and ``dump-dist`` do not score ``eval.timesteps``, so a
+    trained list they are not given resolves to 1..T at any T; the training
+    config, list included, is still no change.  ``eval`` keeps and checks it."""
+    run, cfg = tmp_path / "run", tmp_path / "listed.cfg"
+    cfg.write_text(TINY + "eval.timesteps=3,1\n")
+    assert run_cli(["train", "--config", str(cfg), "--out", str(run)]) == 0
+    ckpt, shrink = ["--ckpt", str(run / "ckpt_final.bin")], ["--set", "network.timesteps=2"]
+    assert run_cli(["consistency", *ckpt, *shrink]) == 0
+    assert run_cli(["dump-dist", *ckpt, *shrink, "--out", str(tmp_path / "d.csv")]) == 0
+    assert run_cli(["consistency", *ckpt, "--config", str(cfg)]) == 0
+    capsys.readouterr()
+    assert run_cli(["eval", *ckpt, *shrink]) == 1
+    assert capsys.readouterr().err == (
+        "error: config key eval.timesteps: entries must lie in [1, 2]\n"
+    )
 
 
 _REFUSED = [

@@ -14,11 +14,7 @@ import numpy as np
 import pytest
 
 from etcsnn.data import (
-    DatasetDumpError,
-    EventFormatError,
-    IdxCountMismatchError,
-    IdxMagicError,
-    IdxTruncatedError,
+    DataError,
     Split,
     SynthSpec,
     bin_events,
@@ -278,7 +274,7 @@ def test_dump_round_trip_and_stability(tmp_path):
 def test_dump_bad_magic(tmp_path):
     p = tmp_path / "junk.bin"
     p.write_bytes(b"NOTADUMP" + b"\x00" * 64)
-    with pytest.raises(DatasetDumpError, match="magic"):
+    with pytest.raises(DataError, match="magic"):
         load_synth_dataset(p)
 
 
@@ -289,10 +285,10 @@ def test_dump_truncated(tmp_path):
     save_synth_dataset(p, spec, train, test)
     blob = p.read_bytes()
     (tmp_path / "cut.bin").write_bytes(blob[: len(blob) - 7])
-    with pytest.raises(DatasetDumpError, match="truncated"):
+    with pytest.raises(DataError, match="truncated"):
         load_synth_dataset(tmp_path / "cut.bin")
     (tmp_path / "fat.bin").write_bytes(blob + b"\x00")
-    with pytest.raises(DatasetDumpError, match="trailing"):
+    with pytest.raises(DataError, match="trailing"):
         load_synth_dataset(tmp_path / "fat.bin")
 
 
@@ -304,7 +300,7 @@ def test_dump_bad_spec_text(tmp_path, old, new):
     p = tmp_path / "d.bin"
     save_synth_dataset(p, spec, *synth_generate(spec))
     p.write_bytes(p.read_bytes().replace(old, new, 1))
-    with pytest.raises(DatasetDumpError, match=r"d\.bin: bad spec text"):
+    with pytest.raises(DataError, match=r"d\.bin: bad spec text"):
         load_synth_dataset(p)
 
 
@@ -359,10 +355,10 @@ def test_idx_pairing_and_range(tmp_path):
 
 def test_idx_bad_magic(tmp_path):
     img, lbl = write_idx_pair(tmp_path, [255], [3], 1, 1, image_magic=0x804)
-    with pytest.raises(IdxMagicError, match="0x00000804"):
+    with pytest.raises(DataError, match="0x00000804"):
         load_idx(img, lbl)
     img, lbl = write_idx_pair(tmp_path, [255], [3], 1, 1, label_magic=0x802)
-    with pytest.raises(IdxMagicError, match="lbls"):
+    with pytest.raises(DataError, match="lbls"):
         load_idx(img, lbl)
 
 
@@ -370,14 +366,14 @@ def test_idx_truncated(tmp_path):
     img, lbl = write_idx_pair(tmp_path, [1, 2, 3, 4], [0], rows=2, cols=2)
     blob = img.read_bytes()
     img.write_bytes(blob[:-2])
-    with pytest.raises(IdxTruncatedError, match="expected"):
+    with pytest.raises(DataError, match="expected"):
         load_idx(img, lbl)
 
 
 def test_idx_count_mismatch(tmp_path):
     img, lbl = write_idx_pair(tmp_path, [10, 20], [0, 1, 2], rows=1, cols=1,
                               label_count=3)
-    with pytest.raises(IdxCountMismatchError, match="2 images vs 3 labels"):
+    with pytest.raises(DataError, match="2 images vs 3 labels"):
         load_idx(img, lbl)
 
 
@@ -460,17 +456,17 @@ def test_parse_event_csv_happy(tmp_path):
 def test_parse_event_csv_errors(tmp_path):
     p = tmp_path / "ev.csv"
     write_events(p, [(0, 0, 0, 0)], header="time,x,y,p")
-    with pytest.raises(EventFormatError, match="first line"):
+    with pytest.raises(DataError, match="first line"):
         parse_event_csv(p)
     p.write_text("t_us,x,y,polarity\n1,2,xx,0\n")
-    with pytest.raises(EventFormatError, match="non-integer"):
+    with pytest.raises(DataError, match="non-integer"):
         parse_event_csv(p)
     p.write_text("")
-    with pytest.raises(EventFormatError, match="empty"):
+    with pytest.raises(DataError, match="empty"):
         parse_event_csv(p)
     for row in [(2**63, 0, 0, 0), (0, -(2**63) - 1, 0, 0), (0, 0, 10**30, 1)]:
         write_events(p, [(0, 0, 0, 0), row])
-        with pytest.raises(EventFormatError, match=r"ev\.csv:3: field does not fit int64"):
+        with pytest.raises(DataError, match=r"ev\.csv:3: field does not fit int64"):
             parse_event_csv(p)
     write_events(p, [(0, 0, 0, 0), (2**63 - 1, -(2**63), 0, 1)])  # the extremes fit
     assert parse_event_csv(p)[1].tolist() == [2**63 - 1, -(2**63), 0, 1]
@@ -549,31 +545,31 @@ def test_bin_last_window_right_closed():
 
 
 def test_bin_errors():
-    with pytest.raises(EventFormatError, match="empty"):
+    with pytest.raises(DataError, match="empty"):
         bin_events(events(), 2, 2, 3)
-    with pytest.raises(EventFormatError, match="order"):
+    with pytest.raises(DataError, match="order"):
         bin_events(events((5, 0, 0, 0), (1, 0, 0, 0)), 2, 2, 3)
-    with pytest.raises(EventFormatError, match="outside"):
+    with pytest.raises(DataError, match="outside"):
         bin_events(events((0, 5, 0, 0)), 2, 2, 3)
     # the lowest offending index is named, whichever check it fails
-    with pytest.raises(EventFormatError, match=r"^event 1 out of order \(t=3 < 5\)$"):
+    with pytest.raises(DataError, match=r"^event 1 out of order \(t=3 < 5\)$"):
         bin_events(events((5, 0, 0, 0), (3, 0, 0, 0), (6, 0, 9, 0)), 2, 2, 3)
-    with pytest.raises(EventFormatError, match=r"^event 1 at \(0, 9\) outside 2x2 frame$"):
+    with pytest.raises(DataError, match=r"^event 1 at \(0, 9\) outside 2x2 frame$"):
         bin_events(events((5, 0, 0, 0), (6, 0, 9, 0), (3, 0, 0, 0)), 2, 2, 3)
     # at one index, order is checked before the frame, the frame before polarity
-    with pytest.raises(EventFormatError, match=r"^event 1 out of order \(t=3 < 5\)$"):
+    with pytest.raises(DataError, match=r"^event 1 out of order \(t=3 < 5\)$"):
         bin_events(events((5, 0, 0, 0), (3, 7, 0, 2)), 2, 2, 3)
-    with pytest.raises(EventFormatError, match=r"^event 1 at \(7, 0\) outside 2x2 frame$"):
+    with pytest.raises(DataError, match=r"^event 1 at \(7, 0\) outside 2x2 frame$"):
         bin_events(events((5, 0, 0, 0), (6, 7, 0, 2)), 2, 2, 3)
     # a span, or span * T, past int64 is refused
     near = events((2**62, 0, 0, 0), (2**62 + 2**61 + 12345, 0, 0, 1))
-    with pytest.raises(EventFormatError, match=r"^event span \d+ us times 4 overflows int64$"):
+    with pytest.raises(DataError, match=r"^event span \d+ us times 4 overflows int64$"):
         bin_events(near, 1, 1, 4)
-    with pytest.raises(EventFormatError, match="overflows int64"):
+    with pytest.raises(DataError, match="overflows int64"):
         bin_events(events((-(2**62) - 5, 0, 0, 0), (2**62 + 5, 0, 0, 1)), 1, 1, 1)
     for pol in (2, -1):
         message = rf"^event 2 polarity must be 0 or 1, got {pol}$"
-        with pytest.raises(EventFormatError, match=message):
+        with pytest.raises(DataError, match=message):
             bin_events(events((0, 0, 0, 0), (1, 1, 1, 1), (2, 1, 0, pol), (1, 9, 0, 0)), 2, 2, 3)
 
 
@@ -592,10 +588,10 @@ def test_load_event_dir_layout(tmp_path):
 
 
 def test_load_event_dir_errors(tmp_path):
-    with pytest.raises(EventFormatError, match="no class"):
+    with pytest.raises(DataError, match="no class"):
         load_event_dir(tmp_path, 2, 2, 2)
     (tmp_path / "empty_class").mkdir()
-    with pytest.raises(EventFormatError, match="no .csv"):
+    with pytest.raises(DataError, match="no .csv"):
         load_event_dir(tmp_path, 2, 2, 2)
 
 
@@ -612,7 +608,7 @@ def test_load_event_dir_binning_errors_name_the_file(tmp_path, rows, message):
     write_event_classes(tmp_path, files_per_class=1)
     bad = tmp_path / "b_class" / "s0.csv"
     write_events(bad, rows)
-    with pytest.raises(EventFormatError, match=f"^{re.escape(str(bad))}: {message}$"):
+    with pytest.raises(DataError, match=f"^{re.escape(str(bad))}: {message}$"):
         load_event_dir(tmp_path, 2, 2, 2)
 
 
@@ -691,7 +687,7 @@ def test_event_test_split_bins_only_held_out_files(tmp_path):
     (tmp_path / "a_class" / "s0.csv").write_text("not an event file\n")
     cfg = build_run_config({"data.kind": "events", "data.events_dir": str(tmp_path),
                             "data.width": "2", "data.height": "2", "network.timesteps": "2"})
-    with pytest.raises(EventFormatError, match="s0.csv"):
+    with pytest.raises(DataError, match="s0.csv"):
         load_dataset(cfg)
     assert load_test_split(cfg).labels.tolist() == [0, 1]
 
