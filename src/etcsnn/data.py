@@ -111,12 +111,6 @@ class SynthSpec:
     def __post_init__(self):
         if self.classes < 2:
             raise ValueError(f"classes must be >= 2, got {self.classes}")
-        if self.classes % 5 == 0:
-            # every 5th sample is held out, so its label would always be 4 mod 5
-            raise ValueError(
-                f"classes must not be a multiple of 5, got {self.classes}: "
-                "the test split would hold only classes 4 mod 5"
-            )
         if self.input_dim < self.classes:
             raise ValueError(
                 f"input_dim {self.input_dim} must be >= classes {self.classes}"
@@ -221,10 +215,15 @@ def _noise_states(seed: int, indices: np.ndarray) -> Iterator[dict]:
                "has_uint32": 0, "uinteger": 0}
 
 
-def held_out(count: int) -> np.ndarray:
-    """The hold-out rule of every data kind: of ``count`` items in order,
-    every 5th (index 4, 9, ...) belongs to the test split."""
-    return np.arange(count) % 5 == 4
+def held_out(labels: np.ndarray) -> np.ndarray:
+    """The hold-out rule of every data kind: an item belongs to the test split
+    when it is the 5th, 10th, ... item of its own class in ``labels``' order."""
+    order = np.argsort(labels, kind="stable")
+    ranked = labels[order]
+    test = np.empty(ranked.size, dtype=bool)
+    # an item's rank within its class: its sorted position less its class's first
+    test[order] = (np.arange(ranked.size) - np.searchsorted(ranked, ranked)) % 5 == 4
+    return test
 
 
 def synth_generate(spec: SynthSpec, splits=(False, True)) -> tuple[Split, ...]:
@@ -248,7 +247,7 @@ def synth_generate(spec: SynthSpec, splits=(False, True)) -> tuple[Split, ...]:
         w[:, None] * _nuisance_directions(spec)
     )
     indices = np.arange(spec.classes * spec.samples_per_class)
-    test = held_out(indices.size)
+    test = held_out(indices % spec.classes)
     # every draw follows a state assignment, so its own seed is never used
     rng = np.random.Generator(np.random.PCG64())
     built = []
@@ -465,15 +464,16 @@ def load_event_dir(
     class_dirs = sorted(p for p in root.iterdir() if p.is_dir())
     if not class_dirs:
         raise DataError(f"{dir_path}: no class subdirectories")
-    files = []  # (label, path, held out) of every file
+    files = []  # (label, path) of every file, class by class
     for label, cdir in enumerate(class_dirs):
         paths = sorted(cdir.glob("*.csv"))
         if not paths:
             raise DataError(f"{cdir}: class directory has no .csv files")
-        files += zip([label] * len(paths), paths, held_out(len(paths)).tolist())
+        files += zip([label] * len(paths), paths)
+    test = held_out(np.array([label for label, _ in files])).tolist()
     built = []
     for want in splits:
-        members = [(label, path) for label, path, test in files if test == want]
+        members = [file for file, held in zip(files, test) if held == want]
         inputs = np.empty((len(members), timesteps, 2 * height * width))
         for row, (_, path) in enumerate(members):
             events = parse_event_csv(path)

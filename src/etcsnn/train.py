@@ -257,11 +257,6 @@ def build_run_config(mapping: dict[str, str]) -> RunConfig:
 
     _require(val["data.kind"] in DATA_KINDS, "data.kind", f"must be one of {DATA_KINDS}")
     _require(val["data.classes"] >= 2, "data.classes", "must be >= 2")
-    _require(
-        val["data.kind"] != "synth" or val["data.classes"] % 5 != 0, "data.classes",
-        "must not be a multiple of 5 for data.kind=synth: the test split would hold "
-        "only classes 4 mod 5",
-    )
     _require(val["data.dim"] >= val["data.classes"], "data.dim", "must be >= data.classes")
     _require(val["data.drift_strength"] >= 0, "data.drift_strength", "must be >= 0")
     _require(val["data.noise_sigma"] >= 0, "data.noise_sigma", "must be >= 0")
@@ -383,7 +378,7 @@ def _load_splits(cfg: RunConfig, splits: tuple[bool, ...]) -> tuple[tuple[Split,
             pairs = [load_idx(*files[want]) for want in splits]
         else:
             pixels, labels = load_idx(d.images, d.labels)
-            test = held_out(labels.size)
+            test = held_out(labels)
             pairs = [(pixels[test == want], labels[test == want]) for want in splits]
         # constant coding: the same pixels as input current at every step, as
         # a read-only view whose time axis has stride 0

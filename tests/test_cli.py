@@ -408,15 +408,22 @@ def test_corrupt_dump_is_at_most_one_error_line(tiny_artifacts, data):
         assert err[0].startswith("error: ") and str(bad) in err[0]
 
 
-@pytest.mark.parametrize("classes", ["5", "10"])
-def test_synth_class_count_divisible_by_five_is_one_error_line(tmp_path, capsys, classes):
+@pytest.mark.parametrize("classes", [5, 10])
+def test_synth_class_count_divisible_by_five_trains_and_evaluates(tmp_path, capsys, classes):
+    """Every class is held out alike, so 5 and 10 classes synthesise, train
+    and evaluate, and the dump's test split holds a fifth of every class."""
     out = tmp_path / "d.bin"
-    code = run_cli(["synth", "--out", str(out), "--spec", f"classes={classes}",
-                    "--spec", "samples_per_class=5"])
-    assert code == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: config key data.classes: must not be a multiple of 5")
-    assert len(err.splitlines()) == 1 and not out.exists()
+    assert run_cli(["synth", "--out", str(out), "--spec", f"classes={classes}",
+                    "--spec", "samples_per_class=10"]) == 0
+    from etcsnn.data import load_synth_dataset
+
+    labels = load_synth_dataset(out)[2].labels.tolist()
+    assert [labels.count(c) for c in range(classes)] == [2] * classes
+    run = tmp_path / "run"
+    assert run_cli(["train", "--data", str(out), "--set", "train.epochs=1",
+                    "--out", str(run)]) == 0
+    assert run_cli(["eval", "--ckpt", str(run / "ckpt_final.bin")]) == 0
+    assert capsys.readouterr().err == ""
 
 
 # -- synth + train + eval happy paths ---------------------------------------------

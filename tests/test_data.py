@@ -3,6 +3,7 @@ binning."""
 
 import hashlib
 import itertools
+from collections import Counter
 import math
 import re
 import struct
@@ -12,6 +13,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from etcsnn.data import (
     DataError,
@@ -40,6 +43,17 @@ SMALL = SynthSpec(classes=3, input_dim=8, timesteps=4, samples_per_class=10, see
 def samples(*splits):
     """(input sequence, label) of every sample of ``splits``, in order."""
     return [(x, int(y)) for s in splits for x, y in zip(s.inputs, s.labels)]
+
+
+def fifth_of_each_class(labels) -> list[bool]:
+    """The hold-out rule counted out item by item: the 5th, 10th, ... item of
+    each class is held out."""
+    seen = Counter()
+    held = []
+    for label in labels:
+        seen[label] += 1
+        held.append(seen[label] % 5 == 0)
+    return held
 
 
 def test_degenerate_spec_gives_identical_slices_and_samples():
@@ -146,10 +160,11 @@ SEEDS = (0, 2, 2**32 + 3, 2**64 + 7)
 def test_generator_matches_per_step_formula_bitwise(timesteps, drift):
     """The in-place ``standard_normal`` draws against ``normal``'s, bit for
     bit; at ``noise_sigma=0`` every noise term is a signed zero."""
-    order = [i for i in range(12) if i % 5 != 4] + [i for i in range(12) if i % 5 == 4]
+    test = fifth_of_each_class([i % 3 for i in range(18)])
+    order = [i for i in range(18) if not test[i]] + [i for i in range(18) if test[i]]
     for seed, sigma in itertools.product(SEEDS, (0.0, 0.3)):
         spec = SynthSpec(classes=3, input_dim=8, timesteps=timesteps, drift_strength=drift,
-                         noise_sigma=sigma, samples_per_class=4, seed=seed)
+                         noise_sigma=sigma, samples_per_class=6, seed=seed)
         got = samples(*synth_generate(spec))
         assert [label for _, label in got] == [i % 3 for i in order]
         for (seq, _), idx in zip(got, order):
@@ -185,11 +200,12 @@ def test_noise_states_refuse_an_index_past_32_bits():
     assert list(_noise_states(0, np.array([], dtype=np.int64))) == []
 
 
-# The sha256 of an ``etcsnn synth`` dump, pinned from the generator that built
-# one sample and one timestep at a time: any change to the bytes fails here.
+# The sha256 of an ``etcsnn synth`` dump, equal to that of a dump built from
+# ``reference_sample`` one sample and one timestep at a time and split by
+# ``fifth_of_each_class``: any change to the bytes fails here.
 GOLDEN_SPEC = ("classes=3", "dim=6", "timesteps=4", "drift_strength=1.5",
                "noise_sigma=0.25", "samples_per_class=5", "seed=2")
-GOLDEN_SHA256 = "da371f6f1634d7eb05adf0caa630556a9a72c2d9c360856711a3cadd4daf9ac3"
+GOLDEN_SHA256 = "7876956a2659f051f4784942257a2478110eb816b006e381e594fcfef2e4c3e8"
 
 
 def test_synth_dump_matches_golden_hash(tmp_path):
@@ -212,10 +228,38 @@ def test_spec_validation():
         SynthSpec(timesteps=0)
     with pytest.raises(ValueError, match="seed must be >= 0"):
         SynthSpec(seed=-3)
-    # every 5th sample is held out: the test split would hold classes 4 mod 5 only
+    # every class is held out alike, so a multiple of 5 is a class count too
     for classes in (5, 10, 15):
-        with pytest.raises(ValueError, match="classes must not be a multiple of 5"):
-            SynthSpec(classes=classes, input_dim=16)
+        assert SynthSpec(classes=classes, input_dim=16).classes == classes
+
+
+@pytest.mark.parametrize("classes", [2, 3, 5, 10])
+@pytest.mark.parametrize("per_class", [1, 4, 5, 12])
+def test_every_class_holds_out_a_fifth_of_its_samples(classes, per_class):
+    """Each split is whole blocks of ``classes`` consecutive samples, so
+    ``labels[c::classes] == c`` in both, and the test split holds
+    ``per_class // 5`` samples of every class."""
+    spec = SynthSpec(classes=classes, input_dim=10, timesteps=2, samples_per_class=per_class)
+    train, test = synth_generate(spec)
+    assert np.bincount(test.labels, minlength=classes).tolist() == [per_class // 5] * classes
+    assert len(train) == classes * (per_class - per_class // 5)
+    for split in (train, test):
+        assert len(split) % classes == 0
+        for c in range(classes):
+            assert (split.labels[c::classes] == c).all()
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.lists(st.integers(0, 6), max_size=80))
+def test_held_out_is_every_fifth_item_of_each_class(labels):
+    assert held_out(np.array(labels, dtype=np.int64)).tolist() == fifth_of_each_class(labels)
+
+
+def test_held_out_ranks_interleaved_labels_within_their_class():
+    labels = np.array([3, 0, 3, 1, 0, 0, 3, 3, 0, 1, 3, 0, 1, 1, 1, 0, 3])
+    assert np.flatnonzero(held_out(labels)).tolist() == [10, 11, 14]
+    assert np.flatnonzero(held_out(np.zeros(11, dtype=np.int64))).tolist() == [4, 9]
+    assert held_out(np.array([], dtype=np.int64)).tolist() == []
 
 
 # -- splits ------------------------------------------------------------------------
@@ -417,14 +461,15 @@ def test_constant_code_t1_and_validation(tmp_path):
 
 
 def test_idx_without_test_files_holds_out_every_fifth_image(tmp_path):
-    img, lbl = write_idx_pair(tmp_path, [0, 10, 20, 30, 40, 50], [0, 1, 0, 1, 3, 1],
-                              rows=1, cols=1)
+    """Every fifth image of each class, in file order, is held out."""
+    labels = [0, 1, 1, 0, 1, 0, 1, 0, 1, 1, 0, 0, 3]
+    img, lbl = write_idx_pair(tmp_path, [10 * i for i in range(13)], labels, rows=1, cols=1)
     cfg = build_run_config({"data.kind": "idx", "data.images": str(img),
                             "data.labels": str(lbl), "network.timesteps": "2"})
     data = load_dataset(cfg)
-    assert data.train.labels.tolist() == [0, 1, 0, 1, 1]
-    assert data.test.labels.tolist() == [3]
-    assert data.test.inputs.tolist() == [[[40 / 255], [40 / 255]]]
+    assert data.train.labels.tolist() == [0, 1, 1, 0, 1, 0, 1, 0, 1, 0, 3]
+    assert data.test.labels.tolist() == [1, 0]  # images 8 and 10
+    assert data.test.inputs.tolist() == [[[80 / 255]] * 2, [[100 / 255]] * 2]
     assert data.classes == 4
 
 
@@ -653,7 +698,7 @@ def test_idx_test_split_alone_matches_load_dataset(tmp_path):
     (tmp_path / "train").mkdir()
     (tmp_path / "test").mkdir()
     img, lbl = write_idx_pair(tmp_path / "train", list(range(0, 240, 10)),
-                              [0, 1, 2, 1, 0, 2], rows=2, cols=2)
+                              [0, 0, 2, 0, 0, 0], rows=2, cols=2)
     test_img, test_lbl = write_idx_pair(tmp_path / "test", list(range(7, 87, 10)),
                                         [2, 1], rows=2, cols=2)
     held_out = {"data.kind": "idx", "data.images": str(img), "data.labels": str(lbl),
@@ -693,11 +738,10 @@ def test_event_test_split_bins_only_held_out_files(tmp_path):
 
 
 def test_loaders_build_exactly_the_asked_splits(tmp_path):
-    """``held_out`` marks every 5th item, and the split loaders return the
-    splits asked for, in the order asked, each equal to its two-split twin."""
-    assert np.flatnonzero(held_out(11)).tolist() == [4, 9]
+    """The split loaders return the splits asked for, in the order asked,
+    each equal to its two-split twin."""
     spec = SynthSpec(classes=3, input_dim=6, timesteps=2, noise_sigma=0.3,
-                     samples_per_class=4)
+                     samples_per_class=5)
     write_event_classes(tmp_path, files_per_class=6)
     for load in (lambda splits: synth_generate(spec, splits),
                  lambda splits: load_event_dir(tmp_path, 2, 2, 2, splits)):

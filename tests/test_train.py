@@ -107,7 +107,6 @@ def test_unparsable_value_names_key():
     "key,value",
     [
         ("data.classes", "1"),
-        ("data.classes", "10"),  # a multiple of 5 with data.kind=synth
         ("data.dim", "1"),  # dim < classes with default classes=4
         ("data.drift_strength", "-0.5"),
         ("network.hidden_sizes", ""),
@@ -133,6 +132,19 @@ def test_constraint_violation_names_its_key(key, value):
 def test_class_count_divisible_by_five_is_allowed_for_other_kinds():
     # idx and events take their classes from the labels, not from data.classes
     assert build_run_config({"data.classes": "5", "data.kind": "idx"}).data.classes == 5
+
+
+@pytest.mark.parametrize("classes", [5, 10])
+def test_synth_class_count_divisible_by_five_trains(tmp_path, classes):
+    """Every class is held out alike, so any class count trains; the test
+    split holds samples_per_class // 5 samples of every class."""
+    cfg = build_run_config(tiny(**{"data.classes": str(classes), "data.dim": "12",
+                                   "data.samples_per_class": "12"}))
+    data = load_dataset(cfg)
+    assert np.bincount(data.test.labels).tolist() == [12 // 5] * classes
+    assert np.bincount(data.train.labels).tolist() == [12 - 12 // 5] * classes
+    result = train(cfg, tmp_path / "run")
+    assert len(result.records) == 3 and result.ckpt_path.exists()
 
 
 def test_eval_timesteps_default_tracks_timesteps_override():
@@ -334,25 +346,26 @@ def test_per_timestep_ce_mode_trains(tmp_path):
 
 
 # sha256 of metrics.jsonl and ckpt_final.bin of a 2-epoch default-network run
-# on 10 samples per class (x86-64, numpy 2.4).  The tape-built training step
-# wrote these bytes; the numpy step reproduces them bit for bit.  The
-# checkpoint hashes are of format version 2, which ends in a crc32.
+# on 10 samples per class (x86-64, numpy 2.4), pinned when the hold-out rule
+# became every fifth sample of each class.  The numpy step reproduced the
+# tape-built step's bytes bit for bit on the earlier split.  The checkpoint
+# hashes are of format version 2, which ends in a crc32.
 GOLDEN_RUNS = {
     "ce_only": (
-        "8e414b0c6ffc555eefeeae5fe376dfb5ccb7fd0d2a0faf01e4fa7c4b2410f25f",
-        "0e80cd123129b9aecde9ab012e82fb2aafa342243ea5f99787181fbeb607acf9",
+        "b7449decc95ad13849d1e20470be3b41d8bcf55c8b91bf99897f499884388dbe",
+        "c65a5443e4bfa1c14fc48ee2baf0baaf57ff0b260ac62a1ddf340442b38f4116",
     ),
     "ce_plus_etc": (
-        "ec0f153244c6dd9f1cf4dbe828a4eba225b072d8bfadcc6fd7e40c72feaf2e82",
-        "2d9d7a4aa0c223bc1c63ccad072468072a68c94dd14669cadce1d6eb52845e99",
+        "1e9165024341a44bc9c52d40d97287f053b2c72fc15deceab54396f2c14f272c",
+        "63562d1261a89d83a8a63c3a0301507b7c590392383e330e3a4b64a46c92664c",
     ),
     "per_timestep_ce": (
-        "23dfe4541f2ffe91b951bfde3e7f3d8bc3b1841e598b9d2fd23763d3aa5267b0",
-        "6731cdade354eb5d69153f6d5772a3c6af38e7a541e9696b67f35d31c0098c46",
+        "1797142964810145fefcd4e08b6190dfc9092d3f003c92b814a389a188257b45",
+        "9bcef10edae7fbea6a553e68417dacfd06f999d4d9c2fefceb64d235b2d8d1aa",
     ),
     "per_timestep_ce-reset-16-8": (
-        "c9ae316966650752854777d5e4f9e2b5237b81153d98ca0ee863b429d432748e",
-        "9983d6f272d0bd9388c940b5d485207147c9d4360bbdeaa26253197bb0b981a9",
+        "ff4bf64e3973cd23837b471714d2b37fc161a9fd4ecd4aac213cd550f8a02c44",
+        "bd8519f3ceb4fda3405890663dd2a156df2cd6f51ce5926f02d945b524f76170",
     ),
 }
 # the keys each row sets; a row not named here sets only its loss mode
