@@ -17,15 +17,14 @@ from __future__ import annotations
 
 import json
 import math
-import os
 import struct
-import zlib
 from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from .data import (
+    FrameReader,
     Split,
     SynthSpec,
     held_out,
@@ -33,6 +32,7 @@ from .data import (
     load_idx,
     load_synth_dataset,
     synth_generate,
+    write_frame,
 )
 from .losses import LOSS_MODES, EtcConfig, kl_metric_values, objective, _softmax_np
 from .optim import OptimState, adamw_step, cosine_lr
@@ -459,8 +459,6 @@ def config_header_line(cfg: RunConfig) -> str:
 # -- checkpoints --------------------------------------------------------------------
 
 _CKPT_MAGIC = b"ETCCKPT1"
-# version 2 ends in a crc32 of every byte before it; version 1 had none
-_CKPT_VERSION = 2
 # the optimizer block's hyper-parameters, in file order; each is a field of
 # both RunConfig and OptimState
 _OPT_HYPERS = ("lr_base", "weight_decay", "beta1", "beta2", "eps")
@@ -478,106 +476,51 @@ class Checkpoint:
     opt: OptimState
 
 
-class _Crc32Writer:
-    """A binary file that keeps the crc32 of every byte written to it."""
-
-    def __init__(self, fh):
-        self.fh, self.crc = fh, 0
-
-    def write(self, data: bytes) -> None:
-        self.crc = zlib.crc32(data, self.crc)
-        self.fh.write(data)
-
-
 def _write_tensor(fh, name: str, arr: np.ndarray) -> None:
     blob = name.encode()
-    fh.write(struct.pack("<I", len(blob)))
-    fh.write(blob)
-    fh.write(struct.pack("<I", arr.ndim))
-    fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
+    fh.write(struct.pack(f"<I{len(blob)}sI{arr.ndim}I", len(blob), blob, arr.ndim, *arr.shape))
     fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
 
 
 def save_checkpoint(ckpt: Checkpoint, path) -> None:
-    """Write ``ckpt`` to a temporary file beside ``path``, then rename it
-    over ``path``: a crash mid-write leaves any earlier file untouched."""
-    path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    try:
-        with open(tmp, "wb") as raw:
-            fh = _Crc32Writer(raw)
-            fh.write(_CKPT_MAGIC)
-            fh.write(struct.pack("<I", _CKPT_VERSION))
-            text = config_to_text(ckpt.config).encode()
-            fh.write(struct.pack("<Q", len(text)))
-            fh.write(text)
-            fh.write(struct.pack("<Q", ckpt.epoch))
-            fh.write(struct.pack("<I", len(ckpt.params)))
-            for i, p in enumerate(ckpt.params):
-                _write_tensor(fh, f"w{i}", p)
-            opt = ckpt.opt
-            hyper = (getattr(opt, name) for name in _OPT_HYPERS)
-            fh.write(struct.pack("<Q5d", opt.step, *hyper))
-            for i, (m, v) in enumerate(zip(opt.m, opt.v)):
-                _write_tensor(fh, f"m{i}", m)
-                _write_tensor(fh, f"v{i}", v)
-            raw.write(struct.pack("<I", fh.crc))
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
+    """One frame (``data.write_frame``): the config text as header, then the
+    epoch, the weights and the optimizer state; written atomically."""
+    with write_frame(path, _CKPT_MAGIC, config_to_text(ckpt.config)) as fh:
+        fh.write(struct.pack("<QI", ckpt.epoch, len(ckpt.params)))
+        for i, p in enumerate(ckpt.params):
+            _write_tensor(fh, f"w{i}", p)
+        opt = ckpt.opt
+        fh.write(struct.pack("<Q5d", opt.step, *(getattr(opt, name) for name in _OPT_HYPERS)))
+        for i, (m, v) in enumerate(zip(opt.m, opt.v)):
+            _write_tensor(fh, f"m{i}", m)
+            _write_tensor(fh, f"v{i}", v)
 
 
 def load_checkpoint(path) -> Checkpoint:
-    blob = Path(path).read_bytes()
-    if blob[:8] != _CKPT_MAGIC:
-        raise CheckpointError(f"{path}: bad magic, not a checkpoint")
-    off = 8
-
-    def take(n: int) -> bytes:
-        nonlocal off
-        if off + n > len(blob):
-            raise CheckpointError(f"{path}: truncated checkpoint")
-        chunk = blob[off : off + n]
-        off += n
-        return chunk
-
-    def take_text(n: int, what: str) -> str:
-        try:
-            return take(n).decode()
-        except UnicodeDecodeError:
-            raise CheckpointError(f"{path}: {what} is not UTF-8") from None
+    frame = FrameReader(path, _CKPT_MAGIC, "checkpoint", CheckpointError, "the embedded config")
 
     def read_tensor(expect_name: str) -> np.ndarray:
-        (name_len,) = struct.unpack("<I", take(4))
-        name = take_text(name_len, "a tensor name")
+        (name_len,) = frame.unpack("<I")
+        name = frame.text(name_len, "a tensor name")
         if name != expect_name:
             raise CheckpointError(f"{path}: expected tensor {expect_name!r}, found {name!r}")
-        (rank,) = struct.unpack("<I", take(4))
-        dims = struct.unpack(f"<{rank}I", take(4 * rank))
+        (rank,) = frame.unpack("<I")
+        dims = frame.unpack(f"<{rank}I")
         count = math.prod(dims)  # a Python int: a corrupt shape cannot wrap
-        data = np.frombuffer(take(8 * count), dtype="<f8")
+        data = np.frombuffer(frame.take(8 * count), dtype="<f8")
         return data.reshape(dims).copy()
 
-    (version,) = struct.unpack("<I", take(4))
-    if version != _CKPT_VERSION:
-        raise CheckpointError(f"{path}: checkpoint version {version}, expected {_CKPT_VERSION}")
-    (text_len,) = struct.unpack("<Q", take(8))
     try:
-        config = run_config_from_text(take_text(text_len, "the embedded config"))
+        config = run_config_from_text(frame.header)
     except ConfigError as exc:
         raise CheckpointError(f"{path}: embedded config invalid: {exc}") from exc
-    (epoch,) = struct.unpack("<Q", take(8))
-    (n_params,) = struct.unpack("<I", take(4))
+    epoch, n_params = frame.unpack("<QI")
     params = [read_tensor(f"w{i}") for i in range(n_params)]
-    (step,) = struct.unpack("<Q", take(8))
-    hyper = dict(zip(_OPT_HYPERS, struct.unpack("<5d", take(40))))
-    m, v = [], []
-    for i in range(n_params):
-        m.append(read_tensor(f"m{i}"))
-        v.append(read_tensor(f"v{i}"))
-    (crc,) = struct.unpack("<I", take(4))
-    if off != len(blob):
-        raise CheckpointError(f"{path}: trailing bytes after checkpoint")
+    (step,) = frame.unpack("<Q")
+    hyper = dict(zip(_OPT_HYPERS, frame.unpack("<5d")))
+    moments = [read_tensor(f"{kind}{i}") for i in range(n_params) for kind in "mv"]
+    m, v = moments[::2], moments[1::2]
+    frame.end()
 
     expected_layers = len(config.hidden_sizes) + 1
     if n_params != expected_layers:
@@ -590,15 +533,9 @@ def load_checkpoint(path) -> Checkpoint:
         if m[i].shape != want or v[i].shape != want:
             raise CheckpointError(f"{path}: moment shapes for w{i} do not match")
     if config.data.kind == "synth":
-        if params[0].shape[0] != config.data.dim:
-            raise CheckpointError(
-                f"{path}: input dim {params[0].shape[0]} != data.dim {config.data.dim}"
-            )
-        if params[-1].shape[-1] != config.data.classes:
-            raise CheckpointError(
-                f"{path}: output dim {params[-1].shape[-1]} != data.classes "
-                f"{config.data.classes}"
-            )
+        for side, size, key in (("input", sizes[0], "dim"), ("output", sizes[-1], "classes")):
+            if size != (want := getattr(config.data, key)):
+                raise CheckpointError(f"{path}: {side} dim {size} != data.{key} {want}")
 
     for name, value in hyper.items():
         if value != getattr(config, name):
@@ -606,9 +543,7 @@ def load_checkpoint(path) -> Checkpoint:
                 f"{path}: optimizer {name} {value!r} does not match the embedded "
                 f"config's {getattr(config, name)!r}"
             )
-    # last, so every check above keeps its own message
-    if zlib.crc32(blob[: off - 4]) != crc:
-        raise CheckpointError(f"{path}: checksum mismatch, the checkpoint is corrupt")
+    frame.check_crc()  # last, so every check above keeps its own message
 
     opt = OptimState(step=step, m=m, v=v, **hyper)
     return Checkpoint(config=config, epoch=epoch, params=params, opt=opt)

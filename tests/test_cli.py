@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 
 import etcsnn.train
 from etcsnn.cli import run_cli
+from etcsnn.data import Split, load_synth_dataset, save_synth_dataset
 from etcsnn.train import (
     consistency_report,
     dump_distributions,
@@ -146,7 +147,7 @@ def test_dump_with_non_utf8_spec_exits_2(tmp_path, capsys):
     dump = tmp_path / "d2.bin"
     assert run_cli(["synth", "--out", str(dump), "--spec", "samples_per_class=5"]) == 0
     blob = bytearray(dump.read_bytes())
-    blob[18] = 0xFF  # inside the spec text
+    blob[22] = 0xFF  # inside the spec text, past the magic, version and length
     dump.write_bytes(bytes(blob))
     capsys.readouterr()
     code = run_cli(["train", "--data", str(dump), "--out", str(tmp_path / "run")])
@@ -160,7 +161,7 @@ def test_dump_with_a_nan_is_one_error_line(tmp_path, capsys):
     dump = tmp_path / "d.bin"
     assert run_cli(["synth", "--out", str(dump), "--spec", "samples_per_class=5"]) == 0
     blob = bytearray(dump.read_bytes())
-    blob[-8:] = struct.pack("<d", float("nan"))  # last value of the last test sample
+    blob[-12:-4] = struct.pack("<d", float("nan"))  # last value of the last test sample
     dump.write_bytes(bytes(blob))
     capsys.readouterr()
     code = run_cli(["train", "--data", str(dump), "--out", str(tmp_path / "run")])
@@ -198,7 +199,8 @@ def test_rejected_file_is_one_error_line_naming_it(trained_run, tmp_path, tiny_c
         blob = bytearray(named[0].read_bytes())
         record = 8 + 3 * 8 * 8  # a label, then (T, dim) float64 currents
         label = -1 if case == "dump-label-wraps-negative" else 2
-        blob[-record : -record + 8] = struct.pack("<q", label)  # the last test sample's
+        # the last test sample's, before the crc32 trailer
+        blob[-record - 4 : -record + 4] = struct.pack("<q", label)
         named[0].write_bytes(bytes(blob))
         flags = ["--config", str(tiny_cfg), "--data", str(named[0])]
     else:
@@ -246,9 +248,10 @@ def test_analysis_overflow_on_finite_inputs_exits_1(
     does not fit the checkpoint, not a traceback."""
     dump = tmp_path / "huge.bin"
     assert run_cli(["synth", "--config", str(tiny_cfg), "--out", str(dump)]) == 0
-    blob = bytearray(dump.read_bytes())
-    blob[-3 * 8 * 8 :] = struct.pack("<24d", *[1.7e308] * 24)  # the last test sample's (T, dim)
-    dump.write_bytes(bytes(blob))
+    spec, train, test = load_synth_dataset(dump)
+    inputs = test.inputs.copy()
+    inputs[-1] = 1.7e308  # the last test sample's (T, dim), in a dump with a valid crc32
+    save_synth_dataset(dump, spec, train, Split(inputs, test.labels))
     argv = [command, "--ckpt", str(trained_run / "ckpt_final.bin"), "--data", str(dump)]
     argv += ["--out", str(tmp_path / "dist.csv")] if command == "dump-dist" else []
     capsys.readouterr()
@@ -395,17 +398,15 @@ def test_corrupt_checkpoint_is_one_error_line_naming_it(tiny_artifacts, data):
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(st.data())
 def test_corrupt_dump_is_at_most_one_error_line(tiny_artifacts, data):
-    """``eval --data`` on a truncated or bit-flipped dump: a flipped input
-    value may still load (a dump has no checksum), and a flipped spec may
-    describe another valid dataset; any error is one line, and a rejected
-    dump is exit 2 and named."""
+    """``eval --data`` on a truncated or bit-flipped dump is one ``error:``
+    line naming it, exit 2: the crc32 trailer refuses whatever the frame's
+    other checks let through."""
     ckpt, dump, root = tiny_artifacts
     bad = root / "bad.dump"
     bad.write_bytes(corrupt(dump.read_bytes(), data))
     code, err = run_quiet(["eval", "--ckpt", str(ckpt), "--data", str(bad)])
-    assert code in (0, 1, 2) and len(err) == (code != 0)
-    if code == 2:
-        assert err[0].startswith("error: ") and str(bad) in err[0]
+    assert code == 2 and len(err) == 1
+    assert err[0].startswith("error: ") and str(bad) in err[0]
 
 
 @pytest.mark.parametrize("classes", [5, 10])

@@ -8,6 +8,7 @@ import math
 import re
 import struct
 import tracemalloc
+import zlib
 from dataclasses import fields
 from fractions import Fraction
 
@@ -202,10 +203,13 @@ def test_noise_states_refuse_an_index_past_32_bits():
 
 # The sha256 of an ``etcsnn synth`` dump, equal to that of a dump built from
 # ``reference_sample`` one sample and one timestep at a time and split by
-# ``fifth_of_each_class``: any change to the bytes fails here.
+# ``fifth_of_each_class``: any change to the bytes fails here.  Without its
+# version field and crc32 trailer the dump is the unframed (version 1)
+# layout, whose hash is ``UNFRAMED_SHA256``.
 GOLDEN_SPEC = ("classes=3", "dim=6", "timesteps=4", "drift_strength=1.5",
                "noise_sigma=0.25", "samples_per_class=5", "seed=2")
-GOLDEN_SHA256 = "7876956a2659f051f4784942257a2478110eb816b006e381e594fcfef2e4c3e8"
+GOLDEN_SHA256 = "20b82bbb26ac476d1e40a04bd81ae03ac9f9ec44fe5609fd14c1fce629e1acc6"
+UNFRAMED_SHA256 = "7876956a2659f051f4784942257a2478110eb816b006e381e594fcfef2e4c3e8"
 
 
 def test_synth_dump_matches_golden_hash(tmp_path):
@@ -214,7 +218,11 @@ def test_synth_dump_matches_golden_hash(tmp_path):
     for item in GOLDEN_SPEC:
         argv += ["--spec", item]
     assert run_cli(argv) == 0
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_SHA256
+    blob = out.read_bytes()
+    assert hashlib.sha256(blob).hexdigest() == GOLDEN_SHA256
+    assert blob[8:12] == struct.pack("<I", 2)
+    assert blob[-4:] == struct.pack("<I", zlib.crc32(blob[:-4]))
+    assert hashlib.sha256(blob[:8] + blob[12:-4]).hexdigest() == UNFRAMED_SHA256
 
 
 def test_spec_validation():
@@ -344,8 +352,47 @@ def test_dump_bad_spec_text(tmp_path, old, new):
     p = tmp_path / "d.bin"
     save_synth_dataset(p, spec, *synth_generate(spec))
     p.write_bytes(p.read_bytes().replace(old, new, 1))
-    with pytest.raises(DataError, match=r"d\.bin: bad spec text"):
+    with pytest.raises(DataError, match=r"d\.bin: (bad|the) spec text"):
         load_synth_dataset(p)
+
+
+def test_dump_with_a_flipped_finite_input_fails_the_checksum(tmp_path):
+    spec = SynthSpec(classes=2, input_dim=4, timesteps=2, samples_per_class=5)
+    p = tmp_path / "d.bin"
+    save_synth_dataset(p, spec, *synth_generate(spec))
+    blob = bytearray(p.read_bytes())
+    blob[-12] ^= 0x01  # the lowest mantissa bit of the last input, before the crc32
+    p.write_bytes(bytes(blob))
+    with pytest.raises(DataError, match=rf"^{re.escape(str(p))}: checksum mismatch"):
+        load_synth_dataset(p)
+
+
+def test_unframed_dump_is_one_data_error_naming_it(tmp_path):
+    """A dump in the layout before the frame (no version field, no crc32)
+    is refused, not read as data."""
+    spec = SynthSpec(classes=2, input_dim=4, timesteps=2, samples_per_class=5)
+    p = tmp_path / "old.bin"
+    save_synth_dataset(p, spec, *synth_generate(spec))
+    blob = p.read_bytes()
+    p.write_bytes(blob[:8] + blob[12:-4])
+    with pytest.raises(DataError, match=rf"^{re.escape(str(p))}: dataset dump version \d+, "):
+        load_synth_dataset(p)
+
+
+def test_dump_save_is_atomic(tmp_path):
+    """A write that fails half way leaves the earlier dump at that path
+    byte-identical and no temporary file behind."""
+    spec = SynthSpec(classes=2, input_dim=4, timesteps=2, samples_per_class=5)
+    path = tmp_path / "d.bin"
+    train, test = synth_generate(spec)
+    save_synth_dataset(path, spec, train, test)
+    before = path.read_bytes()
+    # the training records are written, then the test split's 3 timesteps
+    # do not fit the spec's 2
+    with pytest.raises(ValueError):
+        save_synth_dataset(path, spec, train, Split(np.zeros((2, 3, 4)), [0, 1]))
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["d.bin"]
 
 
 def test_spec_text_names_every_field_and_casts_to_its_default_type():
