@@ -38,8 +38,12 @@ def arm_config(seed: int, mode: str, epochs: int, extra: dict):
         "data.seed": str(seed),
     }
     cfg = build_run_config({**mapping, **extra})
-    if cfg.epochs < 1:  # the comparison reads each arm's last epoch record
+    # the comparison reads each arm's last epoch record at budget 1
+    if cfg.epochs < 1:
         raise ConfigError(f"config key train.epochs: must be >= 1, got {cfg.epochs}")
+    if 1 not in cfg.eval_timesteps:
+        got = ",".join(map(str, cfg.eval_timesteps))
+        raise ConfigError(f"config key eval.timesteps: must include 1, got {got}")
     return cfg
 
 

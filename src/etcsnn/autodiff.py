@@ -51,7 +51,6 @@ from .snn import (
     LifParams,
     NetworkSpec,
     NonFiniteError,
-    ShapeMismatchError,
     lif_backward,
     lif_unroll,
     surrogate_factor,
@@ -60,6 +59,10 @@ from .snn import (
 
 class GraphError(RuntimeError):
     """backward() was asked to do something the graph cannot support."""
+
+
+class ShapeMismatchError(ValueError):
+    """Operand shapes are incompatible for the attempted operation."""
 
 
 _node_ids = itertools.count()

@@ -29,7 +29,7 @@ import time
 from dataclasses import replace
 from pathlib import Path
 
-from .data import DataError, save_synth_dataset, synth_generate
+from .data import DataError, read_utf8, save_synth_dataset, synth_generate
 from .snn import NonFiniteError
 from .train import (
     CheckpointError,
@@ -97,8 +97,9 @@ def _gather_mapping(args) -> dict[str, str]:
     --set overrides, then eval's --timesteps shorthand (last wins)."""
     mapping: dict[str, str] = {}
     if getattr(args, "config", None):
+        text = read_utf8(_existing(args.config, "config"), ConfigError)
         try:
-            mapping.update(parse_config_lines(_existing(args.config, "config").read_text()))
+            mapping.update(parse_config_lines(text))
         except ConfigError as exc:
             raise ConfigError(f"{args.config} {exc}") from None
     if getattr(args, "data", None):

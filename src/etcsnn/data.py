@@ -273,6 +273,14 @@ def synth_generate(spec: SynthSpec, splits=(False, True)) -> tuple[Split, ...]:
     return tuple(built)
 
 
+def read_utf8(path, error) -> str:
+    """The text of ``path``; one ``error`` naming it if that is not UTF-8."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+
+
 # -- framed binary files --------------------------------------------------------
 
 
@@ -458,10 +466,7 @@ def parse_event_csv(path) -> np.ndarray:
     array of ``(t_us, x, y, polarity)`` rows.  Each line is checked for its
     shape only (four integer fields that fit int64); event order and values
     are ``bin_events``' checks."""
-    try:
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
-    except UnicodeDecodeError as exc:
-        raise DataError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+    lines = read_utf8(path, DataError).splitlines()
     if not lines:
         raise DataError(f"{path}: empty file")
     if lines[0] != _EVENT_HEADER:

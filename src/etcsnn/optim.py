@@ -2,7 +2,9 @@
 
 The trainer keeps raw parameter arrays; the optimizer is purely functional
 over them (new arrays out, moment state mutated in place) so updates are
-bit-reproducible and trivially checkpointable.
+bit-reproducible and trivially checkpointable.  Shapes are the caller's
+(``train.load_checkpoint`` checks a loaded state's); a step checks only that
+its gradients are finite.
 """
 
 from __future__ import annotations
@@ -40,29 +42,17 @@ class OptimState:
 
 
 def adamw_step(
-    params: list[np.ndarray],
-    grads: list[np.ndarray],
-    state: OptimState,
-    lr_now: float,
-    names: list[str] | None = None,
+    params: list[np.ndarray], grads: list[np.ndarray], state: OptimState, lr_now: float
 ) -> list[np.ndarray]:
     """One decoupled-decay Adam update.
 
     Mutates ``state`` (moments and step counter) and returns fresh parameter
-    arrays; the inputs are never written to.
+    arrays; the inputs are never written to.  A non-finite gradient is a
+    ValueError naming its weight, ``w{i}``.
     """
-    if names is None:
-        names = [f"param[{i}]" for i in range(len(params))]
-    if not (len(params) == len(grads) == len(state.m) == len(state.v) == len(names)):
-        raise ValueError(
-            f"parameter/gradient/state length mismatch: {len(params)} params, "
-            f"{len(grads)} grads, {len(state.m)} moment slots"
-        )
-    for name, p, g in zip(names, params, grads):
-        if p.shape != g.shape:
-            raise ValueError(f"gradient shape {g.shape} != {p.shape} for {name}")
+    for i, g in enumerate(grads):
         if not np.all(np.isfinite(g)):
-            raise ValueError(f"non-finite gradient for {name}")
+            raise ValueError(f"non-finite gradient for w{i}")
 
     state.step += 1
     bc1 = 1.0 - state.beta1**state.step

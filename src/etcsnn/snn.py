@@ -26,6 +26,8 @@ order fixes the float summation order.  ``lif_backward`` walks the cache
 from the output layer down, running BPTT in reverse time by hand, time-major
 too.  The oracle module ``etcsnn.autodiff`` builds the same dynamics one
 tape op per node and holds this pass to it; this module never builds a tape.
+Shapes are the caller's: neither pass checks them, as ``etcsnn.train`` checks
+each split and each checkpoint once, where data and weights enter.
 """
 
 from __future__ import annotations
@@ -37,7 +39,6 @@ from typing import Sequence
 import numpy as np
 
 __all__ = [
-    "ShapeMismatchError",
     "NonFiniteError",
     "LifParams",
     "NetworkSpec",
@@ -46,10 +47,6 @@ __all__ = [
     "lif_backward",
     "init_weights",
 ]
-
-
-class ShapeMismatchError(ValueError):
-    """Operand shapes are incompatible for the attempted operation."""
 
 
 class NonFiniteError(ArithmeticError):
@@ -173,27 +170,6 @@ def _charge_fire(drive: np.ndarray, params: LifParams) -> tuple[np.ndarray, np.n
     return charged, spikes
 
 
-def _check_unroll_shapes(spec: NetworkSpec, params: Sequence[np.ndarray], shape) -> None:
-    if len(shape) != 3:
-        raise ShapeMismatchError(f"inputs must be (batch, T, dim), got {shape}")
-    _, steps, dim = shape
-    if steps != spec.timesteps:
-        raise ShapeMismatchError(f"inputs provide {steps} timesteps, spec wants {spec.timesteps}")
-    if dim != spec.layer_sizes[0]:
-        raise ShapeMismatchError(f"inputs have dim {dim}, spec wants {spec.layer_sizes[0]}")
-    if len(params) != len(spec.layer_sizes) - 1:
-        raise ShapeMismatchError(
-            f"got {len(params)} weight matrices for {len(spec.layer_sizes)} layers"
-        )
-    for i, (w, fan_in, fan_out) in enumerate(
-        zip(params, spec.layer_sizes, spec.layer_sizes[1:])
-    ):
-        if w.shape != (fan_in, fan_out):
-            raise ShapeMismatchError(
-                f"weight {i} has shape {w.shape}, expected {(fan_in, fan_out)}"
-            )
-
-
 def lif_unroll(
     spec: NetworkSpec, params: Sequence[np.ndarray], inputs: np.ndarray
 ) -> tuple[np.ndarray, list[tuple]]:
@@ -206,10 +182,10 @@ def lif_unroll(
     reset.  Returns the output layer's (batch, T, classes) potentials and
     the cache ``lif_backward`` needs: per layer, its input, (T, batch,
     width) charged potentials and (batch, T, width) spikes (None for the
-    output layer).  Raises NonFiniteError on a non-finite potential.
+    output layer).  Raises NonFiniteError on a non-finite potential; shapes
+    must fit ``spec`` and are not checked.
     """
     x = np.asarray(inputs, dtype=np.float64)
-    _check_unroll_shapes(spec, params, x.shape)
     lif = spec.lif
     cache = []
     for w in params[:-1]:

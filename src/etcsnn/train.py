@@ -31,6 +31,7 @@ from .data import (
     load_event_dir,
     load_idx,
     load_synth_dataset,
+    read_utf8,
     synth_generate,
     write_frame,
 )
@@ -565,7 +566,7 @@ def _log_history(path: Path, header: str, start_epoch: int) -> list[str]:
     the log at ``path``; refuses a log this run cannot continue."""
     if not path.exists():
         return [header]
-    lines = path.read_text().splitlines(keepends=True)
+    lines = read_utf8(path, TrainingError).splitlines(keepends=True)
     if (
         lines[:1] != [header]
         or len(lines) <= start_epoch
@@ -580,7 +581,8 @@ def _log_history(path: Path, header: str, start_epoch: int) -> list[str]:
 
 def train(cfg: RunConfig, out_dir, resume_from=None) -> TrainResult:
     """Run (or resume) a full training job, writing metrics + checkpoints.
-    ``out_dir`` is made only once the dataset has loaded and fits the network;
+    ``out_dir`` is made only once the dataset has loaded and fits the network,
+    a resumed checkpoint's input and output widths too (else ValueError);
     only a resume may continue the ``metrics.jsonl`` a directory holds."""
     out_dir = Path(out_dir)
     data = load_dataset(cfg)
@@ -602,9 +604,13 @@ def train(cfg: RunConfig, out_dir, resume_from=None) -> TrainResult:
                 f"checkpoint {resume_from} was written with a different config; "
                 "resume requires an exact match"
             )
-        params = ck.params
-        opt = ck.opt
-        start_epoch = ck.epoch
+        widths = ck.params[0].shape[0], ck.params[-1].shape[1]
+        if widths != (data.input_dim, data.classes):
+            raise ValueError(
+                f"checkpoint {resume_from} maps {widths[0]} inputs to {widths[1]} classes; "
+                f"the dataset has {data.input_dim} inputs and {data.classes} classes"
+            )
+        params, opt, start_epoch = ck.params, ck.opt, ck.epoch
         history = _log_history(metrics_path, history[0], start_epoch)
     elif metrics_path.exists():
         raise TrainingError(
@@ -616,7 +622,6 @@ def train(cfg: RunConfig, out_dir, resume_from=None) -> TrainResult:
         start_epoch = 0
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    names = [f"w{i}" for i in range(len(params))]
     n_train = x_train.shape[0]
     records: list[EpochMetrics] = []
     with open(metrics_path, "w") as log:
@@ -635,11 +640,9 @@ def train(cfg: RunConfig, out_dir, resume_from=None) -> TrainResult:
                         values, labels_1h[sel], cfg.loss_mode, cfg.etc
                     )
                     grads = lif_backward(spec, params, cache, dv)
-                    params = adamw_step(params, grads, opt, lr_now, names=names)
+                    params = adamw_step(params, grads, opt, lr_now)
                 except (NonFiniteError, ValueError) as exc:
-                    raise TrainingError(
-                        f"epoch {epoch}, batch {batch_no}: {exc}"
-                    ) from exc
+                    raise TrainingError(f"epoch {epoch}, batch {batch_no}: {exc}") from exc
                 ce_sum += ce_val * len(sel)
                 etc_sum += etc_val * len(sel)
                 total_sum += total * len(sel)

@@ -123,6 +123,27 @@ def test_missing_checkpoint_exits_1(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: checkpoint not found")
 
 
+def test_non_utf8_config_file_is_one_error_line_naming_it(tmp_path, capsys):
+    path = tmp_path / "bad.cfg"
+    path.write_bytes(b"train.epochs=0\n# caf\xe9\n")
+    assert run_cli(["train", "--config", str(path), "--out", str(tmp_path / "run")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: not UTF-8 text (") and len(err.splitlines()) == 1
+    assert not (tmp_path / "run").exists()
+
+
+def test_non_utf8_log_refuses_a_resume_naming_it(trained_run, tiny_cfg, capsys):
+    log = trained_run / "metrics.jsonl"
+    log.write_bytes(log.read_bytes() + b"\xff\n")
+    before = log.read_bytes()
+    capsys.readouterr()
+    resume = ["--resume", str(trained_run / "ckpt_final.bin")]
+    assert run_cli(["train", "--config", str(tiny_cfg), "--out", str(trained_run), *resume]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {log}: not UTF-8 text (") and len(err.splitlines()) == 1
+    assert log.read_bytes() == before
+
+
 def test_corrupt_checkpoint_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.bin"
     bad.write_bytes(b"definitely not a checkpoint")
@@ -384,15 +405,22 @@ def corrupt(blob: bytes, data) -> bytes:
 @given(st.data())
 def test_corrupt_checkpoint_is_one_error_line_naming_it(tiny_artifacts, data):
     """A truncated or bit-flipped checkpoint is one ``error:`` line naming
-    it, exit 2, from every command that loads one."""
+    it, exit 2, from every command that loads one; a resume from it leaves
+    the run's log as it was."""
     ckpt, _, root = tiny_artifacts
     bad = root / "bad.bin"
     bad.write_bytes(corrupt(ckpt.read_bytes(), data))
-    for argv in (["eval"], ["consistency"], ["dump-dist", "--out", str(root / "dist.csv")]):
-        code, err = run_quiet([*argv, "--ckpt", str(bad)])
+    log = ckpt.parent / "metrics.jsonl"
+    before = log.read_bytes()
+    resume = ["train", "--config", str(root / "tiny.cfg"), "--out", str(ckpt.parent), "--resume"]
+    for argv in ([*resume, str(bad)], *([*cmd, "--ckpt", str(bad)] for cmd in (
+        ["eval"], ["consistency"], ["dump-dist", "--out", str(root / "dist.csv")]
+    ))):
+        code, err = run_quiet(argv)
         assert code == 2 and len(err) == 1
         assert err[0].startswith("error: ") and str(bad) in err[0]
     assert not (root / "dist.csv").exists()
+    assert log.read_bytes() == before
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
@@ -407,6 +435,27 @@ def test_corrupt_dump_is_at_most_one_error_line(tiny_artifacts, data):
     code, err = run_quiet(["eval", "--ckpt", str(ckpt), "--data", str(bad)])
     assert code == 2 and len(err) == 1
     assert err[0].startswith("error: ") and str(bad) in err[0]
+
+
+@pytest.mark.parametrize("spec,fits", [
+    ("dim=6", "6 inputs and 2 classes"), ("classes=3", "8 inputs and 3 classes"),
+], ids=["input-width", "class-count"])
+def test_resume_onto_an_unfitting_dataset_is_refused_before_the_log(tmp_path, tiny_cfg, spec, fits):
+    """A checkpoint resumed onto a valid dump, rewritten at its path with
+    another input width or class count, is one ``error:`` line naming it
+    and both widths, exit 1; the run's log and checkpoints stay as they were."""
+    dump, run = tmp_path / "d.bin", tmp_path / "run"
+    synth = ["synth", "--config", str(tiny_cfg), "--out", str(dump)]
+    flags = ["--config", str(tiny_cfg), "--data", str(dump), "--set", "train.epochs=4",
+             "--set", "train.save_interval=2", "--out", str(run)]
+    assert run_quiet(synth) == (0, []) and run_quiet(["train", *flags]) == (0, [])
+    before = {p.name: p.read_bytes() for p in run.iterdir()}
+    assert run_quiet([*synth, "--spec", spec]) == (0, [])
+    ckpt = run / "ckpt_epoch0002.bin"
+    assert run_quiet(["train", *flags, "--resume", str(ckpt)]) == (1, [
+        f"error: checkpoint {ckpt} maps 8 inputs to 2 classes; the dataset has {fits}"
+    ])
+    assert {p.name: p.read_bytes() for p in run.iterdir()} == before
 
 
 @pytest.mark.parametrize("classes", [5, 10])
@@ -936,7 +985,8 @@ def test_analysis_commands_build_only_the_test_split(
 
 @pytest.mark.parametrize("flags", [
     ["--set", "x"], ["--set", "foo=1"], ["--epochs", "0"], ["--seeds", "a"], ["--seeds", "0,0"],
-], ids=["malformed-set", "unknown-key", "zero-epochs", "bad-seed", "repeated-seed"])
+    ["--set", "eval.timesteps=5,10"],
+], ids=["malformed-set", "unknown-key", "zero-epochs", "bad-seed", "repeated-seed", "no-budget-1"])
 def test_compare_script_bad_input_is_one_error_line(tmp_path, flags):
     """Every arm's config is checked before the first run: a bad flag is one
     ``error:`` line, exit 1, and no run directory."""

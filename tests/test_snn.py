@@ -272,17 +272,6 @@ def test_network_spec_validation():
         LifParams(surrogate_a=0.0)
 
 
-def test_unroll_shape_policing():
-    spec = _spec(sizes=(3, 4, 2), steps=2)
-    weights = [np.zeros((3, 4)), np.zeros((4, 2))]
-    with pytest.raises(ad.ShapeMismatchError, match="timesteps"):
-        lif_unroll(spec, weights, np.zeros((1, 5, 3)))
-    with pytest.raises(ad.ShapeMismatchError, match="dim"):
-        lif_unroll(spec, weights, np.zeros((1, 2, 7)))
-    with pytest.raises(ad.ShapeMismatchError, match="weight"):
-        lif_unroll(spec, [weights[0], np.zeros((5, 2))], np.zeros((1, 2, 3)))
-
-
 # -- the numpy pass vs the per-op reference ----------------------------------------
 
 
