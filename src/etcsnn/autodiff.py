@@ -616,6 +616,9 @@ def gradcheck_lif(seed: int = 0, cases: int = 100, tol: float = 1e-12) -> GradCh
         spec, w_vals, inputs, readout = _random_lif_case(rng)
 
         values, cache = lif_unroll(spec, w_vals, inputs)
+        for _, charged, _ in cache[:-1]:  # before the backward, which consumes the cache
+            in_band += np.count_nonzero(surrogate_factor(charged, spec.lif))
+            count += charged.size
         grads = lif_backward(spec, w_vals, cache, readout)
 
         ref_weights = [Tensor(w) for w in w_vals]
@@ -629,10 +632,6 @@ def gradcheck_lif(seed: int = 0, cases: int = 100, tol: float = 1e-12) -> GradCh
         pairs = [(values, np.stack([v.data for v in ref_out], axis=1))]
         pairs += [(g, r.grad) for g, r in zip(grads, ref_weights)]
         worst = max([worst] + [_norm_rel_err(got, want) for got, want in pairs])
-
-        for _, charged, _ in cache[:-1]:
-            in_band += np.count_nonzero(surrogate_factor(charged, spec.lif))
-            count += charged.size
     return GradCheckReport(
         "lif",
         worst,

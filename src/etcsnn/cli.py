@@ -29,7 +29,7 @@ import time
 from dataclasses import replace
 from pathlib import Path
 
-from .data import DataError, read_utf8, save_synth_dataset, synth_generate
+from .data import DataError, read_utf8, save_synth_dataset
 from .snn import NonFiniteError
 from .train import (
     CheckpointError,
@@ -45,6 +45,7 @@ from .train import (
     parse_config_lines,
     split_assignment,
     synth_spec,
+    synth_splits,
     train,
 )
 
@@ -152,11 +153,11 @@ def _eval_split(args, free=()):
 
 
 def _cmd_synth(args) -> int:
-    spec = synth_spec(build_run_config(_gather_mapping(args)))
-    train_split, test_split = synth_generate(spec)
+    cfg = build_run_config(_gather_mapping(args))
+    train_split, test_split = synth_splits(cfg)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    save_synth_dataset(out, spec, train_split, test_split)
+    save_synth_dataset(out, synth_spec(cfg), train_split, test_split)
     print(f"wrote {out}: {len(train_split)} train / {len(test_split)} test samples")
     return 0
 

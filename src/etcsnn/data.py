@@ -234,6 +234,7 @@ def held_out(labels: np.ndarray) -> np.ndarray:
     return test
 
 
+@np.errstate(over="ignore", invalid="ignore")  # the inputs are checked below
 def synth_generate(spec: SynthSpec, splits=(False, True)) -> tuple[Split, ...]:
     """The drifting-class dataset's splits named by ``splits`` (False: the
     training split, True: the held-out test split), and only those.
@@ -246,7 +247,8 @@ def synth_generate(spec: SynthSpec, splits=(False, True)) -> tuple[Split, ...]:
     with w_t = drift_strength * t / (T - 1)  (w_t = 0 when T = 1).  Each
     timestep blends toward its own nuisance direction, so the corruption a
     fixed network sees is different at every step — time-varying junk that
-    shared weights cannot subtract per-step.
+    shared weights cannot subtract per-step.  Inputs that overflow are a
+    ValueError that starts with the knob to blame, drift_strength or noise_sigma.
     """
     steps = spec.timesteps
     w = spec.drift_strength * np.arange(steps) / max(steps - 1, 1)
@@ -269,7 +271,11 @@ def synth_generate(spec: SynthSpec, splits=(False, True)) -> tuple[Split, ...]:
             rng.standard_normal(out=row)
             row *= spec.noise_sigma
             row += clean[label]
-        built.append(Split(inputs, labels))
+        try:
+            built.append(Split(inputs, labels))
+        except ValueError:  # non-finite inputs: the blend or the noise overflowed
+            knob = "noise_sigma" if np.isfinite(clean).all() else "drift_strength"
+            raise ValueError(f"{knob}: {getattr(spec, knob)!r} overflows the inputs") from None
     return tuple(built)
 
 

@@ -60,6 +60,7 @@ def _log_softmax_term(ls, target, tau: float, c: float, upstream: float = 1.0):
     return float(np.sum(target * ls) * c), (g - np.exp(ls) * g.sum(axis=-1, keepdims=True)) / tau
 
 
+@np.errstate(over="ignore", invalid="ignore")  # the total is checked below
 def objective(
     values: np.ndarray, labels_1h: np.ndarray, loss_mode: str, etc: EtcConfig
 ) -> tuple[np.ndarray, float, float, float]:

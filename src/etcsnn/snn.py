@@ -24,8 +24,10 @@ are contiguous.  Spikes, inputs and gradients by input currents stay
 batch-major: their (batch*T, width) rows feed the matmuls, and that row
 order fixes the float summation order.  ``lif_backward`` walks the cache
 from the output layer down, running BPTT in reverse time by hand, time-major
-too.  The oracle module ``etcsnn.autodiff`` builds the same dynamics one
-tape op per node and holds this pass to it; this module never builds a tape.
+too, in the cache's own buffers: it overwrites the charged potentials and
+spikes and clears every entry (read them before), and leaves ``dv`` as given.
+The oracle module ``etcsnn.autodiff`` builds the same dynamics one tape op
+per node and holds this pass to it; this module never builds a tape.
 Shapes are the caller's: neither pass checks them, as ``etcsnn.train`` checks
 each split and each checkpoint once, where data and weights enter.
 """
@@ -79,8 +81,12 @@ def surrogate_factor(v: np.ndarray, params: LifParams) -> np.ndarray:
     Zero outside ``|v - v_th| > 1/a``, rising linearly to ``a`` at the
     threshold.
     """
+    return _surrogate(np.subtract(v, params.v_th, out=np.empty(np.shape(v))), params)
+
+
+def _surrogate(dist: np.ndarray, params: LifParams) -> np.ndarray:
+    """``surrogate_factor`` from ``dist = v - v_th``, in ``dist``'s buffer."""
     a = params.surrogate_a
-    dist = np.subtract(v, params.v_th, out=np.empty(np.shape(v)))
     np.abs(dist, out=dist)
     # Same values, bit for bit, as np.where(dist > 1/a, 0, a - a*a*dist),
     # but masked by a multiply: np.where branches on every element and is
@@ -205,33 +211,36 @@ def lif_unroll(
     return values, cache
 
 
+@np.errstate(over="ignore", invalid="ignore")  # adamw_step checks the gradients
 def lif_backward(spec: NetworkSpec, params, cache, dv: np.ndarray) -> list[np.ndarray]:
     """Gradient of a loss by every weight, from ``dv``, the loss's gradient
     by the (batch, T, classes) output potentials of the ``lif_unroll`` call
-    that returned ``cache``."""
+    that returned ``cache``.  Consumes ``cache``, overwriting its arrays and
+    clearing every entry (read charged potentials or spikes first); leaves
+    ``dv`` as given."""
     lif = spec.lif
     grads = []  # output layer first
     g = dv  # gradient by the current layer's value: spikes, or potentials
     for i in reversed(range(len(params))):
         x, charged, spikes = cache[i]
-        batch, steps, fan_in = x.shape
-        # d(loss)/d(charged potential), latest step first; the stored potential carries
+        cache[i] = decay = g_charged = carry = g_current = None  # drop the layer above's arrays
+        steps, rows = x.shape[1], x.reshape(-1, x.shape[2])  # rows: (batch*T, fan_in)
+        # d(loss)/d(charged potential), latest step first, in place; the stored potential carries
         # decay = leak * (1 - s) times it a step back: (leak*g)*k == g*(leak*k), k in {0, 1}.
         if spikes is None:
-            direct, decay = g.transpose(1, 0, 2), (lif.leak,) * steps
+            g_charged, decay = np.array(g.transpose(1, 0, 2)), (lif.leak,) * steps
         else:
-            direct = surrogate_factor(charged, lif)
-            direct *= g.transpose(1, 0, 2)
             decay = lif.leak * (charged < lif.v_th)
-        g_charged = np.empty(direct.shape)  # time-major
-        carry = np.zeros(direct.shape[1:])
+            g_charged = _surrogate(np.subtract(charged, lif.v_th, out=charged), lif)
+            g_charged *= g.transpose(1, 0, 2)
+        carry = scratch = np.zeros(g_charged.shape[1:])
         for t in reversed(range(steps)):
-            carry = np.multiply(carry, decay[t], out=g_charged[t])
-            carry += direct[t]
-        g_current = np.empty(x.shape[:2] + g_charged.shape[2:])
+            g_charged[t] += np.multiply(carry, decay[t], out=scratch)
+            carry = g_charged[t]
+        g_current = np.empty(g.shape) if spikes is None else g  # over spent spike grads
         np.multiply(g_charged.transpose(1, 0, 2), 1.0 / lif.tau_m, out=g_current)
-        g_current = g_current.reshape(batch * steps, -1)
-        grads.append(x.reshape(batch * steps, fan_in).T @ g_current)
-        if i:
-            g = (g_current @ params[i].T).reshape(x.shape)
+        g_current = g_current.reshape(len(rows), -1)
+        grads.append(rows.T @ g_current)
+        if i:  # by the layer below's spikes, over them: this layer's input is spent
+            g = np.matmul(g_current, params[i].T, out=rows).reshape(x.shape)
     return grads[::-1]

@@ -57,6 +57,7 @@ __all__ = [
     "split_assignment",
     "run_config_from_text",
     "synth_spec",
+    "synth_splits",
     "load_dataset",
     "load_test_split",
     "train",
@@ -271,7 +272,7 @@ def build_run_config(mapping: dict[str, str]) -> RunConfig:
     _require(val["network.timesteps"] >= 1, "network.timesteps", "must be >= 1")
     _require(val["lif.tau_m"] >= 1, "lif.tau_m", "must be >= 1")
     _require(val["lif.surrogate_a"] > 0, "lif.surrogate_a", "must be > 0")
-    _require(val["etc.tau"] > 0, "etc.tau", "must be > 0")
+    _require(0 < val["etc.tau"] <= 1e154, "etc.tau", "must be > 0 and <= 1e154 (a finite tau**2)")
     _require(val["etc.lambda"] >= 0, "etc.lambda", "must be >= 0")
     _require(val["opt.lr"] > 0, "opt.lr", "must be > 0")
     _require(val["opt.weight_decay"] >= 0, "opt.weight_decay", "must be >= 0")
@@ -344,6 +345,14 @@ def synth_spec(cfg: RunConfig) -> SynthSpec:
     )
 
 
+def synth_splits(cfg: RunConfig, splits=(False, True)) -> tuple[Split, ...]:
+    """The splits of ``synth_spec(cfg)``; a ConfigError names a knob that overflows them."""
+    try:
+        return synth_generate(synth_spec(cfg), splits)
+    except ValueError as exc:
+        raise ConfigError(f"config key data.{exc}") from None
+
+
 # the data.* inputs each kind reads; one left at its default (an empty path,
 # a 0 frame size) is a ConfigError naming it
 _INPUT_KEYS = {
@@ -364,7 +373,7 @@ def _load_splits(cfg: RunConfig, splits: tuple[bool, ...]) -> tuple[tuple[Split,
         _require(getattr(d, name) not in ("", 0), f"data.{name}",
                  f"must be set for data.kind={d.kind}")
     if d.kind == "synth":
-        return synth_generate(synth_spec(cfg), splits), d.classes
+        return synth_splits(cfg, splits), d.classes
     if d.kind == "file":
         spec, *dumped = load_synth_dataset(d.file)
         if spec.timesteps != cfg.timesteps:

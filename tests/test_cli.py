@@ -11,6 +11,7 @@ import math
 import struct
 import subprocess
 import sys
+import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -292,6 +293,23 @@ def test_non_finite_config_float_is_one_error_line(tmp_path, capsys, item):
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize("command", ["train", "synth"])
+@pytest.mark.parametrize(
+    "item", ["etc.tau=1e308", "data.drift_strength=1e308", "data.noise_sigma=1e308"]
+)
+def test_finite_float_that_overflows_names_its_key(tmp_path, capsys, command, item):
+    """A finite value whose square or generated inputs overflow is a config
+    error naming its key, before anything is written."""
+    out = tmp_path / "out"
+    code = run_cli([command, "--set", item, "--set", "data.samples_per_class=5",
+                    "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    key = item.partition("=")[0]
+    assert err.startswith(f"error: config key {key}: ") and len(err.splitlines()) == 1
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("samples", ["0", "-3"])
 @pytest.mark.parametrize("command", ["consistency", "dump-dist"])
 def test_samples_below_one_is_a_usage_error(trained_run, tmp_path, capsys, command, samples):
@@ -435,6 +453,33 @@ def test_corrupt_dump_is_at_most_one_error_line(tiny_artifacts, data):
     code, err = run_quiet(["eval", "--ckpt", str(ckpt), "--data", str(bad)])
     assert code == 2 and len(err) == 1
     assert err[0].startswith("error: ") and str(bad) in err[0]
+
+
+_FLOAT_KEYS = [key for key, kind, _ in etcsnn.train._CONFIG_TABLE if kind == "float"]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)  # tries every pair
+@given(
+    key=st.sampled_from(_FLOAT_KEYS),
+    value=st.sampled_from(["1e308", "-1e308", "5e-324", "-5e-324", "1e154"]),
+)
+def test_extreme_finite_float_is_a_clean_run_or_one_error_line(tmp_path_factory, key, value):
+    """A fresh ``train`` and ``synth --spec`` with one float key at an extreme
+    finite value either run or print one ``error:`` line, exit 1 or 2: no
+    traceback, and no numpy warning before the line."""
+    root = tmp_path_factory.mktemp("extreme")
+    for argv in (
+        ["train", "--set", f"{key}={value}", "--set", "data.samples_per_class=5",
+         "--set", "train.epochs=1", "--out", str(root / "run")],
+        ["synth", "--spec", f"{key}={value}", "--spec", "samples_per_class=5",
+         "--out", str(root / "d.bin")],
+    ):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, err = run_quiet(argv)
+        assert code in (0, 1, 2) and len(err) <= 1, (argv, err)
+        assert not caught, (argv, [str(w.message) for w in caught])
+        assert code == 0 or err[0].startswith("error: "), (argv, err)
 
 
 @pytest.mark.parametrize("spec,fits", [

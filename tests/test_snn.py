@@ -1,6 +1,8 @@
 """LIF dynamics: spike/surrogate exactness, step traces, unroll behavior,
 and the numpy network pass against the per-op reference."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -354,19 +356,48 @@ def test_kernels_match_frozen_batch_major_kernels_bitwise(
     dv = rng.normal(size=(batch, steps, sizes[-1])) * (rng.random((batch, steps, sizes[-1])) > 0.2)
 
     values, cache = lif_unroll(spec, params, x)
-    grads = lif_backward(spec, params, cache, dv)
     want_values, want_cache = lif_unroll_frozen(params, x, tau_m, v_th, v_reset)
+    # the backward consumes its cache, so the cache is checked first
+    for (_, charged, spikes), (_, want_charged, want_spikes) in zip(cache[:-1], want_cache):
+        assert charged.shape == (steps, batch, want_charged.shape[2])  # time-major
+        assert np.array_equal(_bits(charged.transpose(1, 0, 2)), _bits(want_charged))
+        assert spikes.shape == want_spikes.shape  # batch-major: the next layer's input
+        assert np.array_equal(_bits(spikes), _bits(want_spikes))
+    grads = lif_backward(spec, params, cache, dv)
     want_grads = lif_backward_frozen(params, want_cache, dv, tau_m, v_th, lif.surrogate_a)
 
     assert np.array_equal(_bits(values), _bits(want_values))
     assert len(grads) == len(want_grads)
     for got, want in zip(grads, want_grads):
         assert np.array_equal(_bits(got), _bits(want))
-    for (_, charged, spikes), (_, want_charged, want_spikes) in zip(cache[:-1], want_cache):
-        assert charged.shape == (steps, batch, want_charged.shape[2])  # time-major
-        assert np.array_equal(_bits(charged.transpose(1, 0, 2)), _bits(want_charged))
-        assert spikes.shape == want_spikes.shape  # batch-major: the next layer's input
-        assert np.array_equal(_bits(spikes), _bits(want_spikes))
+
+
+@pytest.mark.parametrize("sizes,batch", [
+    ((64, 64, 4), 32), ((20, 96, 4), 16), ((32, 48, 24, 4), 24), ((12, 32, 64, 3), 40),
+])
+def test_backward_consumes_its_cache_within_a_bounded_peak(sizes, batch):
+    """BPTT runs in the forward's buffers: the backward clears every cache
+    entry, leaves ``dv`` and the inputs as they were, and allocates at most
+    2.5 (T, batch, width) arrays of its widest hidden layer beside the
+    gradients it returns."""
+    spec = _spec(sizes=sizes, steps=10)
+    rng = np.random.default_rng(23)
+    params = init_weights(spec, seed=5)
+    x = rng.uniform(0.0, 1.5, size=(batch, 10, sizes[0]))
+    dv = rng.normal(size=(batch, 10, sizes[-1]))
+    x_bits, dv_bits = _bits(x).copy(), _bits(dv).copy()
+    _, cache = lif_unroll(spec, params, x)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        grads = lif_backward(spec, params, cache, dv)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    layer = 10 * batch * max(sizes[1:-1]) * 8
+    assert peak - sum(g.nbytes for g in grads) <= 2.5 * layer
+    assert cache == [None] * len(params)
+    assert np.array_equal(_bits(dv), dv_bits) and np.array_equal(_bits(x), x_bits)
 
 
 @pytest.mark.parametrize("scale_of", ["inputs", "weights"])
