@@ -265,12 +265,14 @@ def synth_generate(spec: SynthSpec, splits=(False, True)) -> tuple[Split, ...]:
         members = indices[test == want]
         inputs = np.empty((members.size, steps, spec.input_dim))
         labels = members % spec.classes
-        for row, label, state in zip(inputs, labels.tolist(), _noise_states(spec.seed, members)):
+        for row, state in zip(inputs, _noise_states(spec.seed, members)):
             rng.bit_generator.state = state
             # normal(size=...) draws these same standard normals, as 0 + 1 * z
             rng.standard_normal(out=row)
-            row *= spec.noise_sigma
-            row += clean[label]
+        inputs *= spec.noise_sigma
+        # held_out keeps or drops the k-th sample of every class alike, so a split is
+        # whole blocks of `classes` consecutive samples, labelled 0..classes-1
+        inputs.reshape(-1, spec.classes, steps, spec.input_dim)[...] += clean
         try:
             built.append(Split(inputs, labels))
         except ValueError:  # non-finite inputs: the blend or the noise overflowed

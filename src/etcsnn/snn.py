@@ -40,6 +40,8 @@ from typing import Sequence
 
 import numpy as np
 
+from .optim import Packed
+
 __all__ = [
     "NonFiniteError",
     "LifParams",
@@ -217,9 +219,10 @@ def lif_backward(spec: NetworkSpec, params, cache, dv: np.ndarray) -> list[np.nd
     by the (batch, T, classes) output potentials of the ``lif_unroll`` call
     that returned ``cache``.  Consumes ``cache``, overwriting its arrays and
     clearing every entry (read charged potentials or spikes first); leaves
-    ``dv`` as given."""
+    ``dv`` as given.  The gradients come back packed (``optim.Packed``): each
+    is written into its view of one fresh contiguous buffer."""
     lif = spec.lif
-    grads = []  # output layer first
+    grads = Packed(p.shape for p in params)
     g = dv  # gradient by the current layer's value: spikes, or potentials
     for i in reversed(range(len(params))):
         x, charged, spikes = cache[i]
@@ -240,7 +243,7 @@ def lif_backward(spec: NetworkSpec, params, cache, dv: np.ndarray) -> list[np.nd
         g_current = np.empty(g.shape) if spikes is None else g  # over spent spike grads
         np.multiply(g_charged.transpose(1, 0, 2), 1.0 / lif.tau_m, out=g_current)
         g_current = g_current.reshape(len(rows), -1)
-        grads.append(rows.T @ g_current)
+        np.matmul(rows.T, g_current, out=grads[i])
         if i:  # by the layer below's spikes, over them: this layer's input is spent
             g = np.matmul(g_current, params[i].T, out=rows).reshape(x.shape)
-    return grads[::-1]
+    return grads

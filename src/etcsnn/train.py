@@ -18,6 +18,7 @@ from __future__ import annotations
 import json
 import math
 import struct
+from contextlib import ExitStack
 from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 
@@ -592,7 +593,11 @@ def train(cfg: RunConfig, out_dir, resume_from=None) -> TrainResult:
     """Run (or resume) a full training job, writing metrics + checkpoints.
     ``out_dir`` is made only once the dataset has loaded and fits the network,
     a resumed checkpoint's input and output widths too (else ValueError);
-    only a resume may continue the ``metrics.jsonl`` a directory holds."""
+    only a resume may continue the ``metrics.jsonl`` a directory holds, and
+    the log is written with the first epoch record, so a run that fails
+    before it leaves any log as it was (a fresh run, none).  The weights
+    live packed (``optim.Packed``): each step's ``adamw_step`` returns them
+    as views of one fresh buffer."""
     out_dir = Path(out_dir)
     data = load_dataset(cfg)
     for split in (data.train, data.test):
@@ -633,8 +638,8 @@ def train(cfg: RunConfig, out_dir, resume_from=None) -> TrainResult:
 
     n_train = x_train.shape[0]
     records: list[EpochMetrics] = []
-    with open(metrics_path, "w") as log:
-        log.writelines(history)
+    with ExitStack() as stack:
+        log = None
         for epoch in range(start_epoch, cfg.epochs):
             lr_now = cosine_lr(epoch, cfg.epochs, cfg.lr_base)
             order = np.random.default_rng(
@@ -675,11 +680,16 @@ def train(cfg: RunConfig, out_dir, resume_from=None) -> TrainResult:
                 mean_pairwise_kl=kl,
                 argmax_flip_rate=flip,
             )
+            if log is None:
+                log = stack.enter_context(open(metrics_path, "w"))
+                log.writelines(history)
             log.write(rec.json_line() + "\n")
             records.append(rec)
             if cfg.save_interval and done % cfg.save_interval == 0 and done < cfg.epochs:
                 save_checkpoint(ckpt, out_dir / f"ckpt_epoch{done:04d}.bin")
 
+    if log is None:  # no epoch left to run
+        metrics_path.write_text("".join(history))
     final = Checkpoint(cfg, cfg.epochs, params, opt)
     ckpt_path = out_dir / "ckpt_final.bin"
     save_checkpoint(final, ckpt_path)

@@ -215,3 +215,28 @@ def distribution_csv_frozen(labels, probs, mean_probs):
             # index of the first maximum, as np.argmax: ties go to the lowest class
             lines.append(f"{i},{label},{t},{row.index(max(row))}," + ",".join(map(repr, row)))
     return "\n".join(lines) + "\n"
+
+
+# -- the per-layer AdamW update, frozen -------------------------------------------
+#
+# The update as it stood before weights, gradients and moments were packed
+# into one buffer each, kept verbatim apart from taking the moments and the
+# hyper-parameters as plain arguments.  The live update must match it bit
+# for bit, in the weights and in both moments.
+
+
+def adamw_step_frozen(params, grads, m, v, step, lr_now, *, weight_decay, beta1, beta2, eps):
+    """``(new_params, m, v)`` after update number ``step`` (1-based): fresh
+    arrays, one weight at a time; the inputs are never written to."""
+    bc1 = 1.0 - beta1**step
+    bc2 = 1.0 - beta2**step
+    out, m_new, v_new = [], [], []
+    for p, g, m_i, v_i in zip(params, grads, m, v):
+        m_i = beta1 * m_i + (1.0 - beta1) * g
+        v_i = beta2 * v_i + (1.0 - beta2) * (g * g)
+        m_hat = m_i / bc1
+        v_hat = v_i / bc2
+        out.append(p - lr_now * (m_hat / (np.sqrt(v_hat) + eps)) - lr_now * weight_decay * p)
+        m_new.append(m_i)
+        v_new.append(v_i)
+    return out, m_new, v_new

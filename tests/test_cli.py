@@ -482,6 +482,19 @@ def test_extreme_finite_float_is_a_clean_run_or_one_error_line(tmp_path_factory,
         assert code == 0 or err[0].startswith("error: "), (argv, err)
 
 
+@pytest.mark.parametrize("override", ["etc.lambda=1e308", "etc.tau=5e-324", "lif.surrogate_a=1e308"])
+def test_run_failing_before_its_first_record_can_be_rerun(tmp_path, override):
+    """A fresh run that fails at its first batch leaves nothing that blocks
+    a rerun: the same command into the same ``--out`` fails the same way."""
+    argv = ["train", "--set", override, "--set", "data.samples_per_class=5",
+            "--set", "train.epochs=1", "--out", str(tmp_path / "run")]
+    first = run_quiet(argv)
+    assert first[0] == 2 and len(first[1]) == 1, first
+    assert first[1][0].startswith("error: epoch 0, batch 0: non-finite"), first
+    assert run_quiet(argv) == first
+    assert not (tmp_path / "run" / "metrics.jsonl").exists()
+
+
 @pytest.mark.parametrize("spec,fits", [
     ("dim=6", "6 inputs and 2 classes"), ("classes=3", "8 inputs and 3 classes"),
 ], ids=["input-width", "class-count"])

@@ -23,7 +23,7 @@ from etcsnn import train as train_module
 from etcsnn.autodiff import Tensor, lif_unroll_reference, mul, sum_all
 from etcsnn.data import DataError, Split, SynthSpec, save_synth_dataset, synth_generate
 from etcsnn.optim import OptimState
-from etcsnn.snn import NetworkSpec, lif_unroll
+from etcsnn.snn import NetworkSpec, NonFiniteError, lif_unroll
 from etcsnn.train import (
     Checkpoint,
     CheckpointError,
@@ -446,6 +446,23 @@ def test_resume_into_own_directory_keeps_history(tmp_path):
     resumed = train(cfg, run, resume_from=run / "ckpt_epoch0002.bin")
     assert log.read_bytes() == full.metrics_path.read_bytes()
     assert resumed.ckpt_path.read_bytes() == full.ckpt_path.read_bytes()
+
+
+def test_resume_failing_before_its_first_record_keeps_the_log(tmp_path, monkeypatch):
+    """A resumed run that fails before its first new epoch record leaves the
+    log it resumed, records after the checkpoint's epoch included, as it was."""
+    cfg = build_run_config(tiny(**{"train.epochs": "4", "train.save_interval": "2"}))
+    run = tmp_path / "run"
+    train(cfg, run)
+    before = {p.name: p.read_bytes() for p in run.iterdir()}
+
+    def overflow(spec, params, inputs):
+        raise NonFiniteError("non-finite membrane potentials in a LIF layer")
+
+    monkeypatch.setattr(train_module, "lif_unroll", overflow)
+    with pytest.raises(TrainingError, match="epoch 2, batch 0: non-finite"):
+        train(cfg, run, resume_from=run / "ckpt_epoch0002.bin")
+    assert {p.name: p.read_bytes() for p in run.iterdir()} == before
 
 
 def test_resume_refuses_a_log_it_cannot_continue(tmp_path):
