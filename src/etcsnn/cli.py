@@ -1,8 +1,8 @@
-"""Command-line surface: dataset synthesis, training, evaluation, gradient
-checking, and analysis dumps, all driven by flat ``key=value`` configs.
+"""Command-line surface: training, evaluation, gradient checking, and
+analysis dumps, all driven by flat ``key=value`` configs.
 
-Every ``key=value`` item (a config-file line, ``--set``, ``--spec``) goes
-through ``train.split_assignment``.  ``eval``, ``consistency`` and
+Every ``key=value`` item (a config-file line, ``--set``) goes through
+``train.split_assignment``.  ``eval``, ``consistency`` and
 ``dump-dist`` score the checkpoint under its own config with the overrides on
 top (``eval --timesteps LIST`` is ``eval.timesteps``); only ``data.*``,
 ``network.timesteps`` and eval's ``eval.timesteps`` may differ from it.  A
@@ -29,7 +29,7 @@ import time
 from dataclasses import replace
 from pathlib import Path
 
-from .data import DataError, read_utf8, save_synth_dataset
+from .data import DataError, read_utf8
 from .snn import NonFiniteError
 from .train import (
     CheckpointError,
@@ -44,8 +44,6 @@ from .train import (
     load_test_split,
     parse_config_lines,
     split_assignment,
-    synth_spec,
-    synth_splits,
     train,
 )
 
@@ -59,18 +57,6 @@ class _UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse default exits with code 2
         raise _UsageError(message)
-
-
-# synth accepts bare spec keys as a convenience; everything else is dotted
-_SYNTH_KEY_ALIASES = {
-    "classes": "data.classes",
-    "dim": "data.dim",
-    "drift_strength": "data.drift_strength",
-    "noise_sigma": "data.noise_sigma",
-    "samples_per_class": "data.samples_per_class",
-    "seed": "data.seed",
-    "timesteps": "network.timesteps",
-}
 
 
 def _existing(path: str, what: str) -> Path:
@@ -94,22 +80,16 @@ def _int_at_least(low: int):
 
 
 def _gather_mapping(args) -> dict[str, str]:
-    """Config file, then --data shorthand, then synth's --spec fields, then
-    --set overrides, then eval's --timesteps shorthand (last wins)."""
+    """Config file, then --set overrides, then eval's --timesteps shorthand
+    (last wins)."""
     mapping: dict[str, str] = {}
-    if getattr(args, "config", None):
+    if args.config:
         text = read_utf8(_existing(args.config, "config"), ConfigError)
         try:
             mapping.update(parse_config_lines(text))
         except ConfigError as exc:
             raise ConfigError(f"{args.config} {exc}") from None
-    if getattr(args, "data", None):
-        mapping["data.kind"] = "file"
-        mapping["data.file"] = str(_existing(args.data, "dataset"))
-    for flag, aliases in (("spec", _SYNTH_KEY_ALIASES), ("set", {})):
-        for item in getattr(args, flag, None) or []:
-            key, value = split_assignment(item)
-            mapping[aliases.get(key, key)] = value
+    mapping.update(split_assignment(item) for item in args.set or [])
     if getattr(args, "timesteps", None):  # empty: the checkpoint's list
         mapping["eval.timesteps"] = args.timesteps
     return mapping
@@ -150,16 +130,6 @@ def _eval_split(args, free=()):
 
 
 # -- subcommands -----------------------------------------------------------------
-
-
-def _cmd_synth(args) -> int:
-    cfg = build_run_config(_gather_mapping(args))
-    train_split, test_split = synth_splits(cfg)
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    save_synth_dataset(out, synth_spec(cfg), train_split, test_split)
-    print(f"wrote {out}: {len(train_split)} train / {len(test_split)} test samples")
-    return 0
 
 
 def _cmd_train(args) -> int:
@@ -223,26 +193,12 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="etcsnn", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_config_flags(p, with_data=True):
+    def add_config_flags(p):
         p.add_argument("--config", help="flat key=value config file")
         p.add_argument(
             "--set", action="append", metavar="KEY=VALUE",
             help="config override, repeatable, applied last",
         )
-        if with_data:
-            p.add_argument(
-                "--data", help="dataset dump to train/evaluate on "
-                "(shorthand for data.kind=file data.file=PATH)",
-            )
-
-    p = sub.add_parser("synth", help="generate and save a synthetic dataset")
-    p.add_argument("--out", required=True, help="output dataset path")
-    p.add_argument(
-        "--spec", action="append", metavar="KEY=VALUE",
-        help="dataset field, e.g. classes=4 or data.noise_sigma=0.2",
-    )
-    add_config_flags(p, with_data=False)
-    p.set_defaults(fn=_cmd_synth)
 
     p = sub.add_parser("train", help="run a training job")
     add_config_flags(p)

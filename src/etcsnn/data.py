@@ -1,5 +1,5 @@
-"""Dataset plumbing: drifting synthetic generator and its binary dump, IDX
-ingestion, and event-stream CSV binning.
+"""Dataset plumbing: drifting synthetic generator, IDX ingestion, and
+event-stream CSV binning.
 
 One format runs from every loader to the forward: a ``Split`` holds a
 split's input currents as one (N, T, dim) float64 array and its labels as
@@ -10,14 +10,8 @@ array: ``parse_event_csv`` checks each line's fields, and ``bin_events``
 checks order, frame bounds and polarity over the whole array and bins it at
 once.  Every kind holds out its test split by the one rule ``held_out``, and
 the split loaders build only the splits they are asked for.  Whatever a
-loader rejects in a file, from its magic or length to a non-UTF-8 line, a
-non-finite input, a label outside the dump's classes or a checksum mismatch,
-is one ``DataError`` whose message names the file.
-
-A dump and a checkpoint are one frame: 8-byte magic, u32 version 2 (1 was the
-unframed layout; remake such a dump with ``etcsnn synth`` from its spec), u64
-header length, UTF-8 header (a dump's spec), body, then a u32 crc32 of every
-byte before it; ``write_frame`` writes it atomically, ``FrameReader`` reads it.
+loader rejects in a file, from its magic or length to a non-UTF-8 line or an
+event outside its frame, is one ``DataError`` whose message names the file.
 
 The synthetic task is the desk-scale stand-in for neuromorphic data: every
 class has a fixed unit-norm base pattern, and timestep t blends that pattern
@@ -38,12 +32,9 @@ would, and no split-sized temporary is built.
 from __future__ import annotations
 
 import math
-import os
 import struct
-import zlib
 from collections.abc import Iterator
-from contextlib import contextmanager
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -54,8 +45,6 @@ __all__ = [
     "DataError",
     "held_out",
     "synth_generate",
-    "save_synth_dataset",
-    "load_synth_dataset",
     "load_idx",
     "parse_event_csv",
     "bin_events",
@@ -287,144 +276,6 @@ def read_utf8(path, error) -> str:
         return Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise error(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
-
-
-# -- framed binary files --------------------------------------------------------
-
-
-class _Crc32Writer:
-    """A binary file that keeps the crc32 of every byte written to it."""
-
-    def __init__(self, fh):
-        self.fh, self.crc = fh, 0
-
-    def write(self, data) -> None:
-        self.crc = zlib.crc32(data, self.crc)
-        self.fh.write(data)
-
-
-_FRAME_VERSION = 2
-
-
-@contextmanager
-def write_frame(path, magic: bytes, header: str):
-    """Write one frame, its body written to the yielded file, to a file beside
-    ``path`` renamed over it once complete: a failed write changes nothing."""
-    tmp = Path(f"{path}.tmp")
-    text = header.encode()
-    try:
-        with open(tmp, "wb") as raw:
-            fh = _Crc32Writer(raw)
-            fh.write(magic + struct.pack("<IQ", _FRAME_VERSION, len(text)) + text)
-            yield fh
-            raw.write(struct.pack("<I", fh.crc))
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
-
-
-class FrameReader:
-    """One frame read whole: construction checks its magic and version and
-    decodes its header, ``end`` takes the crc32 and refuses trailing bytes,
-    and ``check_crc`` follows the caller's own checks.  Each refusal is one
-    ``error`` naming the file."""
-
-    def __init__(self, path, magic: bytes, kind: str, error, header_name: str):
-        self.path, self.kind, self.error, self.off = path, kind, error, 8
-        self.blob = Path(path).read_bytes()
-        if self.blob[:8] != magic:
-            raise error(f"{path}: bad magic, not a {kind}")
-        (found,) = self.unpack("<I")
-        if found != _FRAME_VERSION:
-            raise error(f"{path}: {kind} version {found}, expected {_FRAME_VERSION}")
-        self.header = self.text(self.unpack("<Q")[0], header_name)
-
-    def take(self, n: int) -> bytes:
-        if self.off + n > len(self.blob):
-            raise self.error(f"{self.path}: truncated {self.kind}")
-        self.off += n
-        return self.blob[self.off - n : self.off]
-
-    def unpack(self, fmt: str) -> tuple:
-        return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
-
-    def text(self, n: int, what: str) -> str:
-        try:
-            return self.take(n).decode()
-        except UnicodeDecodeError:
-            raise self.error(f"{self.path}: {what} is not UTF-8") from None
-
-    def end(self) -> None:
-        (self.crc,) = self.unpack("<I")
-        if self.off != len(self.blob):
-            raise self.error(f"{self.path}: trailing bytes after {self.kind}")
-
-    def check_crc(self) -> None:
-        if zlib.crc32(self.blob[: self.off - 4]) != self.crc:
-            raise self.error(f"{self.path}: checksum mismatch, the {self.kind} is corrupt")
-
-
-# -- synthetic dataset dump ----------------------------------------------------
-
-_DUMP_MAGIC = b"ETCSYND1"
-
-
-def _spec_text(spec: SynthSpec) -> str:
-    return "".join(f"{f.name}={getattr(spec, f.name)!r}\n" for f in fields(spec))
-
-
-def _spec_from_text(text: str) -> SynthSpec:
-    # each field's value is parsed as the type of its default
-    casts = {f.name: type(f.default) for f in fields(SynthSpec)}
-    values = {}
-    for line in text.splitlines():
-        key, _, raw = line.partition("=")
-        if key not in casts:
-            raise ValueError(f"unknown spec field {key!r}")
-        values[key] = casts[key](raw)
-    missing = [k for k in casts if k not in values]
-    if missing:
-        raise ValueError(f"missing fields {missing}")
-    return SynthSpec(**values)
-
-
-def _record_dtype(spec: SynthSpec) -> np.dtype:
-    """One dumped sample: its label, then its (T, dim) currents, little-endian."""
-    return np.dtype([("label", "<u8"), ("x", "<f8", (spec.timesteps, spec.input_dim))])
-
-
-def save_synth_dataset(path, spec: SynthSpec, train: Split, test: Split) -> None:
-    """One frame: the spec echo as header, then the split sizes and one
-    record per sample."""
-    with write_frame(path, _DUMP_MAGIC, _spec_text(spec)) as fh:
-        fh.write(struct.pack("<QQ", len(train), len(test)))
-        for split in (train, test):
-            records = np.empty(len(split), dtype=_record_dtype(spec))
-            records["label"] = split.labels
-            records["x"] = split.inputs
-            fh.write(records)
-
-
-def load_synth_dataset(path) -> tuple[SynthSpec, Split, Split]:
-    frame = FrameReader(path, _DUMP_MAGIC, "dataset dump", DataError, "the spec text")
-    try:
-        spec = _spec_from_text(frame.header)
-    except ValueError as exc:
-        raise DataError(f"{path}: bad spec text in dataset dump: {exc}") from None
-    n_train, n_test = frame.unpack("<QQ")
-    dtype = _record_dtype(spec)
-    records = np.frombuffer(frame.take((n_train + n_test) * dtype.itemsize), dtype=dtype)
-    frame.end()
-    # unsigned, so a label written negative reads as one too large
-    top = int(records["label"].max(initial=0))
-    if top >= spec.classes:
-        raise DataError(f"{path}: label {top} out of range for {spec.classes} classes")
-    try:
-        train, test = (Split(p["x"], p["label"]) for p in (records[:n_train], records[n_train:]))
-    except ValueError as exc:  # a non-finite input
-        raise DataError(f"{path}: {exc}") from None
-    frame.check_crc()  # last, so every check above keeps its own message
-    return spec, train, test
 
 
 # -- IDX static images ----------------------------------------------------------

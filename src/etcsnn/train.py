@@ -17,25 +17,16 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import struct
-from contextlib import ExitStack
+import zlib
+from contextlib import ExitStack, contextmanager
 from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
-from .data import (
-    FrameReader,
-    Split,
-    SynthSpec,
-    held_out,
-    load_event_dir,
-    load_idx,
-    load_synth_dataset,
-    read_utf8,
-    synth_generate,
-    write_frame,
-)
+from .data import Split, SynthSpec, held_out, load_event_dir, load_idx, read_utf8, synth_generate
 from .losses import LOSS_MODES, EtcConfig, kl_metric_values, objective, _softmax_np
 from .optim import OptimState, adamw_step, cosine_lr
 from .snn import LifParams, NetworkSpec, NonFiniteError, init_weights, lif_backward, lif_unroll
@@ -57,7 +48,6 @@ __all__ = [
     "parse_config_lines",
     "split_assignment",
     "run_config_from_text",
-    "synth_spec",
     "synth_splits",
     "load_dataset",
     "load_test_split",
@@ -78,7 +68,7 @@ class TrainingError(RuntimeError):
     """Run-time failure inside a training run, with epoch/batch context."""
 
 
-DATA_KINDS = ("synth", "file", "idx", "events")
+DATA_KINDS = ("synth", "idx", "events")
 
 _STREAM_SHUFFLE = 101
 
@@ -98,7 +88,6 @@ class DataSpec:
     noise_sigma: float = 0.2
     samples_per_class: int = 625
     seed: int = 0
-    file: str = ""
     images: str = ""
     labels: str = ""
     test_images: str = ""
@@ -154,7 +143,6 @@ _CONFIG_TABLE = (
     ("data.noise_sigma", _FLOAT, ("data", "noise_sigma")),
     ("data.samples_per_class", _INT, ("data", "samples_per_class")),
     ("data.seed", _INT, ("data", "seed")),
-    ("data.file", _STR, ("data", "file")),
     ("data.images", _STR, ("data", "images")),
     ("data.labels", _STR, ("data", "labels")),
     ("data.test_images", _STR, ("data", "test_images")),
@@ -248,7 +236,7 @@ def build_run_config(mapping: dict[str, str]) -> RunConfig:
     """Defaults overlaid with ``mapping``; every violation names its key."""
     unknown = [k for k in mapping if k not in _KNOWN_KEYS]
     if unknown:
-        raise ConfigError(f"unknown config key {unknown[0]!r}")
+        raise ConfigError(f"config key {unknown[0]}: unknown key")
     base = dict(config_to_items(default_config()))
     # an empty eval list is resolved to "all of 1..T" by RunConfig, so it
     # tracks whatever timesteps value this mapping settles on
@@ -261,6 +249,8 @@ def build_run_config(mapping: dict[str, str]) -> RunConfig:
     _require(val["data.kind"] in DATA_KINDS, "data.kind", f"must be one of {DATA_KINDS}")
     _require(val["data.classes"] >= 2, "data.classes", "must be >= 2")
     _require(val["data.dim"] >= val["data.classes"], "data.dim", "must be >= data.classes")
+    # the input width is a u32 shape field in every checkpoint
+    _require(val["data.dim"] < 2**32, "data.dim", "must be < 2**32")
     _require(val["data.drift_strength"] >= 0, "data.drift_strength", "must be >= 0")
     _require(val["data.noise_sigma"] >= 0, "data.noise_sigma", "must be >= 0")
     _require(val["data.samples_per_class"] >= 1, "data.samples_per_class", "must be >= 1")
@@ -286,7 +276,12 @@ def build_run_config(mapping: dict[str, str]) -> RunConfig:
     _require(val["train.loss_mode"] in LOSS_MODES, "train.loss_mode",
              f"must be one of {LOSS_MODES}")
     _require(val["train.save_interval"] >= 0, "train.save_interval", "must be >= 0")
-    cfg = _overlay(default_config(), {path: val[key] for key, _, path in _CONFIG_TABLE})
+    try:
+        cfg = _overlay(default_config(), {path: val[key] for key, _, path in _CONFIG_TABLE})
+    except (OverflowError, MemoryError):  # too long a default eval list, 1..T
+        raise ConfigError(
+            f"config key network.timesteps: {val['network.timesteps']} steps do not fit in memory"
+        ) from None
     _require(
         all(1 <= t <= cfg.timesteps for t in cfg.eval_timesteps),
         "eval.timesteps",
@@ -332,32 +327,25 @@ class LoadedData:
     classes: int
 
 
-def synth_spec(cfg: RunConfig) -> SynthSpec:
-    """The synthetic task the ``data.*`` keys and the run's T describe."""
-    d = cfg.data
-    return SynthSpec(
-        classes=d.classes,
-        input_dim=d.dim,
-        timesteps=cfg.timesteps,
-        drift_strength=d.drift_strength,
-        noise_sigma=d.noise_sigma,
-        samples_per_class=d.samples_per_class,
-        seed=d.seed,
-    )
-
-
 def synth_splits(cfg: RunConfig, splits=(False, True)) -> tuple[Split, ...]:
-    """The splits of ``synth_spec(cfg)``; a ConfigError names a knob that overflows them."""
+    """The splits of the synthetic task the ``data.*`` keys and the run's T
+    describe; a ConfigError names a knob that overflows them."""
+    d = cfg.data
+    spec = SynthSpec(classes=d.classes, input_dim=d.dim, timesteps=cfg.timesteps,
+                     drift_strength=d.drift_strength, noise_sigma=d.noise_sigma,
+                     samples_per_class=d.samples_per_class, seed=d.seed)
     try:
-        return synth_generate(synth_spec(cfg), splits)
+        return synth_generate(spec, splits)
     except ValueError as exc:
-        raise ConfigError(f"config key data.{exc}") from None
+        # only the generator's own message starts with its knob; numpy's pass as they are
+        if str(exc).startswith(("drift_strength:", "noise_sigma:")):
+            raise ConfigError(f"config key data.{exc}") from None
+        raise
 
 
 # the data.* inputs each kind reads; one left at its default (an empty path,
 # a 0 frame size) is a ConfigError naming it
 _INPUT_KEYS = {
-    "file": ("file",),
     "idx": ("images", "labels"),
     "events": ("events_dir", "width", "height"),
 }
@@ -375,14 +363,6 @@ def _load_splits(cfg: RunConfig, splits: tuple[bool, ...]) -> tuple[tuple[Split,
                  f"must be set for data.kind={d.kind}")
     if d.kind == "synth":
         return synth_splits(cfg, splits), d.classes
-    if d.kind == "file":
-        spec, *dumped = load_synth_dataset(d.file)
-        if spec.timesteps != cfg.timesteps:
-            raise ConfigError(
-                f"config key network.timesteps: dataset {d.file} was generated "
-                f"with {spec.timesteps} timesteps, config wants {cfg.timesteps}"
-            )
-        return tuple(dumped[want] for want in splits), spec.classes
     if d.kind == "idx":
         if d.test_images:
             files = ((d.images, d.labels), (d.test_images, d.test_labels))
@@ -469,7 +449,11 @@ def config_header_line(cfg: RunConfig) -> str:
 
 # -- checkpoints --------------------------------------------------------------------
 
+# A checkpoint is one frame: 8-byte magic, u32 version 2 (1 was the unframed
+# layout), u64 header length, the UTF-8 config text as header, the body, then a
+# u32 crc32 of every byte before it.
 _CKPT_MAGIC = b"ETCCKPT1"
+_CKPT_VERSION = 2
 # the optimizer block's hyper-parameters, in file order; each is a field of
 # both RunConfig and OptimState
 _OPT_HYPERS = ("lr_base", "weight_decay", "beta1", "beta2", "eps")
@@ -477,6 +461,75 @@ _OPT_HYPERS = ("lr_base", "weight_decay", "beta1", "beta2", "eps")
 
 class CheckpointError(Exception):
     """A checkpoint ``load_checkpoint`` rejects; the message names the file."""
+
+
+class _Crc32Writer:
+    """A binary file that keeps the crc32 of every byte written to it."""
+
+    def __init__(self, fh):
+        self.fh, self.crc = fh, 0
+
+    def write(self, data) -> None:
+        self.crc = zlib.crc32(data, self.crc)
+        self.fh.write(data)
+
+
+@contextmanager
+def write_frame(path, header: str):
+    """Write one frame, its body written to the yielded file, to a file beside
+    ``path`` renamed over it once complete: a failed write changes nothing."""
+    tmp = Path(f"{path}.tmp")
+    text = header.encode()
+    try:
+        with open(tmp, "wb") as raw:
+            fh = _Crc32Writer(raw)
+            fh.write(_CKPT_MAGIC + struct.pack("<IQ", _CKPT_VERSION, len(text)) + text)
+            yield fh
+            raw.write(struct.pack("<I", fh.crc))
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
+class FrameReader:
+    """One frame read whole: construction checks its magic and version and
+    decodes its header, ``end`` takes the crc32 and refuses trailing bytes,
+    and ``check_crc`` follows the caller's own checks.  Each refusal is one
+    ``CheckpointError`` naming the file."""
+
+    def __init__(self, path):
+        self.path, self.off = path, 8
+        self.blob = Path(path).read_bytes()
+        if self.blob[:8] != _CKPT_MAGIC:
+            raise CheckpointError(f"{path}: bad magic, not a checkpoint")
+        (found,) = self.unpack("<I")
+        if found != _CKPT_VERSION:
+            raise CheckpointError(f"{path}: checkpoint version {found}, expected {_CKPT_VERSION}")
+        self.header = self.text(self.unpack("<Q")[0], "the embedded config")
+
+    def take(self, n: int) -> bytes:
+        if self.off + n > len(self.blob):
+            raise CheckpointError(f"{self.path}: truncated checkpoint")
+        self.off += n
+        return self.blob[self.off - n : self.off]
+
+    def unpack(self, fmt: str) -> tuple:
+        return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
+
+    def text(self, n: int, what: str) -> str:
+        try:
+            return self.take(n).decode()
+        except UnicodeDecodeError:
+            raise CheckpointError(f"{self.path}: {what} is not UTF-8") from None
+
+    def end(self) -> None:
+        (self.crc,) = self.unpack("<I")
+        if self.off != len(self.blob):
+            raise CheckpointError(f"{self.path}: trailing bytes after checkpoint")
+
+    def check_crc(self) -> None:
+        if zlib.crc32(self.blob[: self.off - 4]) != self.crc:
+            raise CheckpointError(f"{self.path}: checksum mismatch, the checkpoint is corrupt")
 
 
 @dataclass
@@ -494,9 +547,9 @@ def _write_tensor(fh, name: str, arr: np.ndarray) -> None:
 
 
 def save_checkpoint(ckpt: Checkpoint, path) -> None:
-    """One frame (``data.write_frame``): the config text as header, then the
+    """One frame (``write_frame``): the config text as header, then the
     epoch, the weights and the optimizer state; written atomically."""
-    with write_frame(path, _CKPT_MAGIC, config_to_text(ckpt.config)) as fh:
+    with write_frame(path, config_to_text(ckpt.config)) as fh:
         fh.write(struct.pack("<QI", ckpt.epoch, len(ckpt.params)))
         for i, p in enumerate(ckpt.params):
             _write_tensor(fh, f"w{i}", p)
@@ -508,7 +561,7 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
 
 
 def load_checkpoint(path) -> Checkpoint:
-    frame = FrameReader(path, _CKPT_MAGIC, "checkpoint", CheckpointError, "the embedded config")
+    frame = FrameReader(path)
 
     def read_tensor(expect_name: str) -> np.ndarray:
         (name_len,) = frame.unpack("<I")

@@ -21,13 +21,15 @@ from hypothesis import strategies as st
 
 import etcsnn.train
 from etcsnn.cli import run_cli
-from etcsnn.data import Split, load_synth_dataset, save_synth_dataset
+from etcsnn.data import Split
 from etcsnn.train import (
+    build_run_config,
     consistency_report,
     dump_distributions,
     eval_per_timestep,
     load_checkpoint,
     load_dataset,
+    load_test_split,
 )
 
 TINY = """
@@ -91,16 +93,15 @@ def test_malformed_set_exits_1(capsys):
 
 
 @pytest.mark.parametrize("item", ["x", "=1", " = 1"])
-def test_malformed_item_is_one_message_from_file_set_and_spec(tmp_path, capsys, item):
-    """A config-file line, a --set and a --spec item go through one
-    key=value splitter; the file's message adds its path and line."""
+def test_malformed_item_is_one_message_from_file_and_set(tmp_path, capsys, item):
+    """A config-file line and a --set item go through one key=value
+    splitter; the file's message adds its path and line."""
     path = tmp_path / "bad.cfg"
     path.write_text(f"train.epochs=0\n{item}\n")
     message = f"expected key=value, got {item.strip()!r}"
     for argv, prefix in (
         (["train", "--config", str(path)], f"{path} line 2: "),
         (["train", "--set", item.strip()], ""),
-        (["synth", "--out", str(tmp_path / "d.bin"), "--spec", item.strip()], ""),
     ):
         capsys.readouterr()
         assert run_cli(argv) == 1
@@ -115,7 +116,15 @@ def test_unknown_subcommand_exits_1(capsys):
 
 def test_help_exits_0(capsys):
     assert run_cli(["--help"]) == 0
-    assert "synth" in capsys.readouterr().out
+    assert "train" in capsys.readouterr().out
+
+
+def test_retired_synth_command_is_a_usage_error(tmp_path, capsys):
+    assert run_cli(["synth", "--out", str(tmp_path / "d.bin")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: argument command: invalid choice: 'synth'")
+    assert len(err.splitlines()) == 1
+    assert not (tmp_path / "d.bin").exists()
 
 
 def test_missing_checkpoint_exits_1(tmp_path, capsys):
@@ -165,44 +174,13 @@ def test_checkpoint_with_non_utf8_config_exits_2(trained_run, tmp_path, capsys):
     assert err.startswith("error: ") and str(bad) in err and len(err.splitlines()) == 1
 
 
-def test_dump_with_non_utf8_spec_exits_2(tmp_path, capsys):
-    dump = tmp_path / "d2.bin"
-    assert run_cli(["synth", "--out", str(dump), "--spec", "samples_per_class=5"]) == 0
-    blob = bytearray(dump.read_bytes())
-    blob[22] = 0xFF  # inside the spec text, past the magic, version and length
-    dump.write_bytes(bytes(blob))
-    capsys.readouterr()
-    code = run_cli(["train", "--data", str(dump), "--out", str(tmp_path / "run")])
-    assert code == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and str(dump) in err and len(err.splitlines()) == 1
-    assert not (tmp_path / "run").exists()
-
-
-def test_dump_with_a_nan_is_one_error_line(tmp_path, capsys):
-    dump = tmp_path / "d.bin"
-    assert run_cli(["synth", "--out", str(dump), "--spec", "samples_per_class=5"]) == 0
-    blob = bytearray(dump.read_bytes())
-    blob[-12:-4] = struct.pack("<d", float("nan"))  # last value of the last test sample
-    dump.write_bytes(bytes(blob))
-    capsys.readouterr()
-    code = run_cli(["train", "--data", str(dump), "--out", str(tmp_path / "run")])
-    assert code == 2
-    err = capsys.readouterr().err
-    assert err.startswith(f"error: {dump}: non-finite") and len(err.splitlines()) == 1
-    assert not (tmp_path / "run").exists()
-
-
 def _idx(path: Path, magic: int, shape: tuple[int, ...]) -> None:
     path.write_bytes(struct.pack(f">{1 + len(shape)}I", magic, *shape) + bytes(math.prod(shape)))
 
 
-@pytest.mark.parametrize("case", [
-    "csv-not-utf8", "dump-label-wraps-negative", "dump-label-past-classes", "idx-count-mismatch",
-])
-def test_rejected_file_is_one_error_line_naming_it(trained_run, tmp_path, tiny_cfg, capsys, case):
-    """A non-UTF-8 event file, a dump with a label that is negative or not
-    below its own class count, and an IDX pair whose counts differ are each
+@pytest.mark.parametrize("case", ["csv-not-utf8", "idx-count-mismatch"])
+def test_rejected_file_is_one_error_line_naming_it(trained_run, tmp_path, capsys, case):
+    """A non-UTF-8 event file and an IDX pair whose counts differ are each
     one ``error:`` line naming the file (both files of the pair), exit 2,
     from every command that reads them."""
     ckpt = ["--ckpt", str(trained_run / "ckpt_final.bin")]
@@ -215,16 +193,6 @@ def test_rejected_file_is_one_error_line_naming_it(trained_run, tmp_path, tiny_c
         named[0].write_bytes(b"t_us,x,y,polarity\n0,1,\xff,1\n")
         flags = ["--set", "data.kind=events", "--set", f"data.events_dir={tmp_path / 'ev'}",
                  "--set", "data.width=2", "--set", "data.height=2"]
-    elif case.startswith("dump"):
-        named = [tmp_path / "d.bin"]
-        assert run_cli(["synth", "--config", str(tiny_cfg), "--out", str(named[0])]) == 0
-        blob = bytearray(named[0].read_bytes())
-        record = 8 + 3 * 8 * 8  # a label, then (T, dim) float64 currents
-        label = -1 if case == "dump-label-wraps-negative" else 2
-        # the last test sample's, before the crc32 trailer
-        blob[-record - 4 : -record + 4] = struct.pack("<q", label)
-        named[0].write_bytes(bytes(blob))
-        flags = ["--config", str(tiny_cfg), "--data", str(named[0])]
     else:
         named = [tmp_path / "i.idx", tmp_path / "l.idx"]
         _idx(named[0], 0x803, (3, 2, 2))
@@ -240,13 +208,10 @@ def test_rejected_file_is_one_error_line_naming_it(trained_run, tmp_path, tiny_c
     assert not (tmp_path / "new-run").exists()
 
 
-def test_valid_dump_with_more_classes_than_the_checkpoint_exits_1(trained_run, tmp_path, capsys):
-    dump = tmp_path / "d.bin"
-    spec = ["classes=3", "dim=8", "timesteps=3", "samples_per_class=5"]
-    assert run_cli(["synth", "--out", str(dump), *[a for s in spec for a in ("--spec", s)]]) == 0
+def test_valid_dataset_with_more_classes_than_the_checkpoint_exits_1(trained_run, capsys):
     capsys.readouterr()
     ckpt = str(trained_run / "ckpt_final.bin")
-    assert run_cli(["eval", "--ckpt", ckpt, "--data", str(dump)]) == 1
+    assert run_cli(["eval", "--ckpt", ckpt, "--set", "data.classes=3"]) == 1
     assert capsys.readouterr().err == "error: label 2 out of range for 2 classes\n"
 
 
@@ -263,18 +228,20 @@ def test_divergent_training_exits_2(tmp_path, tiny_cfg, capsys):
 
 @pytest.mark.parametrize("command", ["eval", "consistency", "dump-dist"])
 def test_analysis_overflow_on_finite_inputs_exits_1(
-    trained_run, tmp_path, tiny_cfg, capsys, command
+    trained_run, tmp_path, capsys, monkeypatch, command
 ):
-    """A dump of finite inputs so large that the forward overflows loads, and
-    scoring it is one ``error:`` line, exit 1 as for any valid dataset that
-    does not fit the checkpoint, not a traceback."""
-    dump = tmp_path / "huge.bin"
-    assert run_cli(["synth", "--config", str(tiny_cfg), "--out", str(dump)]) == 0
-    spec, train, test = load_synth_dataset(dump)
-    inputs = test.inputs.copy()
-    inputs[-1] = 1.7e308  # the last test sample's (T, dim), in a dump with a valid crc32
-    save_synth_dataset(dump, spec, train, Split(inputs, test.labels))
-    argv = [command, "--ckpt", str(trained_run / "ckpt_final.bin"), "--data", str(dump)]
+    """A test split of finite inputs so large that the forward overflows
+    loads, and scoring it is one ``error:`` line, exit 1 as for any valid
+    dataset that does not fit the checkpoint, not a traceback."""
+
+    def huge_split(cfg):
+        test = load_test_split(cfg)
+        inputs = test.inputs.copy()
+        inputs[-1] = 1.7e308  # the last test sample's (T, dim)
+        return Split(inputs, test.labels)
+
+    monkeypatch.setattr(etcsnn.cli, "load_test_split", huge_split)
+    argv = [command, "--ckpt", str(trained_run / "ckpt_final.bin")]
     argv += ["--out", str(tmp_path / "dist.csv")] if command == "dump-dist" else []
     capsys.readouterr()
     assert run_cli(argv) == 1
@@ -293,16 +260,22 @@ def test_non_finite_config_float_is_one_error_line(tmp_path, capsys, item):
     assert not (tmp_path / "run").exists()
 
 
-@pytest.mark.parametrize("command", ["train", "synth"])
+@pytest.mark.parametrize("command", ["train", "eval"])
 @pytest.mark.parametrize(
     "item", ["etc.tau=1e308", "data.drift_strength=1e308", "data.noise_sigma=1e308"]
 )
-def test_finite_float_that_overflows_names_its_key(tmp_path, capsys, command, item):
+def test_finite_float_that_overflows_names_its_key(request, tmp_path, capsys, command, item):
     """A finite value whose square or generated inputs overflow is a config
-    error naming its key, before anything is written."""
+    error naming its key, before anything is written, in training and in
+    analysis alike."""
     out = tmp_path / "out"
-    code = run_cli([command, "--set", item, "--set", "data.samples_per_class=5",
-                    "--out", str(out)])
+    flags = ["--set", item, "--set", "data.samples_per_class=5"]
+    if command == "train":
+        flags += ["--out", str(out)]
+    else:
+        flags += ["--ckpt", str(request.getfixturevalue("trained_run") / "ckpt_final.bin")]
+    capsys.readouterr()
+    code = run_cli([command, *flags])
     assert code == 1
     err = capsys.readouterr().err
     key = item.partition("=")[0]
@@ -391,14 +364,13 @@ def test_eval_on_version_1_checkpoint_exits_2(trained_run, tmp_path, capsys):
 
 @pytest.fixture(scope="module")
 def tiny_artifacts(tmp_path_factory):
-    """A tiny trained checkpoint, a dump of its data and a scratch directory."""
+    """A tiny trained checkpoint and a scratch directory."""
     root = tmp_path_factory.mktemp("artifacts")
     (root / "tiny.cfg").write_text(TINY)
-    dump, run = root / "d.bin", root / "run"
+    run = root / "run"
     with redirect_stdout(io.StringIO()):
-        assert run_cli(["synth", "--config", str(root / "tiny.cfg"), "--out", str(dump)]) == 0
         assert run_cli(["train", "--config", str(root / "tiny.cfg"), "--out", str(run)]) == 0
-    return run / "ckpt_final.bin", dump, root
+    return run / "ckpt_final.bin", root
 
 
 def run_quiet(argv) -> tuple[int, list[str]]:
@@ -425,7 +397,7 @@ def test_corrupt_checkpoint_is_one_error_line_naming_it(tiny_artifacts, data):
     """A truncated or bit-flipped checkpoint is one ``error:`` line naming
     it, exit 2, from every command that loads one; a resume from it leaves
     the run's log as it was."""
-    ckpt, _, root = tiny_artifacts
+    ckpt, root = tiny_artifacts
     bad = root / "bad.bin"
     bad.write_bytes(corrupt(ckpt.read_bytes(), data))
     log = ckpt.parent / "metrics.jsonl"
@@ -441,20 +413,6 @@ def test_corrupt_checkpoint_is_one_error_line_naming_it(tiny_artifacts, data):
     assert log.read_bytes() == before
 
 
-@settings(max_examples=150, deadline=None, derandomize=True)
-@given(st.data())
-def test_corrupt_dump_is_at_most_one_error_line(tiny_artifacts, data):
-    """``eval --data`` on a truncated or bit-flipped dump is one ``error:``
-    line naming it, exit 2: the crc32 trailer refuses whatever the frame's
-    other checks let through."""
-    ckpt, dump, root = tiny_artifacts
-    bad = root / "bad.dump"
-    bad.write_bytes(corrupt(dump.read_bytes(), data))
-    code, err = run_quiet(["eval", "--ckpt", str(ckpt), "--data", str(bad)])
-    assert code == 2 and len(err) == 1
-    assert err[0].startswith("error: ") and str(bad) in err[0]
-
-
 _FLOAT_KEYS = [key for key, kind, _ in etcsnn.train._CONFIG_TABLE if kind == "float"]
 
 
@@ -464,22 +422,18 @@ _FLOAT_KEYS = [key for key, kind, _ in etcsnn.train._CONFIG_TABLE if kind == "fl
     value=st.sampled_from(["1e308", "-1e308", "5e-324", "-5e-324", "1e154"]),
 )
 def test_extreme_finite_float_is_a_clean_run_or_one_error_line(tmp_path_factory, key, value):
-    """A fresh ``train`` and ``synth --spec`` with one float key at an extreme
-    finite value either run or print one ``error:`` line, exit 1 or 2: no
-    traceback, and no numpy warning before the line."""
+    """A fresh ``train`` with one float key at an extreme finite value either
+    runs or prints one ``error:`` line, exit 1 or 2: no traceback, and no
+    numpy warning before the line."""
     root = tmp_path_factory.mktemp("extreme")
-    for argv in (
-        ["train", "--set", f"{key}={value}", "--set", "data.samples_per_class=5",
-         "--set", "train.epochs=1", "--out", str(root / "run")],
-        ["synth", "--spec", f"{key}={value}", "--spec", "samples_per_class=5",
-         "--out", str(root / "d.bin")],
-    ):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            code, err = run_quiet(argv)
-        assert code in (0, 1, 2) and len(err) <= 1, (argv, err)
-        assert not caught, (argv, [str(w.message) for w in caught])
-        assert code == 0 or err[0].startswith("error: "), (argv, err)
+    argv = ["train", "--set", f"{key}={value}", "--set", "data.samples_per_class=5",
+            "--set", "train.epochs=1", "--out", str(root / "run")]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, err = run_quiet(argv)
+    assert code in (0, 1, 2) and len(err) <= 1, err
+    assert not caught, [str(w.message) for w in caught]
+    assert code == 0 or err[0].startswith("error: "), err
 
 
 @pytest.mark.parametrize("override", ["etc.lambda=1e308", "etc.tau=5e-324", "lif.surrogate_a=1e308"])
@@ -495,20 +449,28 @@ def test_run_failing_before_its_first_record_can_be_rerun(tmp_path, override):
     assert not (tmp_path / "run" / "metrics.jsonl").exists()
 
 
-@pytest.mark.parametrize("spec,fits", [
-    ("dim=6", "6 inputs and 2 classes"), ("classes=3", "8 inputs and 3 classes"),
+def _idx_pair(images: Path, labels: Path, n: int, rows: int, cols: int, classes: int) -> None:
+    """An IDX pair of ``n`` rows x cols images, labelled 0..classes-1 in turn."""
+    pixels = bytes((i * 37 + c * 11) % 256 for i in range(n) for c in range(rows * cols))
+    images.write_bytes(struct.pack(">IIII", 0x803, n, rows, cols) + pixels)
+    labels.write_bytes(struct.pack(">II", 0x801, n) + bytes(i % classes for i in range(n)))
+
+
+@pytest.mark.parametrize("shape,fits", [
+    ((2, 3, 2), "6 inputs and 2 classes"), ((2, 4, 3), "8 inputs and 3 classes"),
 ], ids=["input-width", "class-count"])
-def test_resume_onto_an_unfitting_dataset_is_refused_before_the_log(tmp_path, tiny_cfg, spec, fits):
-    """A checkpoint resumed onto a valid dump, rewritten at its path with
+def test_resume_onto_an_unfitting_dataset_is_refused_before_the_log(tmp_path, tiny_cfg, shape, fits):
+    """A checkpoint resumed onto a valid IDX pair, rewritten at its path with
     another input width or class count, is one ``error:`` line naming it
     and both widths, exit 1; the run's log and checkpoints stay as they were."""
-    dump, run = tmp_path / "d.bin", tmp_path / "run"
-    synth = ["synth", "--config", str(tiny_cfg), "--out", str(dump)]
-    flags = ["--config", str(tiny_cfg), "--data", str(dump), "--set", "train.epochs=4",
+    images, labels, run = tmp_path / "i.idx", tmp_path / "l.idx", tmp_path / "run"
+    _idx_pair(images, labels, 20, 2, 4, 2)
+    flags = ["--config", str(tiny_cfg), "--set", "data.kind=idx", "--set", f"data.images={images}",
+             "--set", f"data.labels={labels}", "--set", "train.epochs=4",
              "--set", "train.save_interval=2", "--out", str(run)]
-    assert run_quiet(synth) == (0, []) and run_quiet(["train", *flags]) == (0, [])
+    assert run_quiet(["train", *flags]) == (0, [])
     before = {p.name: p.read_bytes() for p in run.iterdir()}
-    assert run_quiet([*synth, "--spec", spec]) == (0, [])
+    _idx_pair(images, labels, 20, *shape)
     ckpt = run / "ckpt_epoch0002.bin"
     assert run_quiet(["train", *flags, "--resume", str(ckpt)]) == (1, [
         f"error: checkpoint {ckpt} maps 8 inputs to 2 classes; the dataset has {fits}"
@@ -518,57 +480,31 @@ def test_resume_onto_an_unfitting_dataset_is_refused_before_the_log(tmp_path, ti
 
 @pytest.mark.parametrize("classes", [5, 10])
 def test_synth_class_count_divisible_by_five_trains_and_evaluates(tmp_path, capsys, classes):
-    """Every class is held out alike, so 5 and 10 classes synthesise, train
-    and evaluate, and the dump's test split holds a fifth of every class."""
-    out = tmp_path / "d.bin"
-    assert run_cli(["synth", "--out", str(out), "--spec", f"classes={classes}",
-                    "--spec", "samples_per_class=10"]) == 0
-    from etcsnn.data import load_synth_dataset
-
-    labels = load_synth_dataset(out)[2].labels.tolist()
+    """Every class is held out alike, so 5 and 10 classes train and evaluate,
+    and the test split holds a fifth of every class."""
+    mapping = {"data.classes": str(classes), "data.samples_per_class": "10"}
+    labels = load_test_split(build_run_config(mapping)).labels.tolist()
     assert [labels.count(c) for c in range(classes)] == [2] * classes
+    sets = [arg for item in mapping.items() for arg in ("--set", "=".join(item))]
     run = tmp_path / "run"
-    assert run_cli(["train", "--data", str(out), "--set", "train.epochs=1",
-                    "--out", str(run)]) == 0
+    assert run_cli(["train", *sets, "--set", "train.epochs=1", "--out", str(run)]) == 0
     assert run_cli(["eval", "--ckpt", str(run / "ckpt_final.bin")]) == 0
     assert capsys.readouterr().err == ""
 
 
-# -- synth + train + eval happy paths ---------------------------------------------
+# -- train + eval happy paths -----------------------------------------------------
 
 
-def test_synth_writes_loadable_dataset(tmp_path, capsys):
-    out = tmp_path / "d.bin"
-    code = run_cli([
-        "synth", "--out", str(out),
-        "--spec", "classes=2", "--spec", "dim=8", "--spec", "samples_per_class=10",
-        "--spec", "timesteps=3", "--spec", "noise_sigma=0.1",
-        "--spec", "drift_strength=0.5", "--spec", "seed=5",
-    ])
-    assert code == 0
-    assert "16 train / 4 test" in capsys.readouterr().out
-
-    from etcsnn.data import load_synth_dataset
-
-    spec, train_split, test_split = load_synth_dataset(out)
-    assert spec.classes == 2 and spec.seed == 5
-    assert len(train_split) == 16 and len(test_split) == 4
-
-
-def test_synth_precedence_is_file_then_spec_then_set(tmp_path):
-    cfg = tmp_path / "synth.cfg"
-    cfg.write_text("data.classes=3\ndata.dim=8\ndata.samples_per_class=4\n"
-                   "network.timesteps=2\ndata.seed=1\n")
-    out = tmp_path / "d.bin"
-    assert run_cli([
-        "synth", "--out", str(out), "--config", str(cfg),
-        "--set", "data.seed=3", "--spec", "seed=2", "--spec", "classes=2",
-    ]) == 0
-    from etcsnn.data import load_synth_dataset
-
-    spec = load_synth_dataset(out)[0]
-    assert (spec.classes, spec.seed) == (2, 3)  # --spec beats the file, --set beats --spec
-    assert (spec.input_dim, spec.timesteps, spec.samples_per_class) == (8, 2, 4)
+def test_precedence_is_file_then_set(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("data.classes=3\ndata.dim=8\ndata.samples_per_class=5\n"
+                   "network.timesteps=2\ndata.seed=1\ntrain.epochs=0\n")
+    out = tmp_path / "run"
+    assert run_cli(["train", "--config", str(cfg), "--set", "data.seed=3",
+                    "--set", "data.seed=4", "--out", str(out)]) == 0
+    echo = json.loads((out / "metrics.jsonl").read_text().splitlines()[0])["config"]
+    assert echo["data.seed"] == "4"  # --set beats the file, the last --set the others
+    assert (echo["data.classes"], echo["data.dim"], echo["network.timesteps"]) == ("3", "8", "2")
 
 
 def test_train_writes_artifacts(trained_run, capsys):
@@ -576,26 +512,6 @@ def test_train_writes_artifacts(trained_run, capsys):
     assert (trained_run / "ckpt_final.bin").exists()
     ck = load_checkpoint(trained_run / "ckpt_final.bin")
     assert ck.epoch == 2
-
-
-def test_synth_then_train_data_shorthand_is_deterministic(tmp_path, tiny_cfg):
-    data = tmp_path / "d.bin"
-    assert run_cli([
-        "synth", "--out", str(data),
-        "--spec", "classes=2", "--spec", "dim=8", "--spec", "samples_per_class=10",
-        "--spec", "timesteps=3", "--spec", "noise_sigma=0.1",
-        "--spec", "drift_strength=0.5",
-    ]) == 0
-    logs = []
-    for name in ("a", "b"):
-        out = tmp_path / name
-        code = run_cli([
-            "train", "--config", str(tiny_cfg), "--data", str(data),
-            "--out", str(out),
-        ])
-        assert code == 0
-        logs.append((out / "metrics.jsonl").read_bytes())
-    assert logs[0] == logs[1]
 
 
 def test_eval_reports_accuracy_per_timestep(trained_run, capsys):
@@ -808,7 +724,7 @@ _IDX_PAIR = ["data.kind=idx", "data.images=i.idx", "data.labels=l.idx"]
 
 
 @pytest.mark.parametrize("sets, key", [
-    (["data.kind=file"], "data.file"),
+    (["data.kind=events", "data.width=2", "data.height=2"], "data.events_dir"),
     (["data.kind=idx"], "data.images"),
     (["data.kind=idx", "data.images=i.idx"], "data.labels"),
     ([*_IDX_PAIR, "data.test_labels=t.idx"], "data.test_images"),
@@ -835,7 +751,6 @@ def test_missing_data_input_names_its_key(trained_run, tmp_path, capsys, sets, k
 @pytest.mark.parametrize("argv, key", [
     (["train", "--set", "data.seed=-1"], "data.seed"),
     (["train", "--set", "train.seed=-1"], "train.seed"),
-    (["synth", "--spec", "seed=-3"], "data.seed"),
 ])
 def test_negative_seed_names_its_key(tmp_path, capsys, argv, key):
     out = tmp_path / "out"
@@ -844,15 +759,51 @@ def test_negative_seed_names_its_key(tmp_path, capsys, argv, key):
     assert not out.exists()
 
 
-def test_dataset_too_large_to_allocate_is_one_error_line(tmp_path, capsys):
-    # 10**14 samples per class is petabytes: beyond any user address
-    # space, so the first allocation fails at once whatever the host
-    out = tmp_path / "run"
-    argv = ["train", "--set", f"data.samples_per_class={10**14}", "--out", str(out)]
+@pytest.mark.parametrize("command", ["train", "eval"])
+@pytest.mark.parametrize("item", [
+    "network.timesteps=100000000000000000000",
+    # a 1..T eval list of 80 GB: the host refuses that one allocation at once
+    "network.timesteps=10000000000",
+    "data.dim=100000000000000000000",
+])
+def test_huge_int_is_one_error_line_naming_its_key(request, tmp_path, capsys, command, item):
+    """An int too large to list or to store in a checkpoint is one ``config
+    key`` line naming it, exit 1, for training and analysis alike."""
+    out = tmp_path / "out"
+    if command == "train":
+        argv = ["train", "--set", item, "--out", str(out)]
+    else:
+        ckpt = request.getfixturevalue("trained_run") / "ckpt_final.bin"
+        argv = ["eval", "--ckpt", str(ckpt), "--set", item]
+    capsys.readouterr()
     assert run_cli(argv) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert err.startswith(f"error: config key {item.partition('=')[0]}: ")
+    assert len(err.splitlines()) == 1
     assert not out.exists()
+
+
+def test_retired_data_keys_are_one_config_key_line(tmp_path, capsys):
+    for item in ("data.kind=file", "data.file=x"):
+        assert run_cli(["train", "--set", item, "--out", str(tmp_path / "run")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: config key {item.partition('=')[0]}: ")
+        assert len(err.splitlines()) == 1
+
+
+def test_dataset_too_large_to_allocate_is_one_error_line(tmp_path, capsys):
+    # 10**14 samples per class is petabytes: beyond any user address
+    # space, so the first allocation fails at once whatever the host;
+    # 10**20 is past numpy's largest size, which it refuses with a ValueError
+    # that is not the generator's and so is not given a config key
+    out = tmp_path / "run"
+    for samples in (10**14, 10**20):
+        argv = ["train", "--set", f"data.samples_per_class={samples}", "--out", str(out)]
+        assert run_cli(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert not err.startswith("error: config key data.")
+        assert not out.exists()
 
 
 def test_config_file_bad_line_names_path_and_line(tmp_path, capsys):

@@ -21,7 +21,8 @@ from hypothesis import strategies as st
 
 from etcsnn import train as train_module
 from etcsnn.autodiff import Tensor, lif_unroll_reference, mul, sum_all
-from etcsnn.data import DataError, Split, SynthSpec, save_synth_dataset, synth_generate
+from etcsnn.cli import run_cli
+from etcsnn.data import DataError, Split
 from etcsnn.optim import OptimState
 from etcsnn.snn import NetworkSpec, NonFiniteError, lif_unroll
 from etcsnn.train import (
@@ -94,7 +95,7 @@ def test_hidden_sizes_list_roundtrip():
 
 
 def test_unknown_key_is_named():
-    with pytest.raises(ConfigError, match="unknown config key 'train.lr'"):
+    with pytest.raises(ConfigError, match="^config key train.lr: unknown key$"):
         build_run_config({"train.lr": "0.1"})
 
 
@@ -180,7 +181,6 @@ NON_DEFAULT = {
     "data.noise_sigma": "0.25",
     "data.samples_per_class": "7",
     "data.seed": "9",
-    "data.file": "d.bin",
     "data.images": "img.idx",
     "data.labels": "lbl.idx",
     "data.test_images": "timg.idx",
@@ -264,17 +264,6 @@ def test_load_dataset_synth_shapes():
     assert data.train.inputs.shape == (24, 3, 8) and data.test.labels.shape == (6,)
 
 
-def test_file_dataset_timestep_mismatch_rejected(tmp_path):
-    spec = SynthSpec(classes=2, input_dim=8, timesteps=3, samples_per_class=5)
-    tr, te = synth_generate(spec)
-    path = tmp_path / "d.bin"
-    save_synth_dataset(path, spec, tr, te)
-    mapping = tiny(**{"data.kind": "file", "data.file": str(path),
-                      "network.timesteps": "4"})
-    with pytest.raises(ConfigError, match="timesteps"):
-        load_dataset(build_run_config(mapping))
-
-
 # -- the training loop -------------------------------------------------------------
 
 
@@ -349,8 +338,28 @@ def test_per_timestep_ce_mode_trains(tmp_path):
 # on 10 samples per class (x86-64, numpy 2.4), pinned when the hold-out rule
 # became every fifth sample of each class.  The numpy step reproduced the
 # tape-built step's bytes bit for bit on the earlier split.  The checkpoint
-# hashes are of format version 2, which ends in a crc32.
+# hashes are of format version 2, which ends in a crc32.  Re-pinned when the
+# data.file key left the config echo: with its line put back
+# (``with_data_file``) the files hash to ``WITH_DATA_FILE``, the earlier pins.
 GOLDEN_RUNS = {
+    "ce_only": (
+        "d1f97cbfbf2973825834a607010721e34201c2272aa8b7ed7b2a9dc069be655a",
+        "670a2699787c14ec36a2ac0df894cac4f707e8451531b5c0c90012e72c8f480f",
+    ),
+    "ce_plus_etc": (
+        "10c9f19c8b4c13122c87100f45a2e589f1707dbd8baf24062b19019088382a44",
+        "855864e2861819a25c34917cbeea46484cf26f9f0cbd627cdf26451df3e36c7b",
+    ),
+    "per_timestep_ce": (
+        "4e4dd22ae7c0c0b9cc8f716cc70e392dce06fb0affd52417438db16882cb6e1e",
+        "00efbbdc8a947bf08108d66c1df02f79e209204705c3f1830fb52dc24c22a43e",
+    ),
+    "per_timestep_ce-reset-16-8": (
+        "cc26ec86709c31374ca3df7eb0568fb05dc898f6b7fd843882425cca8c8214ce",
+        "406ae98e461501649b2f1e627316d5b533ff4f72e2f897585fe110d1aa2c11e7",
+    ),
+}
+WITH_DATA_FILE = {
     "ce_only": (
         "b7449decc95ad13849d1e20470be3b41d8bcf55c8b91bf99897f499884388dbe",
         "c65a5443e4bfa1c14fc48ee2baf0baaf57ff0b260ac62a1ddf340442b38f4116",
@@ -377,6 +386,18 @@ GOLDEN_OVERRIDES = {
 }
 
 
+def with_data_file(metrics: bytes, ckpt: bytes) -> tuple[bytes, bytes]:
+    """A run's metrics.jsonl and checkpoint as written while the config echoed
+    an empty data.file after data.seed: the key put back in the log's header
+    and in the checkpoint's config text, whose u64 length and crc32 trailer
+    are recomputed."""
+    metrics = re.sub(rb'("data\.seed": "\d+", )', rb'\1"data.file": "", ', metrics, count=1)
+    (text_len,) = struct.unpack("<Q", ckpt[12:20])
+    text = re.sub(rb"(data\.seed=\d+\n)", rb"\1data.file=\n", ckpt[20 : 20 + text_len], count=1)
+    framed = ckpt[:12] + struct.pack("<Q", len(text)) + text + ckpt[20 + text_len : -4]
+    return metrics, framed + struct.pack("<I", zlib.crc32(framed))
+
+
 @pytest.mark.parametrize("row", sorted(GOLDEN_RUNS))
 def test_training_outputs_match_golden_hashes(tmp_path, row):
     cfg = build_run_config({
@@ -384,30 +405,39 @@ def test_training_outputs_match_golden_hashes(tmp_path, row):
         **GOLDEN_OVERRIDES.get(row, {}),
     })
     result = train(cfg, tmp_path / "run")
-    got = tuple(
-        hashlib.sha256(path.read_bytes()).hexdigest()
-        for path in (result.metrics_path, result.ckpt_path)
-    )
+    files = [path.read_bytes() for path in (result.metrics_path, result.ckpt_path)]
+    got = tuple(hashlib.sha256(blob).hexdigest() for blob in files)
     assert got == GOLDEN_RUNS[row]
+    was = tuple(hashlib.sha256(blob).hexdigest() for blob in with_data_file(*files))
+    assert was == WITH_DATA_FILE[row]
+
+
+def test_checkpoint_echoing_data_file_is_refused_naming_it(trained, tmp_path, capsys):
+    """A checkpoint written while the config held data.file must be retrained:
+    loading it is one ``error:`` line naming the file and the key, exit 2."""
+    files = (trained.metrics_path.read_bytes(), trained.ckpt_path.read_bytes())
+    old = tmp_path / "old.bin"
+    old.write_bytes(with_data_file(*files)[1])
+    capsys.readouterr()
+    assert run_cli(["eval", "--ckpt", str(old)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (
+        f"error: {old}: embedded config invalid: config key data.file: unknown key\n"
+    )
+    assert captured.out == ""
 
 
 def test_overflowing_potential_is_a_training_error(tmp_path, monkeypatch):
-    """Inputs of 1e308 through all-positive weights overflow the first
-    layer's charged potential while its spikes stay 0/1; the run must stop
-    with the epoch and batch named instead of training on."""
-    spec = SynthSpec(classes=2, input_dim=8, timesteps=3, samples_per_class=5)
-    tr, te = synth_generate(spec)
-    huge = Split(np.full(tr.inputs.shape, 1e308), tr.labels)
-    path = tmp_path / "huge.bin"
-    save_synth_dataset(path, spec, huge, te)
+    """Synthetic inputs through weights of 1e308 overflow the first layer's
+    charged potential while its spikes stay 0/1; the run must stop with the
+    epoch and batch named instead of training on."""
     monkeypatch.setattr(
         train_module, "init_weights",
-        lambda net, seed: [np.ones((a, b)) for a, b in
+        lambda net, seed: [np.full((a, b), 1e308) for a, b in
                            zip(net.layer_sizes, net.layer_sizes[1:])],
     )
-    cfg = build_run_config(tiny(**{"data.kind": "file", "data.file": str(path)}))
     with pytest.raises(TrainingError, match=r"epoch 0, batch 0: .*membrane"):
-        train(cfg, tmp_path / "run")
+        train(build_run_config(tiny()), tmp_path / "run")
 
 
 def test_mid_checkpoints_written_at_interval(tmp_path):
@@ -498,14 +528,12 @@ def test_failed_dataset_leaves_no_directory(tmp_path):
                       "data.width": "2", "data.height": "2"})
     with pytest.raises(OSError):
         train(build_run_config(missing), tmp_path / "a")
-    # a dump holding labels outside its own classes
-    spec = SynthSpec(classes=2, input_dim=8, timesteps=3, samples_per_class=5)
-    tr, te = synth_generate(spec)
-    path = tmp_path / "bad_labels.bin"
-    save_synth_dataset(path, spec, tr, Split(te.inputs, te.labels + 4))
-    cfg = build_run_config(tiny(**{"data.kind": "file", "data.file": str(path)}))
-    with pytest.raises(DataError, match=r"bad_labels\.bin: label 5 out of range for 2 classes"):
-        train(cfg, tmp_path / "b")
+    # an IDX image file that is not one
+    (tmp_path / "img.idx").write_bytes(struct.pack(">IIII", 0x801, 0, 2, 2))
+    idx = tiny(**{"data.kind": "idx", "data.images": str(tmp_path / "img.idx"),
+                  "data.labels": str(tmp_path / "lbl.idx")})
+    with pytest.raises(DataError, match=r"img\.idx: bad magic 0x00000801"):
+        train(build_run_config(idx), tmp_path / "b")
     # one event file per class: every file lands in the train split
     for name in ("x", "y"):
         (tmp_path / "events" / name).mkdir(parents=True)
