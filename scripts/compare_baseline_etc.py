@@ -4,8 +4,9 @@
 For each seed, trains one plain mean-CE run and one consistency-regularized
 run on the same drifting synthetic dataset (data seed = train seed), then
 reports per-seed and median: truncated single-step accuracy, full-length
-accuracy, mean pairwise KL, and argmax flip rate.  Writes a JSON summary
-next to the run directories.
+accuracy, mean pairwise KL, and argmax flip rate.  Every run is a solo
+``train()`` call in one pool of spawned processes (``train_many``).  Writes
+a JSON summary next to the run directories.
 
 Usage:
     python3 scripts/compare_baseline_etc.py --out runs/compare
@@ -24,7 +25,7 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from etcsnn.cli import _int_at_least, _Parser, run_parsed  # noqa: E402
-from etcsnn.train import ConfigError, build_run_config, split_assignment, train  # noqa: E402
+from etcsnn.train import ConfigError, build_run_config, split_assignment, train_many  # noqa: E402
 
 MODES = ("ce_only", "ce_plus_etc")
 
@@ -47,19 +48,6 @@ def arm_config(seed: int, mode: str, epochs: int, extra: dict):
     return cfg
 
 
-def run_pair(seed: int, configs: dict, out_root: Path) -> dict:
-    row = {"seed": seed}
-    for mode, cfg in configs.items():
-        result = train(cfg, out_root / f"seed{seed}-{mode}")
-        last = result.records[-1]
-        tag = "base" if mode == "ce_only" else "etc"
-        row[f"{tag}_acc_t1"] = float(last.test_acc_per_eval_T["1"])
-        row[f"{tag}_acc_full"] = last.test_acc_full_T
-        row[f"{tag}_kl"] = last.mean_pairwise_kl
-        row[f"{tag}_flip"] = last.argmax_flip_rate
-    return row
-
-
 def seed_list(text: str) -> list[int]:
     seeds = [_int_at_least(0)(s) for s in text.split(",")]
     if len(set(seeds)) < len(seeds):  # a repeat would train into its first run's directory
@@ -69,15 +57,24 @@ def seed_list(text: str) -> list[int]:
 
 def compare(args) -> int:
     extra = dict(map(split_assignment, args.set))
-    # every arm's config is checked before the first run starts
-    configs = [
-        (seed, {mode: arm_config(seed, mode, args.epochs, extra) for mode in MODES})
-        for seed in args.seeds
-    ]
     out_root = Path(args.out)
+    arms = [(seed, mode) for seed in args.seeds for mode in MODES]
+    # every arm's config is checked before the first run starts
+    jobs = [
+        (arm_config(seed, mode, args.epochs, extra), out_root / f"seed{seed}-{mode}")
+        for seed, mode in arms
+    ]
 
     t0 = time.time()
-    rows = [run_pair(seed, arms, out_root) for seed, arms in configs]
+    by_seed = {seed: {"seed": seed} for seed in args.seeds}
+    for (seed, mode), result in zip(arms, train_many(jobs)):
+        last = result.records[-1]
+        tag = "base" if mode == "ce_only" else "etc"
+        by_seed[seed][f"{tag}_acc_t1"] = float(last.test_acc_per_eval_T["1"])
+        by_seed[seed][f"{tag}_acc_full"] = last.test_acc_full_T
+        by_seed[seed][f"{tag}_kl"] = last.mean_pairwise_kl
+        by_seed[seed][f"{tag}_flip"] = last.argmax_flip_rate
+    rows = list(by_seed.values())
 
     def med(key: str) -> float:
         return float(np.median([r[key] for r in rows]))

@@ -52,6 +52,7 @@ __all__ = [
     "load_dataset",
     "load_test_split",
     "train",
+    "train_many",
     "eval_per_timestep",
     "consistency_report",
     "dump_distributions",
@@ -254,12 +255,16 @@ def build_run_config(mapping: dict[str, str]) -> RunConfig:
     _require(val["data.drift_strength"] >= 0, "data.drift_strength", "must be >= 0")
     _require(val["data.noise_sigma"] >= 0, "data.noise_sigma", "must be >= 0")
     _require(val["data.samples_per_class"] >= 1, "data.samples_per_class", "must be >= 1")
+    # a sample's index is one 32-bit word of its noise seed
+    _require(val["data.classes"] * val["data.samples_per_class"] <= 2**32,
+             "data.samples_per_class", "times data.classes must be <= 2**32")
     _require(val["data.seed"] >= 0, "data.seed", "must be >= 0")
     _require(val["data.width"] >= 0, "data.width", "must be >= 0")
     _require(val["data.height"] >= 0, "data.height", "must be >= 0")
     hidden = val["network.hidden_sizes"]
     _require(len(hidden) >= 1, "network.hidden_sizes", "need at least one hidden layer")
-    _require(all(h >= 1 for h in hidden), "network.hidden_sizes", "sizes must be >= 1")
+    _require(all(1 <= h < 2**32 for h in hidden), "network.hidden_sizes",
+             "sizes must be >= 1 and < 2**32")
     _require(val["network.timesteps"] >= 1, "network.timesteps", "must be >= 1")
     _require(val["lif.tau_m"] >= 1, "lif.tau_m", "must be >= 1")
     _require(val["lif.surrogate_a"] > 0, "lif.surrogate_a", "must be > 0")
@@ -750,6 +755,34 @@ def train(cfg: RunConfig, out_dir, resume_from=None) -> TrainResult:
         checkpoint=final, ckpt_path=ckpt_path, metrics_path=metrics_path,
         records=records,
     )
+
+
+def train_many(jobs) -> list[TrainResult]:
+    """``train(cfg, out_dir)`` for each ``(cfg, out_dir)`` in the list ``jobs``,
+    each a solo run in a pool of spawned processes, one per core at most, with
+    one BLAS thread each (more oversubscribe the cores); results in job order.
+    The first job in order that fails raises its own error, and the jobs not
+    yet started are cancelled.  ``os.environ`` is left as it was."""
+    import multiprocessing  # the pool loads only here, not with the CLI
+    from concurrent.futures import ProcessPoolExecutor
+
+    pinned = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+    saved = {var: os.environ.get(var) for var in pinned}
+    os.environ.update(dict.fromkeys(pinned, "1"))
+    try:
+        workers = min(len(jobs), os.cpu_count() or 1)
+        with ProcessPoolExecutor(workers, multiprocessing.get_context("spawn")) as pool:
+            runs = [pool.submit(train, cfg, out_dir) for cfg, out_dir in jobs]
+            try:
+                return [run.result() for run in runs]
+            finally:  # a no-op once every run is done
+                pool.shutdown(cancel_futures=True)
+    finally:
+        for var, value in saved.items():
+            if value is None:
+                os.environ.pop(var, None)
+            else:
+                os.environ[var] = value
 
 
 # -- evaluation / analysis ops ---------------------------------------------------------

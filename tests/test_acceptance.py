@@ -10,10 +10,7 @@ checks cover bitwise degeneracy, determinism/resume, and a smoke training
 run.
 """
 
-import multiprocessing
-import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -21,7 +18,7 @@ import pytest
 from etcsnn.autodiff import Tensor, etc_loss, gradcheck_ce, gradcheck_etc, spike_fn, sum_all
 from etcsnn.losses import EtcConfig, kl_metric_values
 from etcsnn.snn import LifParams, surrogate_factor
-from etcsnn.train import build_run_config, load_checkpoint, train
+from etcsnn.train import build_run_config, load_checkpoint, train, train_many
 
 from oracles import mean_entropy_reference
 
@@ -183,40 +180,29 @@ SEEDS = (0, 1, 2, 3, 4)
 def paired_runs(tmp_path_factory):
     """Five paired runs on the drifting synthetic task (default dataset
     regime: drift 4.0, noise 0.2), 40 epochs at lr 0.01; data seed follows
-    the train seed so every pair sees its own dataset.  The ten runs share
-    a pool of two spawned processes: each is a solo ``train()`` call, so its
-    records are those of a run in this process."""
+    the train seed so every pair sees its own dataset.  ``train_many`` runs
+    each as a solo ``train()`` call, so its records are those of a run in
+    this process."""
     root = tmp_path_factory.mktemp("paired")
     t0 = time.perf_counter()
     modes = ("ce_only", "ce_plus_etc")
-    spawn = multiprocessing.get_context("spawn")
-    configs = {
-        (seed, mode): build_run_config({
+    keys = [(seed, mode) for seed in SEEDS for mode in modes]
+    jobs = [
+        (build_run_config({
             "train.epochs": "40",
             "opt.lr": "0.01",
             "train.loss_mode": mode,
             "train.seed": str(seed),
             "data.seed": str(seed),
-        })
-        for seed in SEEDS
-        for mode in modes
-    }
-    workers = min(2, os.cpu_count() or 1)
-    with pytest.MonkeyPatch.context() as patch:
-        # one BLAS thread per worker: a thread pool in each oversubscribes
-        # the cores and made the pooled runs twice as slow as serial ones
-        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-            patch.setenv(var, "1")
-        with ProcessPoolExecutor(max_workers=workers, mp_context=spawn) as pool:
-            runs = {
-                (seed, mode): pool.submit(train, cfg, root / f"seed{seed}-{mode}")
-                for (seed, mode), cfg in configs.items()
-            }
+        }), root / f"seed{seed}-{mode}")
+        for seed, mode in keys
+    ]
+    runs = dict(zip(keys, train_many(jobs)))
     rows = []
     for seed in SEEDS:
         row = {}
         for mode in modes:
-            last = runs[seed, mode].result().records[-1]
+            last = runs[seed, mode].records[-1]
             tag = "base" if mode == "ce_only" else "etc"
             row[f"{tag}_t1"] = float(last.test_acc_per_eval_T["1"])
             row[f"{tag}_full"] = last.test_acc_full_T

@@ -765,6 +765,10 @@ def test_negative_seed_names_its_key(tmp_path, capsys, argv, key):
     # a 1..T eval list of 80 GB: the host refuses that one allocation at once
     "network.timesteps=10000000000",
     "data.dim=100000000000000000000",
+    "network.hidden_sizes=100000000000000000000",
+    # sample indices past 32 bits: petabytes, and past numpy's largest size
+    "data.samples_per_class=100000000000000",
+    "data.samples_per_class=100000000000000000000",
 ])
 def test_huge_int_is_one_error_line_naming_its_key(request, tmp_path, capsys, command, item):
     """An int too large to list or to store in a checkpoint is one ``config
@@ -792,18 +796,15 @@ def test_retired_data_keys_are_one_config_key_line(tmp_path, capsys):
 
 
 def test_dataset_too_large_to_allocate_is_one_error_line(tmp_path, capsys):
-    # 10**14 samples per class is petabytes: beyond any user address
-    # space, so the first allocation fails at once whatever the host;
-    # 10**20 is past numpy's largest size, which it refuses with a ValueError
-    # that is not the generator's and so is not given a config key
+    # the widest input a checkpoint can store: each class's 128 GiB blend
+    # base is beyond the host, which refuses the first allocation at once
     out = tmp_path / "run"
-    for samples in (10**14, 10**20):
-        argv = ["train", "--set", f"data.samples_per_class={samples}", "--out", str(out)]
-        assert run_cli(argv) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and len(err.splitlines()) == 1
-        assert not err.startswith("error: config key data.")
-        assert not out.exists()
+    argv = ["train", "--set", f"data.dim={2**32 - 1}", "--out", str(out)]
+    assert run_cli(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert not err.startswith("error: config key")
+    assert not out.exists()
 
 
 def test_config_file_bad_line_names_path_and_line(tmp_path, capsys):
@@ -995,17 +996,23 @@ def test_analysis_commands_build_only_the_test_split(
 @pytest.mark.parametrize("flags", [
     ["--set", "x"], ["--set", "foo=1"], ["--epochs", "0"], ["--seeds", "a"], ["--seeds", "0,0"],
     ["--set", "eval.timesteps=5,10"],
-], ids=["malformed-set", "unknown-key", "zero-epochs", "bad-seed", "repeated-seed", "no-budget-1"])
+    ["--set", "data.kind=idx", "--set", "data.images=missing.idx", "--set", "data.labels=missing.idx"],
+], ids=["malformed-set", "unknown-key", "zero-epochs", "bad-seed", "repeated-seed", "no-budget-1",
+        "missing-idx"])
 def test_compare_script_bad_input_is_one_error_line(tmp_path, flags):
-    """Every arm's config is checked before the first run: a bad flag is one
-    ``error:`` line, exit 1, and no run directory."""
+    """A bad flag is one ``error:`` line, exit 1, and no run directory: every
+    arm's config is checked before the first run, and a dataset file that
+    is missing fails in its worker before the run makes its directory."""
     script = Path(__file__).resolve().parent.parent / "scripts" / "compare_baseline_etc.py"
     out = tmp_path / "compare"
     proc = subprocess.run(
-        [sys.executable, str(script), "--out", str(out), *flags], capture_output=True, text=True
+        [sys.executable, str(script), "--out", str(out), *flags],
+        capture_output=True, text=True, cwd=tmp_path,
     )
     assert proc.returncode == 1 and proc.stdout == ""
     assert proc.stderr.startswith("error: ") and len(proc.stderr.splitlines()) == 1
+    if flags[-1].endswith("missing.idx"):
+        assert "missing.idx" in proc.stderr  # the worker's error names the file
     assert not out.exists()
 
 

@@ -8,6 +8,7 @@ AdamW updates, metric logging, checkpoint writes, and resume.
 
 import hashlib
 import json
+import os
 import re
 import struct
 import zlib
@@ -43,6 +44,7 @@ from etcsnn.train import (
     run_config_from_text,
     save_checkpoint,
     train,
+    train_many,
 )
 from etcsnn.train import _output_weight_grads, _prefix_accuracy
 from oracles import budget_accuracies_frozen, distribution_csv_frozen, norm_rel_err
@@ -554,6 +556,48 @@ def test_resume_rejects_different_config(tmp_path):
     with pytest.raises(TrainingError, match="different config"):
         train(other, tmp_path / "again",
               resume_from=tmp_path / "full" / "ckpt_epoch0002.bin")
+
+
+# -- many runs ---------------------------------------------------------------------
+
+
+def _pinned_environment(monkeypatch) -> dict:
+    """``os.environ`` with one BLAS variable set to another count and one
+    unset, as ``train_many`` must leave it."""
+    monkeypatch.setenv("OMP_NUM_THREADS", "3")
+    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+    return dict(os.environ)
+
+
+def test_train_many_writes_the_bytes_of_solo_runs(tmp_path, monkeypatch):
+    """Pooled runs come back in job order and write the bytes in-process
+    ``train()`` calls write; the environment is as it was."""
+    before = _pinned_environment(monkeypatch)
+    modes = ("ce_only", "ce_plus_etc")
+    configs = [build_run_config(tiny(**{"train.loss_mode": mode})) for mode in modes]
+    pooled = train_many([(cfg, tmp_path / "pooled" / mode) for cfg, mode in zip(configs, modes)])
+    assert dict(os.environ) == before
+    for result, cfg, mode in zip(pooled, configs, modes, strict=True):
+        solo = train(cfg, tmp_path / "solo" / mode)
+        assert result.ckpt_path == tmp_path / "pooled" / mode / "ckpt_final.bin"
+        assert result.records == solo.records
+        assert result.metrics_path.read_bytes() == solo.metrics_path.read_bytes()
+        assert result.ckpt_path.read_bytes() == solo.ckpt_path.read_bytes()
+
+
+def test_train_many_failing_job_raises_its_own_error(tmp_path, monkeypatch):
+    """A job that fails in its worker raises its own error in the caller,
+    here a missing IDX file before its run directory is made; the
+    environment is as it was."""
+    before = _pinned_environment(monkeypatch)
+    missing = str(tmp_path / "missing.idx")
+    idx = {"data.kind": "idx", "data.images": missing, "data.labels": missing}
+    jobs = [(build_run_config(tiny()), tmp_path / "good"),
+            (build_run_config(tiny(**idx)), tmp_path / "bad")]
+    with pytest.raises(FileNotFoundError, match=r"missing\.idx"):
+        train_many(jobs)
+    assert dict(os.environ) == before
+    assert not (tmp_path / "bad").exists()
 
 
 # -- checkpoint format -------------------------------------------------------------
