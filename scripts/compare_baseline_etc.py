@@ -6,7 +6,8 @@ run on the same drifting synthetic dataset (data seed = train seed), then
 reports per-seed and median: truncated single-step accuracy, full-length
 accuracy, mean pairwise KL, and argmax flip rate.  Every run is a solo
 ``train()`` call in one pool of spawned processes (``train_many``).  Writes
-a JSON summary next to the run directories.
+a JSON summary next to the run directories.  ``paired_rows`` is the
+experiment; the acceptance tests' criteria 6-8 run it too.
 
 Usage:
     python3 scripts/compare_baseline_etc.py --out runs/compare
@@ -27,21 +28,28 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from etcsnn.cli import _int_at_least, _Parser, run_parsed  # noqa: E402
 from etcsnn.train import ConfigError, build_run_config, split_assignment, train_many  # noqa: E402
 
-MODES = ("ce_only", "ce_plus_etc")
+ARMS = {"ce_only": "base", "ce_plus_etc": "etc"}  # loss mode -> row-key prefix
+METRICS = {  # row metric -> (table column, its value in an arm's last epoch record)
+    "acc_t1": ("T1", lambda rec: rec.test_acc_per_eval_T["1"]),
+    "acc_full": ("full", lambda rec: rec.test_acc_full_T),
+    "kl": ("KL", lambda rec: rec.mean_pairwise_kl),
+    "flip": ("flip", lambda rec: rec.argmax_flip_rate),
+}
 
 
 def arm_config(seed: int, mode: str, epochs: int, extra: dict):
-    mapping = {
-        "train.epochs": str(epochs),
-        "opt.lr": "0.01",
+    arm = {
         "train.loss_mode": mode,
         "train.seed": str(seed),
         "data.seed": str(seed),
+        "train.epochs": str(epochs),
     }
-    cfg = build_run_config({**mapping, **extra})
+    # a --set of these would train every arm otherwise than its row and summary say
+    clash = [key for key in extra if key in arm]
+    if clash:
+        raise ConfigError(f"config key {clash[0]}: set per run by the experiment, not by --set")
+    cfg = build_run_config({"opt.lr": "0.01", **arm, **extra})
     # the comparison reads each arm's last epoch record at budget 1
-    if cfg.epochs < 1:
-        raise ConfigError(f"config key train.epochs: must be >= 1, got {cfg.epochs}")
     if 1 not in cfg.eval_timesteps:
         got = ",".join(map(str, cfg.eval_timesteps))
         raise ConfigError(f"config key eval.timesteps: must include 1, got {got}")
@@ -55,63 +63,64 @@ def seed_list(text: str) -> list[int]:
     return seeds
 
 
+def paired_rows(seeds, epochs: int, extra: dict, out_root: Path) -> list[dict]:
+    """One row per seed: every arm's ``METRICS`` from its last epoch record,
+    keyed ``<prefix>_<metric>``.  Every arm's config is built and checked
+    before one ``train_many`` call runs them all."""
+    arms = [(seed, mode) for seed in seeds for mode in ARMS]
+    jobs = [
+        (arm_config(seed, mode, epochs, extra), out_root / f"seed{seed}-{mode}")
+        for seed, mode in arms
+    ]
+    rows = {seed: {"seed": seed} for seed in seeds}
+    for (seed, mode), result in zip(arms, train_many(jobs)):
+        last = result.records[-1]
+        rows[seed].update({f"{ARMS[mode]}_{m}": value(last) for m, (_, value) in METRICS.items()})
+    return list(rows.values())
+
+
+def medians(rows: list[dict]) -> dict[str, float]:
+    """The median over ``rows`` of every row key but the seed, with the T=1
+    lift (consistency minus baseline) after the T=1 pair."""
+
+    def med(values) -> float:
+        return float(np.median(list(values)))
+
+    out = {}
+    for metric in METRICS:
+        for tag in ARMS.values():
+            out[f"{tag}_{metric}"] = med(r[f"{tag}_{metric}"] for r in rows)
+        if metric == "acc_t1":
+            out["t1_lift"] = med(r["etc_acc_t1"] - r["base_acc_t1"] for r in rows)
+    return out
+
+
 def compare(args) -> int:
     extra = dict(map(split_assignment, args.set))
     out_root = Path(args.out)
-    arms = [(seed, mode) for seed in args.seeds for mode in MODES]
-    # every arm's config is checked before the first run starts
-    jobs = [
-        (arm_config(seed, mode, args.epochs, extra), out_root / f"seed{seed}-{mode}")
-        for seed, mode in arms
-    ]
-
     t0 = time.time()
-    by_seed = {seed: {"seed": seed} for seed in args.seeds}
-    for (seed, mode), result in zip(arms, train_many(jobs)):
-        last = result.records[-1]
-        tag = "base" if mode == "ce_only" else "etc"
-        by_seed[seed][f"{tag}_acc_t1"] = float(last.test_acc_per_eval_T["1"])
-        by_seed[seed][f"{tag}_acc_full"] = last.test_acc_full_T
-        by_seed[seed][f"{tag}_kl"] = last.mean_pairwise_kl
-        by_seed[seed][f"{tag}_flip"] = last.argmax_flip_rate
-    rows = list(by_seed.values())
-
-    def med(key: str) -> float:
-        return float(np.median([r[key] for r in rows]))
-
+    rows = paired_rows(args.seeds, args.epochs, extra, out_root)
     summary = {
         "seeds": args.seeds,
         "epochs": args.epochs,
         "overrides": extra,
         "rows": rows,
-        "median": {
-            "base_acc_t1": med("base_acc_t1"),
-            "etc_acc_t1": med("etc_acc_t1"),
-            "t1_lift": float(
-                np.median([r["etc_acc_t1"] - r["base_acc_t1"] for r in rows])
-            ),
-            "base_acc_full": med("base_acc_full"),
-            "etc_acc_full": med("etc_acc_full"),
-            "base_kl": med("base_kl"),
-            "etc_kl": med("etc_kl"),
-            "base_flip": med("base_flip"),
-            "etc_flip": med("etc_flip"),
-        },
+        "median": medians(rows),
         "wall_seconds": round(time.time() - t0, 1),
     }
     out_root.mkdir(parents=True, exist_ok=True)
     summary_path = out_root / "summary.json"
     summary_path.write_text(json.dumps(summary, indent=2) + "\n")
 
-    hdr = f"{'seed':>4} {'base T1':>8} {'etc T1':>8} {'base full':>9} {'etc full':>8} {'base KL':>8} {'etc KL':>8} {'base flip':>9} {'etc flip':>8}"
-    print(hdr)
+    titles = {  # row key -> table column, at least 8 wide
+        f"{tag}_{metric}": f"{tag} {label}"
+        for metric, (label, _) in METRICS.items()
+        for tag in ARMS.values()
+    }
+    print(f"{'seed':>4}" + "".join(f" {title:>8}" for title in titles.values()))
     for r in rows:
-        print(
-            f"{r['seed']:>4} {r['base_acc_t1']:>8.3f} {r['etc_acc_t1']:>8.3f} "
-            f"{r['base_acc_full']:>9.3f} {r['etc_acc_full']:>8.3f} "
-            f"{r['base_kl']:>8.3f} {r['etc_kl']:>8.3f} "
-            f"{r['base_flip']:>9.3f} {r['etc_flip']:>8.3f}"
-        )
+        cells = (f" {r[key]:>{max(8, len(title))}.3f}" for key, title in titles.items())
+        print(f"{r['seed']:>4}" + "".join(cells))
     m = summary["median"]
     print(
         f"\nmedian single-step accuracy: baseline {m['base_acc_t1']:.3f} vs "
@@ -128,7 +137,7 @@ def compare(args) -> int:
 def main(argv=None) -> int:
     ap = _Parser(description=__doc__.splitlines()[0])
     ap.add_argument("--seeds", type=seed_list, default="0,1,2,3,4", help="comma list of seeds")
-    ap.add_argument("--epochs", type=int, default=40)
+    ap.add_argument("--epochs", type=_int_at_least(1), default=40)
     ap.add_argument("--out", default="runs/compare")
     ap.add_argument(
         "--set", action="append", default=[], metavar="KEY=VALUE",

@@ -762,7 +762,14 @@ def train_many(jobs) -> list[TrainResult]:
     each a solo run in a pool of spawned processes, one per core at most, with
     one BLAS thread each (more oversubscribe the cores); results in job order.
     The first job in order that fails raises its own error, and the jobs not
-    yet started are cancelled.  ``os.environ`` is left as it was."""
+    yet started are cancelled, at best effort: those already handed to the
+    pool's call queue (up to workers + 1) still run and write their
+    directories.  ``os.environ`` is left as it was.
+
+    ``spawn`` re-imports the caller's ``__main__`` in every worker, so a
+    calling script needs an ``if __name__ == "__main__":`` guard and cannot
+    be read from stdin (either fails with ``BrokenProcessPool``); a
+    ``python -c`` caller works."""
     import multiprocessing  # the pool loads only here, not with the CLI
     from concurrent.futures import ProcessPoolExecutor
 

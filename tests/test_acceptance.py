@@ -2,12 +2,12 @@
 PASS/FAIL line (visible under ``pytest -s`` and in any failure report).
 
 The exact-oracle checks (1-4) verify closed-form gradients and identities at
-tight tolerances.  The mechanism checks (6-8) run the paired experiment on
-the drifting synthetic task: five seeds, one plain mean-CE baseline and one
-consistency-regularized run per seed, then compare truncated single-step
-accuracy, consistency metrics, and full-length accuracy.  The remaining
-checks cover bitwise degeneracy, determinism/resume, and a smoke training
-run.
+tight tolerances.  The mechanism checks (6-8) run the compare script's paired
+experiment (``paired_rows``) on the drifting synthetic task: five seeds, one
+plain mean-CE baseline and one consistency-regularized run per seed, then
+compare truncated single-step accuracy, consistency metrics, and full-length
+accuracy.  The remaining checks cover bitwise degeneracy, determinism/resume,
+and a smoke training run.
 """
 
 import time
@@ -18,8 +18,9 @@ import pytest
 from etcsnn.autodiff import Tensor, etc_loss, gradcheck_ce, gradcheck_etc, spike_fn, sum_all
 from etcsnn.losses import EtcConfig, kl_metric_values
 from etcsnn.snn import LifParams, surrogate_factor
-from etcsnn.train import build_run_config, load_checkpoint, train, train_many
+from etcsnn.train import build_run_config, load_checkpoint, train
 
+from compare_baseline_etc import paired_rows
 from oracles import mean_entropy_reference
 
 
@@ -178,44 +179,19 @@ SEEDS = (0, 1, 2, 3, 4)
 
 @pytest.fixture(scope="module")
 def paired_runs(tmp_path_factory):
-    """Five paired runs on the drifting synthetic task (default dataset
-    regime: drift 4.0, noise 0.2), 40 epochs at lr 0.01; data seed follows
-    the train seed so every pair sees its own dataset.  ``train_many`` runs
-    each as a solo ``train()`` call, so its records are those of a run in
-    this process."""
-    root = tmp_path_factory.mktemp("paired")
+    """The compare script's paired experiment at its default seeds and
+    epochs: five pairs on the drifting synthetic task (default dataset
+    regime: drift 4.0, noise 0.2), 40 epochs at lr 0.01, data seed following
+    the train seed, so every pair sees its own dataset."""
     t0 = time.perf_counter()
-    modes = ("ce_only", "ce_plus_etc")
-    keys = [(seed, mode) for seed in SEEDS for mode in modes]
-    jobs = [
-        (build_run_config({
-            "train.epochs": "40",
-            "opt.lr": "0.01",
-            "train.loss_mode": mode,
-            "train.seed": str(seed),
-            "data.seed": str(seed),
-        }), root / f"seed{seed}-{mode}")
-        for seed, mode in keys
-    ]
-    runs = dict(zip(keys, train_many(jobs)))
-    rows = []
-    for seed in SEEDS:
-        row = {}
-        for mode in modes:
-            last = runs[seed, mode].records[-1]
-            tag = "base" if mode == "ce_only" else "etc"
-            row[f"{tag}_t1"] = float(last.test_acc_per_eval_T["1"])
-            row[f"{tag}_full"] = last.test_acc_full_T
-            row[f"{tag}_kl"] = last.mean_pairwise_kl
-            row[f"{tag}_flip"] = last.argmax_flip_rate
-        rows.append(row)
+    rows = paired_rows(SEEDS, 40, {}, tmp_path_factory.mktemp("paired"))
     return rows, time.perf_counter() - t0
 
 
 def test_criterion_6_truncated_accuracy_lift(paired_runs):
     rows, wall = paired_runs
-    gap = float(np.median([r["base_full"] - r["base_t1"] for r in rows]))
-    lift = float(np.median([r["etc_t1"] - r["base_t1"] for r in rows]))
+    gap = float(np.median([r["base_acc_full"] - r["base_acc_t1"] for r in rows]))
+    lift = float(np.median([r["etc_acc_t1"] - r["base_acc_t1"] for r in rows]))
     ok = gap >= 0.10 and lift >= 0.05 and wall < 900.0
     assert _report(
         "criterion 6 (single-step accuracy lift)", ok,
@@ -240,7 +216,7 @@ def test_criterion_7_consistency_metrics_drop(paired_runs):
 
 def test_criterion_8_no_harm_at_full_length(paired_runs):
     rows, _ = paired_runs
-    delta = float(np.median([r["etc_full"] - r["base_full"] for r in rows]))
+    delta = float(np.median([r["etc_acc_full"] - r["base_acc_full"] for r in rows]))
     ok = delta >= -0.02
     assert _report(
         "criterion 8 (no harm at full length)", ok,

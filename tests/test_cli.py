@@ -15,11 +15,13 @@ import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import etcsnn.train
+from compare_baseline_etc import main as compare_main
 from etcsnn.cli import run_cli
 from etcsnn.data import Split
 from etcsnn.train import (
@@ -997,12 +999,16 @@ def test_analysis_commands_build_only_the_test_split(
     ["--set", "x"], ["--set", "foo=1"], ["--epochs", "0"], ["--seeds", "a"], ["--seeds", "0,0"],
     ["--set", "eval.timesteps=5,10"],
     ["--set", "data.kind=idx", "--set", "data.images=missing.idx", "--set", "data.labels=missing.idx"],
+    ["--set", "train.loss_mode=ce_only"], ["--set", "train.seed=3"], ["--set", "data.seed=3"],
+    ["--set", "train.epochs=5"],
 ], ids=["malformed-set", "unknown-key", "zero-epochs", "bad-seed", "repeated-seed", "no-budget-1",
-        "missing-idx"])
+        "missing-idx", "set-loss-mode", "set-train-seed", "set-data-seed", "set-epochs"])
 def test_compare_script_bad_input_is_one_error_line(tmp_path, flags):
     """A bad flag is one ``error:`` line, exit 1, and no run directory: every
     arm's config is checked before the first run, and a dataset file that
-    is missing fails in its worker before the run makes its directory."""
+    is missing fails in its worker before the run makes its directory.  A
+    ``--set`` of a key the experiment sets per run (loss mode, seeds,
+    epochs) is refused by name: it would run every arm alike."""
     script = Path(__file__).resolve().parent.parent / "scripts" / "compare_baseline_etc.py"
     out = tmp_path / "compare"
     proc = subprocess.run(
@@ -1013,7 +1019,62 @@ def test_compare_script_bad_input_is_one_error_line(tmp_path, flags):
     assert proc.stderr.startswith("error: ") and len(proc.stderr.splitlines()) == 1
     if flags[-1].endswith("missing.idx"):
         assert "missing.idx" in proc.stderr  # the worker's error names the file
+    key = flags[-1].partition("=")[0]
+    if key in ("train.loss_mode", "train.seed", "data.seed", "train.epochs"):
+        assert proc.stderr.startswith(f"error: config key {key}: ")
     assert not out.exists()
+
+
+def test_compare_script_summary_holds_each_runs_last_record(tmp_path, capsys):
+    """Each ``summary.json`` row is its seed's two runs' last epoch records,
+    and every median, the T=1 lift's too, is ``np.median`` over the rows."""
+    out = tmp_path / "compare"
+    argv = ["--seeds", "0,1", "--epochs", "2", "--set", "data.samples_per_class=20"]
+    assert compare_main([*argv, "--out", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert (summary["seeds"], summary["epochs"]) == ([0, 1], 2)
+    assert summary["overrides"] == {"data.samples_per_class": "20"}
+    rows = summary["rows"]
+    assert [row["seed"] for row in rows] == [0, 1]
+    for row in rows:
+        want = {"seed": row["seed"]}
+        for mode, tag in [("ce_only", "base"), ("ce_plus_etc", "etc")]:
+            log = out / f"seed{row['seed']}-{mode}" / "metrics.jsonl"
+            header, *_, last = log.read_text().splitlines()
+            config, last = json.loads(header)["config"], json.loads(last)
+            arm_keys = ("train.loss_mode", "train.seed", "data.seed", "train.epochs")
+            assert [config[key] for key in arm_keys] == [mode, str(row["seed"]), str(row["seed"]), "2"]
+            assert last["epoch"] == 1
+            want |= {
+                f"{tag}_acc_t1": last["test_acc_per_eval_T"]["1"],
+                f"{tag}_acc_full": last["test_acc_full_T"],
+                f"{tag}_kl": last["mean_pairwise_kl"],
+                f"{tag}_flip": last["argmax_flip_rate"],
+            }
+        assert row == want
+    want = {key: np.median([row[key] for row in rows]) for key in rows[0] if key != "seed"}
+    want["t1_lift"] = np.median([row["etc_acc_t1"] - row["base_acc_t1"] for row in rows])
+    assert summary["median"] == want
+    table = capsys.readouterr().out.splitlines()
+    assert len(table) == 1 + len(rows) + 4 and f"(lift {want['t1_lift']:+.3f})" in table[-3]
+
+
+@pytest.mark.parametrize("override, code, first", [
+    ("etc.lambda=1e308", 2, "error: epoch 0, batch 0: non-finite loss inf\n"),
+    ("opt.lr=1e308", 2, "error: epoch 0, "),
+    ("data.drift_strength=1e308", 1, "error: config key data.drift_strength: "),
+    ("lif.tau_m=1e308", 0, ""),
+], ids=["huge-lambda", "huge-lr", "huge-drift", "huge-tau-m"])
+def test_compare_script_runtime_failure_is_one_error_line(tmp_path, capfd, override, code, first):
+    """A run that fails in its worker is the script's one ``error:`` line,
+    exit 1 or 2, and a run that does not fail leaves stderr empty: no
+    traceback or numpy warning from the script or its workers (the workers
+    write to the same stderr, which ``capfd`` holds).  The other arm may
+    already be running, so a run directory may exist."""
+    argv = ["--seeds", "0", "--epochs", "1", "--set", "data.samples_per_class=5"]
+    assert compare_main([*argv, "--set", override, "--out", str(tmp_path / "compare")]) == code
+    err = capfd.readouterr().err
+    assert err.startswith(first) and len(err.splitlines()) == (code != 0)
 
 
 # -- installed console script ----------------------------------------------------
