@@ -4,12 +4,13 @@ analysis dumps, all driven by flat ``key=value`` configs.
 Every ``key=value`` item (a config-file line, ``--set``) goes through
 ``train.split_assignment``.  ``eval``, ``consistency`` and
 ``dump-dist`` score the checkpoint under its own config with the overrides on
-top (``eval --timesteps LIST`` is ``eval.timesteps``); only ``data.*``,
-``network.timesteps`` and eval's ``eval.timesteps`` may differ from it.  A
-default 1..T eval list follows the effective ``network.timesteps``, and so
-does every list under ``consistency`` and ``dump-dist``, which do not score
-it, unless they are given one.  ``eval`` is the one scorer of truncated
-inference: one JSON line per checkpoint with every budget's accuracy.
+top (``eval --timesteps LIST`` is ``eval.timesteps``).  An override is checked
+against the checkpoint's own value: only ``data.*``, ``network.timesteps`` and
+eval's ``eval.timesteps`` may differ from it.  A default 1..T eval list
+follows the effective ``network.timesteps``, and so does every list under
+``consistency`` and ``dump-dist``, which do not score it, unless one is given.
+``eval`` is the one scorer of truncated inference: one JSON line per
+checkpoint with every budget's accuracy.
 
 Exit codes: 0 success, 1 usage error (bad flags, bad config, missing or
 unreadable inputs, a valid dataset that does not fit the checkpoint or
@@ -100,28 +101,19 @@ def _default_out_dir(seed: int) -> Path:
     return Path("runs") / f"{stamp}-seed{seed}"
 
 
-def _eval_split(args, free=()):
+def _eval_split(args, scores=()):
     """The checkpoint carrying the effective config of an analysis command,
-    its own with the overrides on top, and the test split that config names;
-    only data.*, network.timesteps and the keys in ``free`` may change.  A
-    trained ``eval.timesteps`` that is its default 1..T follows the effective
-    ``network.timesteps``, and so does any list a command that does not
-    score it is not given; any other list is kept and range-checked."""
+    its own with the overrides on top, and the test split that config names.
+    An override of a key other than data.*, network.timesteps and the keys in
+    ``scores`` must equal the checkpoint's own value.  An eval list the
+    command does not score follows the effective T unless one is given."""
     ckpt = load_checkpoint(_existing(args.ckpt, "checkpoint"))
-    trained = config_to_items(ckpt.config)
-    mapping, overrides = dict(trained), _gather_mapping(args)
-    budgets = ckpt.config.eval_timesteps
-    unscored = "eval.timesteps" not in free and "eval.timesteps" not in overrides
-    if unscored or budgets == tuple(range(1, ckpt.config.timesteps + 1)):
-        mapping["eval.timesteps"], budgets = "", ()  # each resolves to 1..T at the new T
-    cfg = build_run_config({**mapping, **overrides})
-    # the trained config at the effective T: what follows from T is no change
-    retimed = replace(ckpt.config, timesteps=cfg.timesteps, eval_timesteps=budgets)
-    keys = ("data.*", "network.timesteps", *free)
-    for (key, was), (_, same), (_, now) in zip(
-        trained, config_to_items(retimed), config_to_items(cfg)
-    ):
-        if now != same and not key.startswith("data.") and key not in keys:
+    overrides = _gather_mapping(args)
+    follow = {} if "eval.timesteps" in scores else {"eval.timesteps": ""}
+    cfg = build_run_config({**follow, **overrides}, base=ckpt.config)
+    keys = ("data.*", "network.timesteps", *scores)
+    for (key, was), (_, now) in zip(config_to_items(ckpt.config), config_to_items(cfg)):
+        if key in overrides and now != was and not key.startswith("data.") and key not in keys:
             raise ConfigError(
                 f"config key {key}: the checkpoint was trained with {was!r}, not "
                 f"{now!r}; {args.command} may change only {', '.join(keys)}"
@@ -149,7 +141,7 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    ckpt, split = _eval_split(args, free=("eval.timesteps",))
+    ckpt, split = _eval_split(args, scores=("eval.timesteps",))
     accuracy = eval_per_timestep(ckpt, split, ckpt.config.eval_timesteps)
     print(json.dumps({"checkpoint": args.ckpt, "accuracy": accuracy}))
     return 0

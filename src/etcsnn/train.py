@@ -233,18 +233,21 @@ def _overlay(obj, values: dict, prefix: tuple[str, ...] = ()):
     return replace(obj, **changes)
 
 
-def build_run_config(mapping: dict[str, str]) -> RunConfig:
-    """Defaults overlaid with ``mapping``; every violation names its key."""
+def build_run_config(mapping: dict[str, str], base: RunConfig | None = None) -> RunConfig:
+    """``base`` (the defaults when None) overlaid with ``mapping``; every
+    violation names its key.  A base eval list that is its default 1..T
+    follows the effective ``network.timesteps``; any other is kept."""
     unknown = [k for k in mapping if k not in _KNOWN_KEYS]
     if unknown:
         raise ConfigError(f"config key {unknown[0]}: unknown key")
-    base = dict(config_to_items(default_config()))
-    # an empty eval list is resolved to "all of 1..T" by RunConfig, so it
-    # tracks whatever timesteps value this mapping settles on
-    base["eval.timesteps"] = ""
-    base.update(mapping)
+    base = default_config() if base is None else base
+    items = dict(config_to_items(base))
+    budgets = base.eval_timesteps
+    if len(budgets) == base.timesteps and budgets == tuple(range(1, len(budgets) + 1)):
+        items["eval.timesteps"] = ""  # RunConfig resolves it to 1..T at the effective T
+    items.update(mapping)
     val = {
-        key: _parse_value(key, kind, base[key]) for key, kind, _ in _CONFIG_TABLE
+        key: _parse_value(key, kind, items[key]) for key, kind, _ in _CONFIG_TABLE
     }
 
     _require(val["data.kind"] in DATA_KINDS, "data.kind", f"must be one of {DATA_KINDS}")
@@ -266,6 +269,8 @@ def build_run_config(mapping: dict[str, str]) -> RunConfig:
     _require(all(1 <= h < 2**32 for h in hidden), "network.hidden_sizes",
              "sizes must be >= 1 and < 2**32")
     _require(val["network.timesteps"] >= 1, "network.timesteps", "must be >= 1")
+    # a 1..T list past 32 bits never fits in memory: no explicit list may carry such a T
+    _require(val["network.timesteps"] < 2**32, "network.timesteps", "must be < 2**32")
     _require(val["lif.tau_m"] >= 1, "lif.tau_m", "must be >= 1")
     _require(val["lif.surrogate_a"] > 0, "lif.surrogate_a", "must be > 0")
     _require(0 < val["etc.tau"] <= 1e154, "etc.tau", "must be > 0 and <= 1e154 (a finite tau**2)")
@@ -283,7 +288,7 @@ def build_run_config(mapping: dict[str, str]) -> RunConfig:
     _require(val["train.save_interval"] >= 0, "train.save_interval", "must be >= 0")
     try:
         cfg = _overlay(default_config(), {path: val[key] for key, _, path in _CONFIG_TABLE})
-    except (OverflowError, MemoryError):  # too long a default eval list, 1..T
+    except MemoryError:  # too long a default eval list, 1..T
         raise ConfigError(
             f"config key network.timesteps: {val['network.timesteps']} steps do not fit in memory"
         ) from None

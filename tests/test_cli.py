@@ -618,16 +618,31 @@ def test_analysis_refuses_a_key_that_describes_the_trained_run(
 
 @pytest.mark.parametrize("command", ["consistency", "dump-dist"])
 def test_eval_timesteps_override_is_eval_only(trained_run, tmp_path, capsys, command):
-    argv = [command, "--ckpt", str(trained_run / "ckpt_final.bin"), "--set", "eval.timesteps=1,2"]
+    argv = [command, "--ckpt", str(trained_run / "ckpt_final.bin")]
     if command == "dump-dist":
         argv += ["--out", str(tmp_path / "dist.csv")]
+    # a given list that differs from the checkpoint's is refused, even the
+    # 1..5 that its default list follows at T=5
+    for sets in (["eval.timesteps=1,2"], ["network.timesteps=5", "eval.timesteps=1,2,3,4,5"]):
+        capsys.readouterr()
+        assert run_cli([*argv, *(a for item in sets for a in ("--set", item))]) == 1
+        err = capsys.readouterr().err
+        assert err == (
+            "error: config key eval.timesteps: the checkpoint was trained with '1,2,3', not "
+            f"'{sets[-1].partition('=')[2]}'; {command} may change only data.*, network.timesteps\n"
+        )
+
+
+def test_unscored_list_equal_to_the_checkpoint_is_accepted_at_a_new_t(trained_run, capsys):
+    """An override is checked against the checkpoint's own value, not
+    against the 1..T its default list would follow at the new T."""
+    argv = ["consistency", "--ckpt", str(trained_run / "ckpt_final.bin"),
+            "--set", "network.timesteps=5"]
     capsys.readouterr()
-    assert run_cli(argv) == 1
-    err = capsys.readouterr().err
-    assert err == (
-        "error: config key eval.timesteps: the checkpoint was trained with '1,2,3', not "
-        f"'1,2'; {command} may change only data.*, network.timesteps\n"
-    )
+    assert run_cli(argv) == 0
+    want = capsys.readouterr().out
+    assert run_cli([*argv, "--set", "eval.timesteps=1,2,3"]) == 0
+    assert capsys.readouterr().out == want
 
 
 def test_analysis_accepts_overrides_equal_to_the_checkpoint(trained_run, tiny_cfg, capsys):
@@ -771,16 +786,20 @@ def test_negative_seed_names_its_key(tmp_path, capsys, argv, key):
     # sample indices past 32 bits: petabytes, and past numpy's largest size
     "data.samples_per_class=100000000000000",
     "data.samples_per_class=100000000000000000000",
+    # an explicit eval list (eval's --timesteps) beside a T too long to list
+    "network.timesteps=10000000000 eval.timesteps=1",
+    "network.timesteps=100000000000000000000 eval.timesteps=1,2",
 ])
 def test_huge_int_is_one_error_line_naming_its_key(request, tmp_path, capsys, command, item):
     """An int too large to list or to store in a checkpoint is one ``config
     key`` line naming it, exit 1, for training and analysis alike."""
     out = tmp_path / "out"
+    sets = [a for part in item.split() for a in ("--set", part)]
     if command == "train":
-        argv = ["train", "--set", item, "--out", str(out)]
+        argv = ["train", *sets, "--out", str(out)]
     else:
         ckpt = request.getfixturevalue("trained_run") / "ckpt_final.bin"
-        argv = ["eval", "--ckpt", str(ckpt), "--set", item]
+        argv = ["eval", "--ckpt", str(ckpt), *sets]
     capsys.readouterr()
     assert run_cli(argv) == 1
     err = capsys.readouterr().err

@@ -162,6 +162,34 @@ def test_eval_timesteps_explicit_and_bounded():
         build_run_config({"network.timesteps": "4", "eval.timesteps": "5"})
 
 
+def test_build_run_config_without_a_base_builds_on_the_defaults():
+    assert build_run_config({}) == build_run_config({}, base=None) == default_config()
+    base = build_run_config(tiny())
+    assert build_run_config({}, base=base) == base
+
+
+def test_base_default_eval_list_follows_timesteps():
+    base = build_run_config(tiny())
+    assert base.eval_timesteps == (1, 2, 3)
+    for steps in (5, 2):
+        cfg = build_run_config({"network.timesteps": str(steps)}, base=base)
+        assert cfg.eval_timesteps == tuple(range(1, steps + 1))
+
+
+def test_base_custom_eval_list_is_kept_and_range_checked():
+    base = build_run_config(tiny(**{"eval.timesteps": "3,1"}))
+    assert build_run_config({"network.timesteps": "5"}, base=base).eval_timesteps == (3, 1)
+    with pytest.raises(ConfigError, match=r"config key eval\.timesteps: entries must lie in \[1, 2\]"):
+        build_run_config({"network.timesteps": "2"}, base=base)
+
+
+def test_override_wins_over_the_base():
+    base = build_run_config(tiny())
+    cfg = build_run_config({"etc.tau": "4", "eval.timesteps": "2"}, base=base)
+    assert (cfg.etc.tau, cfg.eval_timesteps) == (4.0, (2,))
+    assert replace(cfg, etc=base.etc, eval_timesteps=base.eval_timesteps) == base
+
+
 _FLOAT_KEYS = [key for key, kind, _ in train_module._CONFIG_TABLE
                if kind == train_module._FLOAT]
 
