@@ -32,7 +32,9 @@ would, and no split-sized temporary is built.
 from __future__ import annotations
 
 import math
+import re
 import struct
+import warnings
 from collections.abc import Iterator
 from dataclasses import dataclass
 from pathlib import Path
@@ -318,18 +320,28 @@ def load_idx(images_path, labels_path) -> tuple[np.ndarray, np.ndarray]:
 
 _EVENT_HEADER = "t_us,x,y,polarity"
 _INT64 = np.iinfo(np.int64)
+# an integer field as np.loadtxt reads one: int() alone also takes "1_000" and non-ASCII digits
+_INT_FIELD = re.compile(r"\s*[+-]?[0-9]+\s*")
 
 
 def parse_event_csv(path) -> np.ndarray:
-    """Event CSV with exact header ``t_us,x,y,polarity`` -> an (n, 4) int64
-    array of ``(t_us, x, y, polarity)`` rows.  Each line is checked for its
-    shape only (four integer fields that fit int64); event order and values
-    are ``bin_events``' checks."""
+    """Event CSV with exact header ``t_us,x,y,polarity`` -> an (n, 4) int64 array
+    of rows, read by one ``np.loadtxt`` call; a per-line pass names the first line
+    of a file numpy refuses that is not four int64 fields.  Order and values are
+    ``bin_events``' checks."""
     lines = read_utf8(path, DataError).splitlines()
     if not lines:
         raise DataError(f"{path}: empty file")
     if lines[0] != _EVENT_HEADER:
         raise DataError(f"{path}: first line must be {_EVENT_HEADER!r}, got {lines[0]!r}")
+    try:  # as errors: numpy 1.x's warning as it truncates "1.5" or 2**63, and "no data"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            events = np.loadtxt(lines[1:], dtype=np.int64, delimiter=",", ndmin=2, comments=None)
+        if events.shape[1] == 4:
+            return events
+    except (ValueError, Warning):
+        pass
     rows = []
     for ln, line in enumerate(lines[1:], start=2):
         if not line:
@@ -337,10 +349,9 @@ def parse_event_csv(path) -> np.ndarray:
         parts = line.split(",")
         if len(parts) != 4:
             raise DataError(f"{path}:{ln}: expected 4 fields, got {len(parts)}")
-        try:
-            row = [int(p) for p in parts]
-        except ValueError:
-            raise DataError(f"{path}:{ln}: non-integer field in {line!r}") from None
+        if not all(map(_INT_FIELD.fullmatch, parts)):
+            raise DataError(f"{path}:{ln}: non-integer field in {line!r}")
+        row = [int(p) for p in parts]
         if min(row) < _INT64.min or max(row) > _INT64.max:
             raise DataError(f"{path}:{ln}: field does not fit int64 in {line!r}")
         rows.append(row)

@@ -25,7 +25,8 @@ batch-major: their (batch*T, width) rows feed the matmuls, and that row
 order fixes the float summation order.  ``lif_backward`` walks the cache
 from the output layer down, running BPTT in reverse time by hand, time-major
 too, in the cache's own buffers: it overwrites the charged potentials and
-spikes and clears every entry (read them before), and leaves ``dv`` as given.
+spikes and clears every entry (read them before), leaves ``dv`` as given, and
+returns a plain list of one fresh gradient array per weight.
 The oracle module ``etcsnn.autodiff`` builds the same dynamics one tape op
 per node and holds this pass to it; this module never builds a tape.
 Shapes are the caller's: neither pass checks them, as ``etcsnn.train`` checks
@@ -39,8 +40,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-
-from .optim import Packed
 
 __all__ = [
     "NonFiniteError",
@@ -219,10 +218,10 @@ def lif_backward(spec: NetworkSpec, params, cache, dv: np.ndarray) -> list[np.nd
     by the (batch, T, classes) output potentials of the ``lif_unroll`` call
     that returned ``cache``.  Consumes ``cache``, overwriting its arrays and
     clearing every entry (read charged potentials or spikes first); leaves
-    ``dv`` as given.  The gradients come back packed (``optim.Packed``): each
-    is written into its view of one fresh contiguous buffer."""
+    ``dv`` as given.  The gradients come back as one fresh float64 array per
+    weight, in the order of ``params``."""
     lif = spec.lif
-    grads = Packed(p.shape for p in params)
+    grads = []  # output layer first
     g = dv  # gradient by the current layer's value: spikes, or potentials
     for i in reversed(range(len(params))):
         x, charged, spikes = cache[i]
@@ -243,7 +242,7 @@ def lif_backward(spec: NetworkSpec, params, cache, dv: np.ndarray) -> list[np.nd
         g_current = np.empty(g.shape) if spikes is None else g  # over spent spike grads
         np.multiply(g_charged.transpose(1, 0, 2), 1.0 / lif.tau_m, out=g_current)
         g_current = g_current.reshape(len(rows), -1)
-        np.matmul(rows.T, g_current, out=grads[i])
+        grads.append(rows.T @ g_current)
         if i:  # by the layer below's spikes, over them: this layer's input is spent
             g = np.matmul(g_current, params[i].T, out=rows).reshape(x.shape)
-    return grads
+    return grads[::-1]

@@ -658,9 +658,7 @@ def train(cfg: RunConfig, out_dir, resume_from=None) -> TrainResult:
     a resumed checkpoint's input and output widths too (else ValueError);
     only a resume may continue the ``metrics.jsonl`` a directory holds, and
     the log is written with the first epoch record, so a run that fails
-    before it leaves any log as it was (a fresh run, none).  The weights
-    live packed (``optim.Packed``): each step's ``adamw_step`` returns them
-    as views of one fresh buffer."""
+    before it leaves any log as it was (a fresh run, none)."""
     out_dir = Path(out_dir)
     data = load_dataset(cfg)
     for split in (data.train, data.test):

@@ -219,10 +219,10 @@ def distribution_csv_frozen(labels, probs, mean_probs):
 
 # -- the per-layer AdamW update, frozen -------------------------------------------
 #
-# The update as it stood before weights, gradients and moments were packed
-# into one buffer each, kept verbatim apart from taking the moments and the
-# hyper-parameters as plain arguments.  The live update must match it bit
-# for bit, in the weights and in both moments.
+# The update as first written, a fresh temporary per op, kept verbatim apart
+# from taking the moments and the hyper-parameters as plain arguments.  The
+# live update, which runs the same ops in place, must match it bit for bit,
+# in the weights and in both moments.
 
 
 def adamw_step_frozen(params, grads, m, v, step, lr_now, *, weight_decay, beta1, beta2, eps):

@@ -300,14 +300,19 @@ def test_engine_imports_no_tape():
     """Training, evaluation and the objective never build a Tensor: in a
     fresh interpreter, importing the trainer (and with it snn, losses,
     optim and data) or the CLI leaves the oracle module unloaded; only
-    ``gradcheck`` loads it."""
+    ``gradcheck`` loads it.  The network knows nothing of the optimizer:
+    importing ``snn`` leaves ``optim`` unloaded."""
     env = {**os.environ, "PYTHONPATH": str(Path(etcsnn.__file__).parents[1])}
-    for module in ("etcsnn.train", "etcsnn.cli"):
-        code = f"import sys, {module}; print('etcsnn.autodiff' in sys.modules)"
+    for module, unloaded in (
+        ("etcsnn.train", "etcsnn.autodiff"),
+        ("etcsnn.cli", "etcsnn.autodiff"),
+        ("etcsnn.snn", "etcsnn.optim"),
+    ):
+        code = f"import sys, {module}; print({unloaded!r} in sys.modules)"
         proc = subprocess.run(
             [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
         )
-        assert proc.stdout == "False\n", module
+        assert proc.stdout == "False\n", (module, unloaded)
 
 
 @pytest.mark.parametrize("oracle", [ad.gradcheck_suite, ad.gradcheck_lif])

@@ -375,11 +375,11 @@ def tiny_artifacts(tmp_path_factory):
     return run / "ckpt_final.bin", root
 
 
-def run_quiet(argv) -> tuple[int, list[str]]:
-    """``run_cli(argv)``'s exit code and stderr lines, stdout discarded."""
+def run_quiet(argv, main=run_cli) -> tuple[int, list[str]]:
+    """``main(argv)``'s exit code and stderr lines, stdout discarded."""
     err = io.StringIO()
     with redirect_stdout(io.StringIO()), redirect_stderr(err):
-        code = run_cli(argv)
+        code = main(argv)
     return code, err.getvalue().splitlines()
 
 
@@ -1094,6 +1094,79 @@ def test_compare_script_runtime_failure_is_one_error_line(tmp_path, capfd, overr
     assert compare_main([*argv, "--set", override, "--out", str(tmp_path / "compare")]) == code
     err = capfd.readouterr().err
     assert err.startswith(first) and len(err.splitlines()) == (code != 0)
+
+
+# -- refused flag values ----------------------------------------------------------
+
+
+def _reads_as_int(text: str) -> bool:
+    try:
+        int(text)
+    except ValueError:
+        return False
+    return True
+
+
+def _refused_int(low: int):
+    """Values an integer flag of at least ``low`` refuses: smaller integers
+    and any text ``int`` does not read.  Valid counts stay out, so no case
+    runs an experiment or a long ``gradcheck``."""
+    return st.one_of(
+        st.integers(max_value=low - 1).map(str),
+        st.text().filter(lambda text: not _reads_as_int(text)),
+    )
+
+
+_INT_KEYS = [key for key, kind, _ in etcsnn.train._CONFIG_TABLE if kind == "int"]
+_KNOWN_KEYS = etcsnn.train._KNOWN_KEYS
+_REFUSED = {  # (command, flag) -> values the flag refuses
+    ("gradcheck", "--seed"): _refused_int(0),
+    ("gradcheck", "--cases"): _refused_int(1),
+    ("compare", "--epochs"): _refused_int(1),
+    ("compare", "--seeds"): st.one_of(
+        st.tuples(  # one refused seed among good ones
+            st.lists(st.integers(0, 9).map(str), max_size=2),
+            _refused_int(0).filter(lambda text: "," not in text).map(lambda text: [text]),
+            st.lists(st.integers(0, 9).map(str), max_size=2),
+        ).map(lambda parts: ",".join(sum(parts, []))),
+        st.integers(0, 9).map(lambda seed: f"{seed},{seed}"),  # a repeat
+    ),
+    ("compare", "--set"): st.one_of(
+        st.text().filter(lambda text: not text.partition("=")[0].strip()),  # no key
+        st.tuples(  # an unknown key
+            st.text().filter(lambda key: "=" not in key and key.strip() not in _KNOWN_KEYS),
+            st.text(),
+        ).map("=".join),
+        st.tuples(  # a key the experiment sets per run
+            st.sampled_from(["train.loss_mode", "train.seed", "data.seed", "train.epochs"]),
+            st.text(),
+        ).map("=".join),
+        st.tuples(  # an integer key holding no integer
+            st.sampled_from(_INT_KEYS), st.text().filter(lambda text: not _reads_as_int(text))
+        ).map("=".join),
+    ),
+}
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(case=st.sampled_from(sorted(_REFUSED)), data=st.data())
+def test_refused_flag_value_is_one_error_line(tmp_path_factory, case, data):
+    """An invalid ``gradcheck --seed/--cases`` or compare-script
+    ``--seeds/--epochs/--set`` value is one ``error:`` line, exit 1 or 2, no
+    traceback, before any run starts or any file is written.  The other
+    flags hold small valid values, so a value the strategies wrongly deem
+    invalid runs briefly and fails the exit-code check."""
+    command, flag = case
+    value = data.draw(_REFUSED[case], label=flag)
+    out = tmp_path_factory.getbasetemp() / "refused-compare"
+    if command == "gradcheck":
+        main, argv = run_cli, ["gradcheck", "--cases", "1"]
+    else:
+        main, argv = compare_main, ["--seeds", "0", "--epochs", "1", "--set",
+                                    "data.samples_per_class=5", "--out", str(out)]
+    code, err = run_quiet([*argv, flag, value], main)
+    assert code in (1, 2) and len(err) == 1 and err[0].startswith("error: "), (code, err)
+    assert not out.exists()
 
 
 # -- installed console script ----------------------------------------------------

@@ -8,6 +8,7 @@ import math
 import re
 import struct
 import tracemalloc
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -423,7 +424,7 @@ def test_parse_event_csv_happy(tmp_path):
     assert parse_event_csv(p).tolist() == [[5, 0, 0, 2], [3, 0, 0, 0]]
 
 
-def test_parse_event_csv_errors(tmp_path):
+def test_parse_event_csv_errors(tmp_path, monkeypatch):
     p = tmp_path / "ev.csv"
     write_events(p, [(0, 0, 0, 0)], header="time,x,y,p")
     with pytest.raises(DataError, match="first line"):
@@ -440,6 +441,41 @@ def test_parse_event_csv_errors(tmp_path):
             parse_event_csv(p)
     write_events(p, [(0, 0, 0, 0), (2**63 - 1, -(2**63), 0, 1)])  # the extremes fit
     assert parse_event_csv(p)[1].tolist() == [2**63 - 1, -(2**63), 0, 1]
+    # the first bad line is named, whatever numpy's whole-file read refused
+    for body, message in [
+        ("0,0,0,0\n1_000,0,0,1\n", r"ev\.csv:3: non-integer field in '1_000,0,0,1'"),
+        ("0,0,0,0\n\u0661,0,0,1\n", r"ev\.csv:3: non-integer field"),  # an Arabic-Indic 1
+        ("0,0,0\n1,0,0\n", r"ev\.csv:2: expected 4 fields, got 3"),
+        ("0,0,0,0\n \n1,0,0,1,\n", r"ev\.csv:3: expected 4 fields, got 1"),
+        ("0,0,0,0\n0,0,0,0 # note\n", r"ev\.csv:3: non-integer field"),
+        ("0,0,0,0\n1.5,0,0,1\n", r"ev\.csv:3: non-integer field in '1\.5,0,0,1'"),
+        ("0,0,0,0\n1e3,0,0,1\n", r"ev\.csv:3: non-integer field in '1e3,0,0,1'"),
+    ]:
+        p.write_text("t_us,x,y,polarity\n" + body, encoding="utf-8")
+        with pytest.raises(DataError, match=message):
+            parse_event_csv(p)
+    # a header with no data is an empty table, with no numpy warning
+    p.write_text("t_us,x,y,polarity\n\n\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        got = parse_event_csv(p)
+    assert got.shape == (0, 4) and got.dtype == np.int64 and not caught
+
+    # numpy 1.23-1.x reads "1.5", "1e3" or 2**63 as a float and truncates it, with only a
+    # DeprecationWarning; the warning must send the file to the per-line checks
+    def loadtxt_with_fallback(lines, **kwargs):
+        warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.", DeprecationWarning)
+        return np.zeros((len(lines), 4), dtype=np.int64)
+
+    monkeypatch.setattr(np, "loadtxt", loadtxt_with_fallback)
+    for row, message in [
+        ("1.5,0,0,1", r"ev\.csv:3: non-integer field in '1\.5,0,0,1'"),
+        ("1e3,0,0,1", r"ev\.csv:3: non-integer field"),
+        ("9223372036854775808,0,0,1", r"ev\.csv:3: field does not fit int64"),
+    ]:
+        p.write_text(f"t_us,x,y,polarity\n0,0,0,0\n{row}\n")
+        with pytest.raises(DataError, match=message):
+            parse_event_csv(p)
 
 
 def bin_reference(events, width, height, timesteps):
