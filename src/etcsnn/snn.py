@@ -20,7 +20,10 @@ potentials are the network's logits.
 feedforward, so one (batch*T, fan_in) matmul gives every step's input
 current; a loop over the steps then charges, fires and resets in place,
 on time-major (T, batch, width) drives and potentials whose per-step slices
-are contiguous.  Spikes, inputs and gradients by input currents stay
+are contiguous.  Evaluation passes several batches at once with ``batch``:
+one matmul per ``batch`` samples, of the shape one call per batch would
+run (BLAS picks its kernel, and so the last bits, by shape), and one time
+loop over all of them.  Spikes, inputs and gradients by input currents stay
 batch-major: their (batch*T, width) rows feed the matmuls, and that row
 order fixes the float summation order.  ``lif_backward`` walks the cache
 from the output layer down, running BPTT in reverse time by hand, time-major
@@ -142,13 +145,18 @@ def init_weights(spec: NetworkSpec, seed: int) -> list[np.ndarray]:
 # -- the numpy network pass ------------------------------------------------------
 
 
-def _drive(x: np.ndarray, w: np.ndarray, params: LifParams) -> np.ndarray:
-    """``(1/tau_m) * input current`` of every step, time-major: (T, batch, fan_out)."""
-    batch, steps, fan_in = x.shape
-    out = np.empty((steps, batch, w.shape[1]))
+def _drive(x: np.ndarray, w: np.ndarray, params: LifParams, batch: int | None) -> np.ndarray:
+    """``(1/tau_m) * input current`` of every step, time-major: (T, rows, fan_out),
+    from one matmul per ``batch`` rows of ``x`` (one in all when None)."""
+    rows, steps, fan_in = x.shape
+    out = np.empty((steps, rows, w.shape[1]))
+    blocks = [(x, out)] if batch is None else [
+        (x[b : b + batch], out[:, b : b + batch]) for b in range(0, rows, batch)
+    ]
     with np.errstate(over="ignore", invalid="ignore"):  # callers check finiteness
-        current = (x.reshape(batch * steps, fan_in) @ w).reshape(batch, steps, -1)
-        np.multiply(current, 1.0 / params.tau_m, out=out.transpose(1, 0, 2))
+        for xb, ob in blocks:
+            current = (xb.reshape(-1, fan_in) @ w).reshape(len(xb), steps, -1)
+            np.multiply(current, 1.0 / params.tau_m, out=ob.transpose(1, 0, 2))
     return out
 
 
@@ -178,7 +186,8 @@ def _charge_fire(drive: np.ndarray, params: LifParams) -> tuple[np.ndarray, np.n
 
 
 def lif_unroll(
-    spec: NetworkSpec, params: Sequence[np.ndarray], inputs: np.ndarray
+    spec: NetworkSpec, params: Sequence[np.ndarray], inputs: np.ndarray,
+    batch: int | None = None,
 ) -> tuple[np.ndarray, list[tuple]]:
     """Run the whole network over all timesteps.
 
@@ -191,16 +200,20 @@ def lif_unroll(
     width) charged potentials and (batch, T, width) spikes (None for the
     output layer).  Raises NonFiniteError on a non-finite potential; shapes
     must fit ``spec`` and are not checked.
+
+    With ``batch``, every layer's input current comes from one matmul per
+    ``batch`` samples, so the potentials are bit for bit those of one call
+    per ``batch`` samples, concatenated, while the time loops run once.
     """
     x = np.asarray(inputs, dtype=np.float64)
     lif = spec.lif
     cache = []
     for w in params[:-1]:
-        charged, spikes = _charge_fire(_drive(x, w, lif), lif)
+        charged, spikes = _charge_fire(_drive(x, w, lif, batch), lif)
         cache.append((x, charged, spikes))
         x = spikes
     cache.append((x, None, None))
-    drive = _drive(x, params[-1], lif)
+    drive = _drive(x, params[-1], lif, batch)
     values = np.empty((x.shape[0], spec.timesteps, spec.classes))
     v = np.zeros(drive.shape[1:])
     with np.errstate(over="ignore", invalid="ignore"):

@@ -3,8 +3,9 @@ metrics, binary checkpoints, truncated-T evaluation, consistency reports,
 and per-timestep output-distribution dumps.
 
 A dataset is a pair of ``data.Split``s; training indexes its batches out of
-them, and every evaluation is one batched forward over a split through
-``_ckpt_forward``, the one place a split is checked against a checkpoint.
+them, and every evaluation is one forward over a split, in groups of whole
+batches, through ``_ckpt_forward``, the one place a split is checked against
+a checkpoint.
 ``load_test_split`` builds the test split alone, for analysis that scores
 nothing else.
 
@@ -238,8 +239,9 @@ def build_run_config(mapping: dict[str, str], base: RunConfig | None = None) -> 
     violation names its key.  A base eval list that is its default 1..T
     follows the effective ``network.timesteps``; any other is kept."""
     unknown = [k for k in mapping if k not in _KNOWN_KEYS]
-    if unknown:
-        raise ConfigError(f"config key {unknown[0]}: unknown key")
+    if unknown:  # a key with a line break in it is quoted, so the message stays one line
+        key = unknown[0] if unknown[0].isprintable() else repr(unknown[0])
+        raise ConfigError(f"config key {key}: unknown key")
     base = default_config() if base is None else base
     items = dict(config_to_items(base))
     budgets = base.eval_timesteps
@@ -727,8 +729,11 @@ def train(cfg: RunConfig, out_dir, resume_from=None) -> TrainResult:
                 values = _ckpt_forward(ckpt, data.test, cfg.timesteps)
             except (NonFiniteError, ValueError) as exc:
                 raise TrainingError(f"epoch {epoch}, evaluation: {exc}") from exc
-            acc_full = _prefix_accuracy(values, data.test.labels, cfg.timesteps)
-            per_eval = _budget_accuracies(values, data.test.labels, cfg.eval_timesteps)
+            scores = _budget_accuracies(
+                values, data.test.labels, (*cfg.eval_timesteps, cfg.timesteps)
+            )
+            acc_full = scores[str(cfg.timesteps)]
+            per_eval = {k: scores[k] for k in map(str, cfg.eval_timesteps)}
             kl, flip = _consistency_metrics(values, cfg.etc.tau)
             rec = EpochMetrics(
                 epoch=epoch,
@@ -770,12 +775,19 @@ def train_many(jobs) -> list[TrainResult]:
     directories.  ``os.environ`` is left as it was.
 
     ``spawn`` re-imports the caller's ``__main__`` in every worker, so a
-    calling script needs an ``if __name__ == "__main__":`` guard and cannot
-    be read from stdin (either fails with ``BrokenProcessPool``); a
-    ``python -c`` caller works."""
+    calling script needs an ``if __name__ == "__main__":`` guard (without
+    one, the call fails with ``BrokenProcessPool``) and cannot be read from
+    stdin (RuntimeError, before any worker starts); a ``python -c`` caller
+    works."""
+    import __main__
     import multiprocessing  # the pool loads only here, not with the CLI
     from concurrent.futures import ProcessPoolExecutor
 
+    if getattr(__main__, "__file__", None) == "<stdin>":
+        raise RuntimeError(
+            "train_many: spawned workers re-import the calling script, and one read "
+            "from stdin cannot be re-imported; save it to a file or pass it with -c"
+        )
     pinned = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
     saved = {var: os.environ.get(var) for var in pinned}
     os.environ.update(dict.fromkeys(pinned, "1"))
@@ -799,20 +811,34 @@ def train_many(jobs) -> list[TrainResult]:
 # Every evaluation is one batched forward over a prefix of the input slices.
 # The network is causal, so its first k potentials are those of a k-step run.
 
+# Most bytes of a group's float64 (steps, rows, widest layer) array: 6 batches
+# at the default net, where 1 MiB timed fastest of 0.5, 1, 2 MiB and the
+# whole split.  A batch larger than this is a group of its own.
+_GROUP_BYTES = 1 << 20
+
 
 def _ckpt_forward(
     ckpt: Checkpoint, split: Split, steps: int, readout: np.ndarray | None = None
 ) -> np.ndarray:
     """Output potentials (N, steps, C) over the first ``steps`` input slices
-    of ``split``, batched, with the output weights replaced by ``readout`` if
-    given.  The one place a split is checked against a checkpoint (ValueError)."""
+    of ``split``, with the output weights replaced by ``readout`` if given.
+    The one place a split is checked against a checkpoint (ValueError).
+
+    Each group of whole batches of ``train.batch_size`` samples that fits
+    ``_GROUP_BYTES`` (at least one batch) is one ``lif_unroll`` call with
+    one matmul per batch: BLAS picks its kernel by shape, so that keeps the
+    bits of one call per batch."""
     dims = ckpt.params[0].shape[0], ckpt.params[-1].shape[-1]
     _check_split(split, *dims, steps)
     params = ckpt.params if readout is None else [*ckpt.params[:-1], readout]
     spec = replace(_network_spec(ckpt.config, dims[0], params[-1].shape[-1]), timesteps=steps)
     inputs, size = split.inputs[:, :steps], ckpt.config.batch_size
-    starts = range(0, len(split), size)
-    return np.concatenate([lif_unroll(spec, params, inputs[b : b + size])[0] for b in starts])
+    batch_bytes = steps * size * max(spec.layer_sizes[1:]) * 8
+    group = size * max(1, _GROUP_BYTES // batch_bytes)
+    starts = range(0, len(split), group)
+    return np.concatenate(
+        [lif_unroll(spec, params, inputs[g : g + group], batch=size)[0] for g in starts]
+    )
 
 
 def _budget_accuracies(values: np.ndarray, labels: np.ndarray, budgets) -> dict[str, float]:
@@ -825,11 +851,6 @@ def _budget_accuracies(values: np.ndarray, labels: np.ndarray, budgets) -> dict[
     means = np.cumsum(values[:, : ks.max()], axis=1)[:, ks - 1] / ks[:, None]
     hits = np.argmax(means, axis=2) == labels[:, None]  # ties -> lowest class index
     return dict(zip(map(str, budgets), hits.mean(axis=0).tolist()))
-
-
-def _prefix_accuracy(values: np.ndarray, labels: np.ndarray, k: int) -> float:
-    """Accuracy of argmax of the mean of the first k potentials."""
-    return _budget_accuracies(values, labels, [k])[str(k)]
 
 
 def _consistency_metrics(values: np.ndarray, tau: float) -> tuple[float, float]:

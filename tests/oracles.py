@@ -161,6 +161,17 @@ def lif_unroll_frozen(weights, inputs, tau_m, v_th, v_reset):
     return values, cache
 
 
+def eval_forward_frozen(weights, inputs, steps, batch_size, tau_m, v_th, v_reset):
+    """(N, steps, classes) potentials over the first ``steps`` slices of
+    ``inputs``: the evaluation forward as it stood before whole batches were
+    grouped, one ``lif_unroll_frozen`` call per ``batch_size`` samples."""
+    x = inputs[:, :steps]
+    return np.concatenate([
+        lif_unroll_frozen(weights, x[b : b + batch_size], tau_m, v_th, v_reset)[0]
+        for b in range(0, len(x), batch_size)
+    ])
+
+
 def lif_backward_frozen(weights, cache, dv, tau_m, v_th, surrogate_a):
     """Every weight's gradient from ``dv`` and a ``lif_unroll_frozen`` cache."""
     leak = 1.0 - 1.0 / tau_m

@@ -11,6 +11,9 @@ import json
 import os
 import re
 import struct
+import subprocess
+import sys
+import tracemalloc
 import zlib
 from dataclasses import replace
 from pathlib import Path
@@ -25,7 +28,7 @@ from etcsnn.autodiff import Tensor, lif_unroll_reference, mul, sum_all
 from etcsnn.cli import run_cli
 from etcsnn.data import DataError, Split
 from etcsnn.optim import OptimState
-from etcsnn.snn import NetworkSpec, NonFiniteError, lif_unroll
+from etcsnn.snn import NetworkSpec, NonFiniteError, init_weights, lif_unroll
 from etcsnn.train import (
     Checkpoint,
     CheckpointError,
@@ -46,8 +49,13 @@ from etcsnn.train import (
     train,
     train_many,
 )
-from etcsnn.train import _output_weight_grads, _prefix_accuracy
-from oracles import budget_accuracies_frozen, distribution_csv_frozen, norm_rel_err
+from etcsnn.train import _output_weight_grads
+from oracles import (
+    budget_accuracies_frozen,
+    distribution_csv_frozen,
+    eval_forward_frozen,
+    norm_rel_err,
+)
 
 
 def tiny(**overrides) -> dict:
@@ -99,6 +107,8 @@ def test_hidden_sizes_list_roundtrip():
 def test_unknown_key_is_named():
     with pytest.raises(ConfigError, match="^config key train.lr: unknown key$"):
         build_run_config({"train.lr": "0.1"})
+    with pytest.raises(ConfigError, match=r"^config key '0\\r0': unknown key$"):
+        build_run_config({"0\r0": "1"})
 
 
 def test_unparsable_value_names_key():
@@ -628,6 +638,23 @@ def test_train_many_failing_job_raises_its_own_error(tmp_path, monkeypatch):
     assert not (tmp_path / "bad").exists()
 
 
+def test_train_many_from_stdin_is_one_clear_error(tmp_path):
+    """Spawned workers cannot re-import a script piped to ``python -``: the
+    call raises one RuntimeError that says so before any worker starts,
+    not ``BrokenProcessPool`` after one traceback per worker."""
+    script = (
+        "from etcsnn.train import build_run_config, train_many\n"
+        f"train_many([(build_run_config({tiny()!r}), {str(tmp_path / 'run')!r})])\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(train_module.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-"], input=script, capture_output=True,
+                          text=True, env=env, timeout=120, check=False)
+    assert proc.returncode == 1
+    assert proc.stderr.count("Traceback") == 1, proc.stderr
+    assert re.match(r"RuntimeError: train_many: .* from stdin ", proc.stderr.splitlines()[-1])
+    assert not (tmp_path / "run").exists()
+
+
 # -- checkpoint format -------------------------------------------------------------
 
 
@@ -883,6 +910,105 @@ def test_single_forward_eval_equals_resimulation(tmp_path, hidden, steps):
         assert eval_per_timestep(ck, test, [k]) == {str(k): want}
 
 
+@st.composite
+def grouped_forward_cases(draw):
+    """``(checkpoint, split, steps, readout)`` for ``_ckpt_forward``.  In
+    three of four cases one hidden layer is sized against the group budget:
+    0.3, 0.6 or 1.5 times the width at which one batch fills it, so a group
+    holds three batches, one batch, or one batch over the budget; narrow
+    layers put every batch of the split in one group."""
+    wide = draw(st.sampled_from([None, 0.3, 0.6, 1.5]))
+    batch = draw(st.integers(1, 40) if wide is None else st.integers(24, 40))
+    timesteps = draw(st.integers(1, 12) if wide is None else st.integers(10, 12))
+    steps = draw(st.integers(1 if wide is None else 10, timesteps))  # < T: a strided input view
+    hidden = draw(st.lists(st.integers(1, 12), min_size=1, max_size=3))
+    if wide is not None:
+        fill = train_module._GROUP_BYTES // (8 * steps * batch)
+        hidden[draw(st.integers(0, len(hidden) - 1))] = int(wide * fill)
+    n = draw(st.integers(1, 4 * batch + 1))
+    sizes = (draw(st.integers(1, 8)), *hidden, draw(st.integers(2, 5)))
+    cfg = build_run_config(tiny(**{
+        "network.hidden_sizes": ",".join(map(str, hidden)),
+        "network.timesteps": timesteps,
+        "train.batch_size": batch,
+        "lif.v_reset": draw(st.sampled_from([0.0, 0.1])),
+    }))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    params = [rng.normal(0.3, 1.0, size=(a, b)) / np.sqrt(a) for a, b in zip(sizes, sizes[1:])]
+    split = Split(rng.uniform(-0.5, 1.5, size=(n, timesteps, sizes[0])),
+                  rng.integers(0, sizes[-1], size=n))
+    # the consistency probe's readout: the last hidden layer's integrated spikes
+    readout = draw(st.sampled_from([None, np.eye(hidden[-1], hidden[-1] + 1)]))
+    return _checkpoint(cfg, params), split, steps, readout
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(case=grouped_forward_cases())
+def test_grouped_forward_matches_frozen_per_batch_forward_bitwise(case):
+    """Whole batches grouped into one unroll, one matmul per batch, give the
+    raw bits of one frozen unroll per batch: BLAS picks its kernel by shape,
+    so a larger matmul could move the last bits of every potential."""
+    ck, split, steps, readout = case
+    weights = ck.params if readout is None else [*ck.params[:-1], readout]
+    lif = ck.config.lif
+    got = train_module._ckpt_forward(ck, split, steps, readout)
+    want = eval_forward_frozen(
+        weights, split.inputs, steps, ck.config.batch_size, lif.tau_m, lif.v_th, lif.v_reset
+    )
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def _traced_peak(fn) -> int:
+    """Peak bytes that ``fn()`` allocates, its result included."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _forward_case(hidden, batch, n, dim):
+    cfg = build_run_config(tiny(**{
+        "network.hidden_sizes": hidden, "network.timesteps": 10, "train.batch_size": batch,
+    }))
+    spec = NetworkSpec((dim, *cfg.hidden_sizes, 4), timesteps=10, lif=cfg.lif)
+    params = init_weights(spec, seed=3)
+    rng = np.random.default_rng(5)
+    split = Split(rng.uniform(0.0, 1.5, size=(n, 10, dim)), rng.integers(0, 4, size=n))
+    return _checkpoint(cfg, params), spec, split
+
+
+def test_grouped_forward_peak_is_the_per_batch_peak_when_a_batch_fills_the_budget():
+    """At 256 hidden units, B=128 and T=10 one batch exceeds the group
+    budget, so each group is one batch and allocates the arrays one unroll
+    per batch does; 4 KiB covers the Python objects (views, lists) of the
+    grouping."""
+    ck, spec, split = _forward_case("256", 128, 300, 16)
+    assert 10 * 128 * 256 * 8 > train_module._GROUP_BYTES
+    x = split.inputs
+
+    def per_batch():
+        return np.concatenate([lif_unroll(spec, ck.params, x[b : b + 128])[0]
+                               for b in range(0, len(x), 128)])
+
+    grouped = _traced_peak(lambda: train_module._ckpt_forward(ck, split, 10))
+    assert grouped <= _traced_peak(per_batch) + 4096
+
+
+def test_grouped_forward_peak_is_bounded_by_the_budget():
+    """At the default net a group holds six batches.  Until its output is
+    done, a group keeps each hidden layer's charged potentials and spikes:
+    two arrays within the budget per layer, plus one budget for the drive
+    being built; the split's output potentials are held twice (the groups'
+    list and its concatenation).  One array per split would not fit."""
+    ck, _, split = _forward_case("64", 32, 500, 64)
+    bound = (2 * 1 + 1) * train_module._GROUP_BYTES + 2 * (500 * 10 * 4 * 8)
+    assert _traced_peak(lambda: train_module._ckpt_forward(ck, split, 10)) <= bound
+    assert 2 * (10 * 500 * 64 * 8) > bound
+
+
 # -- the closed-form gradient-direction probe ---------------------------------------
 
 
@@ -963,9 +1089,11 @@ def test_consistency_cosine_matches_tape_probe(trained):
 
 
 def test_prefix_accuracy_ties_break_to_lowest_class():
-    values = np.zeros((2, 2, 3))
-    assert _prefix_accuracy(values, np.array([0, 0]), 2) == 1.0
-    assert _prefix_accuracy(values, np.array([1, 2]), 2) == 0.0
+    """Where every class ties, the lowest one is the prediction at every budget."""
+    ties = np.zeros((2, 2, 3))
+    for labels, want in (([0, 0], 1.0), ([1, 2], 0.0)):
+        got = train_module._budget_accuracies(ties, np.array(labels), [2, 1])
+        assert got == {"2": want, "1": want}
 
 
 @settings(max_examples=250, deadline=None, derandomize=True)
