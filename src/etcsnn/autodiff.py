@@ -478,13 +478,11 @@ def gradcheck_per_timestep_ce(v: Tensor, labels, tol: float = 1e-10) -> GradChec
     return GradCheckReport("per_timestep_ce", err, tol, passed=err < tol)
 
 
+_FD_STEP = 1e-6  # the central-difference step of the consistency FD probe
+
+
 def gradcheck_etc(
-    v: Tensor,
-    cfg: EtcConfig,
-    tol: float = 1e-10,
-    fd_tol: float = 1e-5,
-    fd_step: float = 1e-6,
-    with_fd: bool = True,
+    v: Tensor, cfg: EtcConfig, tol: float = 1e-10, fd_tol: float = 1e-5
 ) -> list[GradCheckReport]:
     """Autodiff gradient of lam*tau^2*etc_loss vs closed form and central FD.
 
@@ -492,7 +490,7 @@ def gradcheck_etc(
     with P at temperature tau.  The FD probe must see the same function the
     tape differentiates, so the target distributions stay pinned at the
     unperturbed values instead of being recomputed per probe.  Returns the
-    closed-form report, then the FD one unless ``with_fd`` is false.
+    closed-form report, then the FD one.
     """
     weight = cfg.lam * cfg.tau**2
     scale(etc_loss(v, cfg), weight).backward()
@@ -502,9 +500,7 @@ def gradcheck_etc(
     # sum_{m != t}(P_t - P_m) == T * P_t - sum_m P_m
     expected = coeff * (steps * p - p.sum(axis=1, keepdims=True))
     err = max(_norm_rel_err(v.grad[:, t], expected[:, t]) for t in range(steps))
-    reports = [GradCheckReport("consistency", err, tol, passed=err < tol)]
-    if not with_fd:
-        return reports
+    closed = GradCheckReport("consistency", err, tol, passed=err < tol)
 
     frozen_others = p.sum(axis=1, keepdims=True) - p
     denom = batch * steps * (steps - 1)
@@ -517,23 +513,21 @@ def gradcheck_etc(
     fd = np.zeros_like(values)
     for i in np.ndindex(values.shape):
         orig = values[i]
-        values[i] = orig + fd_step
+        values[i] = orig + _FD_STEP
         hi = probe(values)
-        values[i] = orig - fd_step
+        values[i] = orig - _FD_STEP
         lo = probe(values)
         values[i] = orig
-        fd[i] = (hi - lo) / (2.0 * fd_step)
+        fd[i] = (hi - lo) / (2.0 * _FD_STEP)
     fd_err = _norm_rel_err(v.grad, fd)
-    reports.append(GradCheckReport("consistency", fd_err, fd_tol, passed=fd_err < fd_tol, fd=True))
-    return reports
+    fd_report = GradCheckReport("consistency", fd_err, fd_tol, passed=fd_err < fd_tol, fd=True)
+    return [closed, fd_report]
 
 
 _OBJECTIVE_TOL = 1e-12  # numpy objective vs tape: the same ops, so equal in practice
 
 
-def gradcheck_objective(
-    v: Tensor, labels, cfg: EtcConfig, tol: float = _OBJECTIVE_TOL
-) -> GradCheckReport:
+def gradcheck_objective(v: Tensor, labels, cfg: EtcConfig) -> GradCheckReport:
     """``objective``'s gradient and logged losses vs the tape losses', in
     every loss mode."""
     err = 0.0
@@ -543,7 +537,7 @@ def gradcheck_objective(
         dv, *logged = objective(v.data, labels, mode, cfg)
         want = [total.item(), ce, etc]
         err = max(err, _norm_rel_err(dv, v.grad), _norm_rel_err(np.array(logged), np.array(want)))
-    return GradCheckReport("objective", err, tol, passed=err <= tol)
+    return GradCheckReport("objective", err, _OBJECTIVE_TOL, passed=err <= _OBJECTIVE_TOL)
 
 
 def _worst(reports: Sequence[GradCheckReport]) -> GradCheckReport:
@@ -552,9 +546,7 @@ def _worst(reports: Sequence[GradCheckReport]) -> GradCheckReport:
     return replace(worst, passed=all(r.passed for r in reports), cases=len(reports))
 
 
-def gradcheck_suite(
-    seed: int = 0, cases: int = 100, tol: float = 1e-10, fd_tol: float = 1e-5
-) -> list[GradCheckReport]:
+def gradcheck_suite(seed: int = 0, cases: int = 100) -> list[GradCheckReport]:
     """The loss oracles on ``cases`` freshly sampled instances: the tape
     losses against their closed forms and central FD, and ``objective``
     against the tape losses in every loss mode.  One report per oracle."""
@@ -570,9 +562,9 @@ def gradcheck_suite(
         labels[np.arange(batch), rng.integers(0, classes, size=batch)] = 1.0
         cfg = EtcConfig(tau=float(rng.uniform(0.5, 8.0)), lam=float(rng.uniform(0.1, 4.0)))
         runs.append([
-            gradcheck_ce(v, labels, tol=tol),
-            *gradcheck_etc(v, cfg, tol=tol, fd_tol=fd_tol),
-            gradcheck_per_timestep_ce(v, labels, tol=tol),
+            gradcheck_ce(v, labels),
+            *gradcheck_etc(v, cfg),
+            gradcheck_per_timestep_ce(v, labels),
             gradcheck_objective(v, labels, cfg),
         ])
     return [_worst(column) for column in zip(*runs)]

@@ -174,7 +174,7 @@ def _cmd_dump_dist(args) -> int:
 
 def _cmd_consistency(args) -> int:
     ckpt, split = _eval_split(args)
-    print(json.dumps(consistency_report(ckpt, split[: args.samples]).to_dict()))
+    print(json.dumps(consistency_report(ckpt, split[: args.samples])))
     return 0
 
 

@@ -20,16 +20,17 @@ potentials are the network's logits.
 feedforward, so one (batch*T, fan_in) matmul gives every step's input
 current; a loop over the steps then charges, fires and resets in place,
 on time-major (T, batch, width) drives and potentials whose per-step slices
-are contiguous.  Evaluation passes several batches at once with ``batch``:
-one matmul per ``batch`` samples, of the shape one call per batch would
-run (BLAS picks its kernel, and so the last bits, by shape), and one time
-loop over all of them.  Spikes, inputs and gradients by input currents stay
-batch-major: their (batch*T, width) rows feed the matmuls, and that row
-order fixes the float summation order.  ``lif_backward`` walks the cache
-from the output layer down, running BPTT in reverse time by hand, time-major
-too, in the cache's own buffers: it overwrites the charged potentials and
-spikes and clears every entry (read them before), leaves ``dv`` as given, and
-returns a plain list of one fresh gradient array per weight.
+are contiguous.  The rows are taken in blocks of ``batch``: one matmul per
+block, of the shape one call per block would run (BLAS picks its kernel, and
+so the last bits, by shape), and one time loop over all of them.  Evaluation
+passes several batches at once this way; training's one batch is one block.
+Spikes, inputs and gradients by input currents stay batch-major: their
+(batch*T, width) rows feed the matmuls, and that row order fixes the float
+summation order.  ``lif_backward`` walks the cache from the output layer
+down, running BPTT in reverse time by hand, time-major too, in the cache's
+own buffers: it overwrites the charged potentials and spikes and clears every
+entry (read them before), leaves ``dv`` as given, and returns a plain list of
+one fresh gradient array per weight.
 The oracle module ``etcsnn.autodiff`` builds the same dynamics one tape op
 per node and holds this pass to it; this module never builds a tape.
 Shapes are the caller's: neither pass checks them, as ``etcsnn.train`` checks
@@ -145,16 +146,14 @@ def init_weights(spec: NetworkSpec, seed: int) -> list[np.ndarray]:
 # -- the numpy network pass ------------------------------------------------------
 
 
-def _drive(x: np.ndarray, w: np.ndarray, params: LifParams, batch: int | None) -> np.ndarray:
+def _drive(x: np.ndarray, w: np.ndarray, params: LifParams, batch: int) -> np.ndarray:
     """``(1/tau_m) * input current`` of every step, time-major: (T, rows, fan_out),
-    from one matmul per ``batch`` rows of ``x`` (one in all when None)."""
+    from one matmul per ``batch`` rows of ``x``."""
     rows, steps, fan_in = x.shape
     out = np.empty((steps, rows, w.shape[1]))
-    blocks = [(x, out)] if batch is None else [
-        (x[b : b + batch], out[:, b : b + batch]) for b in range(0, rows, batch)
-    ]
     with np.errstate(over="ignore", invalid="ignore"):  # callers check finiteness
-        for xb, ob in blocks:
+        for b in range(0, rows, batch):
+            xb, ob = x[b : b + batch], out[:, b : b + batch]
             current = (xb.reshape(-1, fan_in) @ w).reshape(len(xb), steps, -1)
             np.multiply(current, 1.0 / params.tau_m, out=ob.transpose(1, 0, 2))
     return out
@@ -201,12 +200,12 @@ def lif_unroll(
     output layer).  Raises NonFiniteError on a non-finite potential; shapes
     must fit ``spec`` and are not checked.
 
-    With ``batch``, every layer's input current comes from one matmul per
-    ``batch`` samples, so the potentials are bit for bit those of one call
-    per ``batch`` samples, concatenated, while the time loops run once.
+    Every layer's input current comes from one matmul per ``batch`` samples
+    (all of them when None), so the potentials are bit for bit those of one
+    call per ``batch`` samples, concatenated, while the time loops run once.
     """
     x = np.asarray(inputs, dtype=np.float64)
-    lif = spec.lif
+    lif, batch = spec.lif, batch or max(1, len(x))
     cache = []
     for w in params[:-1]:
         charged, spikes = _charge_fire(_drive(x, w, lif, batch), lif)

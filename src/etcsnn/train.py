@@ -41,7 +41,6 @@ __all__ = [
     "Checkpoint",
     "CheckpointError",
     "TrainResult",
-    "ConsistencyReport",
     "default_config",
     "config_to_items",
     "config_to_text",
@@ -49,7 +48,6 @@ __all__ = [
     "parse_config_lines",
     "split_assignment",
     "run_config_from_text",
-    "synth_splits",
     "load_dataset",
     "load_test_split",
     "train",
@@ -339,22 +337,6 @@ class LoadedData:
     classes: int
 
 
-def synth_splits(cfg: RunConfig, splits=(False, True)) -> tuple[Split, ...]:
-    """The splits of the synthetic task the ``data.*`` keys and the run's T
-    describe; a ConfigError names a knob that overflows them."""
-    d = cfg.data
-    spec = SynthSpec(classes=d.classes, input_dim=d.dim, timesteps=cfg.timesteps,
-                     drift_strength=d.drift_strength, noise_sigma=d.noise_sigma,
-                     samples_per_class=d.samples_per_class, seed=d.seed)
-    try:
-        return synth_generate(spec, splits)
-    except ValueError as exc:
-        # only the generator's own message starts with its knob; numpy's pass as they are
-        if str(exc).startswith(("drift_strength:", "noise_sigma:")):
-            raise ConfigError(f"config key data.{exc}") from None
-        raise
-
-
 # the data.* inputs each kind reads; one left at its default (an empty path,
 # a 0 frame size) is a ConfigError naming it
 _INPUT_KEYS = {
@@ -365,7 +347,8 @@ _INPUT_KEYS = {
 
 def _load_splits(cfg: RunConfig, splits: tuple[bool, ...]) -> tuple[tuple[Split, ...], int]:
     """The configured dataset's splits named by ``splits`` (False: train,
-    True: test), encoded to T timesteps and built alone, and its class count."""
+    True: test), encoded to T timesteps and built alone, and its class count.
+    A ConfigError names a synthetic-task knob that overflows the splits."""
     d = cfg.data
     needed = _INPUT_KEYS.get(d.kind, ())
     if d.kind == "idx" and (d.test_images or d.test_labels):
@@ -374,7 +357,16 @@ def _load_splits(cfg: RunConfig, splits: tuple[bool, ...]) -> tuple[tuple[Split,
         _require(getattr(d, name) not in ("", 0), f"data.{name}",
                  f"must be set for data.kind={d.kind}")
     if d.kind == "synth":
-        return synth_splits(cfg, splits), d.classes
+        spec = SynthSpec(classes=d.classes, input_dim=d.dim, timesteps=cfg.timesteps,
+                         drift_strength=d.drift_strength, noise_sigma=d.noise_sigma,
+                         samples_per_class=d.samples_per_class, seed=d.seed)
+        try:
+            return synth_generate(spec, splits), d.classes
+        except ValueError as exc:
+            # only the generator's own message starts with its knob; numpy's pass as they are
+            if str(exc).startswith(("drift_strength:", "noise_sigma:")):
+                raise ConfigError(f"config key data.{exc}") from None
+            raise
     if d.kind == "idx":
         if d.test_images:
             files = ((d.images, d.labels), (d.test_images, d.test_labels))
@@ -664,10 +656,7 @@ def train(cfg: RunConfig, out_dir, resume_from=None) -> TrainResult:
     out_dir = Path(out_dir)
     data = load_dataset(cfg)
     for split in (data.train, data.test):
-        try:
-            _check_split(split, data.input_dim, data.classes, cfg.timesteps)
-        except ValueError as exc:
-            raise TrainingError(f"dataset: {exc}") from exc
+        _check_split(split, data.input_dim, data.classes, cfg.timesteps)
     x_train = data.train.inputs
     labels_1h = _one_hot(data.train.labels, data.classes)
     spec = _network_spec(cfg, data.input_dim, data.classes)
@@ -817,12 +806,10 @@ def train_many(jobs) -> list[TrainResult]:
 _GROUP_BYTES = 1 << 20
 
 
-def _ckpt_forward(
-    ckpt: Checkpoint, split: Split, steps: int, readout: np.ndarray | None = None
-) -> np.ndarray:
+def _ckpt_forward(ckpt: Checkpoint, split: Split, steps: int) -> np.ndarray:
     """Output potentials (N, steps, C) over the first ``steps`` input slices
-    of ``split``, with the output weights replaced by ``readout`` if given.
-    The one place a split is checked against a checkpoint (ValueError).
+    of ``split``: the one forward every evaluation runs, and the one place a
+    split is checked against a checkpoint (ValueError).
 
     Each group of whole batches of ``train.batch_size`` samples that fits
     ``_GROUP_BYTES`` (at least one batch) is one ``lif_unroll`` call with
@@ -830,14 +817,13 @@ def _ckpt_forward(
     bits of one call per batch."""
     dims = ckpt.params[0].shape[0], ckpt.params[-1].shape[-1]
     _check_split(split, *dims, steps)
-    params = ckpt.params if readout is None else [*ckpt.params[:-1], readout]
-    spec = replace(_network_spec(ckpt.config, dims[0], params[-1].shape[-1]), timesteps=steps)
+    spec = replace(_network_spec(ckpt.config, *dims), timesteps=steps)
     inputs, size = split.inputs[:, :steps], ckpt.config.batch_size
     batch_bytes = steps * size * max(spec.layer_sizes[1:]) * 8
     group = size * max(1, _GROUP_BYTES // batch_bytes)
     starts = range(0, len(split), group)
     return np.concatenate(
-        [lif_unroll(spec, params, inputs[g : g + group], batch=size)[0] for g in starts]
+        [lif_unroll(spec, ckpt.params, inputs[g : g + group], batch=size)[0] for g in starts]
     )
 
 
@@ -872,17 +858,6 @@ def eval_per_timestep(ckpt: Checkpoint, split: Split, budgets) -> dict[str, floa
     return _budget_accuracies(values, split.labels, budgets)
 
 
-@dataclass(frozen=True)
-class ConsistencyReport:
-    mean_pairwise_kl: float
-    argmax_flip_rate: float
-    grad_cosine_mean: float
-    samples: int
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-
 _GRAD_BATCH = 64  # samples in the gradient-direction probe
 
 
@@ -893,17 +868,22 @@ def _output_weight_grads(ckpt: Checkpoint, split: Split, coeff: np.ndarray) -> n
     The output layer leak-integrates ``s_t @ W_out``, so ``v_t = trace_t @
     W_out`` with ``trace`` the last hidden layer's spikes integrated by the
     same rule: a forward with an identity readout, whose zero column keeps
-    two outputs when that layer has one unit."""
-    hidden = ckpt.params[-1].shape[0]
-    trace = _ckpt_forward(ckpt, split, ckpt.config.timesteps, np.eye(hidden, hidden + 1))
+    two outputs when that layer has one unit.  ``split`` is a prefix of one
+    ``_ckpt_forward`` has checked, and is run as it runs it: one matmul per
+    ``train.batch_size`` samples."""
+    cfg, hidden = ckpt.config, ckpt.params[-1].shape[0]
+    params = [*ckpt.params[:-1], np.eye(hidden, hidden + 1)]
+    spec = _network_spec(cfg, params[0].shape[0], hidden + 1)
+    inputs = split.inputs[:, : cfg.timesteps]
+    trace = lif_unroll(spec, params, inputs, batch=cfg.batch_size)[0]
     return np.einsum("nth,nc->thc", trace[..., :hidden], coeff)
 
 
-def consistency_report(ckpt: Checkpoint, split: Split) -> ConsistencyReport:
+def consistency_report(ckpt: Checkpoint, split: Split) -> dict:
     """Temporal-consistency metrics plus the per-timestep gradient-direction
     probe: cosine similarity between the output-weight gradients contributed
     by each timestep's share of the mean-potential CE loss, over the first
-    ``_GRAD_BATCH`` samples."""
+    ``_GRAD_BATCH`` samples; the dict ``etcsnn consistency`` prints, in order."""
     cfg = ckpt.config
     if cfg.timesteps < 2:
         raise ValueError("consistency metrics need at least 2 timesteps")
@@ -919,12 +899,12 @@ def consistency_report(ckpt: Checkpoint, split: Split) -> ConsistencyReport:
     denom = np.outer(norms, norms)
     cosines = np.divide(gram, denom, out=np.zeros_like(gram), where=denom > 0)
     pairs = np.triu_indices(cfg.timesteps, k=1)
-    return ConsistencyReport(
-        mean_pairwise_kl=kl,
-        argmax_flip_rate=flip,
-        grad_cosine_mean=float(np.mean(np.clip(cosines[pairs], -1.0, 1.0))),
-        samples=len(split),
-    )
+    return {
+        "mean_pairwise_kl": kl,
+        "argmax_flip_rate": flip,
+        "grad_cosine_mean": float(np.mean(np.clip(cosines[pairs], -1.0, 1.0))),
+        "samples": len(split),
+    }
 
 
 def _distribution_csv(values: np.ndarray, labels: np.ndarray) -> str:

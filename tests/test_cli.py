@@ -217,6 +217,19 @@ def test_valid_dataset_with_more_classes_than_the_checkpoint_exits_1(trained_run
     assert capsys.readouterr().err == "error: label 2 out of range for 2 classes\n"
 
 
+def test_dataset_with_an_empty_split_exits_1_for_train_as_for_eval(trained_run, tmp_path, capsys):
+    """A valid dataset whose test split is empty does not fit: train refuses
+    it as eval does, with exit 1 and one line, before making its directory."""
+    capsys.readouterr()
+    out = tmp_path / "empty"
+    assert run_cli(["train", "--set", "data.samples_per_class=4", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: the split holds no samples\n"
+    assert not out.exists()
+    ckpt = str(trained_run / "ckpt_final.bin")
+    assert run_cli(["eval", "--ckpt", ckpt, "--set", "data.samples_per_class=4"]) == 1
+    assert capsys.readouterr().err == "error: the split holds no samples\n"
+
+
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
 def test_divergent_training_exits_2(tmp_path, tiny_cfg, capsys):
     code = run_cli([
@@ -962,6 +975,8 @@ def test_consistency_prints_report(trained_run, capsys):
     ])
     assert code == 0
     payload = json.loads(capsys.readouterr().out)
+    # the line's keys, in order: a reordered report would change every line printed
+    assert list(payload) == ["mean_pairwise_kl", "argmax_flip_rate", "grad_cosine_mean", "samples"]
     assert payload["samples"] == 4
     assert payload["mean_pairwise_kl"] >= 0.0
     assert -1.0 <= payload["grad_cosine_mean"] <= 1.0
@@ -981,7 +996,7 @@ def test_analysis_commands_build_only_the_test_split(
     want_eval = json.dumps({
         "checkpoint": path, "accuracy": eval_per_timestep(ckpt, test, [1, 2, 3]),
     })
-    want_report = json.dumps(consistency_report(ckpt, test).to_dict())
+    want_report = json.dumps(consistency_report(ckpt, test))
     want_csv = tmp_path / "want.csv"
     dump_distributions(ckpt, test, want_csv)
 

@@ -368,7 +368,7 @@ def test_gradcheck_etc_identical_steps_give_zero_gradient():
     # the true gradient is exactly zero here, so relative error against the
     # closed form (also zero) degenerates -- assert absolutely instead
     outs = outputs_from(np.tile(np.array([0.4, -1.0]), (2, 3, 1)))
-    gradcheck_etc(outs, EtcConfig(tau=4.0, lam=1.0), with_fd=False)
+    gradcheck_etc(outs, EtcConfig(tau=4.0, lam=1.0))
     np.testing.assert_allclose(outs.grad, np.zeros_like(outs.grad), atol=1e-15)
 
 

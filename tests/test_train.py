@@ -580,7 +580,7 @@ def test_failed_dataset_leaves_no_directory(tmp_path):
         (tmp_path / "events" / name / "s0.csv").write_text("t_us,x,y,polarity\n0,0,0,0\n")
     events = tiny(**{"data.kind": "events", "data.events_dir": str(tmp_path / "events"),
                      "data.width": "2", "data.height": "2"})
-    with pytest.raises(TrainingError, match="no samples"):
+    with pytest.raises(ValueError, match="no samples"):
         train(build_run_config(events), tmp_path / "c")
     assert not any((tmp_path / run).exists() for run in "abc")
 
@@ -912,7 +912,7 @@ def test_single_forward_eval_equals_resimulation(tmp_path, hidden, steps):
 
 @st.composite
 def grouped_forward_cases(draw):
-    """``(checkpoint, split, steps, readout)`` for ``_ckpt_forward``.  In
+    """``(checkpoint, split, steps)`` for ``_ckpt_forward``.  In
     three of four cases one hidden layer is sized against the group budget:
     0.3, 0.6 or 1.5 times the width at which one batch fills it, so a group
     holds three batches, one batch, or one batch over the budget; narrow
@@ -937,9 +937,7 @@ def grouped_forward_cases(draw):
     params = [rng.normal(0.3, 1.0, size=(a, b)) / np.sqrt(a) for a, b in zip(sizes, sizes[1:])]
     split = Split(rng.uniform(-0.5, 1.5, size=(n, timesteps, sizes[0])),
                   rng.integers(0, sizes[-1], size=n))
-    # the consistency probe's readout: the last hidden layer's integrated spikes
-    readout = draw(st.sampled_from([None, np.eye(hidden[-1], hidden[-1] + 1)]))
-    return _checkpoint(cfg, params), split, steps, readout
+    return _checkpoint(cfg, params), split, steps
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
@@ -948,12 +946,11 @@ def test_grouped_forward_matches_frozen_per_batch_forward_bitwise(case):
     """Whole batches grouped into one unroll, one matmul per batch, give the
     raw bits of one frozen unroll per batch: BLAS picks its kernel by shape,
     so a larger matmul could move the last bits of every potential."""
-    ck, split, steps, readout = case
-    weights = ck.params if readout is None else [*ck.params[:-1], readout]
+    ck, split, steps = case
     lif = ck.config.lif
-    got = train_module._ckpt_forward(ck, split, steps, readout)
+    got = train_module._ckpt_forward(ck, split, steps)
     want = eval_forward_frozen(
-        weights, split.inputs, steps, ck.config.batch_size, lif.tau_m, lif.v_th, lif.v_reset
+        ck.params, split.inputs, steps, ck.config.batch_size, lif.tau_m, lif.v_th, lif.v_reset
     )
     assert got.shape == want.shape
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
@@ -1058,7 +1055,35 @@ def test_closed_form_probe_zero_gradient():
     ck, samples, coeff = _probe_case("8", scale_last_hidden=0.0)  # a silent layer
     assert not np.any(_output_weight_grads(ck, samples, coeff))
     assert not np.any(tape_output_weight_grads(ck, samples, coeff))
-    assert consistency_report(ck, samples).grad_cosine_mean == 0.0
+    assert consistency_report(ck, samples)["grad_cosine_mean"] == 0.0
+
+
+@pytest.mark.parametrize("hidden", ["1", "8", "6,5"])
+@pytest.mark.parametrize("batches", [1, 2, 3])
+def test_probe_matches_frozen_identity_readout_forward_bitwise(hidden, batches):
+    """The probe's gradients are the einsum over the frozen per-batch forward
+    with an identity readout for the output weights, bit for bit: one matmul
+    per ``train.batch_size`` samples, here sized so the 64-sample probe spans
+    1, 2 or 3 batches.  A one-unit layer's readout carries the zero column."""
+    n, steps = train_module._GRAD_BATCH, 5
+    batch = -(-n // batches)
+    cfg = build_run_config(tiny(**{
+        "network.hidden_sizes": hidden, "network.timesteps": steps,
+        "train.batch_size": batch, "lif.v_reset": 0.1,
+    }))
+    rng = np.random.default_rng(batches)
+    sizes = (8, *cfg.hidden_sizes, 2)
+    params = [rng.normal(0.5, 1.0, size=(a, b)) / np.sqrt(a) for a, b in zip(sizes, sizes[1:])]
+    samples = Split(rng.uniform(0.0, 2.0, size=(n, steps, 8)), np.arange(n) % 2)
+    coeff = rng.normal(size=(n, 2))
+    h, lif = sizes[-2], cfg.lif
+    trace = eval_forward_frozen([*params[:-1], np.eye(h, h + 1)], samples.inputs, steps, batch,
+                                lif.tau_m, lif.v_th, lif.v_reset)
+    want = np.einsum("nth,nc->thc", trace[..., :h], coeff)
+    got = _output_weight_grads(_checkpoint(cfg, params), samples, coeff)
+    assert np.any(want != 0.0)  # the last hidden layer spikes
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 def test_parallel_step_gradients_give_cosine_one():
@@ -1066,7 +1091,7 @@ def test_parallel_step_gradients_give_cosine_one():
     multiple of the same coefficient row, so each cosine is 1 (up to the
     rounding the report clips)."""
     ck, samples, _ = _probe_case("1")
-    assert consistency_report(ck, samples[:1]).grad_cosine_mean == 1.0
+    assert consistency_report(ck, samples[:1])["grad_cosine_mean"] == 1.0
 
 
 def test_consistency_cosine_matches_tape_probe(trained):
@@ -1084,7 +1109,7 @@ def test_consistency_cosine_matches_tape_probe(trained):
         for b in range(a + 1, steps):
             na, nb = np.linalg.norm(grads[a]), np.linalg.norm(grads[b])
             cosines.append(0.0 if na == 0 or nb == 0 else grads[a] @ grads[b] / (na * nb))
-    got = consistency_report(ck, samples).grad_cosine_mean
+    got = consistency_report(ck, samples)["grad_cosine_mean"]
     assert abs(got - np.mean(cosines)) <= 1e-12
 
 
@@ -1130,8 +1155,7 @@ def test_evaluation_matches_frozen_per_budget_code(n, steps, classes, budget_dra
 
 def test_consistency_report_fields(trained):
     data = load_dataset(trained.checkpoint.config)
-    rep = consistency_report(trained.checkpoint, data.test)
-    d = rep.to_dict()
+    d = consistency_report(trained.checkpoint, data.test)
     assert d["samples"] == len(data.test)
     assert d["mean_pairwise_kl"] >= 0.0
     assert 0.0 <= d["argmax_flip_rate"] <= 1.0
