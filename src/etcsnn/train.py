@@ -2,6 +2,11 @@
 metrics, binary checkpoints, truncated-T evaluation, consistency reports,
 and per-timestep output-distribution dumps.
 
+A config's ``data.*`` keys are the fields of ``data.DataSpec``, which checks
+their ranges as it is built; ``build_run_config`` parses every key and checks
+the rest.  ``ConfigError``, ``DataSpec`` and ``DATA_KINDS`` live in
+``etcsnn.data`` and are re-exported here.
+
 A dataset is a pair of ``data.Split``s; training indexes its batches out of
 them, and every evaluation is one forward over a split, in groups of whole
 batches, through ``_ckpt_forward``, the one place a split is checked against
@@ -27,7 +32,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import Split, SynthSpec, held_out, load_event_dir, load_idx, read_utf8, synth_generate
+from .data import (DATA_KINDS, ConfigError, DataSpec, Split, _require, held_out, load_event_dir,
+                   load_idx, read_utf8, synth_generate)
 from .losses import LOSS_MODES, EtcConfig, kl_metric_values, objective, _softmax_np
 from .optim import OptimState, adamw_step, cosine_lr
 from .snn import LifParams, NetworkSpec, NonFiniteError, init_weights, lif_backward, lif_unroll
@@ -60,41 +66,11 @@ __all__ = [
 ]
 
 
-class ConfigError(ValueError):
-    """Bad key, unparsable value, or constraint violation; names the key."""
-
-
 class TrainingError(RuntimeError):
     """Run-time failure inside a training run, with epoch/batch context."""
 
 
-DATA_KINDS = ("synth", "idx", "events")
-
 _STREAM_SHUFFLE = 101
-
-
-@dataclass(frozen=True)
-class DataSpec:
-    """Which dataset to use and how to build/load it."""
-
-    kind: str = "synth"
-    classes: int = 4
-    dim: int = 64
-    # Defaults put the task in the regime where late timesteps are strongly
-    # corrupted by time-varying nuisance, so per-timestep consistency has
-    # something real to repair: a plain mean-CE baseline loses >10 points of
-    # single-step accuracy here while the full-length accuracy saturates.
-    drift_strength: float = 4.0
-    noise_sigma: float = 0.2
-    samples_per_class: int = 625
-    seed: int = 0
-    images: str = ""
-    labels: str = ""
-    test_images: str = ""
-    test_labels: str = ""
-    events_dir: str = ""
-    width: int = 0
-    height: int = 0
 
 
 @dataclass(frozen=True)
@@ -214,11 +190,6 @@ def _parse_value(key: str, kind: str, text: str):
     return value
 
 
-def _require(cond: bool, key: str, message: str) -> None:
-    if not cond:
-        raise ConfigError(f"config key {key}: {message}")
-
-
 def _overlay(obj, values: dict, prefix: tuple[str, ...] = ()):
     """``obj`` with the field at each attribute path in ``values`` replaced;
     nested dataclasses are rebuilt, so every ``__post_init__`` runs again."""
@@ -250,20 +221,6 @@ def build_run_config(mapping: dict[str, str], base: RunConfig | None = None) -> 
         key: _parse_value(key, kind, items[key]) for key, kind, _ in _CONFIG_TABLE
     }
 
-    _require(val["data.kind"] in DATA_KINDS, "data.kind", f"must be one of {DATA_KINDS}")
-    _require(val["data.classes"] >= 2, "data.classes", "must be >= 2")
-    _require(val["data.dim"] >= val["data.classes"], "data.dim", "must be >= data.classes")
-    # the input width is a u32 shape field in every checkpoint
-    _require(val["data.dim"] < 2**32, "data.dim", "must be < 2**32")
-    _require(val["data.drift_strength"] >= 0, "data.drift_strength", "must be >= 0")
-    _require(val["data.noise_sigma"] >= 0, "data.noise_sigma", "must be >= 0")
-    _require(val["data.samples_per_class"] >= 1, "data.samples_per_class", "must be >= 1")
-    # a sample's index is one 32-bit word of its noise seed
-    _require(val["data.classes"] * val["data.samples_per_class"] <= 2**32,
-             "data.samples_per_class", "times data.classes must be <= 2**32")
-    _require(val["data.seed"] >= 0, "data.seed", "must be >= 0")
-    _require(val["data.width"] >= 0, "data.width", "must be >= 0")
-    _require(val["data.height"] >= 0, "data.height", "must be >= 0")
     hidden = val["network.hidden_sizes"]
     _require(len(hidden) >= 1, "network.hidden_sizes", "need at least one hidden layer")
     _require(all(1 <= h < 2**32 for h in hidden), "network.hidden_sizes",
@@ -357,16 +314,7 @@ def _load_splits(cfg: RunConfig, splits: tuple[bool, ...]) -> tuple[tuple[Split,
         _require(getattr(d, name) not in ("", 0), f"data.{name}",
                  f"must be set for data.kind={d.kind}")
     if d.kind == "synth":
-        spec = SynthSpec(classes=d.classes, input_dim=d.dim, timesteps=cfg.timesteps,
-                         drift_strength=d.drift_strength, noise_sigma=d.noise_sigma,
-                         samples_per_class=d.samples_per_class, seed=d.seed)
-        try:
-            return synth_generate(spec, splits), d.classes
-        except ValueError as exc:
-            # only the generator's own message starts with its knob; numpy's pass as they are
-            if str(exc).startswith(("drift_strength:", "noise_sigma:")):
-                raise ConfigError(f"config key data.{exc}") from None
-            raise
+        return synth_generate(d, cfg.timesteps, splits), d.classes
     if d.kind == "idx":
         if d.test_images:
             files = ((d.images, d.labels), (d.test_images, d.test_labels))
@@ -379,10 +327,8 @@ def _load_splits(cfg: RunConfig, splits: tuple[bool, ...]) -> tuple[tuple[Split,
         # a read-only view whose time axis has stride 0
         built = tuple(Split(np.broadcast_to(x[:, None], (len(x), cfg.timesteps, x.shape[1])), y)
                       for x, y in pairs)
-    elif d.kind == "events":
+    else:  # DataSpec admits no other kind
         built = load_event_dir(d.events_dir, d.width, d.height, cfg.timesteps, splits)
-    else:
-        raise ConfigError(f"config key data.kind: unsupported kind {d.kind!r}")
     # the labels name the classes: the largest one plus one, at least 2
     return built, max(2, *(int(s.labels.max(initial=0)) + 1 for s in built))
 
@@ -761,13 +707,16 @@ def train_many(jobs) -> list[TrainResult]:
     The first job in order that fails raises its own error, and the jobs not
     yet started are cancelled, at best effort: those already handed to the
     pool's call queue (up to workers + 1) still run and write their
-    directories.  ``os.environ`` is left as it was.
+    directories.  ``os.environ`` is left as it was.  An empty ``jobs`` is
+    ``[]``, and starts no pool.
 
     ``spawn`` re-imports the caller's ``__main__`` in every worker, so a
     calling script needs an ``if __name__ == "__main__":`` guard (without
     one, the call fails with ``BrokenProcessPool``) and cannot be read from
     stdin (RuntimeError, before any worker starts); a ``python -c`` caller
     works."""
+    if not jobs:
+        return []
     import __main__
     import multiprocessing  # the pool loads only here, not with the CLI
     from concurrent.futures import ProcessPoolExecutor

@@ -1003,9 +1003,9 @@ def test_analysis_commands_build_only_the_test_split(
     generate = etcsnn.train.synth_generate
     asked = []
 
-    def recording_generate(spec, splits=(False, True)):
+    def recording_generate(spec, steps, splits=(False, True)):
         asked.append(tuple(splits))
-        return generate(spec, splits)
+        return generate(spec, steps, splits)
 
     monkeypatch.setattr(etcsnn.train, "synth_generate", recording_generate)
     limit = [] if samples is None else ["--samples", str(samples)]

@@ -4,6 +4,7 @@ binning."""
 import hashlib
 import itertools
 from collections import Counter
+from dataclasses import replace
 import math
 import re
 import struct
@@ -17,9 +18,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from etcsnn.data import (
+    ConfigError,
     DataError,
+    DataSpec,
     Split,
-    SynthSpec,
     bin_events,
     held_out,
     load_event_dir,
@@ -28,9 +30,11 @@ from etcsnn.data import (
     synth_generate,
 )
 from etcsnn.data import _STREAM_NOISE, _class_bases, _noise_states, _nuisance_directions
-from etcsnn.train import ConfigError, build_run_config, load_dataset, load_test_split
+from etcsnn.train import build_run_config, load_dataset, load_test_split
 
-SMALL = SynthSpec(classes=3, input_dim=8, timesteps=4, samples_per_class=10, seed=7)
+SMALL = DataSpec(classes=3, dim=8, drift_strength=0.0, noise_sigma=0.0, samples_per_class=10,
+                 seed=7)
+SMALL_STEPS = 4
 
 
 # -- synthetic generator --------------------------------------------------------
@@ -53,10 +57,10 @@ def fifth_of_each_class(labels) -> list[bool]:
 
 
 def test_degenerate_spec_gives_identical_slices_and_samples():
-    train, test = synth_generate(SMALL)  # drift 0, sigma 0
+    train, test = synth_generate(SMALL, SMALL_STEPS)  # drift 0, sigma 0
     by_class = {}
     for seq, label in samples(train, test):
-        for t in range(1, SMALL.timesteps):
+        for t in range(1, SMALL_STEPS):
             assert np.array_equal(seq[t], seq[0])
         if label in by_class:
             assert np.array_equal(seq, by_class[label])
@@ -67,33 +71,32 @@ def test_degenerate_spec_gives_identical_slices_and_samples():
 
 
 def test_zero_drift_noise_is_independent_per_slice():
-    spec = SynthSpec(classes=2, input_dim=8, timesteps=3, noise_sigma=0.5,
-                     samples_per_class=5, seed=1)
-    train, _ = synth_generate(spec)
+    spec = DataSpec(classes=2, dim=8, drift_strength=0.0, noise_sigma=0.5,
+                    samples_per_class=5, seed=1)
+    train, _ = synth_generate(spec, 3)
     seq = train.inputs[0]
     assert not np.array_equal(seq[0], seq[1])
     assert not np.array_equal(seq[1], seq[2])
 
 
 def test_same_seed_twice_is_byte_identical():
-    spec = SynthSpec(classes=2, input_dim=8, timesteps=3, drift_strength=0.5,
-                     noise_sigma=0.3, samples_per_class=6, seed=11)
-    a_train, a_test = synth_generate(spec)
-    b_train, b_test = synth_generate(spec)
+    spec = DataSpec(classes=2, dim=8, drift_strength=0.5,
+                    noise_sigma=0.3, samples_per_class=6, seed=11)
+    a_train, a_test = synth_generate(spec, 3)
+    b_train, b_test = synth_generate(spec, 3)
     for a, b in ((a_train, b_train), (a_test, b_test)):
         assert a.labels.tobytes() == b.labels.tobytes()
         assert a.inputs.tobytes() == b.inputs.tobytes()
 
 
 def test_different_seed_differs():
-    a, _ = synth_generate(SMALL)
-    b, _ = synth_generate(SynthSpec(classes=3, input_dim=8, timesteps=4,
-                                    samples_per_class=10, seed=8))
+    a, _ = synth_generate(SMALL, SMALL_STEPS)
+    b, _ = synth_generate(replace(SMALL, seed=8), SMALL_STEPS)
     assert not np.array_equal(a.inputs[0], b.inputs[0])
 
 
 def test_default_split_is_2000_500_and_balanced():
-    train, test = synth_generate(SynthSpec())
+    train, test = synth_generate(DataSpec(), 10)
     assert len(train) == 2000 and len(test) == 500
     for split, per_class in ((train, 500), (test, 125)):
         counts = np.bincount(split.labels, minlength=4)
@@ -101,17 +104,17 @@ def test_default_split_is_2000_500_and_balanced():
 
 
 def test_shapes_match_spec():
-    train, test = synth_generate(SMALL)
+    train, test = synth_generate(SMALL, SMALL_STEPS)
     for split in (train, test):
-        assert split.inputs.shape[1:] == (SMALL.timesteps, SMALL.input_dim)
+        assert split.inputs.shape[1:] == (SMALL_STEPS, SMALL.dim)
         assert split.inputs.dtype == np.float64 and split.labels.dtype == np.int64
         assert ((0 <= split.labels) & (split.labels < SMALL.classes)).all()
 
 
 def test_full_drift_makes_last_slice_class_independent():
-    spec = SynthSpec(classes=3, input_dim=8, timesteps=4, drift_strength=1.0,
-                     samples_per_class=5, seed=3)
-    train, _ = synth_generate(spec)
+    spec = DataSpec(classes=3, dim=8, drift_strength=1.0, noise_sigma=0.0,
+                    samples_per_class=5, seed=3)
+    train, _ = synth_generate(spec, 4)
     last = train.inputs[:3, -1]  # one per class
     assert np.array_equal(last[0], last[1]) and np.array_equal(last[1], last[2])
     firsts = train.inputs[:3, 0]
@@ -119,9 +122,9 @@ def test_full_drift_makes_last_slice_class_independent():
 
 
 def test_noisy_set_still_nearest_mean_separable():
-    spec = SynthSpec(classes=4, input_dim=16, timesteps=3, noise_sigma=0.05,
-                     samples_per_class=25, seed=5)
-    train, test = synth_generate(spec)
+    spec = DataSpec(classes=4, dim=16, drift_strength=0.0, noise_sigma=0.05,
+                    samples_per_class=25, seed=5)
+    train, test = synth_generate(spec, 3)
     means = np.stack([
         np.mean([seq.mean(axis=0) for seq, label in samples(train) if label == c], axis=0)
         for c in range(spec.classes)
@@ -133,16 +136,16 @@ def test_noisy_set_still_nearest_mean_separable():
     assert hits == len(test)
 
 
-def reference_sample(spec, idx):
+def reference_sample(spec, steps, idx):
     """Sample ``idx`` built one timestep at a time from the formula."""
     bases = _class_bases(spec)
-    u = _nuisance_directions(spec)
+    u = _nuisance_directions(spec, steps)
     noise = np.random.default_rng([spec.seed, _STREAM_NOISE, idx]).normal(
-        size=(spec.timesteps, spec.input_dim)
+        size=(steps, spec.dim)
     )
-    seq = np.empty((spec.timesteps, spec.input_dim))
-    for t in range(spec.timesteps):
-        w = 0.0 if spec.timesteps == 1 else spec.drift_strength * t / (spec.timesteps - 1)
+    seq = np.empty((steps, spec.dim))
+    for t in range(steps):
+        w = 0.0 if steps == 1 else spec.drift_strength * t / (steps - 1)
         seq[t] = (1.0 - w) * bases[idx % spec.classes] + w * u[t] + spec.noise_sigma * noise[t]
     return seq
 
@@ -159,22 +162,23 @@ def test_generator_matches_per_step_formula_bitwise(timesteps, drift):
     test = fifth_of_each_class([i % 3 for i in range(18)])
     order = [i for i in range(18) if not test[i]] + [i for i in range(18) if test[i]]
     for seed, sigma in itertools.product(SEEDS, (0.0, 0.3)):
-        spec = SynthSpec(classes=3, input_dim=8, timesteps=timesteps, drift_strength=drift,
-                         noise_sigma=sigma, samples_per_class=6, seed=seed)
-        got = samples(*synth_generate(spec))
+        spec = DataSpec(classes=3, dim=8, drift_strength=drift,
+                        noise_sigma=sigma, samples_per_class=6, seed=seed)
+        got = samples(*synth_generate(spec, timesteps))
         assert [label for _, label in got] == [i % 3 for i in order]
         for (seq, _), idx in zip(got, order):
-            assert seq.tobytes() == reference_sample(spec, idx).tobytes(), (seed, sigma, idx)
+            want = reference_sample(spec, timesteps, idx)
+            assert seq.tobytes() == want.tobytes(), (seed, sigma, idx)
 
 
 def test_generator_peak_memory_is_the_splits_alone():
     """Noise is drawn in place into each split row: nothing split-sized is
     built beside the two splits (a gather of every sample's clean blend
     would double the peak)."""
-    spec = SynthSpec(input_dim=256, noise_sigma=0.2, samples_per_class=125, seed=3)
+    spec = DataSpec(dim=256, drift_strength=0.0, noise_sigma=0.2, samples_per_class=125, seed=3)
     tracemalloc.start()
     try:
-        splits = synth_generate(spec)
+        splits = synth_generate(spec, 10)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -199,32 +203,64 @@ def test_noise_states_refuse_an_index_past_32_bits():
 # The sha256 of the training then the test split's inputs then labels, the
 # data the retired dataset dump held for this spec (x86-64, numpy 2.4):
 # any change to the generated data fails here.
-GOLDEN_SPEC = SynthSpec(classes=3, input_dim=6, timesteps=4, drift_strength=1.5,
-                        noise_sigma=0.25, samples_per_class=5, seed=2)
+GOLDEN_SPEC = DataSpec(classes=3, dim=6, drift_strength=1.5,
+                       noise_sigma=0.25, samples_per_class=5, seed=2)
+GOLDEN_STEPS = 4
 GOLDEN_SHA256 = "a63a64d0325ce7a154b43dcb7245a82d84eaa34fee3a04f861c9513de1150193"
 
 
 def test_synth_splits_match_golden_hash():
     digest = hashlib.sha256()
-    for split in synth_generate(GOLDEN_SPEC):
+    for split in synth_generate(GOLDEN_SPEC, GOLDEN_STEPS):
         digest.update(split.inputs.tobytes() + split.labels.tobytes())
     assert digest.hexdigest() == GOLDEN_SHA256
 
 
-def test_spec_validation():
-    with pytest.raises(ValueError, match="classes"):
-        SynthSpec(classes=1)
-    with pytest.raises(ValueError, match="input_dim"):
-        SynthSpec(classes=4, input_dim=3)
-    with pytest.raises(ValueError, match="drift"):
-        SynthSpec(drift_strength=-0.1)
-    with pytest.raises(ValueError, match="timesteps"):
-        SynthSpec(timesteps=0)
-    with pytest.raises(ValueError, match="seed must be >= 0"):
-        SynthSpec(seed=-3)
+# every DataSpec check, in its order: the fields that break it, the one error line
+SPEC_CHECKS = [
+    pytest.param({"kind": "file"},
+                 "data.kind: must be one of ('synth', 'idx', 'events')", id="kind"),
+    pytest.param({"classes": 1}, "data.classes: must be >= 2", id="classes"),
+    pytest.param({"classes": 4, "dim": 3}, "data.dim: must be >= data.classes",
+                 id="dim-below-classes"),
+    pytest.param({"dim": 2**32}, "data.dim: must be < 2**32", id="dim-past-u32"),
+    pytest.param({"drift_strength": -0.1}, "data.drift_strength: must be >= 0",
+                 id="drift_strength"),
+    pytest.param({"noise_sigma": -0.1}, "data.noise_sigma: must be >= 0", id="noise_sigma"),
+    pytest.param({"samples_per_class": 0}, "data.samples_per_class: must be >= 1",
+                 id="samples_per_class"),
+    pytest.param({"classes": 2, "samples_per_class": 2**31 + 1},
+                 "data.samples_per_class: times data.classes must be <= 2**32",
+                 id="samples-past-u32"),
+    pytest.param({"seed": -3}, "data.seed: must be >= 0", id="seed"),
+    pytest.param({"width": -1}, "data.width: must be >= 0", id="width"),
+    pytest.param({"height": -1}, "data.height: must be >= 0", id="height"),
+]
+
+
+@pytest.mark.parametrize("fields, message", SPEC_CHECKS)
+def test_data_spec_checks_each_key_once(fields, message):
+    """A DataSpec built directly and a config that sets the same keys raise
+    one and the same error line, naming the key."""
+    with pytest.raises(ConfigError) as direct:
+        DataSpec(**fields)
+    with pytest.raises(ConfigError) as configured:
+        build_run_config({f"data.{name}": str(value) for name, value in fields.items()})
+    assert str(direct.value) == str(configured.value) == f"config key {message}"
+
+
+def test_data_spec_takes_class_counts_held_out_alike():
     # every class is held out alike, so a multiple of 5 is a class count too
     for classes in (5, 10, 15):
-        assert SynthSpec(classes=classes, input_dim=16).classes == classes
+        assert DataSpec(classes=classes, dim=16).classes == classes
+
+
+@pytest.mark.parametrize("knob", ["drift_strength", "noise_sigma"])
+def test_generator_refuses_a_knob_that_overflows_the_inputs(knob):
+    spec = replace(SMALL, **{knob: 1e308})
+    message = rf"^config key data\.{knob}: 1e\+308 overflows the inputs$"
+    with pytest.raises(ConfigError, match=message):
+        synth_generate(spec, SMALL_STEPS)
 
 
 @pytest.mark.parametrize("classes", [2, 3, 5, 10])
@@ -233,8 +269,9 @@ def test_every_class_holds_out_a_fifth_of_its_samples(classes, per_class):
     """Each split is whole blocks of ``classes`` consecutive samples, so
     ``labels[c::classes] == c`` in both, and the test split holds
     ``per_class // 5`` samples of every class."""
-    spec = SynthSpec(classes=classes, input_dim=10, timesteps=2, samples_per_class=per_class)
-    train, test = synth_generate(spec)
+    spec = DataSpec(classes=classes, dim=10, drift_strength=0.0, noise_sigma=0.0,
+                    samples_per_class=per_class)
+    train, test = synth_generate(spec, 2)
     assert np.bincount(test.labels, minlength=classes).tolist() == [per_class // 5] * classes
     assert len(train) == classes * (per_class - per_class // 5)
     for split in (train, test):
@@ -689,10 +726,10 @@ def test_event_test_split_bins_only_held_out_files(tmp_path):
 def test_loaders_build_exactly_the_asked_splits(tmp_path):
     """The split loaders return the splits asked for, in the order asked,
     each equal to its two-split twin."""
-    spec = SynthSpec(classes=3, input_dim=6, timesteps=2, noise_sigma=0.3,
-                     samples_per_class=5)
+    spec = DataSpec(classes=3, dim=6, drift_strength=0.0, noise_sigma=0.3,
+                    samples_per_class=5)
     write_event_classes(tmp_path, files_per_class=6)
-    for load in (lambda splits: synth_generate(spec, splits),
+    for load in (lambda splits: synth_generate(spec, 2, splits),
                  lambda splits: load_event_dir(tmp_path, 2, 2, 2, splits)):
         train, test = load((False, True))
         for splits, want in (((True,), [test]), ((True, False), [test, train]), ((), [])):

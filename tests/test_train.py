@@ -6,6 +6,7 @@ the sub-minute range while still exercising the full loop: shuffling,
 AdamW updates, metric logging, checkpoint writes, and resume.
 """
 
+import concurrent.futures
 import hashlib
 import json
 import os
@@ -14,6 +15,7 @@ import struct
 import subprocess
 import sys
 import tracemalloc
+import types
 import zlib
 from dataclasses import replace
 from pathlib import Path
@@ -636,6 +638,20 @@ def test_train_many_failing_job_raises_its_own_error(tmp_path, monkeypatch):
         train_many(jobs)
     assert dict(os.environ) == before
     assert not (tmp_path / "bad").exists()
+
+
+def test_train_many_of_no_jobs_starts_no_pool(monkeypatch):
+    """No jobs are ``[]``: no pool is built and ``os.environ`` is never
+    written, here a read-only view that would raise on a write."""
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("train_many built a pool for no jobs")
+
+    # undone before pytest's own teardown writes the environment
+    with monkeypatch.context() as patch:
+        patch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        patch.setattr(os, "environ", types.MappingProxyType(dict(os.environ)))
+        assert train_many([]) == []
 
 
 def test_train_many_from_stdin_is_one_clear_error(tmp_path):
