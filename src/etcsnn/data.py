@@ -25,10 +25,10 @@ slices carry less class information and the per-timestep corruption differs
 from step to step.  All randomness is keyed off ``(seed, stream, sample
 index)`` so generation is order-independent and bit-reproducible: sample
 ``idx``'s noise is exactly what ``np.random.default_rng([seed, 3, idx])``
-draws.  Those generators are not built one per sample; the SeedSequence and
-PCG64 seeding numpy would run for each is computed for a whole split in one
-vectorised pass, and one reused generator draws every sample from its derived
-state.  numpy's own ``default_rng`` is the tests' oracle for that state.  Each
+draws.  No SeedSequence is built per sample: etcsnn computes a split's
+SeedSequence words in one vectorised pass, and numpy seeds each sample's
+PCG64 from its row of them.  numpy's own ``SeedSequence`` and ``default_rng``
+are the tests' oracles for those words and the state they seed.  Each
 sample's noise is drawn in place, straight into its row of the split, and
 scaled and shifted there: ``standard_normal`` yields the draws ``normal``
 would, and no split-sized temporary is built.
@@ -36,11 +36,11 @@ would, and no split-sized temporary is built.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 import struct
 import warnings
-from collections.abc import Iterator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -170,13 +170,11 @@ def _nuisance_directions(spec: DataSpec, steps: int) -> np.ndarray:
     return u / np.linalg.norm(u, axis=1, keepdims=True)
 
 
-# numpy's SeedSequence (O'Neill's seed_seq_fe, a pool of four uint32 words) and
-# PCG64 seeding (pcg_setseq_128_srandom_r) constants
+# numpy's SeedSequence constants (O'Neill's seed_seq_fe, a pool of four uint32 words)
 _SEED_INIT_A, _SEED_MULT_A = 0x43B0D7E5, 0x931E8875
 _SEED_INIT_B, _SEED_MULT_B = 0x8B51F9DD, 0x58F38DED
 _SEED_MIX_L, _SEED_MIX_R = 0xCA01F9DD, 0x4973F715
-_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK32, _MASK128 = 2**32 - 1, 2**128 - 1
+_MASK32 = 2**32 - 1
 
 
 def _seed_words(n: int) -> list[int]:
@@ -208,15 +206,14 @@ def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return mixed ^ mixed >> 16
 
 
-def _noise_states(seed: int, indices: np.ndarray) -> Iterator[dict]:
-    """The PCG64 state of ``np.random.default_rng([seed, _STREAM_NOISE, idx])``
-    for every ``idx`` in ``indices``, in order, without building one.
+def _noise_words(seed: int, indices: np.ndarray) -> np.ndarray:
+    """``np.random.SeedSequence([seed, _STREAM_NOISE, idx]).generate_state(4,
+    np.uint64)`` for every ``idx`` in ``indices``, as the rows of one (N, 4)
+    uint64 array, without building one.
 
-    One lane per index: SeedSequence's entropy pool and its
-    ``generate_state(4, uint64)`` run in uint32 lanes, then each four words
-    fold into PCG64's ``(state, inc)`` by its seeding rule (two LCG steps) as
-    Python ints.  An index takes one entropy word, so indices must stay below
-    2**32 rather than wrap.
+    One lane per index: SeedSequence's entropy pool and its output hash run
+    in uint32 lanes.  An index takes one entropy word, so indices must stay
+    below 2**32 rather than wrap.
     """
     if indices.size and int(indices.max()) > _MASK32:
         raise ValueError(f"sample index {int(indices.max())} does not fit 32 bits")
@@ -234,15 +231,31 @@ def _noise_states(seed: int, indices: np.ndarray) -> Iterator[dict]:
         for dst in range(4):
             pool[dst] = _mix(pool[dst], hashmix(word))
     hash_out = _hasher(_SEED_INIT_B, _SEED_MULT_B)
-    words = np.stack([hash_out(pool[i % 4]) for i in range(8)], axis=1)
-    # generate_state(4, uint64) pairs the words little-endian; PCG64 takes
-    # the first two as its 128-bit seed and the last two as its stream, high
-    # half first.  Rows become Python ints one at a time, not a split's worth.
-    for s_hi, s_lo, i_hi, i_lo in map(np.ndarray.tolist, words.astype("<u4").view("<u8")):
-        inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
-        state = ((inc + (s_hi << 64 | s_lo)) * _PCG64_MULT + inc) & _MASK128
-        yield {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-               "has_uint32": 0, "uinteger": 0}
+    words = np.stack([hash_out(pool[i % 4]) for i in range(8)], axis=1, dtype="<u4")
+    # generate_state(4, uint64) pairs the words little-endian; PCG64 reads
+    # native uint64, which only a big-endian host must byte-swap to
+    return words.view("<u8").astype(np.uint64, copy=False)
+
+
+@functools.cache
+def _seeded_by():
+    """The seed-sequence class that hands numpy one row of ``_noise_words``:
+    ``np.random.PCG64(_seeded_by()(row))`` seeds as ``PCG64(SeedSequence(
+    [seed, _STREAM_NOISE, idx]))`` does.  Defined on first use, because
+    importing ``numpy.random`` at module level would load it with etcsnn."""
+    from numpy.random.bit_generator import ISeedSequence
+
+    class SeededBy(ISeedSequence):
+        def __init__(self, words: np.ndarray):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            # PCG64 asks for exactly this; anything else would seed silently wrong
+            if n_words != 4 or dtype is not np.uint64:
+                raise ValueError(f"only generate_state(4, uint64), not ({n_words}, {dtype})")
+            return self.words
+
+    return SeededBy
 
 
 def held_out(labels: np.ndarray) -> np.ndarray:
@@ -280,15 +293,14 @@ def synth_generate(spec: DataSpec, steps: int, splits=(False, True)) -> tuple[Sp
     )
     indices = np.arange(spec.classes * spec.samples_per_class)
     test = held_out(indices % spec.classes)
-    # every draw follows a state assignment, so its own seed is never used
-    rng = np.random.Generator(np.random.PCG64())
+    seeded_by = _seeded_by()
     built = []
     for want in splits:
         members = indices[test == want]
         inputs = np.empty((members.size, steps, spec.dim))
         labels = members % spec.classes
-        for row, state in zip(inputs, _noise_states(spec.seed, members)):
-            rng.bit_generator.state = state
+        for row, words in zip(inputs, _noise_words(spec.seed, members)):
+            rng = np.random.Generator(np.random.PCG64(seeded_by(words)))
             # normal(size=...) draws these same standard normals, as 0 + 1 * z
             rng.standard_normal(out=row)
         inputs *= spec.noise_sigma

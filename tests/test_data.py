@@ -6,17 +6,22 @@ import itertools
 from collections import Counter
 from dataclasses import replace
 import math
+import os
 import re
 import struct
+import subprocess
+import sys
 import tracemalloc
 import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import etcsnn
 from etcsnn.data import (
     ConfigError,
     DataError,
@@ -29,7 +34,13 @@ from etcsnn.data import (
     parse_event_csv,
     synth_generate,
 )
-from etcsnn.data import _STREAM_NOISE, _class_bases, _noise_states, _nuisance_directions
+from etcsnn.data import (
+    _STREAM_NOISE,
+    _class_bases,
+    _noise_words,
+    _nuisance_directions,
+    _seeded_by,
+)
 from etcsnn.train import build_run_config, load_dataset, load_test_split
 
 SMALL = DataSpec(classes=3, dim=8, drift_strength=0.0, noise_sigma=0.0, samples_per_class=10,
@@ -188,16 +199,44 @@ def test_generator_peak_memory_is_the_splits_alone():
 
 @pytest.mark.parametrize("seed", [*SEEDS, 7, 2**70 + 3])
 def test_noise_states_match_default_rng(seed):
+    """Every row is SeedSequence's four words, and numpy seeds PCG64 from a
+    row into the state ``default_rng`` starts from."""
     indices = np.array([0, 1, 4, 2**31, 2**32 - 1])
-    for idx, state in zip(indices.tolist(), _noise_states(seed, indices)):
-        assert state == np.random.default_rng([seed, _STREAM_NOISE, idx]).bit_generator.state
+    words = _noise_words(seed, indices)
+    assert words.shape == (indices.size, 4)
+    for idx, row in zip(indices.tolist(), words):
+        key = [seed, _STREAM_NOISE, idx]
+        want = np.random.SeedSequence(key).generate_state(4, np.uint64)
+        assert row.dtype == want.dtype and row.tobytes() == want.tobytes(), (seed, idx)
+        state = np.random.PCG64(_seeded_by()(row)).state
+        assert state == np.random.default_rng(key).bit_generator.state, (seed, idx)
 
 
 def test_noise_states_refuse_an_index_past_32_bits():
     # numpy would key index 2**32 by two words; it must not wrap to index 0
     with pytest.raises(ValueError, match="4294967296"):
-        list(_noise_states(0, np.array([0, 2**32])))
-    assert list(_noise_states(0, np.array([], dtype=np.int64))) == []
+        _noise_words(0, np.array([0, 2**32]))
+    assert _noise_words(0, np.array([], dtype=np.int64)).shape == (0, 4)
+
+
+@pytest.mark.parametrize("n_words, dtype", [(4, np.uint32), (2, np.uint64), (8, np.uint64)])
+def test_seed_words_refuse_any_other_request(n_words, dtype):
+    """The words answer the one request PCG64 makes; a numpy that asked for
+    another would otherwise be seeded silently wrong."""
+    seeded = _seeded_by()(_noise_words(0, np.array([5]))[0])
+    with pytest.raises(ValueError, match="only generate_state"):
+        seeded.generate_state(n_words, dtype)
+
+
+def test_importing_the_cli_leaves_numpy_random_unloaded():
+    """The seed-sequence class is defined on first use: in a fresh
+    interpreter, importing the CLI (and with it the generator) does not
+    import ``numpy.random``."""
+    env = {**os.environ, "PYTHONPATH": str(Path(etcsnn.__file__).parents[1])}
+    code = "import sys, etcsnn.cli; print('numpy.random' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, check=True)
+    assert proc.stdout == "False\n"
 
 
 # The sha256 of the training then the test split's inputs then labels, the
