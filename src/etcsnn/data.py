@@ -112,6 +112,9 @@ class DataSpec:
         _require(self.seed >= 0, "data.seed", "must be >= 0")
         _require(self.width >= 0, "data.width", "must be >= 0")
         _require(self.height >= 0, "data.height", "must be >= 0")
+        # 2 * width * height is an event frame's input width: data.dim's u32 bound
+        _require(2 * self.width * self.height < 2**32,
+                 "data.width", "times data.height, times 2 polarities, must be < 2**32")
 
 
 class DataError(Exception):

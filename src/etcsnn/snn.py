@@ -24,13 +24,17 @@ are contiguous.  The rows are taken in blocks of ``batch``: one matmul per
 block, of the shape one call per block would run (BLAS picks its kernel, and
 so the last bits, by shape), and one time loop over all of them.  Evaluation
 passes several batches at once this way; training's one batch is one block.
+The output layer integrates in place on its own time-major drive too.
 Spikes, inputs and gradients by input currents stay batch-major: their
 (batch*T, width) rows feed the matmuls, and that row order fixes the float
-summation order.  ``lif_backward`` walks the cache from the output layer
-down, running BPTT in reverse time by hand, time-major too, in the cache's
-own buffers: it overwrites the charged potentials and spikes and clears every
-entry (read them before), leaves ``dv`` as given, and returns a plain list of
-one fresh gradient array per weight.
+summation order.  So do the returned output potentials, as one fresh copy
+of the time-major ones: the loss's whole-array sums over them follow memory
+order, and a transposed view would change their bits.  ``lif_backward``
+walks the cache from the output layer down, running BPTT in reverse time by
+hand, time-major too, in the cache's own buffers: it overwrites the charged
+potentials and spikes and clears every entry (read them before), leaves
+``dv`` as given, and returns a plain list of one fresh gradient array per
+weight.
 The oracle module ``etcsnn.autodiff`` builds the same dynamics one tape op
 per node and holds this pass to it; this module never builds a tape.
 Shapes are the caller's: neither pass checks them, as ``etcsnn.train`` checks
@@ -194,8 +198,10 @@ def lif_unroll(
     ``inputs`` is (batch, timesteps, input_dim) of per-step input currents.
     Hidden layers start from the reset potential; the output layer
     leak-integrates its current from zero with no threshold, spike, or
-    reset.  Returns the output layer's (batch, T, classes) potentials and
-    the cache ``lif_backward`` needs: per layer, its input, (T, batch,
+    reset, in place on its time-major drive.  Returns the output layer's
+    potentials as a C-contiguous (batch, T, classes) copy that owns its
+    memory, since sums over the whole array follow memory order, and the
+    cache ``lif_backward`` needs: per layer, its input, (T, batch,
     width) charged potentials and (batch, T, width) spikes (None for the
     output layer).  Raises NonFiniteError on a non-finite potential; shapes
     must fit ``spec`` and are not checked.
@@ -212,16 +218,15 @@ def lif_unroll(
         cache.append((x, charged, spikes))
         x = spikes
     cache.append((x, None, None))
-    drive = _drive(x, params[-1], lif, batch)
-    values = np.empty((x.shape[0], spec.timesteps, spec.classes))
-    v = np.zeros(drive.shape[1:])
+    v = _drive(x, params[-1], lif, batch)  # integrated in place, step by step
+    leaked = np.empty(v.shape[1:])
     with np.errstate(over="ignore", invalid="ignore"):
-        for t in range(spec.timesteps):
-            v = np.multiply(v, lif.leak, out=values[:, t])
-            v += drive[t]
-    if not np.all(np.isfinite(values)):
+        v[0] += 0.0  # 0 * leak + drive: a -0.0 drive charges to +0.0
+        for t in range(1, spec.timesteps):
+            v[t] += np.multiply(v[t - 1], lif.leak, out=leaked)
+    if not np.all(np.isfinite(v)):
         raise NonFiniteError("non-finite membrane potentials in the output layer")
-    return values, cache
+    return v.transpose(1, 0, 2).copy(), cache  # a copy, not a view: see above
 
 
 @np.errstate(over="ignore", invalid="ignore")  # adamw_step checks the gradients

@@ -274,6 +274,9 @@ SPEC_CHECKS = [
     pytest.param({"seed": -3}, "data.seed: must be >= 0", id="seed"),
     pytest.param({"width": -1}, "data.width: must be >= 0", id="width"),
     pytest.param({"height": -1}, "data.height: must be >= 0", id="height"),
+    pytest.param({"width": 65536, "height": 32768},
+                 "data.width: times data.height, times 2 polarities, must be < 2**32",
+                 id="frame-past-u32"),
 ]
 
 

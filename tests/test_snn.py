@@ -367,9 +367,24 @@ def test_kernels_match_frozen_batch_major_kernels_bitwise(
     want_grads = lif_backward_frozen(params, want_cache, dv, tau_m, v_th, lif.surrogate_a)
 
     assert np.array_equal(_bits(values), _bits(want_values))
+    # objective's whole-array sums follow memory order: batch-major, its own buffer
+    assert values.flags.c_contiguous and values.flags.owndata
     assert len(grads) == len(want_grads)
     for got, want in zip(grads, want_grads):
         assert np.array_equal(_bits(got), _bits(want))
+
+
+def test_output_layer_charges_a_negative_zero_drive_to_positive_zero():
+    """A readout current of -5e-324 scales by 1/tau_m to a -0.0 drive, which
+    the frozen kernel's first step, 0 * leak + drive, turns into +0.0; every
+    later step keeps it, since -0.0 + leak * 0.0 is +0.0 too."""
+    spec = _spec(sizes=(1, 1, 2), steps=3)
+    params = [np.ones((1, 1)), np.full((1, 2), -5e-324)]
+    x = np.ones((2, 3, 1))
+    values, _ = lif_unroll(spec, params, x)
+    want_values, _ = lif_unroll_frozen(params, x, P.tau_m, P.v_th, P.v_reset)
+    assert np.array_equal(_bits(values), _bits(want_values))
+    assert not np.signbit(values).any() and not values.any()
 
 
 @pytest.mark.parametrize("sizes,batch", [
