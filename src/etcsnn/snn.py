@@ -34,7 +34,9 @@ walks the cache from the output layer down, running BPTT in reverse time by
 hand, time-major too, in the cache's own buffers: it overwrites the charged
 potentials and spikes and clears every entry (read them before), leaves
 ``dv`` as given, and returns a plain list of one fresh gradient array per
-weight.
+weight.  Its elementwise work runs over blocks of batch rows whose
+(T, rows, width) float64 slab is at most ``_BLOCK_BYTES``, so its temporaries
+are a block's, not a layer's; each layer's two matmuls run over every row.
 The oracle module ``etcsnn.autodiff`` builds the same dynamics one tape op
 per node and holds this pass to it; this module never builds a tape.
 Shapes are the caller's: neither pass checks them, as ``etcsnn.train`` checks
@@ -229,6 +231,47 @@ def lif_unroll(
     return v.transpose(1, 0, 2).copy(), cache  # a copy, not a view: see above
 
 
+# Most bytes of one row block's float64 (T, rows, width) slab in ``lif_backward``:
+# 32 rows of the wide 256-unit layers at T=10, where 640 KiB timed fastest of
+# 8, 16, 32, 64 rows and the whole layer.  A row larger than this is a block.
+_BLOCK_BYTES = 640 << 10
+
+
+def _current_grad(g: np.ndarray, charged: np.ndarray | None, lif: LifParams) -> np.ndarray:
+    """One layer's gradient by its input currents, (batch, T, width), from ``g``,
+    the gradient by its spikes, over ``g``; or for the output layer (``charged``
+    None), by its potentials, in a fresh array.  BPTT runs block by block in
+    the charged potentials' own rows, and one decay slab serves every block."""
+    (batch, steps, width), output = g.shape, charged is None
+    block = max(1, _BLOCK_BYTES // (steps * width * 8))
+    slab = np.empty((steps, min(block, batch), width))
+    if output:  # dv's block, time-major, in a buffer of its own; dv stays as given
+        charged, g_current = np.empty_like(slab), np.empty(g.shape)
+    else:  # over spent spike grads
+        g_current = g
+    for b in range(0, batch, block):
+        g_block = g[b : b + block].transpose(1, 0, 2)
+        n = g_block.shape[1]
+        # d(loss)/d(charged potential), latest step first, in place; the stored potential
+        # carries decay = leak * (1 - s) times it a step back: (leak*g)*k == g*(leak*k),
+        # k in {0, 1}.  Each step's product overwrites the decay it used.
+        decay = slab[:, :n]
+        if output:
+            g_charged = charged[:, :n]
+            np.copyto(g_charged, g_block)
+            decay.fill(lif.leak)
+        else:
+            g_charged = charged[:, b : b + n]
+            np.multiply(np.less(g_charged, lif.v_th, out=decay), lif.leak, out=decay)
+            _surrogate(np.subtract(g_charged, lif.v_th, out=g_charged), lif)
+            g_charged *= g_block
+        g_charged[-1] += 0.0  # the latest step's carry, 0 * decay: -0.0 turns +0.0
+        for t in reversed(range(steps - 1)):
+            g_charged[t] += np.multiply(g_charged[t + 1], decay[t], out=decay[t])
+        np.multiply(g_charged.transpose(1, 0, 2), 1.0 / lif.tau_m, out=g_current[b : b + n])
+    return g_current
+
+
 @np.errstate(over="ignore", invalid="ignore")  # adamw_step checks the gradients
 def lif_backward(spec: NetworkSpec, params, cache, dv: np.ndarray) -> list[np.ndarray]:
     """Gradient of a loss by every weight, from ``dv``, the loss's gradient
@@ -236,29 +279,23 @@ def lif_backward(spec: NetworkSpec, params, cache, dv: np.ndarray) -> list[np.nd
     that returned ``cache``.  Consumes ``cache``, overwriting its arrays and
     clearing every entry (read charged potentials or spikes first); leaves
     ``dv`` as given.  The gradients come back as one fresh float64 array per
-    weight, in the order of ``params``."""
-    lif = spec.lif
+    weight, in the order of ``params``.
+
+    Each layer's elementwise BPTT runs over blocks of batch rows whose
+    (T, rows, width) float64 slab is at most ``_BLOCK_BYTES`` (one row at
+    least); every op there is elementwise per row, so the bits are the
+    whole layer's.  Its two matmuls run over every row at once, so BLAS sees
+    the layer's shapes.  Beside the cache and the gradients, the backward
+    allocates one block's decay slab and surrogate band mask, and for the
+    output layer a time-major block of ``dv`` and its (batch, T, classes)
+    gradient by the input currents."""
     grads = []  # output layer first
     g = dv  # gradient by the current layer's value: spikes, or potentials
     for i in reversed(range(len(params))):
-        x, charged, spikes = cache[i]
-        cache[i] = decay = g_charged = carry = g_current = None  # drop the layer above's arrays
-        steps, rows = x.shape[1], x.reshape(-1, x.shape[2])  # rows: (batch*T, fan_in)
-        # d(loss)/d(charged potential), latest step first, in place; the stored potential carries
-        # decay = leak * (1 - s) times it a step back: (leak*g)*k == g*(leak*k), k in {0, 1}.
-        if spikes is None:
-            g_charged, decay = np.array(g.transpose(1, 0, 2)), (lif.leak,) * steps
-        else:
-            decay = lif.leak * (charged < lif.v_th)
-            g_charged = _surrogate(np.subtract(charged, lif.v_th, out=charged), lif)
-            g_charged *= g.transpose(1, 0, 2)
-        carry = scratch = np.zeros(g_charged.shape[1:])
-        for t in reversed(range(steps)):
-            g_charged[t] += np.multiply(carry, decay[t], out=scratch)
-            carry = g_charged[t]
-        g_current = np.empty(g.shape) if spikes is None else g  # over spent spike grads
-        np.multiply(g_charged.transpose(1, 0, 2), 1.0 / lif.tau_m, out=g_current)
-        g_current = g_current.reshape(len(rows), -1)
+        x, charged, _ = cache[i]
+        cache[i] = g_current = None  # drop the layer above's arrays
+        rows = x.reshape(-1, x.shape[2])  # (batch*T, fan_in)
+        g_current = _current_grad(g, charged, spec.lif).reshape(len(rows), -1)
         grads.append(rows.T @ g_current)
         if i:  # by the layer below's spikes, over them: this layer's input is spent
             g = np.matmul(g_current, params[i].T, out=rows).reshape(x.shape)

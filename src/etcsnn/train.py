@@ -229,7 +229,8 @@ def build_run_config(mapping: dict[str, str], base: RunConfig | None = None) -> 
     # a 1..T list past 32 bits never fits in memory: no explicit list may carry such a T
     _require(val["network.timesteps"] < 2**32, "network.timesteps", "must be < 2**32")
     _require(val["lif.tau_m"] >= 1, "lif.tau_m", "must be >= 1")
-    _require(val["lif.surrogate_a"] > 0, "lif.surrogate_a", "must be > 0")
+    _require(0 < val["lif.surrogate_a"] <= 1e154, "lif.surrogate_a",
+             "must be > 0 and <= 1e154 (a finite a**2)")
     _require(0 < val["etc.tau"] <= 1e154, "etc.tau", "must be > 0 and <= 1e154 (a finite tau**2)")
     _require(val["etc.lambda"] >= 0, "etc.lambda", "must be >= 0")
     _require(val["opt.lr"] > 0, "opt.lr", "must be > 0")

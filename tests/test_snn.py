@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from etcsnn import autodiff as ad
+from etcsnn import snn
 from etcsnn.autodiff import (
     LifState,
     gradcheck_lif,
@@ -329,6 +330,7 @@ def _bits(a):
     return np.ascontiguousarray(a).view(np.int64)
 
 
+@pytest.mark.parametrize("block_bytes", [snn._BLOCK_BYTES, 1], ids=["module-budget", "one-row"])
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(
     batch=st.sampled_from([1, *range(3, 41)]),
@@ -341,12 +343,14 @@ def _bits(a):
     seed=st.integers(0, 2**32 - 1),
 )
 def test_kernels_match_frozen_batch_major_kernels_bitwise(
-    batch, steps, hidden, dims, v_reset, tau_m, v_th, seed
+    block_bytes, batch, steps, hidden, dims, v_reset, tau_m, v_th, seed
 ):
     """The time-major, in-place loops against a frozen copy of the
     batch-major ones: values, weight gradients, charged potentials and
     spikes agree as raw bits, so signed zeros count too.  ``v_th <= 0``
-    fires on negative potentials, and ``tau_m = 1`` drops the leak."""
+    fires on negative potentials, and ``tau_m = 1`` drops the leak.  No
+    case here spans two of the backward's row blocks at the module's
+    budget; at a one-byte budget every row is a block of its own."""
     sizes = (dims[0], *hidden, dims[1])
     lif = LifParams(tau_m=tau_m, v_th=v_th, v_reset=v_reset)
     spec = _spec(sizes=sizes, steps=steps, lif=lif)
@@ -363,7 +367,9 @@ def test_kernels_match_frozen_batch_major_kernels_bitwise(
         assert np.array_equal(_bits(charged.transpose(1, 0, 2)), _bits(want_charged))
         assert spikes.shape == want_spikes.shape  # batch-major: the next layer's input
         assert np.array_equal(_bits(spikes), _bits(want_spikes))
-    grads = lif_backward(spec, params, cache, dv)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(snn, "_BLOCK_BYTES", block_bytes)
+        grads = lif_backward(spec, params, cache, dv)
     want_grads = lif_backward_frozen(params, want_cache, dv, tau_m, v_th, lif.surrogate_a)
 
     assert np.array_equal(_bits(values), _bits(want_values))
@@ -389,12 +395,14 @@ def test_output_layer_charges_a_negative_zero_drive_to_positive_zero():
 
 @pytest.mark.parametrize("sizes,batch", [
     ((64, 64, 4), 32), ((20, 96, 4), 16), ((32, 48, 24, 4), 24), ((12, 32, 64, 3), 40),
+    ((256, 256, 256, 4), 128),
 ])
 def test_backward_consumes_its_cache_within_a_bounded_peak(sizes, batch):
     """BPTT runs in the forward's buffers: the backward clears every cache
     entry, leaves ``dv`` and the inputs as they were, and allocates at most
     2.5 (T, batch, width) arrays of its widest hidden layer beside the
-    gradients it returns."""
+    gradients it returns; at most half of one when that layer spans several
+    row blocks, whose temporaries the block, not the layer, bounds."""
     spec = _spec(sizes=sizes, steps=10)
     rng = np.random.default_rng(23)
     params = init_weights(spec, seed=5)
@@ -410,7 +418,8 @@ def test_backward_consumes_its_cache_within_a_bounded_peak(sizes, batch):
     finally:
         tracemalloc.stop()
     layer = 10 * batch * max(sizes[1:-1]) * 8
-    assert peak - sum(g.nbytes for g in grads) <= 2.5 * layer
+    bound = 2.5 * layer if layer <= snn._BLOCK_BYTES else 0.5 * layer
+    assert peak - sum(g.nbytes for g in grads) <= bound
     assert cache == [None] * len(params)
     assert np.array_equal(_bits(dv), dv_bits) and np.array_equal(_bits(x), x_bits)
 
