@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from dataclasses import replace
@@ -166,6 +167,10 @@ def _cmd_dump_dist(args) -> int:
     ckpt, split = _eval_split(args)
     samples = split[: args.samples]
     out = Path(args.out)
+    if out.exists() and os.path.samefile(out, args.ckpt):  # a link to it counts too
+        raise _UsageError(
+            f"--out {out} is the checkpoint {args.ckpt}; writing it would destroy it"
+        )
     out.parent.mkdir(parents=True, exist_ok=True)
     dump_distributions(ckpt, samples, out)
     print(f"wrote {out} ({len(samples)} samples)")

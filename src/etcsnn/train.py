@@ -26,6 +26,7 @@ import math
 import os
 import struct
 import zlib
+from collections.abc import Iterator
 from contextlib import ExitStack, contextmanager
 from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
@@ -652,8 +653,10 @@ def train(cfg: RunConfig, out_dir, resume_from=None) -> TrainResult:
                     dv, total, ce_val, etc_val = objective(
                         values, labels_1h[sel], cfg.loss_mode, cfg.etc
                     )
-                    grads = lif_backward(spec, params, cache, dv)
-                    params = adamw_step(params, grads, opt, lr_now)
+                    # no local holds the gradients: they die as the update returns
+                    params = adamw_step(
+                        params, lif_backward(spec, params, cache, dv), opt, lr_now
+                    )
                 except (NonFiniteError, ValueError) as exc:
                     raise TrainingError(f"epoch {epoch}, batch {batch_no}: {exc}") from exc
                 ce_sum += ce_val * len(sel)
@@ -709,7 +712,9 @@ def train_many(jobs) -> list[TrainResult]:
     yet started are cancelled, at best effort: those already handed to the
     pool's call queue (up to workers + 1) still run and write their
     directories.  ``os.environ`` is left as it was.  An empty ``jobs`` is
-    ``[]``, and starts no pool.
+    ``[]``, and starts no pool.  Each job needs a directory of its own: two
+    jobs whose ``out_dir`` resolve to one path are a ValueError naming it,
+    raised before any pool, environment change or directory.
 
     ``spawn`` re-imports the caller's ``__main__`` in every worker, so a
     calling script needs an ``if __name__ == "__main__":`` guard (without
@@ -718,6 +723,11 @@ def train_many(jobs) -> list[TrainResult]:
     works."""
     if not jobs:
         return []
+    seen = set()
+    for _, out_dir in jobs:
+        if (where := Path(out_dir).resolve()) in seen:
+            raise ValueError(f"train_many: two jobs share the output directory {where}")
+        seen.add(where)
     import __main__
     import multiprocessing  # the pool loads only here, not with the CLI
     from concurrent.futures import ProcessPoolExecutor
@@ -857,24 +867,27 @@ def consistency_report(ckpt: Checkpoint, split: Split) -> dict:
     }
 
 
-def _distribution_csv(values: np.ndarray, labels: np.ndarray) -> str:
-    """The distribution dump of output potentials ``values`` (N, T, C): per
-    sample, each step's temperature-1 softmax row, then its mean row."""
+def _distribution_csv(values: np.ndarray, labels: np.ndarray) -> Iterator[str]:
+    """The distribution dump of output potentials ``values`` (N, T, C) as
+    text chunks: the header line, then per sample one chunk of its rows,
+    each step's temperature-1 softmax row and then its mean row.  Only one
+    sample's probabilities are Python floats and text at a time."""
     # (N, T + 1, C)
     probs = np.concatenate(
         [_softmax_np(values), _softmax_np(values.mean(axis=1))[:, None]], axis=1
     )
     picks = np.argmax(probs, axis=2).tolist()  # ties go to the lowest class
-    lines = ["sample_id,label,t,argmax," + ",".join(f"p_{c}" for c in range(values.shape[2]))]
+    yield "sample_id,label,t,argmax," + ",".join(f"p_{c}" for c in range(values.shape[2])) + "\n"
     steps = [*range(1, values.shape[1] + 1), "mean"]
-    rows = zip(labels.tolist(), probs.tolist(), picks)
-    for i, (label, sample, sample_picks) in enumerate(rows):
-        for t, row, pick in zip(steps, sample, sample_picks):
-            lines.append(f"{i},{label},{t},{pick}," + ",".join(map(repr, row)))
-    return "\n".join(lines) + "\n"
+    for i, (label, sample, sample_picks) in enumerate(zip(labels.tolist(), probs, picks)):
+        yield "".join([f"{i},{label},{t},{pick},{','.join(map(repr, row))}\n"
+                       for t, row, pick in zip(steps, sample.tolist(), sample_picks)])
 
 
 def dump_distributions(ckpt: Checkpoint, split: Split, out_path) -> None:
-    """Per-timestep temperature-1 softmax rows per sample, plus a mean row."""
+    """Per-timestep temperature-1 softmax rows per sample, plus a mean row,
+    written one sample at a time.  The forward runs first, so a split it
+    refuses leaves no file."""
     values = _ckpt_forward(ckpt, split, ckpt.config.timesteps)
-    Path(out_path).write_text(_distribution_csv(values, split.labels))
+    with open(out_path, "w") as fh:
+        fh.writelines(_distribution_csv(values, split.labels))

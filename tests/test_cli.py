@@ -941,6 +941,25 @@ def test_dump_dist_writes_csv(trained_run, tmp_path, capsys):
     assert len(lines) == 1 + 2 * 4  # header + (T rows + mean row) per sample
 
 
+@pytest.mark.parametrize("link", ["itself", "symlink", "hardlink"])
+def test_dump_dist_refuses_to_overwrite_its_checkpoint(trained_run, tmp_path, capsys, link):
+    """``--out`` naming the checkpoint, by its own path or by a link to it,
+    is one ``error:`` line, exit 1, and the checkpoint keeps its bytes."""
+    ckpt = trained_run / "ckpt_final.bin"
+    before = ckpt.read_bytes()
+    out = {"itself": ckpt, "symlink": tmp_path / "sym.bin", "hardlink": tmp_path / "hard.bin"}[link]
+    if link == "symlink":
+        out.symlink_to(ckpt)
+    elif link == "hardlink":
+        out.hardlink_to(ckpt)
+    code = run_cli(["dump-dist", "--ckpt", str(ckpt), "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: --out ") and len(err.splitlines()) == 1
+    assert ckpt.read_bytes() == before
+    assert run_cli(["eval", "--ckpt", str(ckpt)]) == 0
+
+
 @pytest.mark.parametrize("command", ["dump-dist", "eval", "consistency"])
 def test_analysis_dim_mismatch_is_one_error_line(trained_run, tmp_path, capsys, command):
     argv = [command, "--ckpt", str(trained_run / "ckpt_final.bin"), "--set", "data.dim=12"]

@@ -16,6 +16,7 @@ import subprocess
 import sys
 import tracemalloc
 import types
+import weakref
 import zlib
 from dataclasses import replace
 from pathlib import Path
@@ -482,6 +483,29 @@ def test_overflowing_potential_is_a_training_error(tmp_path, monkeypatch):
         train(build_run_config(tiny()), tmp_path / "run")
 
 
+def test_step_gradients_die_before_the_next_forward(tmp_path, monkeypatch):
+    """No local keeps a step's gradient list: every array ``adamw_step``
+    received is freed before the next ``lif_unroll`` starts, so a step's
+    gradients do not live through the next step's peak."""
+    refs, checked = [], []
+    update, unroll = train_module.adamw_step, train_module.lif_unroll
+
+    def spy_update(params, grads, state, lr_now):
+        refs[:] = [weakref.ref(g) for g in grads]
+        return update(params, grads, state, lr_now)
+
+    def checked_unroll(*args, **kwargs):
+        if refs:
+            assert all(ref() is None for ref in refs), "a gradient outlived its step"
+            checked.append(len(refs))
+        return unroll(*args, **kwargs)
+
+    monkeypatch.setattr(train_module, "adamw_step", spy_update)
+    monkeypatch.setattr(train_module, "lif_unroll", checked_unroll)
+    train(build_run_config(tiny(**{"train.epochs": "2"})), tmp_path / "run")
+    assert len(checked) >= 4 and set(checked) == {2}
+
+
 def test_mid_checkpoints_written_at_interval(tmp_path):
     cfg = build_run_config(tiny(**{"train.epochs": "4", "train.save_interval": "2"}))
     out = tmp_path / "run"
@@ -652,6 +676,24 @@ def test_train_many_of_no_jobs_starts_no_pool(monkeypatch):
         patch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
         patch.setattr(os, "environ", types.MappingProxyType(dict(os.environ)))
         assert train_many([]) == []
+
+
+def test_train_many_refuses_two_jobs_in_one_directory(tmp_path, monkeypatch):
+    """Two jobs whose directories resolve to one path are one ValueError
+    naming it, before any pool, environment write or directory."""
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("train_many built a pool for clashing jobs")
+
+    monkeypatch.chdir(tmp_path)
+    cfg = build_run_config(tiny())
+    jobs = [(cfg, tmp_path / "a"), (cfg, "b"), (cfg, Path("c", "..", "a"))]
+    with monkeypatch.context() as patch:
+        patch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        patch.setattr(os, "environ", types.MappingProxyType(dict(os.environ)))
+        with pytest.raises(ValueError, match=re.escape(f"output directory {tmp_path / 'a'}")):
+            train_many(jobs)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_train_many_from_stdin_is_one_clear_error(tmp_path):
@@ -1165,7 +1207,7 @@ def test_evaluation_matches_frozen_per_budget_code(n, steps, classes, budget_dra
 
     probs = train_module._softmax_np(values)
     mean_probs = train_module._softmax_np(values.mean(axis=1))
-    csv = train_module._distribution_csv(values, labels)
+    csv = "".join(train_module._distribution_csv(values, labels))
     assert csv.encode() == distribution_csv_frozen(labels, probs, mean_probs).encode()
 
 
@@ -1230,6 +1272,22 @@ def test_dump_distributions_bytes_match_per_element_format(trained, tmp_path):
     test = load_dataset(trained.checkpoint.config).test
     dump_distributions(trained.checkpoint, test, out)
     assert out.read_bytes() == reference_dump(trained.checkpoint, test)
+
+
+def test_dump_holds_no_more_than_the_forward(tmp_path):
+    """Over the default config's 500-sample test split the dump's traced
+    peak is at most 64 KiB above the forward's own: the CSV is written one
+    sample at a time, never held whole, as lines or as Python floats."""
+    cfg = default_config()
+    split = train_module.load_test_split(cfg)
+    spec = train_module._network_spec(cfg, split.inputs.shape[2], cfg.data.classes)
+    ck = _checkpoint(cfg, init_weights(spec, seed=cfg.seed))
+    out = tmp_path / "dist.csv"
+    dump_distributions(ck, split, out)  # first calls: imports and caches
+    forward = _traced_peak(lambda: train_module._ckpt_forward(ck, split, cfg.timesteps))
+    dump = _traced_peak(lambda: dump_distributions(ck, split, out))
+    assert len(split) == 500 and out.stat().st_size > 400_000
+    assert dump <= forward + 64 * 1024, (dump, forward)
 
 
 def test_dump_distributions_deterministic(trained, tmp_path):
