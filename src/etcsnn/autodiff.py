@@ -1,4 +1,4 @@
-"""Reverse-mode automatic differentiation over dense float64 arrays.
+"""The gradient oracles, and the reverse-mode tape that the LIF one runs on.
 
 The tape is eager: every operation computes its value at construction time
 and records its parent nodes plus a backward rule, so building an
@@ -8,11 +8,10 @@ order that is fixed by construction -- which makes gradient accumulation
 happen in a deterministic order, so repeated runs are bitwise identical.
 
 Scope is deliberately narrow: float64 only, no broadcasting (elementwise
-operands must match shapes exactly), matmul on rank-2 operands, log-softmax
-on the last axis of rank-1 to rank-3 values, and ``time_mean`` to average a
-(batch, T, classes) stack over its time axis.  Every node's value is
-checked to be finite at creation, so a NaN or overflow fails loudly at the
-op that produced it instead of surfacing later as a corrupted update.
+operands must match shapes exactly) and matmul on rank-2 operands.  Every
+node's value is checked to be finite at creation, so a NaN or overflow
+fails loudly at the op that produced it instead of surfacing later as a
+corrupted update.
 
 ``stop_gradient`` blocks all flow along an edge; ``custom_grad`` attaches
 a caller-supplied elementwise pseudo-derivative, which is how the spike
@@ -22,19 +21,26 @@ This is the one oracle module.  Training does not run on the tape:
 ``etcsnn.snn`` and ``etcsnn.losses`` compute the network pass and the
 objective in plain numpy and never import this module.  Here the tape
 builds the same network one op per node (``lif_step``, chained over the
-steps by ``lif_unroll_reference``) and the same losses (``ce_mean_loss``,
-``etc_loss``, ``per_timestep_ce_loss``, each over a (batch, T, classes)
-tensor of output potentials).  The ``gradcheck_*`` functions hold the
-numpy pass and ``objective`` to those, and the tape losses to closed forms
+steps by ``lif_unroll_reference``), and ``gradcheck_lif`` holds the numpy
+pass to it.  The losses have no tape form: ``complex_loss`` is their value
+written from the formulas in complex-safe numpy, and ``gradcheck_complex_step``
+holds ``objective``'s gradient to its complex step,
+
+    d total / d v_i = Im total(v + i h e_i) / h,  h = 1e-30,
+
+which has no subtractive cancellation, so it is exact to rounding (Squire
+and Trapp, SIAM Review 1998; Martins, Sturdza and Alonso, ACM TOMS 2003).
+The other loss oracles hold the engine's own gradients to closed forms
 (and central finite differences): per step, ``(P_mean - y) / (T * batch)``
 for mean-CE, ``(P_t - y) / (T * batch)`` for per-timestep CE, and for the
-weighted consistency term ``lam * tau**2 * etc_loss``
+weighted consistency term ``lam * tau**2 * etc``
 
     lam * tau / (T * (T-1) * batch) * sum_{m != t} (P_t - P_m)
 
 note the single power of tau: differentiating the tempered softmax
-contributes a 1/tau that cancels one of the two in the weight.  A new
-backward rule in the engine lands with its tape form here.
+contributes a 1/tau that cancels one of the two in the weight.  A new loss
+rule in the engine lands with its complex-safe form here, a new LIF rule
+with its tape form.
 """
 
 from __future__ import annotations
@@ -46,7 +52,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .losses import LOSS_MODES, EtcConfig, _log_softmax_np, _softmax_np, objective
+from . import losses  # objective and _consistency are read off the module, where tests swap them
+from .losses import LOSS_MODES, EtcConfig, _log_softmax_np, _softmax_np
 from .snn import (
     LifParams,
     NetworkSpec,
@@ -203,37 +210,6 @@ def sum_all(a: Tensor) -> Tensor:
     return Tensor(a.data.sum(), "sum", (a,), rule)
 
 
-def time_mean(a: Tensor) -> Tensor:
-    """Average a (batch, T, classes) stack over T, giving (batch, classes)."""
-    if a.data.ndim != 3 or a.shape[1] < 1:
-        raise ShapeMismatchError(f"time-mean: needs (batch, T>=1, classes), got {a.shape}")
-    c = 1.0 / a.shape[1]
-
-    def rule(g):
-        a.grad += (c * g)[:, None, :]
-
-    return Tensor(a.data.sum(axis=1) * c, "time-mean", (a,), rule)
-
-
-def log_softmax(a: Tensor, tau: float = 1.0) -> Tensor:
-    """log of the softmax of ``a / tau`` over the last axis, computed from
-    the logits with max-subtraction, so tiny probabilities never round to
-    zero before the log sees them."""
-    if not tau > 0:
-        raise ValueError(f"log-softmax-temp: tau must be positive, got {tau}")
-    if a.data.ndim not in (1, 2, 3):
-        raise ShapeMismatchError(f"log-softmax-temp: needs rank-1 to rank-3 input, got {a.shape}")
-    z = a.data / tau
-    z = z - z.max(axis=-1, keepdims=True)
-    ls = z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
-    p = np.exp(ls)
-
-    def rule(g):
-        a.grad += (g - p * g.sum(axis=-1, keepdims=True)) / tau
-
-    return Tensor(ls, "log-softmax-temp", (a,), rule)
-
-
 def stop_gradient(a: Tensor) -> Tensor:
     """Forward identity that blocks all gradient flow into ``a``.
 
@@ -350,82 +326,51 @@ def lif_unroll_reference(
     return outputs
 
 
-# -- the tape losses --------------------------------------------------------------
+# -- the complex-safe losses ------------------------------------------------------
 
 
-def _check_outputs(v: Tensor, labels=None) -> np.ndarray | None:
-    """Hold ``v`` to (batch, T >= 1, classes >= 2) and ``labels``, when
-    given, to one-hot (batch, classes) rows; returns the labels as float64."""
-    if v.data.ndim != 3 or v.shape[1] < 1 or v.shape[2] < 2:
-        raise ValueError(f"outputs must be (batch, T >= 1, classes >= 2), got {v.shape}")
-    if labels is None:
-        return None
-    labels = np.asarray(labels, dtype=np.float64)
-    if labels.shape != (v.shape[0], v.shape[2]):
-        raise ValueError(f"labels shape {labels.shape} does not match outputs {v.shape}")
-    if not np.all(np.isin(labels, (0.0, 1.0))) or not np.all(labels.sum(axis=1) == 1.0):
-        raise ValueError("labels must be one-hot rows")
-    return labels
+def _log_softmax_complex(z: np.ndarray) -> np.ndarray:
+    """log-softmax over the last axis of real or complex ``z``; the shift
+    is the real part's maximum, so it moves a row by one real number."""
+    z = z - z.real.max(axis=-1, keepdims=True)
+    return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
 
 
-def ce_mean_loss(v: Tensor, labels) -> Tensor:
-    """Cross-entropy of softmax(mean-over-time potential) vs one-hot labels.
+def complex_loss(values: np.ndarray, labels: np.ndarray, loss_mode: str, cfg: EtcConfig):
+    """``(total, ce, etc)`` of the (..., batch, T, classes) potentials
+    ``values``, real or complex, against one-hot (batch, classes) ``labels``:
+    one value per leading index, written from the loss formulas
 
-    ``v`` holds the (batch, T, classes) output potentials.  Scalar,
-    averaged over the batch; softmax at temperature 1.
+        ce_mean = -1/B sum_b y_b . log softmax(mean_t v_bt)
+        ce_step = -1/(B T) sum_{b,t} y_b . log softmax(v_bt)
+        etc     = -1/(B T (T-1)) sum_b sum_{t != m} P_bm . log softmax(v_bt / tau)
+        total   = ce + lam tau^2 etc
+
+    where P_bm = softmax(v_bm / tau) is a frozen target: it is taken from the
+    real part, so no derivative flows through it.  ``ce`` is ce_step in mode
+    ``per_timestep_ce``, else ce_mean; ``etc`` is on in mode ``ce_plus_etc``
+    with lam != 0 and T >= 2, and 0 otherwise.
     """
-    labels = _check_outputs(v, labels)
-    picked = mul(Tensor(labels), log_softmax(time_mean(v), 1.0))
-    return scale(sum_all(picked), -1.0 / v.shape[0])
-
-
-def etc_loss(v: Tensor, cfg: EtcConfig) -> Tensor:
-    """Pairwise temporal-consistency loss, averaged over pairs and batch.
-
-    For every ordered pair (t, m != t), the cross-entropy of step t's
-    tempered distribution under step m's, with step m's probabilities
-    frozen -- they enter the tape as a constant leaf, so gradients flow
-    only through the log-probability factor.  The sum over m != t of
-    frozen targets is computed once as (total - own), which is
-    algebraically identical to the pairwise double sum.
-    """
-    _check_outputs(v)
-    batch, steps, _ = v.shape
-    if steps < 2:
-        raise ValueError("consistency loss needs at least 2 timesteps")
-    p = _softmax_np(v.data / cfg.tau)
-    others = Tensor(p.sum(axis=1, keepdims=True) - p)
-    total = sum_all(mul(others, log_softmax(v, cfg.tau)))
-    return scale(total, -1.0 / (batch * steps * (steps - 1)))
-
-
-def per_timestep_ce_loss(v: Tensor, labels) -> Tensor:
-    """Cross-entropy of every step's softmax vs one-hot labels, averaged
-    over steps and batch; softmax at temperature 1."""
-    labels = _check_outputs(v, labels)
-    batch, steps, _ = v.shape
-    y = Tensor(np.repeat(labels[:, None, :], steps, axis=1))
-    picked = sum_all(mul(y, log_softmax(v, 1.0)))
-    return scale(picked, -1.0 / (batch * steps))
-
-
-def _tape_objective(v: Tensor, labels, loss_mode: str, cfg: EtcConfig):
-    """``objective``'s total, ce and etc built from the tape losses."""
+    batch, steps, _ = values.shape[-3:]
     if loss_mode == "per_timestep_ce":
-        total = per_timestep_ce_loss(v, labels)
-        return total, total.item(), 0.0
-    ce = ce_mean_loss(v, labels)
-    if loss_mode == "ce_only" or cfg.lam == 0.0 or v.shape[1] < 2:
-        return ce, ce.item(), 0.0
-    etc = etc_loss(v, cfg)
-    return add(ce, scale(etc, cfg.lam * cfg.tau**2)), ce.item(), etc.item()
+        logp = _log_softmax_complex(values)
+        ce = -(labels[:, None] * logp).sum(axis=(-3, -2, -1)) / (batch * steps)
+        return ce, ce, 0.0 * ce
+    ce = -(labels * _log_softmax_complex(values.mean(axis=-2))).sum(axis=(-2, -1)) / batch
+    if loss_mode == "ce_only" or cfg.lam == 0.0 or steps < 2:
+        return ce, ce, 0.0 * ce
+    logp = _log_softmax_complex(values / cfg.tau)
+    targets = np.exp(logp.real)
+    others = targets.sum(axis=-2, keepdims=True) - targets  # sum over m != t of P_m
+    etc = -(others * logp).sum(axis=(-3, -2, -1)) / (batch * steps * (steps - 1))
+    return ce + cfg.lam * cfg.tau**2 * etc, ce, etc
 
 
 # -- gradient oracles -------------------------------------------------------------
 
 
-def _norm_rel_err(got: np.ndarray, want: np.ndarray) -> float:
-    denom = max(float(np.max(np.abs(got))), float(np.max(np.abs(want))), 1e-300)
+def _norm_rel_err(got: np.ndarray, want: np.ndarray, floor: float = 1e-300) -> float:
+    denom = max(float(np.max(np.abs(got))), float(np.max(np.abs(want))), floor)
     return float(np.max(np.abs(got - want)) / denom)
 
 
@@ -433,8 +378,8 @@ def _norm_rel_err(got: np.ndarray, want: np.ndarray) -> float:
 class GradCheckReport:
     """One oracle's worst relative error over ``cases`` instances, its
     tolerance, and whether it passed that oracle's rule (``<`` for the
-    closed forms and finite differences, ``<=`` for the numpy objective and
-    LIF pass against the tape)."""
+    closed forms and finite differences, ``<=`` for the complex step and
+    the LIF pass against the tape)."""
 
     name: str
     max_rel_err: float
@@ -454,27 +399,22 @@ def _check_cases(cases: int) -> None:
         raise ValueError(f"cases must be >= 1, got {cases}")
 
 
-def gradcheck_ce(v: Tensor, labels, tol: float = 1e-10) -> GradCheckReport:
-    """Autodiff gradient of ce_mean_loss vs the closed form (P_mean - y)/(T*batch).
-
-    ``v`` must be a leaf, so its per-step values are free variables; the
-    closed form is identical at every timestep.
-    """
-    labels = np.asarray(labels, dtype=np.float64)
-    ce_mean_loss(v, labels).backward()
-    batch, steps, _ = v.shape
-    expected = (_softmax_np(v.data.mean(axis=1)) - labels) / (steps * batch)
-    err = max(_norm_rel_err(v.grad[:, t], expected) for t in range(steps))
+def gradcheck_ce(values: np.ndarray, labels, tol: float = 1e-10) -> GradCheckReport:
+    """``objective``'s mean-CE gradient vs the closed form (P_mean - y)/(T*batch),
+    which is identical at every timestep."""
+    dv = losses.objective(values, labels, "ce_only", EtcConfig())[0]
+    batch, steps, _ = values.shape
+    expected = (_softmax_np(values.mean(axis=1)) - labels) / (steps * batch)
+    err = max(_norm_rel_err(dv[:, t], expected) for t in range(steps))
     return GradCheckReport("ce_mean", err, tol, passed=err < tol)
 
 
-def gradcheck_per_timestep_ce(v: Tensor, labels, tol: float = 1e-10) -> GradCheckReport:
-    """Autodiff gradient of per_timestep_ce_loss vs the closed form
+def gradcheck_per_timestep_ce(values: np.ndarray, labels, tol: float = 1e-10) -> GradCheckReport:
+    """``objective``'s per-timestep CE gradient vs the closed form
     (P_t - y)/(T*batch), with P_t the temperature-1 softmax of step t."""
-    labels = np.asarray(labels, dtype=np.float64)
-    per_timestep_ce_loss(v, labels).backward()
-    batch, steps, _ = v.shape
-    err = _norm_rel_err(v.grad, (_softmax_np(v.data) - labels[:, None]) / (steps * batch))
+    dv = losses.objective(values, labels, "per_timestep_ce", EtcConfig())[0]
+    batch, steps, _ = values.shape
+    err = _norm_rel_err(dv, (_softmax_np(values) - labels[:, None]) / (steps * batch))
     return GradCheckReport("per_timestep_ce", err, tol, passed=err < tol)
 
 
@@ -482,24 +422,25 @@ _FD_STEP = 1e-6  # the central-difference step of the consistency FD probe
 
 
 def gradcheck_etc(
-    v: Tensor, cfg: EtcConfig, tol: float = 1e-10, fd_tol: float = 1e-5
+    values: np.ndarray, cfg: EtcConfig, tol: float = 1e-10, fd_tol: float = 1e-5
 ) -> list[GradCheckReport]:
-    """Autodiff gradient of lam*tau^2*etc_loss vs closed form and central FD.
+    """The engine's gradient of lam*tau^2*etc, the consistency part of
+    ``objective``'s ``dv``, vs closed form and central FD.
 
     Closed form per step t:  lam*tau/(T*(T-1)*batch) * sum_{m != t}(P_t - P_m),
-    with P at temperature tau.  The FD probe must see the same function the
-    tape differentiates, so the target distributions stay pinned at the
+    with P at temperature tau.  The FD probe must see the function the engine
+    differentiates, so the target distributions stay pinned at the
     unperturbed values instead of being recomputed per probe.  Returns the
     closed-form report, then the FD one.
     """
     weight = cfg.lam * cfg.tau**2
-    scale(etc_loss(v, cfg), weight).backward()
-    batch, steps, _ = v.shape
-    p = _softmax_np(v.data / cfg.tau)
+    grad = losses._consistency(values, cfg.tau, weight)[1]
+    batch, steps, _ = values.shape
+    p = _softmax_np(values / cfg.tau)
     coeff = cfg.lam * cfg.tau / (steps * (steps - 1) * batch)
     # sum_{m != t}(P_t - P_m) == T * P_t - sum_m P_m
     expected = coeff * (steps * p - p.sum(axis=1, keepdims=True))
-    err = max(_norm_rel_err(v.grad[:, t], expected[:, t]) for t in range(steps))
+    err = max(_norm_rel_err(grad[:, t], expected[:, t]) for t in range(steps))
     closed = GradCheckReport("consistency", err, tol, passed=err < tol)
 
     frozen_others = p.sum(axis=1, keepdims=True) - p
@@ -509,7 +450,7 @@ def gradcheck_etc(
         logp = _log_softmax_np(vals / cfg.tau)
         return -weight * float((frozen_others * logp).sum()) / denom
 
-    values = v.data.copy()  # the probes below perturb it in place
+    values = values.copy()  # the probes below perturb it in place
     fd = np.zeros_like(values)
     for i in np.ndindex(values.shape):
         orig = values[i]
@@ -519,25 +460,43 @@ def gradcheck_etc(
         lo = probe(values)
         values[i] = orig
         fd[i] = (hi - lo) / (2.0 * _FD_STEP)
-    fd_err = _norm_rel_err(v.grad, fd)
+    fd_err = _norm_rel_err(grad, fd)
     fd_report = GradCheckReport("consistency", fd_err, fd_tol, passed=fd_err < fd_tol, fd=True)
     return [closed, fd_report]
 
 
-_OBJECTIVE_TOL = 1e-12  # numpy objective vs tape: the same ops, so equal in practice
+_CS_STEP = 1e-30  # the complex step: its square vanishes beside any real part
+_CS_TOL = 1e-12
 
 
-def gradcheck_objective(v: Tensor, labels, cfg: EtcConfig) -> GradCheckReport:
-    """``objective``'s gradient and logged losses vs the tape losses', in
-    every loss mode."""
+def gradcheck_complex_step(values: np.ndarray, labels, cfg: EtcConfig) -> GradCheckReport:
+    """``objective``'s ``dv`` vs the complex step of ``complex_loss``, and its
+    logged total, ce and etc vs the complex loss's real part, in every loss
+    mode.  Each entry of ``values`` is one case; its perturbation is one
+    slice of one stacked evaluation.
+
+    Both sides round ``P - y`` and log-sum-exp, whose errors are absolute:
+    about eps times the largest term summed into a ``dv`` entry,
+    (1 + lam*tau) / (batch*T) at most, and eps for a loss.  So the errors are
+    relative to at least those scales, or a confident prediction, whose
+    ``dv`` and loss vanish, would fail on rounding alone.
+    """
+    n = values.size
+    _check_cases(n)
+    batch, steps, _ = values.shape
+    probes = (values.reshape(1, n) + 1j * _CS_STEP * np.eye(n)).reshape(n, *values.shape)
     err = 0.0
     for mode in LOSS_MODES:
-        total, ce, etc = _tape_objective(v, labels, mode, cfg)
-        total.backward()
-        dv, *logged = objective(v.data, labels, mode, cfg)
-        want = [total.item(), ce, etc]
-        err = max(err, _norm_rel_err(dv, v.grad), _norm_rel_err(np.array(logged), np.array(want)))
-    return GradCheckReport("objective", err, _OBJECTIVE_TOL, passed=err <= _OBJECTIVE_TOL)
+        dv, *logged = losses.objective(values, labels, mode, cfg)
+        total, ce, etc = complex_loss(probes, labels, mode, cfg)
+        want = [total[0].real, ce[0].real, etc[0].real]
+        dv_scale = (1.0 + (cfg.lam * cfg.tau if mode == "ce_plus_etc" else 0.0)) / (batch * steps)
+        err = max(
+            err,
+            _norm_rel_err(dv, total.imag.reshape(values.shape) / _CS_STEP, dv_scale),
+            _norm_rel_err(np.array(logged), np.array(want), 1.0),
+        )
+    return GradCheckReport("complex_step", err, _CS_TOL, passed=err <= _CS_TOL)
 
 
 def _worst(reports: Sequence[GradCheckReport]) -> GradCheckReport:
@@ -547,9 +506,9 @@ def _worst(reports: Sequence[GradCheckReport]) -> GradCheckReport:
 
 
 def gradcheck_suite(seed: int = 0, cases: int = 100) -> list[GradCheckReport]:
-    """The loss oracles on ``cases`` freshly sampled instances: the tape
-    losses against their closed forms and central FD, and ``objective``
-    against the tape losses in every loss mode.  One report per oracle."""
+    """The loss oracles on ``cases`` freshly sampled instances: the engine's
+    gradients against their closed forms and central FD, and ``objective``
+    against the complex step in every loss mode.  One report per oracle."""
     _check_cases(cases)
     rng = np.random.default_rng(seed)
     runs = []
@@ -557,15 +516,15 @@ def gradcheck_suite(seed: int = 0, cases: int = 100) -> list[GradCheckReport]:
         batch = int(rng.integers(1, 5))
         steps = int(rng.integers(2, 7))
         classes = int(rng.integers(2, 6))
-        v = Tensor(rng.normal(scale=2.0, size=(batch, steps, classes)))
+        values = rng.normal(scale=2.0, size=(batch, steps, classes))
         labels = np.zeros((batch, classes))
         labels[np.arange(batch), rng.integers(0, classes, size=batch)] = 1.0
         cfg = EtcConfig(tau=float(rng.uniform(0.5, 8.0)), lam=float(rng.uniform(0.1, 4.0)))
         runs.append([
-            gradcheck_ce(v, labels),
-            *gradcheck_etc(v, cfg),
-            gradcheck_per_timestep_ce(v, labels),
-            gradcheck_objective(v, labels, cfg),
+            gradcheck_ce(values, labels),
+            *gradcheck_etc(values, cfg),
+            gradcheck_per_timestep_ce(values, labels),
+            gradcheck_complex_step(values, labels, cfg),
         ])
     return [_worst(column) for column in zip(*runs)]
 

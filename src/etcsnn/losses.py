@@ -10,9 +10,10 @@ ordered pairs.  ``per_timestep_ce`` is cross-entropy at every step (TET).
 ``kl_metric_values`` is the read-only diagnostic (mean pairwise KL); it
 differs from the consistency term by exactly the mean target entropy.
 
-The same losses as tape ops, and the checks that hold ``objective`` to
-them, live in the oracle module ``etcsnn.autodiff``; this module never
-builds a tape.
+A complex-safe value of the same losses, written from their formulas, and
+the checks that hold ``objective``'s gradient to its complex step and to
+closed forms live in the oracle module ``etcsnn.autodiff``, which this
+module never imports.
 """
 
 from __future__ import annotations
@@ -55,9 +56,24 @@ def _log_softmax_np(z: np.ndarray) -> np.ndarray:
 
 def _log_softmax_term(ls, target, tau: float, c: float, upstream: float = 1.0):
     """``c * sum(target * ls)``, ``ls = log_softmax(x / tau)``, and its gradient by
-    ``x`` when ``upstream`` reaches the scaled sum: the tape's ops, same order."""
+    ``x`` when ``upstream`` reaches the scaled sum, ``target`` held fixed."""
     g = target * (c * upstream)
     return float(np.sum(target * ls) * c), (g - np.exp(ls) * g.sum(axis=-1, keepdims=True)) / tau
+
+
+def _consistency(values: np.ndarray, tau: float, weight: float):
+    """``(etc, grad)``: the consistency term of the (batch, T >= 2, classes)
+    potentials ``values`` at temperature ``tau``, and the gradient of ``weight
+    * etc`` by ``values`` with every target frozen."""
+    batch, steps, _ = values.shape
+    z = values / tau  # _softmax_np's and _log_softmax_np's ops, one exp for both
+    z -= z.max(axis=-1, keepdims=True)
+    e = np.exp(z)
+    norm = e.sum(axis=-1, keepdims=True)
+    p = e / norm  # the frozen targets
+    others = p.sum(axis=1, keepdims=True) - p
+    c = -1.0 / (batch * steps * (steps - 1))
+    return _log_softmax_term(z - np.log(norm), others, tau, c, weight)
 
 
 @np.errstate(over="ignore", invalid="ignore")  # the total is checked below
@@ -68,9 +84,8 @@ def objective(
     ``values`` against one-hot labels: the gradient of ``total`` by
     ``values``, the total and its logged components.  The consistency term
     is on in mode ``ce_plus_etc`` with lam > 0 and T >= 2, else ``etc`` is
-    0.  Every result equals the tape losses' bit for bit: the same ops, and
-    ``dv`` adds the consistency part before the cross-entropy one, as the
-    tape's backward does.  Raises NonFiniteError on a non-finite loss.
+    0; ``dv`` adds its part, ``_consistency``'s gradient, before the
+    cross-entropy one.  Raises NonFiniteError on a non-finite loss.
     """
     batch, steps, _ = values.shape
     dv = np.zeros_like(values)
@@ -83,14 +98,7 @@ def objective(
     else:
         if with_etc:
             weight = float(etc.lam * etc.tau**2)
-            z = values / etc.tau  # _softmax_np's and _log_softmax_np's ops, one exp for both
-            z -= z.max(axis=-1, keepdims=True)
-            e = np.exp(z)
-            norm = e.sum(axis=-1, keepdims=True)
-            p = e / norm  # the frozen targets
-            others = p.sum(axis=1, keepdims=True) - p
-            c = -1.0 / (batch * steps * (steps - 1))
-            etc_val, grad = _log_softmax_term(z - np.log(norm), others, etc.tau, c, weight)
+            etc_val, grad = _consistency(values, etc.tau, weight)
             dv += grad
         mean = values.sum(axis=1) * (1.0 / steps)
         ce, grad = _log_softmax_term(_log_softmax_np(mean), labels_1h, 1.0, -1.0 / batch)

@@ -2,7 +2,8 @@
 PASS/FAIL line (visible under ``pytest -s`` and in any failure report).
 
 The exact-oracle checks (1-4) verify closed-form gradients and identities at
-tight tolerances.  The mechanism checks (6-8) run the compare script's paired
+tight tolerances: the spike surrogate on the per-op tape, and the losses on
+the engine's own ``objective``.  The mechanism checks (6-8) run the compare script's paired
 experiment (``paired_rows``) on the drifting synthetic task: five seeds, one
 plain mean-CE baseline and one consistency-regularized run per seed, then
 compare truncated single-step accuracy, consistency metrics, and full-length
@@ -15,8 +16,8 @@ import time
 import numpy as np
 import pytest
 
-from etcsnn.autodiff import Tensor, etc_loss, gradcheck_ce, gradcheck_etc, spike_fn, sum_all
-from etcsnn.losses import EtcConfig, kl_metric_values
+from etcsnn.autodiff import Tensor, gradcheck_ce, gradcheck_etc, spike_fn, sum_all
+from etcsnn.losses import EtcConfig, kl_metric_values, objective
 from etcsnn.snn import LifParams, surrogate_factor
 from etcsnn.train import build_run_config, load_checkpoint, train
 
@@ -29,14 +30,14 @@ def _report(criterion: str, ok: bool, detail: str) -> bool:
     return ok
 
 
-def _random_outputs(rng) -> tuple[Tensor, np.ndarray]:
+def _random_outputs(rng) -> tuple[np.ndarray, np.ndarray]:
     batch = int(rng.integers(1, 5))
     steps = int(rng.integers(2, 7))
     classes = int(rng.integers(2, 6))
     values = rng.normal(scale=2.0, size=(batch, steps, classes))
     labels = np.zeros((batch, classes))
     labels[np.arange(batch), rng.integers(0, classes, size=batch)] = 1.0
-    return Tensor(values), labels
+    return values, labels
 
 
 # -- 1: surrogate exactness ---------------------------------------------------------
@@ -108,11 +109,12 @@ def test_criterion_4_loss_identity_and_kl_zero():
     rng = np.random.default_rng(4)
     worst = 0.0
     for _ in range(100):
-        outs, _ = _random_outputs(rng)
+        outs, labels = _random_outputs(rng)
         tau = float(rng.uniform(0.5, 8.0))
         cfg = EtcConfig(tau=tau, lam=1.0)
-        lhs = etc_loss(outs, cfg).item() - mean_entropy_reference(outs.data, tau)
-        rhs = kl_metric_values(outs.data, tau)
+        etc = objective(outs, labels, "ce_plus_etc", cfg)[3]
+        lhs = etc - mean_entropy_reference(outs, tau)
+        rhs = kl_metric_values(outs, tau)
         worst = max(worst, abs(lhs - rhs))
 
     # identical per-timestep distributions: shift each step by a constant

@@ -1,5 +1,5 @@
 """Tape mechanics: forward values, backward rules, determinism, errors;
-and the tape's place as an oracle only."""
+the engine's softmax helpers; and the tape's place as an oracle only."""
 
 import math
 import os
@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 import etcsnn
 from etcsnn import autodiff as ad
+from etcsnn.losses import EtcConfig, _log_softmax_np, _softmax_np, objective
 from oracles import fd_gradient, norm_rel_err, softmax_row
 
 
@@ -22,8 +23,8 @@ def leaf(values):
 
 
 def softmax(values, tau=1.0):
-    """Tempered softmax read off the tape's log-softmax."""
-    return np.exp(ad.log_softmax(leaf(values), tau=tau).data)
+    """The engine's tempered softmax."""
+    return _softmax_np(np.asarray(values, dtype=np.float64) / tau)
 
 
 def test_matmul_example():
@@ -35,7 +36,7 @@ def test_matmul_example():
 def test_sum_and_mean_values():
     x = leaf([1.0, 2.0, 3.0])
     assert ad.sum_all(x).item() == 6.0
-    assert ad.time_mean(leaf([[[1.0], [2.0], [3.0]]])).item() == 2.0
+    assert ad.scale(ad.sum_all(x), 1.0 / 3.0).item() == 2.0
 
 
 def test_backward_linear_chain():
@@ -66,7 +67,7 @@ def test_backward_is_repeatable():
 
 def test_backward_returns_leaf_map():
     x = leaf([1.0, 2.0])
-    y = ad.sum_all(ad.log_softmax(x))
+    y = ad.sum_all(ad.mul(x, x))
     grads = y.backward()
     assert set(grads) == {x}
     assert grads[x].shape == x.shape
@@ -125,8 +126,7 @@ def test_softmax_rows_sum_to_one():
 
 
 def test_softmax_survives_huge_logits():
-    ls = ad.log_softmax(leaf([1000.0, 0.0]), tau=1.0)
-    assert np.all(np.isfinite(ls.data))
+    assert np.all(np.isfinite(_log_softmax_np(np.array([1000.0, 0.0]))))
 
 
 @settings(max_examples=60, deadline=None)
@@ -144,45 +144,30 @@ def test_softmax_shift_invariance(row, c, tau):
 def test_rank3_softmax_matches_per_step_rows():
     rng = np.random.default_rng(3)
     z = rng.normal(size=(2, 4, 5)) * 3
-    stacked = ad.log_softmax(leaf(z), tau=1.5)
+    stacked = _log_softmax_np(z / 1.5)
     for t in range(4):
-        assert np.array_equal(stacked.data[:, t], ad.log_softmax(leaf(z[:, t]), tau=1.5).data)
-    with pytest.raises(ad.ShapeMismatchError, match="rank"):
-        ad.log_softmax(leaf(np.zeros((1, 2, 3, 4))))
-
-
-def test_time_mean_example_and_shape_policing():
-    x = leaf([[[1.0, 2.0], [3.0, 6.0]]])  # batch 1, T=2, 2 classes
-    out = ad.time_mean(x)
-    np.testing.assert_array_equal(out.data, [[2.0, 4.0]])
-    ad.sum_all(out).backward()
-    np.testing.assert_array_equal(x.grad, np.full((1, 2, 2), 0.5))
-    with pytest.raises(ad.ShapeMismatchError, match="time-mean"):
-        ad.time_mean(leaf([[1.0, 2.0]]))
+        assert np.array_equal(stacked[:, t], _log_softmax_np(z[:, t] / 1.5))
 
 
 def test_log_softmax_matches_log_of_softmax():
     rng = np.random.default_rng(1)
     z = rng.normal(size=(4, 5)) * 3
-    ls = ad.log_softmax(leaf(z), tau=2.5)
     p = [softmax_row(row, tau=2.5) for row in z]
-    np.testing.assert_allclose(np.exp(ls.data), p, rtol=1e-12)
+    np.testing.assert_allclose(np.exp(_log_softmax_np(z / 2.5)), p, rtol=1e-12)
 
 
 def test_cross_entropy_toy_gradient():
-    # -sum(y * log_softmax(z)) at z=[0,0], y=[1,0]: grad is p - y = [-0.5, 0.5].
-    z = leaf([0.0, 0.0])
-    y = leaf([1.0, 0.0])
-    loss = ad.scale(ad.sum_all(ad.mul(y, ad.log_softmax(z, 1.0))), -1.0)
-    loss.backward()
-    np.testing.assert_allclose(z.grad, [-0.5, 0.5], atol=1e-15)
+    # -sum(y * log_softmax(z)) at z=[0,0], y=[1,0]: grad is p - y = [-0.5, 0.5],
+    # read off objective's per-step CE at batch 1 and T = 1.
+    y = np.array([[1.0, 0.0]])
 
     def f(zv):
-        row = ad.log_softmax(leaf(zv), 1.0)
-        return -float((np.array([1.0, 0.0]) * row.data).sum())
+        return objective(zv, y, "per_timestep_ce", EtcConfig())[1]
 
-    fd = fd_gradient(f, np.zeros(2))
-    assert norm_rel_err(z.grad, fd) < 1e-9
+    grad = objective(np.zeros((1, 1, 2)), y, "per_timestep_ce", EtcConfig())[0]
+    np.testing.assert_allclose(grad, [[[-0.5, 0.5]]], atol=1e-15)
+    fd = fd_gradient(f, np.zeros((1, 1, 2)))
+    assert norm_rel_err(grad, fd) < 1e-9
 
 
 def _fd_check(build, x0, h=1e-5, tol=1e-4):
@@ -202,13 +187,12 @@ def test_finite_differences_every_smooth_op():
     """
     rng = np.random.default_rng(42)
     cases = 0
-    for _ in range(13):
+    for _ in range(20):
         n = int(rng.integers(2, 5))
         m = int(rng.integers(2, 4))
         v = rng.normal(size=(n, m))
         w = rng.normal(size=(n, m))
         k = rng.normal(size=(m, n))
-        tau = float(rng.uniform(0.5, 6.0))
         c = float(rng.normal())
         const = ad.Tensor(w)
 
@@ -217,13 +201,7 @@ def test_finite_differences_every_smooth_op():
         _fd_check(lambda x: ad.sum_all(ad.mul(x, const)), v)
         _fd_check(lambda x: ad.sum_all(ad.scale(x, c)), v)
         _fd_check(lambda x: ad.sum_all(ad.matmul(x, ad.Tensor(k))), v)
-        _fd_check(lambda x: ad.sum_all(ad.mul(ad.log_softmax(x, tau), const)), v)
-        # rank-3 (batch, T, classes) stacks: log-softmax on the last axis, time mean
-        v3 = rng.normal(size=(n, 3, m))
-        const3 = ad.Tensor(rng.normal(size=(n, 3, m)))
-        _fd_check(lambda x: ad.sum_all(ad.mul(ad.log_softmax(x, tau), const3)), v3)
-        _fd_check(lambda x: ad.sum_all(ad.mul(ad.time_mean(x), const)), v3)
-        cases += 8
+        cases += 5
     assert cases >= 100
 
 
@@ -232,7 +210,8 @@ def test_forward_and_backward_are_deterministic():
         rng = np.random.default_rng(7)
         x = leaf(rng.normal(size=(6, 4)))
         w = leaf(rng.normal(size=(4, 3)))
-        out = ad.sum_all(ad.log_softmax(ad.matmul(x, w), tau=2.0))
+        h = ad.matmul(x, w)
+        out = ad.sum_all(ad.mul(h, h))
         out.backward()
         return out.data.copy(), x.grad.copy(), w.grad.copy()
 
@@ -286,13 +265,6 @@ def test_backward_requires_scalar_root():
         ad.scale(x, 2.0).backward()
 
 
-def test_softmax_rejects_bad_tau():
-    with pytest.raises(ValueError, match="tau"):
-        ad.log_softmax(leaf([1.0, 2.0]), tau=0.0)
-    with pytest.raises(ValueError, match="tau"):
-        ad.log_softmax(leaf([1.0, 2.0]), tau=-1.0)
-
-
 # -- the tape is an oracle only ------------------------------------------------------
 
 
@@ -315,7 +287,14 @@ def test_engine_imports_no_tape():
         assert proc.stdout == "False\n", (module, unloaded)
 
 
-@pytest.mark.parametrize("oracle", [ad.gradcheck_suite, ad.gradcheck_lif])
+def gradcheck_complex_step(cases):
+    """The complex-step oracle on a (1, 1, cases) draw, whose every entry is
+    one case."""
+    values = np.zeros((1, 1, max(cases, 0)))
+    return ad.gradcheck_complex_step(values, values[0], EtcConfig())
+
+
+@pytest.mark.parametrize("oracle", [ad.gradcheck_suite, ad.gradcheck_lif, gradcheck_complex_step])
 @pytest.mark.parametrize("cases", [0, -3])
 def test_oracles_refuse_to_check_nothing(oracle, cases):
     with pytest.raises(ValueError, match="cases"):

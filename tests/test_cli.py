@@ -901,13 +901,13 @@ def test_gradcheck_passes_and_prints_errors(capsys):
     assert "consistency max_rel_err=" in out
     assert "fd_max_rel_err=" in out
     assert "per_timestep_ce max_rel_err=" in out
-    assert "objective max_rel_err=" in out
+    assert "complex_step max_rel_err=" in out
     assert "lif max_rel_err=" in out and "tol=1e-12" in out
     assert "PASS" in out
     prefixes = [
         "cases=", "ce_mean max_rel_err=", "consistency max_rel_err=",
         "consistency fd_max_rel_err=", "per_timestep_ce max_rel_err=",
-        "objective max_rel_err=", "lif max_rel_err=", "PASS",
+        "complex_step max_rel_err=", "lif max_rel_err=", "PASS",
     ]
     lines = out.splitlines()
     assert len(lines) == len(prefixes)

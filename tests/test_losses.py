@@ -9,20 +9,19 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from etcsnn import autodiff as ad
+from etcsnn import losses
 from etcsnn.autodiff import (
-    _tape_objective,
-    ce_mean_loss,
-    etc_loss,
     gradcheck_ce,
+    gradcheck_complex_step,
     gradcheck_etc,
     gradcheck_per_timestep_ce,
     gradcheck_suite,
-    per_timestep_ce_loss,
 )
 from etcsnn.losses import LOSS_MODES, EtcConfig, _softmax_np, kl_metric_values, objective
 from oracles import (
     ce_mean_reference,
     etc_loss_reference,
+    fd_gradient,
     kl_metric_reference,
     mean_entropy_reference,
     norm_rel_err,
@@ -31,66 +30,43 @@ from oracles import (
 )
 
 
-def outputs_from(values):
-    return ad.Tensor(np.asarray(values, dtype=np.float64))
-
-
 def onehot(rows, classes):
     y = np.zeros((len(rows), classes))
     y[np.arange(len(rows)), rows] = 1.0
     return y
 
 
-# -- ce_mean_loss -------------------------------------------------------------
+def ce_of(values, labels):
+    """``objective``'s logged mean-CE."""
+    return objective(values, labels, "ce_only", EtcConfig())[2]
+
+
+def etc_of(values, tau):
+    """``objective``'s logged consistency term at temperature ``tau``; the
+    labels do not enter it."""
+    labels = onehot([0] * values.shape[0], values.shape[2])
+    return objective(values, labels, "ce_plus_etc", EtcConfig(tau=tau, lam=1.0))[3]
+
+
+# -- mean-CE --------------------------------------------------------------------
 
 
 def test_ce_uniform_logits_is_log_classes():
-    outs = outputs_from(np.zeros((1, 2, 2)))
-    loss = ce_mean_loss(outs, onehot([0], 2))
-    assert abs(loss.item() - math.log(2.0)) < 1e-15
+    assert abs(ce_of(np.zeros((1, 2, 2)), onehot([0], 2)) - math.log(2.0)) < 1e-15
 
 
 def test_ce_confident_correct_is_tiny():
     # mean potential [10, -10] with label 0: loss = log(1 + e^-20)
     vals = np.array([[[10.0, -10.0]], [[10.0, -10.0]]]).reshape(1, 2, 2)
-    outs = outputs_from(vals)
-    loss = ce_mean_loss(outs, onehot([0], 2))
-    # log(1+x) rather than log1p inside the graph: accurate to ~eps absolute
-    assert abs(loss.item() - math.log1p(math.exp(-20.0))) < 1e-15
+    # log(1+x) rather than log1p inside the loss: accurate to ~eps absolute
+    assert abs(ce_of(vals, onehot([0], 2)) - math.log1p(math.exp(-20.0))) < 1e-15
 
 
 def test_ce_matches_bruteforce_reference():
     rng = np.random.default_rng(2)
     for _ in range(20):
         values, labels = random_loss_instance(rng)
-        outs = outputs_from(values)
-        got = ce_mean_loss(outs, labels).item()
-        assert abs(got - ce_mean_reference(values, labels)) < 1e-10
-
-
-def test_ce_rejects_bad_labels():
-    outs = outputs_from(np.zeros((2, 2, 3)))
-    with pytest.raises(ValueError, match="one-hot"):
-        ce_mean_loss(outs, np.array([[0.5, 0.5, 0.0], [1.0, 0.0, 0.0]]))
-    with pytest.raises(ValueError, match="one-hot"):
-        ce_mean_loss(outs, np.array([[1.0, 1.0, 0.0], [1.0, 0.0, 0.0]]))
-    with pytest.raises(ValueError, match="shape"):
-        ce_mean_loss(outs, np.array([[1.0, 0.0], [0.0, 1.0]]))
-
-
-def test_timestep_outputs_validation():
-    labels = onehot([0, 1], 2)
-    for loss in (
-        lambda v: ce_mean_loss(v, labels),
-        lambda v: etc_loss(v, EtcConfig()),
-        lambda v: per_timestep_ce_loss(v, labels),
-    ):
-        with pytest.raises(ValueError, match="outputs must be"):
-            loss(ad.Tensor(np.zeros((2, 0, 3))))  # no timesteps
-        with pytest.raises(ValueError, match="outputs must be"):
-            loss(ad.Tensor(np.zeros((2, 3, 1))))  # single class
-        with pytest.raises(ValueError, match="outputs must be"):
-            loss(ad.Tensor(np.zeros((2, 3))))  # not (batch, T, classes)
+        assert abs(ce_of(values, labels) - ce_mean_reference(values, labels)) < 1e-10
 
 
 # -- per-timestep tempered probabilities ---------------------------------------
@@ -118,21 +94,17 @@ def test_per_timestep_probs_temperature_example():
     )
 
 
-# -- etc_loss -----------------------------------------------------------------
+# -- the consistency term ---------------------------------------------------------
 
 
 def test_etc_uniform_distributions_give_log_classes():
     # identical per-step distributions: loss = cross-entropy(P, P) = H(P) = ln 2
-    outs = outputs_from(np.zeros((2, 3, 2)))
-    cfg = EtcConfig(tau=4.0, lam=1.0)
-    assert abs(etc_loss(outs, cfg).item() - math.log(2.0)) < 1e-12
+    assert abs(etc_of(np.zeros((2, 3, 2)), 4.0) - math.log(2.0)) < 1e-12
 
 
 def test_etc_two_step_example_matches_bruteforce():
     values = np.array([[1.0, 0.0], [0.0, 1.0]]).reshape(1, 2, 2)
-    outs = outputs_from(values)
-    cfg = EtcConfig(tau=4.0, lam=1.0)
-    assert abs(etc_loss(outs, cfg).item() - etc_loss_reference(values, 4.0)) < 1e-12
+    assert abs(etc_of(values, 4.0) - etc_loss_reference(values, 4.0)) < 1e-12
 
 
 def test_etc_matches_bruteforce_on_random_instances():
@@ -140,24 +112,24 @@ def test_etc_matches_bruteforce_on_random_instances():
     for _ in range(25):
         values, _ = random_loss_instance(rng)
         tau = float(rng.uniform(0.5, 8.0))
-        outs = outputs_from(values)
-        got = etc_loss(outs, EtcConfig(tau=tau, lam=1.0)).item()
-        assert abs(got - etc_loss_reference(values, tau)) < 1e-12
+        assert abs(etc_of(values, tau) - etc_loss_reference(values, tau)) < 1e-12
 
 
 def test_etc_needs_two_steps():
-    with pytest.raises(ValueError, match="2 timesteps"):
-        etc_loss(outputs_from(np.zeros((1, 1, 2))), EtcConfig())
+    """At T = 1 there is no pair of steps: the engine and the complex-safe
+    loss both log a consistency term of 0 in mode ``ce_plus_etc``."""
+    values, labels = np.zeros((1, 1, 2)), onehot([0], 2)
+    assert objective(values, labels, "ce_plus_etc", EtcConfig())[3] == 0.0
+    assert ad.complex_loss(values, labels, "ce_plus_etc", EtcConfig())[2] == 0.0
 
 
 def test_etc_gradient_blocked_through_targets():
     """Targets are frozen: at identical steps the gradient is exactly zero
     (the pull of each pair cancels), which only holds if no gradient flows
-    through the stop-gradient copies."""
-    outs = outputs_from(np.tile(np.array([1.0, -1.0, 0.5]), (2, 3, 1)))
-    loss = etc_loss(outs, EtcConfig(tau=2.0, lam=1.0))
-    loss.backward()
-    np.testing.assert_allclose(outs.grad, np.zeros_like(outs.grad), atol=1e-16)
+    through the targets."""
+    values = np.tile(np.array([1.0, -1.0, 0.5]), (2, 3, 1))
+    grad = losses._consistency(values, 2.0, 1.0)[1]
+    np.testing.assert_allclose(grad, np.zeros_like(grad), atol=1e-16)
 
 
 @settings(max_examples=40, deadline=None)
@@ -166,19 +138,13 @@ def test_etc_gradient_blocked_through_targets():
     st.floats(-30, 30),
 )
 def test_etc_shift_invariance(values, c):
-    cfg = EtcConfig(tau=4.0, lam=1.0)
-    base = etc_loss(outputs_from(values), cfg).item()
-    shifted = etc_loss(outputs_from(values + c), cfg).item()
-    assert abs(base - shifted) < 1e-10
+    assert abs(etc_of(values, 4.0) - etc_of(values + c, 4.0)) < 1e-10
 
 
 @settings(max_examples=40, deadline=None)
 @given(arrays(np.float64, (2, 4, 3), elements=st.floats(-15, 15)), st.permutations(range(4)))
 def test_etc_timestep_permutation_invariance(values, perm):
-    cfg = EtcConfig(tau=3.0, lam=1.0)
-    base = etc_loss(outputs_from(values), cfg).item()
-    permuted = etc_loss(outputs_from(values[:, perm, :]), cfg).item()
-    assert abs(base - permuted) < 1e-12
+    assert abs(etc_of(values, 3.0) - etc_of(values[:, perm, :], 3.0)) < 1e-12
 
 
 # -- kl_metric_values ---------------------------------------------------------
@@ -218,12 +184,12 @@ def test_kl_metric_nonnegative(values):
 
 
 def test_etc_loss_equals_kl_plus_mean_entropy():
-    """etc_loss - mean target entropy == kl metric (Gibbs identity)."""
+    """consistency term - mean target entropy == kl metric (Gibbs identity)."""
     rng = np.random.default_rng(10)
     for _ in range(100):
         values, _ = random_loss_instance(rng)
         tau = float(rng.uniform(0.5, 8.0))
-        loss = etc_loss(outputs_from(values), EtcConfig(tau=tau, lam=1.0)).item()
+        loss = etc_of(values, tau)
         identity_gap = loss - mean_entropy_reference(values, tau) - kl_metric_values(values, tau)
         assert abs(identity_gap) < 1e-10
         # Gibbs floor: the loss can never undercut the target entropy
@@ -233,24 +199,18 @@ def test_etc_loss_equals_kl_plus_mean_entropy():
 # -- the training objective (losses.objective) ------------------------------------
 
 
-def _tape(values, labels, mode, cfg):
-    """The objective built from the tape losses: (V.grad, total, ce, etc)."""
-    outs = outputs_from(values)
-    total, ce, etc = _tape_objective(outs, labels, mode, cfg)
-    total.backward()
-    return outs.grad, total.item(), ce, etc
-
-
 def test_batch_loss_recomposes():
+    """The total is ce + lam * tau^2 * etc, and ``dv`` is the consistency
+    part's gradient plus the mean-CE one, bit for bit."""
     rng = np.random.default_rng(12)
     values, labels = random_loss_instance(rng)
     cfg = EtcConfig(tau=4.0, lam=1.0)
     dv, total, ce_val, etc_val = objective(values, labels, "ce_plus_etc", cfg)
-    ce = ce_mean_loss(outputs_from(values), labels).item()
-    etc = etc_loss(outputs_from(values), cfg).item()
+    ce_dv, ce, _, _ = objective(values, labels, "ce_only", cfg)
+    etc, etc_grad = losses._consistency(values, cfg.tau, cfg.lam * cfg.tau**2)
     assert (ce_val, etc_val) == (ce, etc)
     assert abs(total - (ce + cfg.lam * cfg.tau**2 * etc)) < 1e-12
-    assert np.array_equal(dv, _tape(values, labels, "ce_plus_etc", cfg)[0])
+    assert np.array_equal(dv, etc_grad + ce_dv)
 
 
 def test_batch_loss_lambda_zero_is_ce_bitwise():
@@ -258,8 +218,7 @@ def test_batch_loss_lambda_zero_is_ce_bitwise():
     values, labels = random_loss_instance(rng)
     cfg = EtcConfig(tau=4.0, lam=0.0)
     dv, total, _, etc_val = objective(values, labels, "ce_plus_etc", cfg)
-    ce = ce_mean_loss(outputs_from(values), labels).item()
-    assert total == ce and etc_val == 0.0
+    assert total == ce_of(values, labels) and etc_val == 0.0
     assert np.array_equal(dv, objective(values, labels, "ce_only", cfg)[0])
 
 
@@ -268,16 +227,17 @@ def test_batch_loss_single_step_is_ce_bitwise():
     values = rng.normal(size=(3, 1, 4))
     labels = onehot([0, 1, 2], 4)
     dv, total, _, etc_val = objective(values, labels, "ce_plus_etc", EtcConfig())
-    ce = ce_mean_loss(outputs_from(values), labels).item()
-    assert total == ce and etc_val == 0.0
+    assert total == ce_of(values, labels) and etc_val == 0.0
     assert np.array_equal(dv, objective(values, labels, "ce_only", EtcConfig())[0])
 
 
 @pytest.mark.parametrize("mode", LOSS_MODES)
-def test_objective_equals_tape_bitwise(mode):
-    """Same ops in the same order as the tape: gradient and logged losses
-    agree bit for bit, T=1 and lam=0 included."""
+def test_objective_matches_complex_step(mode):
+    """Entry by entry, ``dv`` is the complex step of the loss written from
+    the formulas, and the logged losses are its real part, T=1 and lam=0
+    included."""
     rng = np.random.default_rng(26)
+    h = 1e-30
     for i in range(30):
         values, labels = random_loss_instance(rng)
         if i % 5 == 0:
@@ -286,9 +246,32 @@ def test_objective_equals_tape_bitwise(mode):
         if i % 7 == 0:
             cfg = EtcConfig(tau=cfg.tau, lam=0.0)
         dv, *logged = objective(values, labels, mode, cfg)
-        want_dv, *want = _tape(values, labels, mode, cfg)
-        assert np.array_equal(dv, want_dv)
-        assert logged == want
+        want_dv = np.zeros_like(values)
+        for j in np.ndindex(values.shape):
+            probe = values.astype(complex)
+            probe[j] += 1j * h
+            want_dv[j] = ad.complex_loss(probe, labels, mode, cfg)[0].imag / h
+        want = [float(x.real) for x in ad.complex_loss(values, labels, mode, cfg)]
+        assert norm_rel_err(dv, want_dv) <= 1e-12
+        assert norm_rel_err(logged, want) <= 1e-12
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    st.integers(1, 3),
+    st.integers(1, 4),
+    st.integers(2, 4),
+    st.sampled_from([0.5, 8.0]),
+    st.sampled_from([0.0, 0.5, 4.0]),
+    st.data(),
+)
+def test_objective_matches_complex_step_off_the_suite_draws(batch, steps, classes, tau, lam, data):
+    """Draws ``gradcheck_suite`` never makes: T = 1, lam = 0, two classes,
+    logits up to +-50, tau at the ends of its range."""
+    values = data.draw(arrays(np.float64, (batch, steps, classes), elements=st.floats(-50, 50)))
+    rows = data.draw(st.lists(st.integers(0, classes - 1), min_size=batch, max_size=batch))
+    report = gradcheck_complex_step(values, onehot(rows, classes), EtcConfig(tau=tau, lam=lam))
+    assert report.max_rel_err <= 1e-12, report
 
 
 def test_objective_rejects_a_non_finite_loss():
@@ -303,7 +286,7 @@ def test_per_timestep_ce_matches_bruteforce():
     rng = np.random.default_rng(28)
     for _ in range(20):
         values, labels = random_loss_instance(rng)
-        got = per_timestep_ce_loss(outputs_from(values), labels).item()
+        got = objective(values, labels, "per_timestep_ce", EtcConfig())[1]
         batch, steps, _ = values.shape
         want = sum(
             -math.log(softmax_row(values[b, t])[int(np.argmax(labels[b]))])
@@ -317,7 +300,7 @@ def test_gradcheck_per_timestep_ce_random_instances():
     rng = np.random.default_rng(30)
     for _ in range(30):
         values, labels = random_loss_instance(rng)
-        report = gradcheck_per_timestep_ce(outputs_from(values), labels)
+        report = gradcheck_per_timestep_ce(values, labels)
         assert report.passed, report
 
 
@@ -333,43 +316,38 @@ def test_etc_config_validation():
 
 def test_gradcheck_ce_zero_logit_example():
     # all-zero logits, y=[1,0], T=2, batch=1: grad per step = [-.25, .25]
-    outs = outputs_from(np.zeros((1, 2, 2)))
+    values = np.zeros((1, 2, 2))
     labels = onehot([0], 2)
-    report = gradcheck_ce(outs, labels)
-    assert report.passed
-    np.testing.assert_allclose(outs.grad, [[[-0.25, 0.25], [-0.25, 0.25]]], atol=1e-15)
+    assert gradcheck_ce(values, labels).passed
+    dv = objective(values, labels, "ce_only", EtcConfig())[0]
+    np.testing.assert_allclose(dv, [[[-0.25, 0.25], [-0.25, 0.25]]], atol=1e-15)
 
 
 def test_gradcheck_ce_random_instances():
     rng = np.random.default_rng(18)
     for _ in range(30):
         values, labels = random_loss_instance(rng)
-        report = gradcheck_ce(outputs_from(values), labels)
+        report = gradcheck_ce(values, labels)
         assert report.passed, report
 
 
 def test_ce_gradient_matches_fd():
     rng = np.random.default_rng(20)
     values, labels = random_loss_instance(rng)
-    outs = outputs_from(values)
-    ce_mean_loss(outs, labels).backward()
-
-    from oracles import fd_gradient
-
-    auto = outs.grad
-    fd = fd_gradient(
-        lambda arr: ce_mean_loss(ad.Tensor(arr), labels).item(),
-        values.copy(),
-    )
-    assert norm_rel_err(auto, fd) < 1e-5
+    dv = objective(values, labels, "ce_only", EtcConfig())[0]
+    fd = fd_gradient(lambda arr: ce_of(arr, labels), values.copy())
+    assert norm_rel_err(dv, fd) < 1e-5
 
 
 def test_gradcheck_etc_identical_steps_give_zero_gradient():
     # the true gradient is exactly zero here, so relative error against the
-    # closed form (also zero) degenerates -- assert absolutely instead
-    outs = outputs_from(np.tile(np.array([0.4, -1.0]), (2, 3, 1)))
-    gradcheck_etc(outs, EtcConfig(tau=4.0, lam=1.0))
-    np.testing.assert_allclose(outs.grad, np.zeros_like(outs.grad), atol=1e-15)
+    # closed form (also zero) degenerates -- assert absolutely instead: the
+    # consistency term adds nothing to the engine's dv
+    values = np.tile(np.array([0.4, -1.0]), (2, 3, 1))
+    labels = onehot([0, 1], 2)
+    cfg = EtcConfig(tau=4.0, lam=1.0)
+    dv = objective(values, labels, "ce_plus_etc", cfg)[0]
+    np.testing.assert_allclose(dv, objective(values, labels, "ce_only", cfg)[0], rtol=0, atol=1e-15)
 
 
 def test_gradcheck_etc_random_instances():
@@ -377,7 +355,7 @@ def test_gradcheck_etc_random_instances():
     for _ in range(10):
         values, _ = random_loss_instance(rng)
         cfg = EtcConfig(tau=float(rng.uniform(0.5, 8.0)), lam=float(rng.uniform(0.1, 4.0)))
-        closed, fd = gradcheck_etc(outputs_from(values), cfg)
+        closed, fd = gradcheck_etc(values, cfg)
         assert closed.passed and fd.passed, (closed, fd)
         assert fd.max_rel_err < 1e-5
 
@@ -385,11 +363,9 @@ def test_gradcheck_etc_random_instances():
 def test_etc_gradient_scales_linearly_with_lambda():
     rng = np.random.default_rng(24)
     values, _ = random_loss_instance(rng)
-    outs1 = outputs_from(values)
-    ad.scale(etc_loss(outs1, EtcConfig(tau=4.0, lam=1.0)), 1.0 * 16.0).backward()
-    outs2 = outputs_from(values)
-    ad.scale(etc_loss(outs2, EtcConfig(tau=4.0, lam=2.0)), 2.0 * 16.0).backward()
-    assert np.array_equal(2.0 * outs1.grad, outs2.grad)
+    grad1 = losses._consistency(values, 4.0, 1.0 * 16.0)[1]
+    grad2 = losses._consistency(values, 4.0, 2.0 * 16.0)[1]
+    assert np.array_equal(2.0 * grad1, grad2)
 
 
 def test_gradcheck_suite_passes():
@@ -398,4 +374,72 @@ def test_gradcheck_suite_passes():
     assert all(r.cases == 25 for r in reports)
     errs = {r.name: r.max_rel_err for r in reports if not r.fd}
     assert errs["per_timestep_ce"] < 1e-10
-    assert errs["objective"] <= 1e-12
+    assert errs["complex_step"] <= 1e-12
+
+
+# -- no oracle passes vacuously ------------------------------------------------------
+
+
+def _nudge(grad):
+    """``grad`` with its largest entry moved by one part in 1e9."""
+    grad = grad.copy()
+    grad[np.unravel_index(np.argmax(np.abs(grad)), grad.shape)] *= 1.0 + 1e-9
+    return grad
+
+
+ORACLES = {
+    "complex_step": lambda values, labels, cfg: [gradcheck_complex_step(values, labels, cfg)],
+    "ce_mean": lambda values, labels, cfg: [gradcheck_ce(values, labels)],
+    "per_timestep_ce": lambda values, labels, cfg: [gradcheck_per_timestep_ce(values, labels)],
+    "consistency": lambda values, labels, cfg: gradcheck_etc(values, cfg)[:1],
+}
+
+
+@pytest.mark.parametrize("patched, oracle", [
+    ("objective", "complex_step"),
+    ("objective", "ce_mean"),
+    ("objective", "per_timestep_ce"),
+    ("_consistency", "complex_step"),
+    ("_consistency", "consistency"),
+])
+def test_oracles_catch_a_gradient_off_by_one_part_in_1e9(monkeypatch, patched, oracle):
+    """One entry of ``objective``'s ``dv`` nudged, directly or through the
+    consistency part that ``_consistency`` hands it, fails the oracle."""
+    rng = np.random.default_rng(32)
+    values, labels = random_loss_instance(rng)
+    cfg = EtcConfig(tau=2.0, lam=1.0)
+    assert all(r.passed for r in ORACLES[oracle](values, labels, cfg))
+    real = getattr(losses, patched)
+    at = 0 if patched == "objective" else 1  # where the gradient sits in the result
+
+    def nudged(*args):
+        out = list(real(*args))
+        out[at] = _nudge(out[at])
+        return tuple(out)
+
+    monkeypatch.setattr(losses, patched, nudged)
+    assert not any(r.passed for r in ORACLES[oracle](values, labels, cfg))
+
+
+def test_complex_step_rejects_live_targets(monkeypatch):
+    """A complex-safe loss whose consistency targets carry the perturbation
+    differentiates another function; the oracle must refuse it."""
+    frozen = ad.complex_loss
+
+    def live_targets(values, labels, loss_mode, cfg):
+        total, ce, etc = frozen(values, labels, loss_mode, cfg)
+        if loss_mode == "ce_plus_etc":
+            batch, steps, _ = values.shape[-3:]
+            logp = ad._log_softmax_complex(values / cfg.tau)
+            targets = np.exp(logp)  # not frozen
+            others = targets.sum(axis=-2, keepdims=True) - targets
+            etc = -(others * logp).sum(axis=(-3, -2, -1)) / (batch * steps * (steps - 1))
+            total = ce + cfg.lam * cfg.tau**2 * etc
+        return total, ce, etc
+
+    rng = np.random.default_rng(34)
+    values, labels = random_loss_instance(rng)
+    cfg = EtcConfig(tau=2.0, lam=1.0)
+    assert gradcheck_complex_step(values, labels, cfg).passed
+    monkeypatch.setattr(ad, "complex_loss", live_targets)
+    assert not gradcheck_complex_step(values, labels, cfg).passed
