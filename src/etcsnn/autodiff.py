@@ -566,11 +566,11 @@ def gradcheck_lif(seed: int = 0, cases: int = 100, tol: float = 1e-12) -> GradCh
     for _ in range(cases):
         spec, w_vals, inputs, readout = _random_lif_case(rng)
 
-        values, cache = lif_unroll(spec, w_vals, inputs)
+        values, cache = lif_unroll(spec.lif, w_vals, inputs)
         for _, charged, _ in cache[:-1]:  # before the backward, which consumes the cache
             in_band += np.count_nonzero(surrogate_factor(charged, spec.lif))
             count += charged.size
-        grads = lif_backward(spec, w_vals, cache, readout)
+        grads = lif_backward(spec.lif, w_vals, cache, readout)
 
         ref_weights = [Tensor(w) for w in w_vals]
         ref_x = [Tensor(inputs[:, t]) for t in range(spec.timesteps)]

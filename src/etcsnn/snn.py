@@ -16,15 +16,18 @@ Networks here are plain feedforward stacks of fully connected LIF layers
 input current with the same time constant.  That output layer's per-step
 potentials are the network's logits.
 
-``lif_unroll`` runs the network in plain numpy.  The layers are
-feedforward, so one (batch*T, fan_in) matmul gives every step's input
-current; a loop over the steps then charges, fires and resets in place,
-on time-major (T, batch, width) drives and potentials whose per-step slices
-are contiguous.  The rows are taken in blocks of ``batch``: one matmul per
-block, of the shape one call per block would run (BLAS picks its kernel, and
-so the last bits, by shape), and one time loop over all of them.  Evaluation
-passes several batches at once this way; training's one batch is one block.
-The output layer integrates in place on its own time-major drive too.
+``lif_unroll`` runs the network in plain numpy.  Both passes take the neuron
+constants and read T, the batch and every width from their arrays; a
+``NetworkSpec`` shapes ``init_weights`` and the tape oracle only.  The
+layers are feedforward, so one (batch*T, fan_in) matmul gives every step's
+input current; a loop over the steps then charges, fires and resets in
+place, on time-major (T, batch, width) drives and potentials whose per-step
+slices are contiguous.  The rows are taken in blocks of ``batch``: one
+matmul per block, of the shape one call per block would run (BLAS picks its
+kernel, and so the last bits, by shape), and one time loop over all of them.
+Evaluation passes several batches at once this way; training's one batch is
+one block.  The output layer integrates in place on its own time-major drive
+too.
 Spikes, inputs and gradients by input currents stay batch-major: their
 (batch*T, width) rows feed the matmuls, and that row order fixes the float
 summation order.  So do the returned output potentials, as one fresh copy
@@ -191,29 +194,28 @@ def _charge_fire(drive: np.ndarray, params: LifParams) -> tuple[np.ndarray, np.n
 
 
 def lif_unroll(
-    spec: NetworkSpec, params: Sequence[np.ndarray], inputs: np.ndarray,
-    batch: int | None = None,
+    lif: LifParams, params: Sequence[np.ndarray], inputs: np.ndarray, batch: int | None = None,
 ) -> tuple[np.ndarray, list[tuple]]:
-    """Run the whole network over all timesteps.
+    """Run the whole network, of neuron constants ``lif``, over all timesteps.
 
     ``params`` holds one (fan_in, fan_out) weight array per layer and
-    ``inputs`` is (batch, timesteps, input_dim) of per-step input currents.
-    Hidden layers start from the reset potential; the output layer
-    leak-integrates its current from zero with no threshold, spike, or
-    reset, in place on its time-major drive.  Returns the output layer's
-    potentials as a C-contiguous (batch, T, classes) copy that owns its
-    memory, since sums over the whole array follow memory order, and the
-    cache ``lif_backward`` needs: per layer, its input, (T, batch,
-    width) charged potentials and (batch, T, width) spikes (None for the
-    output layer).  Raises NonFiniteError on a non-finite potential; shapes
-    must fit ``spec`` and are not checked.
+    ``inputs`` is (batch, T, input_dim) of per-step input currents; T, the
+    batch and every width are read from these arrays.  Hidden layers start
+    from the reset potential; the output layer leak-integrates its current
+    from zero with no threshold, spike, or reset, in place on its time-major
+    drive.  Returns the output layer's potentials as a C-contiguous (batch,
+    T, classes) copy that owns its memory, since sums over the whole array
+    follow memory order, and the cache ``lif_backward`` needs: per layer, its
+    input, (T, batch, width) charged potentials and (batch, T, width) spikes
+    (None for the output layer).  Raises NonFiniteError on a non-finite
+    potential; the shapes must fit one another and are not checked.
 
     Every layer's input current comes from one matmul per ``batch`` samples
     (all of them when None), so the potentials are bit for bit those of one
     call per ``batch`` samples, concatenated, while the time loops run once.
     """
     x = np.asarray(inputs, dtype=np.float64)
-    lif, batch = spec.lif, batch or max(1, len(x))
+    batch = batch or max(1, len(x))
     cache = []
     for w in params[:-1]:
         charged, spikes = _charge_fire(_drive(x, w, lif, batch), lif)
@@ -224,7 +226,7 @@ def lif_unroll(
     leaked = np.empty(v.shape[1:])
     with np.errstate(over="ignore", invalid="ignore"):
         v[0] += 0.0  # 0 * leak + drive: a -0.0 drive charges to +0.0
-        for t in range(1, spec.timesteps):
+        for t in range(1, len(v)):
             v[t] += np.multiply(v[t - 1], lif.leak, out=leaked)
     if not np.all(np.isfinite(v)):
         raise NonFiniteError("non-finite membrane potentials in the output layer")
@@ -273,13 +275,13 @@ def _current_grad(g: np.ndarray, charged: np.ndarray | None, lif: LifParams) -> 
 
 
 @np.errstate(over="ignore", invalid="ignore")  # adamw_step checks the gradients
-def lif_backward(spec: NetworkSpec, params, cache, dv: np.ndarray) -> list[np.ndarray]:
+def lif_backward(lif: LifParams, params, cache, dv: np.ndarray) -> list[np.ndarray]:
     """Gradient of a loss by every weight, from ``dv``, the loss's gradient
     by the (batch, T, classes) output potentials of the ``lif_unroll`` call
-    that returned ``cache``.  Consumes ``cache``, overwriting its arrays and
-    clearing every entry (read charged potentials or spikes first); leaves
-    ``dv`` as given.  The gradients come back as one fresh float64 array per
-    weight, in the order of ``params``.
+    that returned ``cache``, run with the same ``lif``.  Consumes ``cache``,
+    overwriting its arrays and clearing every entry (read charged potentials
+    or spikes first); leaves ``dv`` as given.  The gradients come back as one
+    fresh float64 array per weight, in the order of ``params``.
 
     Each layer's elementwise BPTT runs over blocks of batch rows whose
     (T, rows, width) float64 slab is at most ``_BLOCK_BYTES`` (one row at
@@ -295,7 +297,7 @@ def lif_backward(spec: NetworkSpec, params, cache, dv: np.ndarray) -> list[np.nd
         x, charged, _ = cache[i]
         cache[i] = g_current = None  # drop the layer above's arrays
         rows = x.reshape(-1, x.shape[2])  # (batch*T, fan_in)
-        g_current = _current_grad(g, charged, spec.lif).reshape(len(rows), -1)
+        g_current = _current_grad(g, charged, lif).reshape(len(rows), -1)
         grads.append(rows.T @ g_current)
         if i:  # by the layer below's spikes, over them: this layer's input is spent
             g = np.matmul(g_current, params[i].T, out=rows).reshape(x.shape)

@@ -10,9 +10,11 @@ the rest.  ``ConfigError``, ``DataSpec`` and ``DATA_KINDS`` live in
 A dataset is a pair of ``data.Split``s; training indexes its batches out of
 them, and every evaluation is one forward over a split, in groups of whole
 batches, through ``_ckpt_forward``, the one place a split is checked against
-a checkpoint.
-``load_test_split`` builds the test split alone, for analysis that scores
-nothing else.
+a checkpoint.  The forward reads every width from the weights and T from
+the inputs.  ``load_test_split`` builds the test split alone, for analysis
+that scores nothing else.  A checkpoint stores each value once: its embedded
+config holds the layer count and the optimizer settings, and its body the
+epoch, the weights, the optimizer step and the moments.
 
 Determinism contract: every random draw comes from a generator seeded by
 ``(train.seed, stream, index)``, so the complete RNG state of a run is the
@@ -368,14 +370,6 @@ def _one_hot(labels: np.ndarray, classes: int) -> np.ndarray:
     return out
 
 
-def _network_spec(cfg: RunConfig, input_dim: int, classes: int) -> NetworkSpec:
-    return NetworkSpec(
-        layer_sizes=(input_dim, *cfg.hidden_sizes, classes),
-        timesteps=cfg.timesteps,
-        lif=cfg.lif,
-    )
-
-
 # -- metrics ----------------------------------------------------------------------
 
 
@@ -401,13 +395,13 @@ def config_header_line(cfg: RunConfig) -> str:
 
 # -- checkpoints --------------------------------------------------------------------
 
-# A checkpoint is one frame: 8-byte magic, u32 version 2 (1 was the unframed
-# layout), u64 header length, the UTF-8 config text as header, the body, then a
-# u32 crc32 of every byte before it.
+# A checkpoint is one frame: 8-byte magic, u32 version 3 (1 was unframed, and
+# 2 stored the weight count and the optimizer settings beside the config's),
+# u64 header length, the UTF-8 config text as header, the body, then a u32
+# crc32 of every byte before it.
 _CKPT_MAGIC = b"ETCCKPT1"
-_CKPT_VERSION = 2
-# the optimizer block's hyper-parameters, in file order; each is a field of
-# both RunConfig and OptimState
+_CKPT_VERSION = 3
+# the optimizer settings: fields of both RunConfig and OptimState
 _OPT_HYPERS = ("lr_base", "weight_decay", "beta1", "beta2", "eps")
 
 
@@ -500,13 +494,15 @@ def _write_tensor(fh, name: str, arr: np.ndarray) -> None:
 
 def save_checkpoint(ckpt: Checkpoint, path) -> None:
     """One frame (``write_frame``): the config text as header, then the
-    epoch, the weights and the optimizer state; written atomically."""
+    epoch, the weights, the optimizer step and the moments; written
+    atomically.  The config holds the layer count and the optimizer settings,
+    so the body stores neither."""
     with write_frame(path, config_to_text(ckpt.config)) as fh:
-        fh.write(struct.pack("<QI", ckpt.epoch, len(ckpt.params)))
+        fh.write(struct.pack("<Q", ckpt.epoch))
         for i, p in enumerate(ckpt.params):
             _write_tensor(fh, f"w{i}", p)
         opt = ckpt.opt
-        fh.write(struct.pack("<Q5d", opt.step, *(getattr(opt, name) for name in _OPT_HYPERS)))
+        fh.write(struct.pack("<Q", opt.step))
         for i, (m, v) in enumerate(zip(opt.m, opt.v)):
             _write_tensor(fh, f"m{i}", m)
             _write_tensor(fh, f"v{i}", v)
@@ -530,20 +526,17 @@ def load_checkpoint(path) -> Checkpoint:
         config = run_config_from_text(frame.header)
     except ConfigError as exc:
         raise CheckpointError(f"{path}: embedded config invalid: {exc}") from exc
-    epoch, n_params = frame.unpack("<QI")
-    params = [read_tensor(f"w{i}") for i in range(n_params)]
+    layers = len(config.hidden_sizes) + 1
+    (epoch,) = frame.unpack("<Q")
+    params = [read_tensor(f"w{i}") for i in range(layers)]
     (step,) = frame.unpack("<Q")
-    hyper = dict(zip(_OPT_HYPERS, frame.unpack("<5d")))
-    moments = [read_tensor(f"{kind}{i}") for i in range(n_params) for kind in "mv"]
+    moments = [read_tensor(f"{kind}{i}") for i in range(layers) for kind in "mv"]
     m, v = moments[::2], moments[1::2]
     frame.end()
 
-    expected_layers = len(config.hidden_sizes) + 1
-    if n_params != expected_layers:
-        raise CheckpointError(f"{path}: {n_params} weight tensors for {expected_layers} layers")
     sizes = params[0].shape[:1] + tuple(config.hidden_sizes) + params[-1].shape[-1:]
     for i, p in enumerate(params):
-        want = (sizes[i], sizes[i + 1])
+        want = sizes[i : i + 2]  # sliced: an end weight of rank < 2 leaves sizes short
         if p.shape != want:
             raise CheckpointError(f"{path}: weight w{i} has shape {p.shape}, expected {want}")
         if m[i].shape != want or v[i].shape != want:
@@ -552,17 +545,10 @@ def load_checkpoint(path) -> Checkpoint:
         for side, size, key in (("input", sizes[0], "dim"), ("output", sizes[-1], "classes")):
             if size != (want := getattr(config.data, key)):
                 raise CheckpointError(f"{path}: {side} dim {size} != data.{key} {want}")
-
-    for name, value in hyper.items():
-        if value != getattr(config, name):
-            raise CheckpointError(
-                f"{path}: optimizer {name} {value!r} does not match the embedded "
-                f"config's {getattr(config, name)!r}"
-            )
     frame.check_crc()  # last, so every check above keeps its own message
 
-    opt = OptimState(step=step, m=m, v=v, **hyper)
-    return Checkpoint(config=config, epoch=epoch, params=params, opt=opt)
+    hypers = {name: getattr(config, name) for name in _OPT_HYPERS}
+    return Checkpoint(config, epoch, params, OptimState(step=step, m=m, v=v, **hypers))
 
 
 # -- the training loop ---------------------------------------------------------------
@@ -607,7 +593,6 @@ def train(cfg: RunConfig, out_dir, resume_from=None) -> TrainResult:
         _check_split(split, data.input_dim, data.classes, cfg.timesteps)
     x_train = data.train.inputs
     labels_1h = _one_hot(data.train.labels, data.classes)
-    spec = _network_spec(cfg, data.input_dim, data.classes)
     metrics_path = out_dir / "metrics.jsonl"
     history = [config_header_line(cfg) + "\n"]
 
@@ -631,7 +616,8 @@ def train(cfg: RunConfig, out_dir, resume_from=None) -> TrainResult:
             f"{metrics_path} already holds a run; resume it or train into a fresh directory"
         )
     else:
-        params = init_weights(spec, cfg.seed)
+        sizes = (data.input_dim, *cfg.hidden_sizes, data.classes)
+        params = init_weights(NetworkSpec(sizes, cfg.timesteps, cfg.lif), cfg.seed)
         opt = OptimState.fresh(params, **{name: getattr(cfg, name) for name in _OPT_HYPERS})
         start_epoch = 0
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -649,13 +635,13 @@ def train(cfg: RunConfig, out_dir, resume_from=None) -> TrainResult:
             for batch_no, b0 in enumerate(range(0, n_train, cfg.batch_size)):
                 sel = order[b0 : b0 + cfg.batch_size]
                 try:
-                    values, cache = lif_unroll(spec, params, x_train[sel])
+                    values, cache = lif_unroll(cfg.lif, params, x_train[sel])
                     dv, total, ce_val, etc_val = objective(
                         values, labels_1h[sel], cfg.loss_mode, cfg.etc
                     )
                     # no local holds the gradients: they die as the update returns
                     params = adamw_step(
-                        params, lif_backward(spec, params, cache, dv), opt, lr_now
+                        params, lif_backward(cfg.lif, params, cache, dv), opt, lr_now
                     )
                 except (NonFiniteError, ValueError) as exc:
                     raise TrainingError(f"epoch {epoch}, batch {batch_no}: {exc}") from exc
@@ -758,7 +744,9 @@ def train_many(jobs) -> list[TrainResult]:
 
 # -- evaluation / analysis ops ---------------------------------------------------------
 # Every evaluation is one batched forward over a prefix of the input slices.
-# The network is causal, so its first k potentials are those of a k-step run.
+# The network is causal, so its first k potentials are those of a k-step run
+# up to rounding, not bit for bit: BLAS picks its kernel by row count, and a
+# k-step run's matmuls have fewer rows.
 
 # Most bytes of a group's float64 (steps, rows, widest layer) array: 6 batches
 # at the default net, where 1 MiB timed fastest of 0.5, 1, 2 MiB and the
@@ -777,14 +765,13 @@ def _ckpt_forward(ckpt: Checkpoint, split: Split, steps: int) -> np.ndarray:
     bits of one call per batch."""
     dims = ckpt.params[0].shape[0], ckpt.params[-1].shape[-1]
     _check_split(split, *dims, steps)
-    spec = replace(_network_spec(ckpt.config, *dims), timesteps=steps)
-    inputs, size = split.inputs[:, :steps], ckpt.config.batch_size
-    batch_bytes = steps * size * max(spec.layer_sizes[1:]) * 8
-    group = size * max(1, _GROUP_BYTES // batch_bytes)
-    starts = range(0, len(split), group)
-    return np.concatenate(
-        [lif_unroll(spec, ckpt.params, inputs[g : g + group], batch=size)[0] for g in starts]
-    )
+    cfg, inputs = ckpt.config, split.inputs[:, :steps]
+    batch_bytes = steps * cfg.batch_size * max(w.shape[1] for w in ckpt.params) * 8
+    group = cfg.batch_size * max(1, _GROUP_BYTES // batch_bytes)
+    return np.concatenate([
+        lif_unroll(cfg.lif, ckpt.params, inputs[g : g + group], batch=cfg.batch_size)[0]
+        for g in range(0, len(split), group)
+    ])
 
 
 def _budget_accuracies(values: np.ndarray, labels: np.ndarray, budgets) -> dict[str, float]:
@@ -833,9 +820,8 @@ def _output_weight_grads(ckpt: Checkpoint, split: Split, coeff: np.ndarray) -> n
     ``train.batch_size`` samples."""
     cfg, hidden = ckpt.config, ckpt.params[-1].shape[0]
     params = [*ckpt.params[:-1], np.eye(hidden, hidden + 1)]
-    spec = _network_spec(cfg, params[0].shape[0], hidden + 1)
     inputs = split.inputs[:, : cfg.timesteps]
-    trace = lif_unroll(spec, params, inputs, batch=cfg.batch_size)[0]
+    trace = lif_unroll(cfg.lif, params, inputs, batch=cfg.batch_size)[0]
     return np.einsum("nth,nc->thc", trace[..., :hidden], coeff)
 
 

@@ -12,6 +12,7 @@ import struct
 import subprocess
 import sys
 import warnings
+import zlib
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -317,11 +318,16 @@ def test_samples_below_one_is_a_usage_error(trained_run, tmp_path, capsys, comma
 def test_resume_from_checkpoint_with_altered_optimizer_block_exits_2(
     trained_run, tiny_cfg, tmp_path, capsys
 ):
+    """The optimizer block is the step counter and the moments; a flipped
+    step byte is a checksum mismatch, and the run's log stays as it was."""
     ckpt = trained_run / "ckpt_final.bin"
+    log = trained_run / "metrics.jsonl"
+    before = log.read_bytes()
     blob = bytearray(ckpt.read_bytes())
-    # the top byte of beta1 in the optimizer block (step, lr, wd, beta1, ...)
-    beta1 = blob.index(struct.pack("<3d", 0.01, 0.0001, 0.9)) + 2 * 8
-    blob[beta1 + 7] ^= 0xFF
+    # the top byte of the u64 step counter, just before the m0 record
+    step = blob.index(b"\x02\x00\x00\x00m0") - 8
+    assert struct.unpack("<Q", blob[step : step + 8]) == (4,)  # 2 epochs of 2 batches
+    blob[step + 7] ^= 0xFF
     bad = tmp_path / "bad.bin"
     bad.write_bytes(bytes(blob))
     capsys.readouterr()
@@ -330,7 +336,8 @@ def test_resume_from_checkpoint_with_altered_optimizer_block_exits_2(
     ])
     assert code == 2
     err = capsys.readouterr().err
-    assert err.startswith(f"error: {bad}: optimizer beta1 ") and len(err.splitlines()) == 1
+    assert err == f"error: {bad}: checksum mismatch, the checkpoint is corrupt\n"
+    assert log.read_bytes() == before
 
 
 def test_eval_on_checkpoint_with_altered_weight_exits_2(trained_run, tmp_path, capsys):
@@ -364,18 +371,24 @@ def test_checkpoint_with_overflowing_shape_is_truncated_and_exits_2(
 
 
 def test_eval_on_version_1_checkpoint_exits_2(trained_run, tmp_path, capsys):
+    """Version 1 (no crc32) and version 2 (the weight count and the optimizer
+    settings stored beside the config's) files are refused by their version
+    field: one line, exit 2; retrain them."""
     blob = (trained_run / "ckpt_final.bin").read_bytes()
     (text_len,) = struct.unpack("<Q", blob[12:20])
     epoch_end = 28 + text_len
     # the version-1 layout: the epoch written twice, no trailing crc32
     v1 = (blob[:8] + struct.pack("<I", 1) + blob[12:epoch_end]
           + blob[epoch_end - 8 : epoch_end] + blob[epoch_end:-4])
-    old = tmp_path / "v1.bin"
-    old.write_bytes(v1)
-    capsys.readouterr()
-    assert run_cli(["eval", "--ckpt", str(old)]) == 2
-    err = capsys.readouterr().err
-    assert err == f"error: {old}: checkpoint version 1, expected 2\n"
+    v2 = blob[:8] + struct.pack("<I", 2) + blob[12:-4]  # the version field alone, crc32 redone
+    for version, data in ((1, v1), (2, v2 + struct.pack("<I", zlib.crc32(v2)))):
+        old = tmp_path / f"v{version}.bin"
+        old.write_bytes(data)
+        capsys.readouterr()
+        assert run_cli(["eval", "--ckpt", str(old)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {old}: checkpoint version {version}, expected 3\n"
+        assert captured.out == ""
 
 
 @pytest.fixture(scope="module")

@@ -126,8 +126,8 @@ def test_step_makes_no_per_weight_temporaries(sizes, batch):
     params = init_weights(spec, seed=3)
     state = OptimState.fresh(params, weight_decay=0.01)
     for _ in range(2):
-        values, cache = lif_unroll(spec, params, rng.uniform(0.0, 1.5, (batch, 10, sizes[0])))
-        grads = lif_backward(spec, params, cache, rng.normal(size=values.shape))
+        values, cache = lif_unroll(spec.lif, params, rng.uniform(0.0, 1.5, (batch, 10, sizes[0])))
+        grads = lif_backward(spec.lif, params, cache, rng.normal(size=values.shape))
         if not state.step:
             params = adamw_step(params, grads, state, 0.01)
     tracemalloc.start()

@@ -161,7 +161,7 @@ def test_unroll_hand_trace_identity_weights():
     spec = _spec()
     eye = np.eye(2)
     inputs = np.ones((1, 2, 2))
-    values, _ = lif_unroll(spec, [eye, eye], inputs)
+    values, _ = lif_unroll(spec.lif, [eye, eye], inputs)
     np.testing.assert_array_equal(values[:, 0], [[0.5, 0.5]])
     np.testing.assert_array_equal(values[:, 1], [[0.75, 0.75]])
 
@@ -180,14 +180,14 @@ def test_unroll_silent_hidden_layer_gives_zero_logits():
     spec = _spec(steps=4)
     weights = [np.eye(2) * 0.1, np.eye(2)]
     inputs = np.full((3, 4, 2), 0.2)  # charged potential never reaches 0.5
-    values, _ = lif_unroll(spec, weights, inputs)
+    values, _ = lif_unroll(spec.lif, weights, inputs)
     np.testing.assert_array_equal(values, np.zeros((3, 4, 2)))
 
 
 def test_unroll_zero_weights_give_zero_logits():
     spec = _spec(sizes=(3, 5, 2), steps=3)
     weights = [np.zeros((3, 5)), np.zeros((5, 2))]
-    values, _ = lif_unroll(spec, weights, np.random.default_rng(0).normal(size=(2, 3, 3)))
+    values, _ = lif_unroll(spec.lif, weights, np.random.default_rng(0).normal(size=(2, 3, 3)))
     np.testing.assert_array_equal(values, np.zeros((2, 3, 2)))
 
 
@@ -198,8 +198,8 @@ def test_gradients_vanish_outside_surrogate_support():
     w1 = rng.uniform(0.1, 0.5, size=(3, 4))  # positive weights
     w2 = rng.normal(size=(4, 2))
     inputs = -np.ones((2, 3, 3))  # negative currents keep v < 0 < v_th - 1/a
-    values, cache = lif_unroll(spec, [w1, w2], inputs)
-    g1, g2 = lif_backward(spec, [w1, w2], cache, np.ones_like(values))  # d sum(V)
+    values, cache = lif_unroll(spec.lif, [w1, w2], inputs)
+    g1, g2 = lif_backward(spec.lif, [w1, w2], cache, np.ones_like(values))  # d sum(V)
     assert np.array_equal(g1, np.zeros((3, 4)))
     assert np.array_equal(g2, np.zeros((4, 2)))
 
@@ -292,7 +292,7 @@ def test_fused_values_bitwise_equal_reference(v_reset):
     rng = np.random.default_rng(17)
     weights = init_weights(spec, seed=3)
     x = rng.uniform(0.0, 1.5, size=(8, 10, 16))
-    values, cache = lif_unroll(spec, weights, x)
+    values, cache = lif_unroll(spec.lif, weights, x)
     ref = lif_unroll_reference(spec, [ad.Tensor(w) for w in weights], _per_step(x))
     assert np.array_equal(values, np.stack([v.data for v in ref], axis=1))
     # the cache holds each layer's input, and the hidden layers' spikes feed the next
@@ -312,8 +312,8 @@ def test_backward_matches_reference_on_a_fixed_network():
     ]
     x = rng.uniform(0.0, 2.0, size=(3, 7, 5))
     dv = rng.normal(size=(3, 7, 3))
-    values, cache = lif_unroll(spec, params, x)
-    grads = lif_backward(spec, params, cache, dv)
+    values, cache = lif_unroll(spec.lif, params, x)
+    grads = lif_backward(spec.lif, params, cache, dv)
     weights = [ad.Tensor(w) for w in params]
     outs = lif_unroll_reference(spec, weights, _per_step(x))
     total = ad.sum_all(ad.mul(ad.Tensor(dv[:, 0]), outs[0]))
@@ -359,7 +359,7 @@ def test_kernels_match_frozen_batch_major_kernels_bitwise(
     x = rng.uniform(-1.0, 2.0, size=(batch, steps, sizes[0]))
     dv = rng.normal(size=(batch, steps, sizes[-1])) * (rng.random((batch, steps, sizes[-1])) > 0.2)
 
-    values, cache = lif_unroll(spec, params, x)
+    values, cache = lif_unroll(spec.lif, params, x)
     want_values, want_cache = lif_unroll_frozen(params, x, tau_m, v_th, v_reset)
     # the backward consumes its cache, so the cache is checked first
     for (_, charged, spikes), (_, want_charged, want_spikes) in zip(cache[:-1], want_cache):
@@ -369,7 +369,7 @@ def test_kernels_match_frozen_batch_major_kernels_bitwise(
         assert np.array_equal(_bits(spikes), _bits(want_spikes))
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(snn, "_BLOCK_BYTES", block_bytes)
-        grads = lif_backward(spec, params, cache, dv)
+        grads = lif_backward(spec.lif, params, cache, dv)
     want_grads = lif_backward_frozen(params, want_cache, dv, tau_m, v_th, lif.surrogate_a)
 
     assert np.array_equal(_bits(values), _bits(want_values))
@@ -387,7 +387,7 @@ def test_output_layer_charges_a_negative_zero_drive_to_positive_zero():
     spec = _spec(sizes=(1, 1, 2), steps=3)
     params = [np.ones((1, 1)), np.full((1, 2), -5e-324)]
     x = np.ones((2, 3, 1))
-    values, _ = lif_unroll(spec, params, x)
+    values, _ = lif_unroll(spec.lif, params, x)
     want_values, _ = lif_unroll_frozen(params, x, P.tau_m, P.v_th, P.v_reset)
     assert np.array_equal(_bits(values), _bits(want_values))
     assert not np.signbit(values).any() and not values.any()
@@ -409,11 +409,11 @@ def test_backward_consumes_its_cache_within_a_bounded_peak(sizes, batch):
     x = rng.uniform(0.0, 1.5, size=(batch, 10, sizes[0]))
     dv = rng.normal(size=(batch, 10, sizes[-1]))
     x_bits, dv_bits = _bits(x).copy(), _bits(dv).copy()
-    _, cache = lif_unroll(spec, params, x)
+    _, cache = lif_unroll(spec.lif, params, x)
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        grads = lif_backward(spec, params, cache, dv)
+        grads = lif_backward(spec.lif, params, cache, dv)
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
@@ -432,11 +432,11 @@ def test_unroll_overflowing_potential_raises(scale_of):
     w = np.full((3, 4), 1e308 if scale_of == "weights" else 1.0)
     x = np.full((2, 3, 3), 1e308 if scale_of == "inputs" else 1.0)
     with pytest.raises(ad.NonFiniteError, match="membrane"):
-        lif_unroll(spec, [w, np.ones((4, 2))], x)
+        lif_unroll(spec.lif, [w, np.ones((4, 2))], x)
 
 
 def test_unroll_overflowing_output_potential_raises():
     """Finite spikes through huge output weights overflow the output layer."""
     spec = _spec(sizes=(3, 4, 2), steps=3)
     with pytest.raises(ad.NonFiniteError, match="output layer"):
-        lif_unroll(spec, [np.ones((3, 4)), np.full((4, 2), 1e308)], np.ones((2, 3, 3)))
+        lif_unroll(spec.lif, [np.ones((3, 4)), np.full((4, 2), 1e308)], np.ones((2, 3, 3)))

@@ -381,43 +381,44 @@ def test_per_timestep_ce_mode_trains(tmp_path):
 # on 10 samples per class (x86-64, numpy 2.4), pinned when the hold-out rule
 # became every fifth sample of each class.  The numpy step reproduced the
 # tape-built step's bytes bit for bit on the earlier split.  The checkpoint
-# hashes are of format version 2, which ends in a crc32.  Re-pinned when the
-# data.file key left the config echo: with its line put back
-# (``with_data_file``) the files hash to ``WITH_DATA_FILE``, the earlier pins.
+# hashes are of format version 3: each is the version-2 file's with its
+# weight count and optimizer block cut, the version set to 3 and the crc32
+# recomputed.  Re-pinned when the data.file key left the config echo: with
+# its line put back (``with_data_file``) the files hash to ``WITH_DATA_FILE``.
 GOLDEN_RUNS = {
     "ce_only": (
         "d1f97cbfbf2973825834a607010721e34201c2272aa8b7ed7b2a9dc069be655a",
-        "670a2699787c14ec36a2ac0df894cac4f707e8451531b5c0c90012e72c8f480f",
+        "7f1209800133037663466be5bc78950f312dd547db1690d7aa95f739b764cc73",
     ),
     "ce_plus_etc": (
         "10c9f19c8b4c13122c87100f45a2e589f1707dbd8baf24062b19019088382a44",
-        "855864e2861819a25c34917cbeea46484cf26f9f0cbd627cdf26451df3e36c7b",
+        "de16855728711ed12daae9130c3abb74978c806e96345bfe6f28aaae9643b9ae",
     ),
     "per_timestep_ce": (
         "4e4dd22ae7c0c0b9cc8f716cc70e392dce06fb0affd52417438db16882cb6e1e",
-        "00efbbdc8a947bf08108d66c1df02f79e209204705c3f1830fb52dc24c22a43e",
+        "c23ae187be61657ab173a5c0111f1bc3f4b764da333522b59ee10fa3703c1949",
     ),
     "per_timestep_ce-reset-16-8": (
         "cc26ec86709c31374ca3df7eb0568fb05dc898f6b7fd843882425cca8c8214ce",
-        "406ae98e461501649b2f1e627316d5b533ff4f72e2f897585fe110d1aa2c11e7",
+        "4fb18e21abe723f5c47444c7b828eebdd17cac460a18003c25e7da419362dd9f",
     ),
 }
 WITH_DATA_FILE = {
     "ce_only": (
         "b7449decc95ad13849d1e20470be3b41d8bcf55c8b91bf99897f499884388dbe",
-        "c65a5443e4bfa1c14fc48ee2baf0baaf57ff0b260ac62a1ddf340442b38f4116",
+        "f78b6047d988600f4243fb20dee65d7bde84f531201b4a2a272bf1fd7b77038b",
     ),
     "ce_plus_etc": (
         "1e9165024341a44bc9c52d40d97287f053b2c72fc15deceab54396f2c14f272c",
-        "63562d1261a89d83a8a63c3a0301507b7c590392383e330e3a4b64a46c92664c",
+        "01277e0308d642b2f339f380cb2e44682c5008fb0fdcadccf840a586887a2452",
     ),
     "per_timestep_ce": (
         "1797142964810145fefcd4e08b6190dfc9092d3f003c92b814a389a188257b45",
-        "9bcef10edae7fbea6a553e68417dacfd06f999d4d9c2fefceb64d235b2d8d1aa",
+        "3a95a97d26d2f990108638fa2889e4abd30d06e2bbf30762b70b9ef6e0708869",
     ),
     "per_timestep_ce-reset-16-8": (
         "ff4bf64e3973cd23837b471714d2b37fc161a9fd4ecd4aac213cd550f8a02c44",
-        "bd8519f3ceb4fda3405890663dd2a156df2cd6f51ce5926f02d945b524f76170",
+        "8255799dfcca1e82856ad230eec208e0d8655ec4f0bf1f03bd2e94fd0867ab73",
     ),
 }
 # the keys each row sets; a row not named here sets only its loss mode
@@ -552,7 +553,7 @@ def test_resume_failing_before_its_first_record_keeps_the_log(tmp_path, monkeypa
     train(cfg, run)
     before = {p.name: p.read_bytes() for p in run.iterdir()}
 
-    def overflow(spec, params, inputs):
+    def overflow(lif, params, inputs):
         raise NonFiniteError("non-finite membrane potentials in a LIF layer")
 
     monkeypatch.setattr(train_module, "lif_unroll", overflow)
@@ -758,11 +759,12 @@ def test_checkpoint_bad_version(trained, tmp_path):
 
 
 def test_checkpoint_layout_has_one_epoch_and_ends_in_a_crc32(trained):
+    """Version 3: the epoch, then w0 at once; no weight count."""
     blob = trained.ckpt_path.read_bytes()
     (version, text_len) = struct.unpack("<IQ", blob[8:20])
-    epoch, n_params = struct.unpack("<QI", blob[20 + text_len : 32 + text_len])
-    assert (version, epoch, n_params) == (2, 3, 2)
-    assert blob[32 + text_len : 38 + text_len] == struct.pack("<I", 2) + b"w0"
+    (epoch,) = struct.unpack("<Q", blob[20 + text_len : 28 + text_len])
+    assert (version, epoch) == (3, 3)
+    assert blob[28 + text_len : 34 + text_len] == struct.pack("<I", 2) + b"w0"
     assert blob[-4:] == struct.pack("<I", zlib.crc32(blob[:-4]))
 
 
@@ -823,22 +825,67 @@ def test_checkpoint_layer_count_mismatch(trained, tmp_path):
             eps=opt.eps,
         ),
     )
-    # the file self-consistently claims one layer while the embedded config
-    # wants hidden + output = two
+    # the file holds one layer while the embedded config wants hidden + output
+    # = two, so the reader meets the step counter where it expects w1
     bad = tmp_path / "bad.bin"
     save_checkpoint(hacked, bad)
-    with pytest.raises(CheckpointError, match="1 weight tensors for 2 layers"):
+    with pytest.raises(CheckpointError, match=r"bad\.bin: expected tensor 'w1', found "):
         load_checkpoint(bad)
 
 
-@pytest.mark.parametrize("name", ["lr_base", "weight_decay", "beta1", "beta2", "eps"])
-def test_checkpoint_optimizer_block_must_match_config(trained, tmp_path, name):
-    ck = load_checkpoint(trained.ckpt_path)
-    opt = replace(ck.opt, **{name: getattr(ck.opt, name) * 2})
-    bad = tmp_path / "bad.bin"
-    save_checkpoint(replace(ck, opt=opt), bad)
-    with pytest.raises(CheckpointError, match=rf"bad\.bin: optimizer {name} "):
-        load_checkpoint(bad)
+_POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    lr=_POSITIVE,
+    weight_decay=st.floats(min_value=0.0, allow_infinity=False),
+    beta1=st.floats(0.0, 1.0, exclude_max=True),
+    beta2=st.floats(0.0, 1.0, exclude_max=True),
+    eps=_POSITIVE,
+    hidden=st.lists(st.integers(1, 6), min_size=1, max_size=3),
+    step=st.integers(0, 2**64 - 1),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_checkpoint_takes_its_optimizer_settings_from_its_config(
+    tmp_path_factory, lr, weight_decay, beta1, beta2, eps, hidden, step, seed
+):
+    """The optimizer settings are stored once, in the embedded config: a
+    loaded state's fields are the config's, and a re-save is byte-identical.
+    The weight count is the config's too: a file with one weight record too
+    few or too many is one CheckpointError naming it."""
+    cfg = build_run_config(tiny(**{
+        "opt.lr": repr(lr), "opt.weight_decay": repr(weight_decay), "opt.beta1": repr(beta1),
+        "opt.beta2": repr(beta2), "opt.eps": repr(eps),
+        "network.hidden_sizes": ",".join(map(str, hidden)),
+    }))
+    rng = np.random.default_rng(seed)
+    sizes = (cfg.data.dim, *hidden, cfg.data.classes)
+    params, m, v = ([rng.normal(size=(a, b)) for a, b in zip(sizes, sizes[1:])] for _ in "pmv")
+    hypers = {name: getattr(cfg, name) for name in train_module._OPT_HYPERS}
+    ck = Checkpoint(cfg, 5, params, OptimState(step=step, m=m, v=v, **hypers))
+    root = tmp_path_factory.getbasetemp() / "opt-settings"
+    root.mkdir(exist_ok=True)
+    path, again = root / "ck.bin", root / "again.bin"
+    save_checkpoint(ck, path)
+    got = load_checkpoint(path)
+    for name in train_module._OPT_HYPERS:
+        assert repr(getattr(got.opt, name)) == repr(getattr(cfg, name)), name
+    assert (got.epoch, got.opt.step) == (5, step)
+    for a, b in zip([*got.params, *got.opt.m, *got.opt.v], [*params, *m, *v]):
+        assert np.array_equal(a, b)
+    save_checkpoint(got, again)
+    assert again.read_bytes() == path.read_bytes()
+
+    extra = [rng.normal(size=(cfg.data.classes, 3))]
+    for count, arrays in (("few", [params[:-1], m[:-1], v[:-1]]),
+                          ("many", [params + extra, m + extra, v + extra])):
+        bad = root / f"too-{count}.bin"
+        p, m_bad, v_bad = arrays
+        save_checkpoint(Checkpoint(cfg, 5, p, OptimState(step=step, m=m_bad, v=v_bad)), bad)
+        with pytest.raises(CheckpointError) as err:
+            load_checkpoint(bad)
+        assert str(err.value).startswith(f"{bad}: "), (count, str(err.value))
 
 
 def test_checkpoint_save_is_atomic(trained, tmp_path, monkeypatch):
@@ -874,6 +921,18 @@ def test_checkpoint_dim_mismatch_with_config(trained, tmp_path):
     bad = tmp_path / "bad.bin"
     save_checkpoint(hacked, bad)
     with pytest.raises(CheckpointError, match=r"bad\.bin: weight w1 has shape \(2, 8\), expected"):
+        load_checkpoint(bad)
+
+
+def test_checkpoint_output_weight_of_rank_0_is_refused(trained, tmp_path):
+    """The output width is read from the last weight; one of rank 0 has none,
+    and is refused, not an IndexError."""
+    ck = load_checkpoint(trained.ckpt_path)
+    scalar = [np.array(1.0)]
+    opt = replace(ck.opt, m=ck.opt.m[:1] + scalar, v=ck.opt.v[:1] + scalar)
+    bad = tmp_path / "bad.bin"
+    save_checkpoint(replace(ck, params=ck.params[:1] + scalar, opt=opt), bad)
+    with pytest.raises(CheckpointError, match=r"bad\.bin: weight w1 has shape \(\), expected"):
         load_checkpoint(bad)
 
 
@@ -943,9 +1002,9 @@ def resimulated_accuracy(ckpt, samples, k):
     """Reference truncated evaluation: a k-step network run on the first k
     input slices, batched as the checkpoint's config says."""
     inputs, labels = samples.inputs[:, :k], samples.labels
-    spec, size = _ckpt_spec(ckpt, k), ckpt.config.batch_size
+    size = ckpt.config.batch_size
     values = np.concatenate([
-        lif_unroll(spec, ckpt.params, inputs[b0 : b0 + size])[0]
+        lif_unroll(ckpt.config.lif, ckpt.params, inputs[b0 : b0 + size])[0]
         for b0 in range(0, len(samples), size)
     ])
     pred = np.argmax(values.sum(axis=1) / k, axis=1)
@@ -1045,7 +1104,7 @@ def test_grouped_forward_peak_is_the_per_batch_peak_when_a_batch_fills_the_budge
     x = split.inputs
 
     def per_batch():
-        return np.concatenate([lif_unroll(spec, ck.params, x[b : b + 128])[0]
+        return np.concatenate([lif_unroll(spec.lif, ck.params, x[b : b + 128])[0]
                                for b in range(0, len(x), 128)])
 
     grouped = _traced_peak(lambda: train_module._ckpt_forward(ck, split, 10))
@@ -1157,7 +1216,7 @@ def test_consistency_cosine_matches_tape_probe(trained):
     ck = trained.checkpoint
     samples = load_dataset(ck.config).test
     steps = ck.config.timesteps
-    values, _ = lif_unroll(_ckpt_spec(ck, steps), ck.params, samples.inputs)
+    values, _ = lif_unroll(ck.config.lif, ck.params, samples.inputs)
     y = np.eye(2)[samples.labels]
     p = np.exp(values.mean(axis=1))
     coeff = (p / p.sum(axis=1, keepdims=True) - y) / (len(samples) * steps)
@@ -1280,8 +1339,8 @@ def test_dump_holds_no_more_than_the_forward(tmp_path):
     sample at a time, never held whole, as lines or as Python floats."""
     cfg = default_config()
     split = train_module.load_test_split(cfg)
-    spec = train_module._network_spec(cfg, split.inputs.shape[2], cfg.data.classes)
-    ck = _checkpoint(cfg, init_weights(spec, seed=cfg.seed))
+    sizes = (split.inputs.shape[2], *cfg.hidden_sizes, cfg.data.classes)
+    ck = _checkpoint(cfg, init_weights(NetworkSpec(sizes, cfg.timesteps, cfg.lif), cfg.seed))
     out = tmp_path / "dist.csv"
     dump_distributions(ck, split, out)  # first calls: imports and caches
     forward = _traced_peak(lambda: train_module._ckpt_forward(ck, split, cfg.timesteps))
